@@ -4,7 +4,7 @@ GO ?= go
 # staticcheck job; bump deliberately, in its own commit.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test test-full vet staticcheck bench bench-scaling bench-kernels bench-sim bench-serve bench-queue bench-speculate bench-projection perfgate golden-update problems cluster docs clean
+.PHONY: build test test-full vet staticcheck sloc bench bench-scaling bench-kernels bench-sim bench-serve bench-queue bench-speculate bench-projection perfgate golden-update problems cluster docs clean
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,15 @@ vet:
 # first time, to fetch the tool into the module cache).
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
+
+# Non-test Go lines per package under internal/ and cmd/, plus a total —
+# the count simplicity PRs quote instead of a hand tally. Printed, never
+# gated.
+sloc:
+	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
+		printf '%7d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
+	done
+	@printf '%7d total\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
 # All paper-reproduction benchmarks, plus the job-service rows — together
 # these regenerate every committed BENCH_*.json history (append a row; do

@@ -105,7 +105,7 @@ func serve(args []string) {
 	queue := fs.Int("queue", 256, "max jobs waiting for a slot")
 	artifactBytes := fs.Int("artifact-bytes", sim.DefaultArtifactBytes, "per-job derived-output store budget in bytes (oldest artifacts evicted first)")
 	artifactCount := fs.Int("artifact-count", sim.DefaultArtifactCount, "per-job derived-output artifact count budget")
-	hotBytes := fs.Int64("hot-bytes", sim.DefaultHotTierBytes, "with -data: in-memory hot-tier budget for artifact payload reads (LRU over the blob store)")
+	hotBytes := fs.Int64("hot-bytes", sim.DefaultHotTierBytes, "in-memory hot-tier budget for artifact payload reads (LRU over the store's blobs)")
 	dataDir := fs.String("data", "", "durable job store directory (empty = in-memory only: nothing survives a restart)")
 	ckptEvery := fs.Int("checkpoint-every", 5, "with -data: checkpoint running jobs every N root steps (0 = no step cadence)")
 	ckptTime := fs.Float64("checkpoint-time", 0, "with -data: checkpoint running jobs every T code time (0 = no time cadence)")

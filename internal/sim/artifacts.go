@@ -102,7 +102,7 @@ func newArtifactStore(maxBytes, maxCount int, blobs *BlobCache) *ArtifactStore {
 // Put stores one artifact, evicting oldest-first to fit the budgets.
 // It reports whether the artifact was retained at all, the payload's
 // content hash when it was, and the names it evicted to make room — all
-// so a persistent backing store can mirror the store's contents exactly
+// so the scheduler's backing Store can mirror the store's contents exactly
 // (a refused artifact must not be persisted, an evicted one must be
 // deleted). An artifact with the name of a retained one replaces it in
 // place — the path a resumed job takes when it re-derives a product it
@@ -137,11 +137,7 @@ func (s *ArtifactStore) putRecovered(m ArtifactMeta) (evicted []string, stored b
 		s.idx = nil
 		return nil, false
 	}
-	if err := s.blobs.AcquireRef(m.Hash, int64(m.Size)); err != nil {
-		s.dropped++
-		s.idx = nil
-		return nil, false
-	}
+	s.blobs.AcquireRef(m.Hash, int64(m.Size))
 	return s.insertLocked(m), true
 }
 

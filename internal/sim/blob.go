@@ -10,10 +10,9 @@ import (
 // Content-addressed artifact payloads. Artifact bodies are keyed by the
 // sha256 of their bytes: the per-job ArtifactStore holds only metadata
 // rows (name → meta + hash), while the bytes live once in a shared
-// BlobCache no matter how many jobs produced them. On a persistent
-// store the cache is a byte-budgeted LRU hot tier over the disk blobs;
-// on a memory store the cached bytes are the only copy and stay pinned
-// while referenced.
+// BlobCache no matter how many jobs produced them. The cache is a
+// byte-budgeted LRU hot tier over the store's blobs: whatever it evicts
+// is read back through Store.LoadBlob.
 
 // HashBytes returns the hex sha256 content hash of a payload — the
 // blob key and the artifact's strong HTTP ETag.
@@ -23,7 +22,7 @@ func HashBytes(data []byte) string {
 }
 
 // DefaultHotTierBytes is the default byte budget of the in-memory blob
-// hot tier fronting a persistent store.
+// hot tier fronting the store.
 const DefaultHotTierBytes = 64 << 20
 
 // blobEntry is one referenced content hash: its refcount, size, and —
@@ -32,20 +31,18 @@ type blobEntry struct {
 	hash       string
 	size       int64
 	refs       int
-	data       []byte // nil when evicted to disk
+	data       []byte // nil when evicted to the store
 	prev, next *blobEntry
 }
 
 // BlobCache is the shared content-addressed payload tier. Entries are
 // refcounted by the artifact metadata rows pointing at them; resident
-// bytes are bounded by the budget with least-recently-used eviction
-// (pinned instead when the backing store is non-persistent — there is
-// no disk tier to refetch from). All counters are served on /metrics.
+// bytes are bounded by the budget with least-recently-used eviction.
+// All counters are served on /metrics.
 type BlobCache struct {
 	mu     sync.Mutex
 	store  Store
 	budget int64
-	pinned bool // non-persistent store: resident bytes are the only copy
 
 	entries  map[string]*blobEntry
 	lru      blobEntry // sentinel ring: lru.next = most recent
@@ -60,8 +57,7 @@ type BlobCache struct {
 }
 
 // NewBlobCache builds the payload tier over a store. budget <= 0 takes
-// DefaultHotTierBytes; on a non-persistent store the budget is ignored
-// and every referenced blob stays resident.
+// DefaultHotTierBytes.
 func NewBlobCache(store Store, budget int64) *BlobCache {
 	if budget <= 0 {
 		budget = DefaultHotTierBytes
@@ -69,7 +65,6 @@ func NewBlobCache(store Store, budget int64) *BlobCache {
 	c := &BlobCache{
 		store:   store,
 		budget:  budget,
-		pinned:  !store.Persistent(),
 		entries: make(map[string]*blobEntry),
 	}
 	c.lru.next, c.lru.prev = &c.lru, &c.lru
@@ -107,11 +102,8 @@ func (c *BlobCache) resident(e *blobEntry, data []byte) {
 }
 
 // enforceBudget evicts least-recently-used resident payloads until the
-// hot tier fits the budget. Never runs in pinned mode.
+// hot tier fits the budget.
 func (c *BlobCache) enforceBudget() {
-	if c.pinned {
-		return
-	}
 	for c.hotBytes > c.budget && c.lru.prev != &c.lru {
 		e := c.lru.prev
 		c.lruUnlink(e)
@@ -142,26 +134,20 @@ func (c *BlobCache) Acquire(data []byte) string {
 }
 
 // AcquireRef references a content hash without its bytes — the recovery
-// path, where payloads stay on disk until a reader asks for them. In
-// pinned mode there is no disk tier, so this must not be used to create
-// a new entry; referencing an existing one is fine.
-func (c *BlobCache) AcquireRef(hash string, size int64) error {
+// path, where payloads stay in the store until a reader asks for them.
+func (c *BlobCache) AcquireRef(hash string, size int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[hash]
 	if !ok {
-		if c.pinned {
-			return fmt.Errorf("sim: blob %s referenced without bytes on a non-persistent store", hash)
-		}
 		e = &blobEntry{hash: hash, size: size}
 		c.entries[hash] = e
 	}
 	e.refs++
-	return nil
 }
 
 // Release drops one reference; the last release forgets the entry and
-// frees any resident bytes (the disk blob, if any, is the store's to
+// frees any resident bytes (the store's copy is the store's to
 // reclaim).
 func (c *BlobCache) Release(hash string) {
 	c.mu.Lock()
@@ -183,7 +169,7 @@ func (c *BlobCache) Release(hash string) {
 }
 
 // Get returns a referenced payload: from the hot tier when resident (a
-// hit), otherwise read back from the persistent store, verified against
+// hit), otherwise read back from the store, verified against
 // its hash, and made resident (a miss). The returned bytes are shared —
 // read-only.
 func (c *BlobCache) Get(hash string) ([]byte, error) {
@@ -203,7 +189,7 @@ func (c *BlobCache) Get(hash string) ([]byte, error) {
 	c.misses++
 	c.diskReads++
 	c.mu.Unlock()
-	// Read outside the lock: a cold read is disk + checksum work and must
+	// Read outside the lock: a cold read is store + checksum work and must
 	// not serialize the whole tier. Concurrent misses on one hash may read
 	// twice; both verify, the later insert wins harmlessly.
 	data, err := c.store.LoadBlob(hash)
@@ -235,7 +221,7 @@ func (c *BlobCache) Contains(hash string) bool {
 // BlobCacheStats is the hot tier's counter snapshot.
 type BlobCacheStats struct {
 	// Hits and Misses count Get calls served from resident bytes vs the
-	// disk tier; DiskReads counts the store reads misses issued.
+	// store; DiskReads counts the store reads misses issued.
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	DiskReads int64 `json:"disk_reads"`

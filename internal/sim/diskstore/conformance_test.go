@@ -8,9 +8,8 @@ import (
 )
 
 // TestDiskStoreConformance runs the shared Store conformance suite
-// against the disk-backed implementation — the same behavioral
-// contract the memory store passes, plus everything Persistent()
-// unlocks (recovery, blobs, checkpoints).
+// against the disk-backed implementation — the identical behavioral
+// contract the memory store passes.
 func TestDiskStoreConformance(t *testing.T) {
 	storetest.Run(t, func(t *testing.T) sim.Store { return open(t, t.TempDir()) })
 }

@@ -6,8 +6,12 @@ package sim_test
 // latest checkpoint after restart and produce a final amr.Checksum
 // bitwise identical to an uninterrupted run of the same canonical
 // request; completed results and artifacts must survive restart as
-// cache hits. This file lives in package sim_test so it can wire the
-// real disk store (internal/sim/diskstore) under the scheduler.
+// cache hits. Every test runs against both stores through one body —
+// a "restart" reopens the same data directory, or hands the same
+// MemStore value to the next scheduler — so the resume rule is asserted
+// once and holds for both. This file lives in package sim_test so it
+// can wire the real disk store (internal/sim/diskstore) under the
+// scheduler.
 
 import (
 	"bytes"
@@ -94,6 +98,26 @@ func artifactBodies(t *testing.T, base, id string) map[string][]byte {
 	return out
 }
 
+// forEachStore runs body once per Store implementation. reopen returns
+// the store the next process would open: a fresh diskstore.New on the
+// same directory, or the same MemStore value again.
+func forEachStore(t *testing.T, body func(t *testing.T, reopen func() sim.Store)) {
+	t.Run("disk", func(t *testing.T) {
+		dir := t.TempDir()
+		body(t, func() sim.Store {
+			st, err := diskstore.New(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		})
+	})
+	t.Run("mem", func(t *testing.T) {
+		st := sim.NewMemStore()
+		body(t, func() sim.Store { return st })
+	})
+}
+
 func durableConfig(store sim.Store) sim.Config {
 	return sim.Config{
 		MaxConcurrent: 1, TotalWorkers: 1,
@@ -102,7 +126,10 @@ func durableConfig(store sim.Store) sim.Config {
 }
 
 func TestKillRestartResumeBitwiseOverHTTP(t *testing.T) {
-	dir := t.TempDir()
+	forEachStore(t, testKillRestartResumeBitwiseOverHTTP)
+}
+
+func testKillRestartResumeBitwiseOverHTTP(t *testing.T, reopen func() sim.Store) {
 
 	// The uninterrupted reference: the same canonical request on a plain
 	// in-memory scheduler.
@@ -114,10 +141,7 @@ func TestKillRestartResumeBitwiseOverHTTP(t *testing.T) {
 
 	// Phase 1: serve durably, interrupt mid-run after at least one
 	// cadence checkpoint.
-	store1, err := diskstore.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store1 := reopen()
 	s1 := sim.NewScheduler(durableConfig(store1))
 	srv1 := httptest.NewServer(s1.Handler())
 	sub := postJob(t, srv1.URL, interruptReq)
@@ -148,10 +172,7 @@ func TestKillRestartResumeBitwiseOverHTTP(t *testing.T) {
 	// Phase 2: restart on the same store; the job must be recovered,
 	// resumed from its latest checkpoint, and finish with the reference
 	// hash.
-	store2, err := diskstore.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store2 := reopen()
 	s2 := sim.NewScheduler(durableConfig(store2))
 	srv2 := httptest.NewServer(s2.Handler())
 	if recovered, resumed, err := s2.RecoverState(); err != nil || recovered != 1 || resumed != 1 {
@@ -213,10 +234,7 @@ func TestKillRestartResumeBitwiseOverHTTP(t *testing.T) {
 	// Phase 3: restart again; the completed result and artifacts must be
 	// served from the warm store, and an identical submission must be a
 	// cache hit — all over real HTTP.
-	store3, err := diskstore.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store3 := reopen()
 	s3 := sim.NewScheduler(durableConfig(store3))
 	defer s3.Close()
 	srv3 := httptest.NewServer(s3.Handler())
@@ -254,11 +272,11 @@ func TestKillRestartResumeBitwiseOverHTTP(t *testing.T) {
 // interrupted, and let the next scheduler resume it to the reference
 // answer.
 func TestDrainCheckpointsRunningJobs(t *testing.T) {
-	dir := t.TempDir()
-	store1, err := diskstore.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	forEachStore(t, testDrainCheckpointsRunningJobs)
+}
+
+func testDrainCheckpointsRunningJobs(t *testing.T, reopen func() sim.Store) {
+	store1 := reopen()
 	// No CheckpointEvery/CheckpointTime: the only checkpoint is Drain's.
 	s1 := sim.NewScheduler(sim.Config{MaxConcurrent: 1, TotalWorkers: 1, Store: store1})
 	req := sim.Request{Problem: "sedov", RootN: 16, MaxLevel: sim.Int(1), Steps: 20, Workers: 1}
@@ -289,10 +307,7 @@ func TestDrainCheckpointsRunningJobs(t *testing.T) {
 		t.Fatalf("drain checkpoint at step %d, want the drained boundary (>= 2)", ck.Step)
 	}
 
-	store2, err := diskstore.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store2 := reopen()
 	s2 := sim.NewScheduler(sim.Config{MaxConcurrent: 1, TotalWorkers: 1, Store: store2})
 	defer s2.Close()
 	j2, ok := s2.Get(j.ID)
@@ -330,11 +345,11 @@ func TestDrainCheckpointsRunningJobs(t *testing.T) {
 // promptly (the HTTP listener depends on it) and every recovered job
 // still runs to completion.
 func TestRecoverBacklogLargerThanQueue(t *testing.T) {
-	dir := t.TempDir()
-	store1, err := diskstore.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	forEachStore(t, testRecoverBacklogLargerThanQueue)
+}
+
+func testRecoverBacklogLargerThanQueue(t *testing.T, reopen func() sim.Store) {
+	store1 := reopen()
 	// Fabricate interrupted records, as a kill would leave them.
 	const n = 4
 	for i := 0; i < n; i++ {
@@ -383,13 +398,13 @@ func TestRecoverBacklogLargerThanQueue(t *testing.T) {
 // TestWarmStoreSchedulerLevel: completed results rehydrate as cache
 // hits without HTTP in the loop (the enzobatch -data path).
 func TestWarmStoreSchedulerLevel(t *testing.T) {
-	dir := t.TempDir()
+	forEachStore(t, testWarmStoreSchedulerLevel)
+}
+
+func testWarmStoreSchedulerLevel(t *testing.T, reopen func() sim.Store) {
 	req := sim.Request{Problem: "sedov", RootN: 8, MaxLevel: sim.Int(1), Steps: 2, Workers: 1}
 
-	store1, err := diskstore.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store1 := reopen()
 	s1 := sim.NewScheduler(sim.Config{MaxConcurrent: 1, TotalWorkers: 1, Store: store1})
 	j1, err := s1.Submit(req)
 	if err != nil {
@@ -401,10 +416,7 @@ func TestWarmStoreSchedulerLevel(t *testing.T) {
 	}
 	s1.Close()
 
-	store2, err := diskstore.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store2 := reopen()
 	s2 := sim.NewScheduler(sim.Config{MaxConcurrent: 1, TotalWorkers: 1, Store: store2})
 	defer s2.Close()
 	j2, disp, err := s2.SubmitWithDisposition(req)
@@ -423,5 +435,125 @@ func TestWarmStoreSchedulerLevel(t *testing.T) {
 	}
 	if st := s2.Stats(); st.Executed != 0 || st.CacheHits != 1 {
 		t.Fatalf("warm hit should not execute: %+v", st)
+	}
+}
+
+// TestDroppedSpeculationLeavesNoRecords: a speculation preempted at a
+// root-step boundary leaves an interrupted manifest and a checkpoint in
+// the store so it can resume; once the planner drops the candidate (here
+// its tenant's speculative budget is spent by the first attempt) those
+// records must go with it, on either store.
+func TestDroppedSpeculationLeavesNoRecords(t *testing.T) {
+	forEachStore(t, func(t *testing.T, reopen func() sim.Store) {
+		store := reopen()
+		s := sim.NewScheduler(sim.Config{MaxConcurrent: 1, TotalWorkers: 1, Store: store,
+			Speculate: true, SpeculateBudgetSeconds: 1e-4})
+		defer s.Close()
+		target := sim.Request{Problem: "sedov", RootN: 16, MaxLevel: sim.Int(1), Steps: 20, Workers: 1,
+			Knobs: map[string]float64{"e0": 13}}
+		id, err := s.CanonicalID(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.PrewarmSweep("one", []sim.Request{target}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor := func(what string, cond func(sim.SpeculationStats) bool) sim.SpeculationStats {
+			t.Helper()
+			deadline := time.Now().Add(60 * time.Second)
+			for {
+				st := s.SpeculationStats()
+				if cond(st) {
+					return st
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("speculation never reached %s: %+v", what, st)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		}
+		waitFor("a started run", func(st sim.SpeculationStats) bool { return st.Started >= 1 })
+		time.Sleep(150 * time.Millisecond) // a few root steps, so the preemption has a boundary to checkpoint at
+
+		dj, err := s.Submit(sim.Request{Problem: "khi", RootN: 8, MaxLevel: sim.Int(0), Steps: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dj.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		st := waitFor("an empty backlog", func(st sim.SpeculationStats) bool {
+			return st.Started >= 1 && st.Pending == 0 && st.Inflight == 0
+		})
+		if st.Preempted == 0 || st.Completed != 0 || st.WastedSeconds != 0 {
+			t.Skipf("preempt-with-checkpoint then drop not exercised: %+v", st)
+		}
+		if got := store.Stats(); got.CheckpointCount != 0 || got.CheckpointBytes != 0 {
+			t.Fatalf("dropped candidate's checkpoint still in the store: %+v", got)
+		}
+		recs, err := store.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if rec.Manifest.ID == id {
+				t.Fatalf("dropped candidate still recoverable: %+v", rec.Manifest)
+			}
+		}
+	})
+}
+
+// faultStore fails the named Store methods with the mapped error and
+// passes everything else through.
+type faultStore struct {
+	sim.Store
+	fail map[string]error
+}
+
+func (f faultStore) DeleteCheckpoints(id string) error {
+	if err := f.fail["DeleteCheckpoints"]; err != nil {
+		return err
+	}
+	return f.Store.DeleteCheckpoints(id)
+}
+
+func (f faultStore) Close() error {
+	if err := f.fail["Close"]; err != nil {
+		return err
+	}
+	return f.Store.Close()
+}
+
+// TestStoreErrorsSurface: a store failure after submit time costs
+// durability, not the answer — but it must not vanish. The first error
+// any store call returns (here: dropping a finished job's checkpoints,
+// then closing the store) is what RecoverState reports.
+func TestStoreErrorsSurface(t *testing.T) {
+	errDelete := fmt.Errorf("injected DeleteCheckpoints failure")
+	errClose := fmt.Errorf("injected Close failure")
+	req := sim.Request{Problem: "sedov", RootN: 8, MaxLevel: sim.Int(0), Steps: 2, Workers: 1}
+	for _, tc := range []struct {
+		name string
+		fail map[string]error
+		want error
+	}{
+		{"terminal checkpoint delete", map[string]error{"DeleteCheckpoints": errDelete, "Close": errClose}, errDelete},
+		{"close", map[string]error{"Close": errClose}, errClose},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.NewScheduler(sim.Config{MaxConcurrent: 1, TotalWorkers: 1,
+				Store: faultStore{Store: sim.NewMemStore(), fail: tc.fail}})
+			j, err := s.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := j.Wait(context.Background()); err != nil {
+				t.Fatalf("a failing store must not fail the job: %v", err)
+			}
+			s.Close()
+			if _, _, got := s.RecoverState(); got != tc.want {
+				t.Fatalf("RecoverState error = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }

@@ -623,10 +623,9 @@ func (s *Scheduler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "sim_slots %d\n", s.cfg.MaxConcurrent)
 	fmt.Fprintf(w, "sim_slot_workers %d\n", s.SlotWorkers())
 	fmt.Fprintf(w, "sim_uptime_seconds %g\n", s.Uptime().Seconds())
-	// Durable-store gauges: checkpoint/artifact footprint of the backing
-	// store, cache evictions applied to it, and what startup recovery
-	// rehydrated. A memory store reports zero byte gauges; the live
-	// in-memory artifact bytes are summed across retained jobs either way.
+	// Store gauges: checkpoint/artifact footprint of the backing store,
+	// cache evictions applied to it, and what startup recovery
+	// rehydrated; plus the retained jobs' live in-memory artifact bytes.
 	ss := s.store.Stats()
 	var liveArtifactBytes int64
 	for _, j := range s.Jobs() {

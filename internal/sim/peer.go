@@ -424,9 +424,7 @@ func (p *Peer) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(rep.Data) > 0 {
-		if err := p.s.store.SaveCheckpoint(id, rep.Step, rep.Data); err != nil {
-			p.s.noteStoreErr(err)
-		}
+		p.s.noteStoreErr(p.s.store.SaveCheckpoint(id, rep.Step, rep.Data))
 	}
 	p.mu.Lock()
 	// Artifact rows accumulate via their own endpoint; a manifest or
@@ -499,7 +497,7 @@ func (p *Peer) handleReplicaArtifactDelete(w http.ResponseWriter, r *http.Reques
 	}
 	p.mu.Unlock()
 	if _, local := p.s.Get(id); !local {
-		p.s.store.DeleteArtifacts(id, names)
+		p.s.noteStoreErr(p.s.store.DeleteArtifacts(id, names))
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -514,7 +512,7 @@ func (p *Peer) handleReplicaDelete(w http.ResponseWriter, r *http.Request) {
 	delete(p.replicas, id)
 	p.mu.Unlock()
 	if _, local := p.s.Get(id); !local {
-		p.s.store.DeleteJob(id)
+		p.s.noteStoreErr(p.s.store.DeleteJob(id))
 	}
 	w.WriteHeader(http.StatusNoContent)
 }

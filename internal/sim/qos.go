@@ -13,12 +13,23 @@ package sim
 // — so a flood of urgent work can never starve a deadline-less tenant.
 // All ordering decisions read the injected clock, never time.Now, so
 // the deterministic test suite drives them with a fake clock.
+//
+// Below every tenant sits one strictly-lowest class, the speculative
+// backlog (speculate.go plans it). pop hands out a speculation only
+// when no demand is queued and a speculative slot is free, cheapest
+// estimate first; it is never billed to a vtime or the vclock, never
+// shows in the depth or tenant gauges, and a demand push cancels every
+// running one — preemption is just "a higher class arrived".
 
 import (
+	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/sim/costmodel"
 )
 
 const (
@@ -87,11 +98,23 @@ type fairQueue struct {
 	names     []string // sorted tenant names, for deterministic scans
 	byJob     map[string]*queueEntry
 	size      int
-	running   int // jobs popped and not yet retired with done()
 	seq       uint64
 	vclock    float64 // max vtime ever attained; the re-entry level for idle tenants
 	urgentRun int     // consecutive dispatches the deadline boost has taken
 	closed    bool
+
+	// The speculative class (off while specSlots is 0): the backlog in
+	// arrival order (a job's est and parked are the queue's while it is
+	// in here), and each popped speculation's cancel func until retire.
+	specCtx     context.Context
+	specSlots   int
+	spec        []*Job
+	specRunning map[string]context.CancelFunc
+
+	// waiting counts the slots blocked in pop; claimed holds the demand
+	// jobs push already dispatched to idle capacity, for the next pops.
+	waiting int
+	claimed []*Job
 }
 
 // newFairQueue builds a queue dispatching at most depth queued jobs,
@@ -104,6 +127,8 @@ func newFairQueue(depth int, weights map[string]float64, now func() time.Time) *
 		weights: weights,
 		tenants: map[string]*tenantQueue{},
 		byJob:   map[string]*queueEntry{},
+
+		specRunning: map[string]context.CancelFunc{},
 	}
 	q.cond = sync.NewCond(&q.mu)
 	return q
@@ -147,21 +172,51 @@ func (q *fairQueue) push(j *Job, enforceDepth bool) error {
 	tq.entries = append(tq.entries, e)
 	q.byJob[j.ID] = e
 	q.size++
+	// A higher class arrived: every running speculation stops at its next
+	// root-step boundary. Its slot is idle capacity like one blocked in
+	// pop, and while there is any the fair-share pick (and its vtime
+	// charge) happens here, at the push — so neither goroutine wake-up
+	// latency nor the tail of a speculative step can reorder demand.
+	for _, cancel := range q.specRunning {
+		cancel()
+	}
+	if len(q.claimed) < q.waiting+len(q.specRunning) {
+		q.claimed = append(q.claimed, q.dispatchLocked())
+	}
 	q.cond.Signal()
 	return nil
 }
 
-// pop blocks for the next job to dispatch. After close it drains the
-// remaining backlog, then reports ok=false.
+// pop blocks for the next job to dispatch: demand work by fair share,
+// else — only while no demand is queued — the cheapest speculation.
+// After close it drains the remaining demand backlog, then reports
+// ok=false.
 func (q *fairQueue) pop() (*Job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.size == 0 {
+	for len(q.claimed) == 0 && q.size == 0 {
 		if q.closed {
 			return nil, false
 		}
+		if j := q.popSpeculativeLocked(); j != nil {
+			return j, true
+		}
+		q.waiting++
 		q.cond.Wait()
+		q.waiting--
 	}
+	if len(q.claimed) > 0 {
+		j := q.claimed[0]
+		q.claimed = q.claimed[1:]
+		return j, true
+	}
+	return q.dispatchLocked(), true
+}
+
+// dispatchLocked removes and returns the next demand job by fair share
+// and deadline urgency, billing its tenant; the backlog must be
+// non-empty and q.mu held.
+func (q *fairQueue) dispatchLocked() *Job {
 	now := q.now()
 	// Candidates are tenant heads only, so two requests from the same
 	// tenant can never be reordered, deadline or not.
@@ -199,26 +254,91 @@ func (q *fairQueue) pop() (*Job, bool) {
 	pickT.entries = pickT.entries[1:]
 	delete(q.byJob, pick.job.ID)
 	q.size--
-	q.running++ // retired by done() when the slot finishes executing
-	return pick.job, true
+	return pick.job
 }
 
-// done retires one popped job — the slot finished executing it. With
-// size, running is what the speculation planner's idle test reads: a
-// window is idle only when nothing is queued AND nothing is running.
-func (q *fairQueue) done() {
-	q.mu.Lock()
-	if q.running > 0 {
-		q.running--
+// popSpeculativeLocked dispatches the cheapest unparked speculation
+// (arrival order breaks ties) if a speculative slot is free, giving the
+// job the context a demand push will cancel. The caller — the slot
+// goroutine — owes a retire.
+func (q *fairQueue) popSpeculativeLocked() *Job {
+	if len(q.specRunning) >= q.specSlots {
+		return nil
 	}
-	q.mu.Unlock()
+	pick := -1
+	for i, j := range q.spec {
+		if !j.parked && (pick < 0 || j.queueCost() < q.spec[pick].queueCost()) {
+			pick = i
+		}
+	}
+	if pick < 0 {
+		return nil
+	}
+	j := q.spec[pick]
+	q.spec = slices.Delete(q.spec, pick, pick+1)
+	j.runCtx, q.specRunning[j.ID] = context.WithCancel(q.specCtx)
+	return j
 }
 
-// busy reports the dispatch backlog and the jobs currently executing.
-func (q *fairQueue) busy() (queued, running int) {
+// offer enqueues a speculative job (est and parked already set) in the
+// lowest class. It is refused once the queue is closed, while the class
+// is off, or when the ID is already offered or running. Beyond
+// specPendingCap the oldest backlog entry is evicted and returned for
+// the caller to discard.
+func (q *fairQueue) offer(j *Job) (evicted *Job, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.size, q.running
+	if q.closed || q.specSlots == 0 || q.specRunning[j.ID] != nil ||
+		slices.ContainsFunc(q.spec, func(x *Job) bool { return x.ID == j.ID }) {
+		return nil, false
+	}
+	if len(q.spec) >= specPendingCap {
+		evicted, q.spec = q.spec[0], q.spec[1:]
+	}
+	q.spec = append(q.spec, j)
+	q.cond.Signal()
+	return evicted, true
+}
+
+// retire ends a popped speculation — the slot is done with it, however
+// it ended — freeing its speculative slot for the next waiter.
+func (q *fairQueue) retire(id string) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if cancel := q.specRunning[id]; cancel != nil {
+		cancel()
+		delete(q.specRunning, id)
+		q.cond.Signal()
+	}
+}
+
+// speculative snapshots the speculative backlog in arrival order and
+// counts the running speculations.
+func (q *fairQueue) speculative() (backlog []*Job, running int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return slices.Clone(q.spec), len(q.specRunning)
+}
+
+// specPlan is the planner's verdict on one speculative job: its fresh
+// estimate (the dispatch rank) and whether it must stay parked.
+type specPlan struct {
+	est    costmodel.Estimate
+	parked bool
+}
+
+// reprice applies fresh verdicts (keyed by job ID) to the speculative
+// backlog after the cost model learned: jobs are re-ranked and a parked
+// one whose gate now passes is released.
+func (q *fairQueue) reprice(plans map[string]specPlan) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for _, j := range q.spec {
+		if plan, ok := plans[j.ID]; ok {
+			j.est, j.parked = &plan.est, plan.parked
+		}
+	}
+	q.cond.Broadcast()
 }
 
 // remove excises a queued job (Cancel of a queued job) so it neither
@@ -278,11 +398,13 @@ func (q *fairQueue) snapshot() (int, map[string]int) {
 	return q.size, per
 }
 
-// close stops accepting pushes and wakes every blocked pop; queued
-// entries keep draining through pop until the backlog is empty.
+// close stops accepting pushes and offers, drops the speculative
+// backlog and wakes every blocked pop; queued demand entries keep
+// draining through pop until the backlog is empty.
 func (q *fairQueue) close() {
 	q.mu.Lock()
 	q.closed = true
+	q.spec = nil
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }

@@ -2,29 +2,28 @@ package sim_test
 
 // Cost-model durability: estimates learned before a restart must
 // survive it, because the model state is persisted in the Store
-// alongside the results that trained it. Lives in package sim_test so
-// it can wire the real disk store under the scheduler.
+// alongside the results that trained it — asserted on both stores (see
+// forEachStore).
 
 import (
 	"context"
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/sim/diskstore"
 )
 
 // TestCostModelSurvivesRestart: a job trains the model under one
-// scheduler; a fresh scheduler over the same data root estimates from
+// scheduler; a fresh scheduler over the same store estimates from
 // that history before running anything — and recovery backfill does
 // not double-count the replayed result.
 func TestCostModelSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
+	forEachStore(t, testCostModelSurvivesRestart)
+}
+
+func testCostModelSurvivesRestart(t *testing.T, reopen func() sim.Store) {
 	req := sim.Request{Problem: "sedov", RootN: 8, MaxLevel: sim.Int(1), Steps: 3, Workers: 1}
 
-	store1, err := diskstore.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store1 := reopen()
 	s1 := sim.NewScheduler(sim.Config{MaxConcurrent: 1, TotalWorkers: 1, Store: store1})
 	j, err := s1.Submit(req)
 	if err != nil {
@@ -43,10 +42,7 @@ func TestCostModelSurvivesRestart(t *testing.T) {
 	state := s1.CostModelState()
 	s1.Close() // closes store1
 
-	store2, err := diskstore.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store2 := reopen()
 	s2 := sim.NewScheduler(sim.Config{MaxConcurrent: 1, TotalWorkers: 1, Store: store2})
 	defer s2.Close()
 	if n := s2.CostModelSamples(); n != 1 {

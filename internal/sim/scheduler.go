@@ -40,19 +40,17 @@ type Config struct {
 	// ArtifactCount bounds the artifacts a job retains (default
 	// DefaultArtifactCount).
 	ArtifactCount int
-	// HotBytes bounds the shared in-memory blob hot tier fronting a
-	// persistent store's artifact payloads (default DefaultHotTierBytes).
-	// Ignored on a memory store, where referenced payloads are pinned.
+	// HotBytes bounds the shared in-memory blob hot tier fronting the
+	// store's artifact payloads (default DefaultHotTierBytes).
 	HotBytes int64
-	// Store is the persistence layer (nil = NewMemStore, nothing
-	// survives a restart). With a persistent store — diskstore.New —
-	// the scheduler recovers completed results/artifacts as cache hits
-	// at startup, resumes interrupted jobs from their latest
-	// checkpoint, and Drain checkpoints running jobs before exit.
+	// Store is the persistence layer (nil = NewMemStore, which lasts as
+	// long as the value; diskstore.New survives a process restart). At
+	// startup the scheduler recovers its completed results/artifacts as
+	// cache hits and resumes interrupted jobs from their latest
+	// checkpoint; Drain checkpoints running jobs before exit.
 	Store Store
 	// CheckpointEvery writes a restart checkpoint after every N-th root
-	// step of a running job (0 = no step cadence). Only meaningful with
-	// a persistent store; ignored otherwise.
+	// step of a running job (0 = no step cadence).
 	CheckpointEvery int
 	// CheckpointTime writes a restart checkpoint whenever a job's code
 	// time crosses a multiple of this interval (0 = no time cadence).
@@ -88,10 +86,6 @@ type Config struct {
 	// exceeds it (0 = no bound). Only estimates backed by at least one
 	// sample gate — an untrained model skips nothing.
 	SpeculateMaxSeconds float64
-	// SpeculateMinConfidence gates lineage-inferred candidates on the
-	// cost model's confidence (default DefaultSpeculateMinConfidence);
-	// explicit sweep rows are exempt.
-	SpeculateMinConfidence float64
 }
 
 func (c Config) withDefaults() Config {
@@ -122,13 +116,8 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
-	if c.Speculate {
-		if c.SpeculateSlots <= 0 {
-			c.SpeculateSlots = 1
-		}
-		if c.SpeculateMinConfidence <= 0 {
-			c.SpeculateMinConfidence = DefaultSpeculateMinConfidence
-		}
+	if c.Speculate && c.SpeculateSlots <= 0 {
+		c.SpeculateSlots = 1
 	}
 	return c
 }
@@ -256,11 +245,18 @@ type Job struct {
 	// shutdown racing the cancellation cannot misclassify the job as
 	// interrupted (and resurrect it on the next start).
 	userCancelled bool
-	// speculative marks a job executed by the speculation planner (set
-	// before the job is visible, immutable after): it bills the
-	// speculative ledger instead of the demand one, writes no cadence
-	// checkpoints, and fires no replication hooks.
+	// speculative marks a job the planner offered to the queue's lowest
+	// class (immutable once offered, like specSource, the planner that
+	// guessed it): it stays out of the job table until it completes,
+	// bills the speculative ledger, and fires no replication hooks.
+	// parked holds it back from dispatch until new cost-model history
+	// lifts its gate (the queue's to write, like est, while it is
+	// queued); runCtx is its current run's context, made by the queue at
+	// pop and cancelled by the next demand push.
 	speculative bool
+	specSource  string
+	parked      bool
+	runCtx      context.Context
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -419,11 +415,10 @@ type Status struct {
 	Error         string  `json:"error,omitempty"`
 	Hash          string  `json:"hash,omitempty"`
 	WallSeconds   float64 `json:"wall_seconds"`
-	// Checkpoint provenance (persistent stores only): how many restart
-	// checkpoints the job has written, the root step and age of the
-	// latest one, whether the job was rehydrated from the store at
-	// scheduler startup, and — for a resumed execution — the checkpoint
-	// it continued from.
+	// Checkpoint provenance: how many restart checkpoints the job has
+	// written, the root step and age of the latest one, whether the job
+	// was rehydrated from the store at scheduler startup, and — for a
+	// resumed execution — the checkpoint it continued from.
 	Checkpoints int `json:"checkpoints,omitempty"`
 	// CheckpointStep is a pointer so "checkpointed after root step 0"
 	// (a real value) is distinguishable from "no checkpoints" (absent).
@@ -532,8 +527,8 @@ type Scheduler struct {
 	// estimates survive restarts.
 	model *costmodel.Model
 
-	// spec is the speculative-execution planner (present but disabled
-	// unless Config.Speculate); spend is the per-tenant historical
+	// spec is the speculative-execution planner's state (idle unless
+	// Config.Speculate); spend is the per-tenant historical
 	// wall-second ledger, demand and speculative classes separate.
 	spec  *speculator
 	spend *spendLedger
@@ -594,12 +589,12 @@ type replHooks struct {
 // setReplHooks attaches (or, with nil, detaches) the peer hooks.
 func (s *Scheduler) setReplHooks(h *replHooks) { s.repl.Store(h) }
 
-// NewScheduler starts a scheduler with cfg's slots running. With a
-// persistent store, it first recovers the store's persisted jobs:
-// completed results and artifacts rehydrate the cache (so identical
-// submissions are cache hits across process restarts), and interrupted
-// jobs are re-queued to resume from their latest checkpoint. Recovery
-// problems never prevent startup; inspect them with RecoverState.
+// NewScheduler starts a scheduler with cfg's slots running. It first
+// recovers the store's jobs: completed results and artifacts rehydrate
+// the cache (so identical submissions are cache hits across restarts),
+// and interrupted jobs are re-queued to resume from their latest
+// checkpoint. Recovery problems never prevent startup; inspect them
+// with RecoverState.
 func NewScheduler(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -613,18 +608,21 @@ func NewScheduler(cfg Config) *Scheduler {
 		model:   costmodel.New(),
 		spend:   newSpendLedger(),
 		jobs:    make(map[string]*Job),
+		spec:    &speculator{dead: map[string]bool{}},
 		start:   cfg.Clock(),
 	}
-	s.spec = newSpeculator(s, cfg)
+	if cfg.Speculate {
+		s.fq.specCtx, s.fq.specSlots = ctx, cfg.SpeculateSlots // before the first pop
+	}
 	// Rehydrate the cost model before recovery: recovered Done jobs then
 	// only backfill observations the persisted state is missing.
-	if state, err := s.store.LoadCostModel(); err != nil {
-		s.storeErr = err
-	} else if len(state) > 0 {
-		if err := s.model.Decode(state); err != nil {
-			s.storeErr = err
-		}
+	state, err := s.store.LoadCostModel()
+	if err == nil && len(state) > 0 {
+		err = s.model.Decode(state)
 	}
+	s.noteStoreErr(err)
+	// The slots are the only executors: demand work and, when nothing is
+	// queued, the queue's speculative class both reach execute from here.
 	for i := 0; i < cfg.MaxConcurrent; i++ {
 		s.wg.Add(1)
 		go func() {
@@ -635,13 +633,10 @@ func NewScheduler(cfg Config) *Scheduler {
 					return
 				}
 				s.execute(j)
-				s.fq.done()
-				s.spec.wake() // a slot just freed: an idle window may have opened
 			}
 		}()
 	}
 	s.recover()
-	s.spec.start()
 	return s
 }
 
@@ -657,7 +652,7 @@ func (s *Scheduler) RecoverState() (recovered, resumed int64, err error) {
 	return s.stats.Recovered, s.stats.Resumed, s.storeErr
 }
 
-// recover rehydrates the persistent store's jobs at startup. Resumable
+// recover rehydrates the store's jobs at startup. Resumable
 // jobs are pushed straight onto the fair queue in recovery order,
 // bypassing the depth bound (refusing to re-admit persisted work would
 // lose it); pushes never block, so NewScheduler (and with it `enzogo
@@ -665,26 +660,12 @@ func (s *Scheduler) RecoverState() (recovered, resumed int64, err error) {
 // evolution.
 func (s *Scheduler) recover() {
 	recs, err := s.store.Recover()
-	if err != nil {
-		s.mu.Lock()
-		s.storeErr = err
-		s.mu.Unlock()
-		return
-	}
+	s.noteStoreErr(err)
 	for _, rec := range recs {
 		j, err := s.recoverJob(rec)
-		if err != nil {
-			s.mu.Lock()
-			if s.storeErr == nil {
-				s.storeErr = err
-			}
-			s.mu.Unlock()
-			continue
-		}
+		s.noteStoreErr(err)
 		if j != nil {
-			if err := s.fq.push(j, false); err != nil {
-				s.noteStoreErr(err) // closed mid-startup; the job stays interrupted on disk
-			}
+			s.noteStoreErr(s.fq.push(j, false)) // closed mid-startup: the job stays interrupted in the store
 		}
 	}
 }
@@ -695,22 +676,6 @@ func (s *Scheduler) recover() {
 // resuming from the latest checkpoint once a slot picks them up.
 func (s *Scheduler) recoverJob(rec RecoveredJob) (resumableJob *Job, err error) {
 	m := rec.Manifest
-	// An interrupted speculative run must never resurrect as demand
-	// work: re-offer it to the planner (its persisted checkpoint resumes
-	// it warm) when speculation is on, otherwise forget it.
-	if m.Speculative && m.State != Done.String() {
-		if s.cfg.Speculate {
-			req := m.Request
-			req.Workers = m.Workers
-			if r, rerr := resolve(req, s.cfg.slotWorkers(), max(s.cfg.TotalWorkers, m.Workers)); rerr == nil && s.spec.add(req, r, specSourceSweep) {
-				return nil, nil // the record stays; the re-run overwrites it
-			}
-		}
-		if derr := s.store.DeleteJob(m.ID); derr != nil {
-			s.noteStoreErr(derr)
-		}
-		return nil, nil
-	}
 	// Pin the manifest's effective worker budget: the job's canonical
 	// identity (and, via the CIC reduction order, its bitwise answer)
 	// depends on it, so a resumed run must not inherit this process's
@@ -722,26 +687,10 @@ func (s *Scheduler) recoverJob(rec RecoveredJob) (resumableJob *Job, err error) 
 	if err != nil {
 		return nil, fmt.Errorf("sim: recover %s: %w", m.ID, err)
 	}
-	j := &Job{
-		ID:          m.ID, // the store directory is the identity; trust it
-		Req:         m.Request,
-		Workers:     r.opts.Workers,
-		StepBudget:  r.steps,
-		MaxTime:     r.maxTime,
-		sched:       s,
-		res:         r,
-		doneCh:      make(chan struct{}),
-		artifacts:   newArtifactStore(s.cfg.ArtifactBytes, s.cfg.ArtifactCount, s.blobs),
-		tenant:      tenantOf(m.Request),
-		submitted:   m.SubmittedAt,
-		started:     m.StartedAt,
-		finished:    m.FinishedAt,
-		recovered:   true,
-		speculative: m.Speculative,
-		ckpts:       m.Checkpoints,
-		ckptStep:    m.CheckpointStep,
-		ckptAt:      m.CheckpointAt,
-	}
+	j := s.newJob(m.ID, m.Request, r) // the store's key is the identity; trust it
+	j.submitted, j.started, j.finished = m.SubmittedAt, m.StartedAt, m.FinishedAt
+	j.recovered, j.speculative = true, m.Speculative
+	j.ckpts, j.ckptStep, j.ckptAt = m.Checkpoints, m.CheckpointStep, m.CheckpointAt
 	// A recovered deadline hint is stale by definition (it was relative
 	// to the original submission), so resumed jobs re-queue without one;
 	// the estimate is recomputed against the current model.
@@ -760,8 +709,15 @@ func (s *Scheduler) recoverJob(rec RecoveredJob) (resumableJob *Job, err error) 
 			evicted = append(evicted, m.Name) // refused outright: reclaim its payload too
 		}
 	}
-	if err := s.store.DeleteArtifacts(m.ID, evicted); err != nil {
-		s.noteStoreErr(err)
+	s.noteStoreErr(s.store.DeleteArtifacts(m.ID, evicted))
+	// An interrupted speculative run must never resurrect as demand
+	// work: it goes back to the queue's lowest class (its checkpoint
+	// resumes it warm), or is forgotten when speculation is off.
+	if m.Speculative && m.State != Done.String() {
+		if !s.planSpeculative(j) {
+			s.discardSpeculative(j)
+		}
+		return nil, nil
 	}
 	resume := false
 	switch m.State {
@@ -793,28 +749,35 @@ func (s *Scheduler) recoverJob(rec RecoveredJob) (resumableJob *Job, err error) 
 		j.finished = time.Time{}
 	}
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, nil
-	}
-	if _, dup := s.jobs[m.ID]; dup {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("sim: recover %s: duplicate store record", m.ID)
-	}
-	s.jobs[m.ID] = j
-	s.order = append(s.order, m.ID)
-	s.stats.Recovered++
-	if resume {
-		s.stats.Resumed++
-	}
-	doomed := s.evictLocked()
-	s.mu.Unlock()
-	s.reap(doomed)
-	if resume {
+	registered := s.register(j, func(st *Stats) {
+		st.Recovered++
+		if resume {
+			st.Resumed++
+		}
+	})
+	if resume && registered {
 		return j, nil
 	}
 	return nil, nil
+}
+
+// register makes a job visible under its ID and re-applies the cache
+// bound. It refuses (dropping the job's blob references) when the
+// scheduler is closed or the ID is already present.
+func (s *Scheduler) register(j *Job, bump func(*Stats)) bool {
+	s.mu.Lock()
+	if _, dup := s.jobs[j.ID]; dup || s.closed {
+		s.mu.Unlock()
+		j.artifacts.release()
+		return false
+	}
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
+	bump(&s.stats)
+	doomed := s.evictLocked()
+	s.mu.Unlock()
+	s.reap(doomed)
+	return true
 }
 
 // Config returns the scheduler's effective (default-filled) configuration.
@@ -825,21 +788,18 @@ func (s *Scheduler) Config() Config { return s.cfg }
 func (s *Scheduler) SlotWorkers() int { return s.cfg.slotWorkers() }
 
 // Close stops accepting submissions, cancels queued and running jobs and
-// waits for the slots to drain. Completed results remain readable.
-// Against a persistent store, jobs cut short by Close keep their
-// non-terminal manifests (plus any cadence checkpoints already written),
-// so the next scheduler on the same store treats them exactly like a
-// process kill and resumes them; use Drain to also checkpoint the
-// running jobs' current state first.
+// waits for the slots to drain. Completed results remain readable. Jobs
+// cut short by Close keep their non-terminal manifests (plus any
+// cadence checkpoints already written), so the next scheduler on the
+// same store treats them exactly like a process kill and resumes them;
+// use Drain to also checkpoint the running jobs' current state first.
 func (s *Scheduler) Close() { s.shutdown(false) }
 
-// Drain is the graceful shutdown of a durable scheduler: it stops
-// accepting submissions, lets every running job reach its next root-step
-// boundary, writes a final restart checkpoint for each (persistent
-// stores only), records them as interrupted, and waits for the slots to
-// exit. A following NewScheduler on the same store resumes the drained
-// jobs from exactly where they stopped. On a non-persistent store Drain
-// is Close.
+// Drain is the graceful shutdown: it stops accepting submissions, lets
+// every running job reach its next root-step boundary, writes a final
+// restart checkpoint for each, records them as interrupted, and waits
+// for the slots to exit. A following NewScheduler on the same store
+// resumes the drained jobs from exactly where they stopped.
 func (s *Scheduler) Drain() { s.shutdown(true) }
 
 func (s *Scheduler) shutdown(drain bool) {
@@ -849,26 +809,19 @@ func (s *Scheduler) shutdown(drain bool) {
 		return
 	}
 	s.closed = true
-	s.draining = drain && s.store.Persistent()
+	s.draining = drain
 	s.mu.Unlock()
 	// Order matters: cancel first so the slots fast-drain the backlog
 	// (a cancelled baseCtx makes each queued execution exit at its first
 	// context check), then close the queue. Submit cannot race the
 	// close — it checks s.closed under s.mu before pushing, and shutdown
 	// held that lock first; after close the slots keep draining whatever
-	// is still queued, then exit.
+	// is still queued, then exit. Running speculations derive from
+	// baseCtx too: they checkpoint at their next root-step boundary.
 	s.stop()
 	s.fq.close()
-	s.spec.close()
 	s.wg.Wait()
-	s.store.Close()
-}
-
-// isDraining reports whether shutdown wants running jobs checkpointed.
-func (s *Scheduler) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
+	s.noteStoreErr(s.store.Close())
 }
 
 // manifestOf snapshots a job into its persisted record with the given
@@ -902,13 +855,14 @@ func (j *Job) manifestOf(state string) JobManifest {
 // failures after submit time are recorded (first one wins) rather than
 // failing the job: a degraded store should cost durability, not answers.
 func (s *Scheduler) persist(j *Job, state string) {
-	if err := s.store.SaveManifest(j.manifestOf(state)); err != nil {
-		s.mu.Lock()
-		if s.storeErr == nil {
-			s.storeErr = err
+	if j.speculative {
+		// The same configuration may have gone live on the demand path
+		// while this speculation ran; that job's WAL record owns the ID.
+		if cur, live := s.Get(j.ID); live && cur != j {
+			return
 		}
-		s.mu.Unlock()
 	}
+	s.noteStoreErr(s.store.SaveManifest(j.manifestOf(state)))
 }
 
 // Disposition reports how a submission was satisfied.
@@ -980,7 +934,7 @@ func (s *Scheduler) SubmitWithDisposition(req Request) (*Job, Disposition, error
 			s.stats.CacheHits++
 			s.mu.Unlock()
 			if j.speculative {
-				s.spec.hits.Add(1) // a pre-warmed result answered a real submission
+				s.spec.book(func(sp *speculator) { sp.hits++ }) // a pre-warmed result answered a real submission
 			}
 			return j, CacheHit, nil
 		case !state.terminal():
@@ -1010,23 +964,8 @@ func (s *Scheduler) SubmitWithDisposition(req Request) (*Job, Disposition, error
 		return nil, "", &AdmissionError{Estimate: est, Limit: s.cfg.MaxJobSeconds}
 	}
 
-	j := &Job{
-		ID:         id,
-		Req:        req,
-		Workers:    r.opts.Workers,
-		StepBudget: r.steps,
-		MaxTime:    r.maxTime,
-		sched:      s,
-		res:        r,
-		doneCh:     make(chan struct{}),
-		artifacts:  newArtifactStore(s.cfg.ArtifactBytes, s.cfg.ArtifactCount, s.blobs),
-		tenant:     tenantOf(req),
-		deadline:   deadline,
-		est:        &est,
-		submitted:  s.now(),
-		ckptStep:   -1,
-	}
-	j.submissions = 1
+	j := s.newJob(id, req, r)
+	j.deadline, j.est, j.submissions = deadline, &est, 1
 	// The submit-time manifest write is the one store failure surfaced to
 	// the submitter: a durable service that cannot record the job it just
 	// accepted should say so up front, not lose it silently on restart.
@@ -1057,10 +996,29 @@ func (s *Scheduler) SubmitWithDisposition(req Request) (*Job, Disposition, error
 	if h := s.repl.Load(); h != nil && h.scheduled != nil {
 		h.scheduled(j.manifestOf(Queued.String()))
 	}
-	// Demand traffic owns the slots: preempt in-flight speculations and
-	// feed the lineage planner (outside every scheduler lock).
-	s.spec.onDemandScheduled(req, r)
+	// Feed the speculation planner (outside every scheduler lock); the
+	// push above already preempted the running speculations.
+	s.onDemandScheduled(req, r)
 	return j, Scheduled, nil
+}
+
+// newJob builds a fresh queued job for a resolved request; the caller
+// fills in the QoS metadata before the job becomes visible.
+func (s *Scheduler) newJob(id string, req Request, r resolved) *Job {
+	return &Job{
+		ID:         id,
+		Req:        req,
+		Workers:    r.opts.Workers,
+		StepBudget: r.steps,
+		MaxTime:    r.maxTime,
+		sched:      s,
+		res:        r,
+		doneCh:     make(chan struct{}),
+		artifacts:  newArtifactStore(s.cfg.ArtifactBytes, s.cfg.ArtifactCount, s.blobs),
+		tenant:     tenantOf(req),
+		submitted:  s.now(),
+		ckptStep:   -1,
+	}
 }
 
 // CanonicalID resolves a request to its canonical configuration hash —
@@ -1160,12 +1118,7 @@ func (s *Scheduler) Cancel(id string) bool {
 		// tenant gauges; if a slot already popped it, the terminal check
 		// in execute skips it anyway.
 		s.fq.remove(id)
-		s.persist(j, Cancelled.String())
-		s.store.DeleteCheckpoints(id)
-		s.spec.forgetCheckpoint(id)
-		s.count(func(st *Stats) { st.Cancelled++ })
-		s.notifyTerminal(id)
-		s.spec.wake() // the backlog shrank; an idle window may have opened
+		s.settle(j, Cancelled, func(st *Stats) { st.Cancelled++ })
 		return true
 	default:
 		cancel := j.cancel
@@ -1257,56 +1210,93 @@ func (s *Scheduler) reap(doomed []string) {
 		if _, live := s.Get(id); live {
 			continue
 		}
-		if err := s.store.DeleteJob(id); err != nil {
-			s.noteStoreErr(err)
-		}
+		s.noteStoreErr(s.store.DeleteJob(id))
 	}
 }
 
-// execute runs one job on the calling slot goroutine.
+// execute runs one popped job — demand or speculative — on the calling
+// slot goroutine; it is the only caller of evolve and the only place a
+// run's outcome is classified.
 func (s *Scheduler) execute(j *Job) {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	defer cancel()
+	// A speculation runs under the context the queue made at pop (a
+	// demand push cancels it); a demand job gets its own, for Cancel.
+	ctx, cancel := j.runCtx, context.CancelFunc(nil)
+	reoffered := false
+	if j.speculative {
+		if !s.admitSpeculative(j) {
+			return
+		}
+		// The speculative slot goes back to the queue exactly once: just
+		// before a preempted job is re-offered (it may be popped again at
+		// once), else when this slot is about to pop again — until then
+		// the queue counts it as capacity a demand push may claim.
+		defer func() {
+			if !reoffered {
+				s.fq.retire(j.ID)
+			}
+		}()
+	} else {
+		ctx, cancel = context.WithCancel(s.baseCtx)
+		defer cancel()
+	}
 
 	j.mu.Lock()
 	if j.state.terminal() { // cancelled while queued
 		j.mu.Unlock()
 		return
 	}
-	j.state = Running
+	j.state = Running // also for a preempted speculation's next run: it is invisible until adopted
 	j.cancel = cancel
 	j.started = s.now()
+	j.resumedFrom = "" // names what THIS run resumed from; a re-run of a preempted speculation starts over
 	j.mu.Unlock()
 	s.persist(j, Running.String())
 
-	s.mu.Lock()
-	s.stats.Executed++
-	s.mu.Unlock()
+	if j.speculative {
+		s.spec.book(func(sp *speculator) { sp.started++ })
+	} else {
+		s.mu.Lock()
+		s.stats.Executed++
+		s.mu.Unlock()
+	}
 
 	t0 := s.now()
 	res, err := s.evolve(ctx, j)
-	// The historical-spend ledger records observed demand wall seconds
-	// per tenant — the number -tenant-weights should be derived from.
-	s.spend.charge(j.tenant, false, s.now().Sub(t0).Seconds())
+	elapsed := s.now().Sub(t0).Seconds()
+	stopped := ctx.Err() != nil
+	// The spend ledger records observed wall seconds per tenant: demand
+	// seconds are what -tenant-weights should be derived from,
+	// speculative ones enforce the speculation budget.
+	s.spend.charge(j.tenant, j.speculative, elapsed)
+	j.mu.Lock()
+	done, resumed, warm := j.stepsDone, j.resumedFrom != "", j.ckpts > 0
+	j.mu.Unlock()
+	wasted := 0.0 // speculative seconds that left neither a result nor a checkpoint
+	if !warm {
+		wasted = elapsed
+	}
+	if j.speculative && resumed {
+		s.spec.book(func(sp *speculator) { sp.resumed++ })
+	}
 	switch {
 	case err == nil:
-		if err := s.store.SaveResult(j.ID, res); err != nil {
-			s.noteStoreErr(err)
-		}
+		s.noteStoreErr(s.store.SaveResult(j.ID, res))
 		// Feed the cost model (persisting and replicating its state) and
 		// score the pre-run estimate against what happened — BEFORE the
 		// job turns terminal, so a waiter that saw Done estimates from a
 		// model that already holds this run.
 		s.trainModel(j, res)
 		s.est.observe(j.est, res.Metrics.WallSeconds)
-		if j.finish(Done, res, nil) {
-			s.persist(j, Done.String())
-			s.store.DeleteCheckpoints(j.ID)
-			s.spec.forgetCheckpoint(j.ID)
-			s.count(func(st *Stats) { st.Succeeded++ })
-			s.notifyTerminal(j.ID)
+		// A speculation becomes visible only now, adopted into the result
+		// cache — unless the same configuration went live through the
+		// demand path meanwhile; that execution is then authoritative.
+		if j.finish(Done, res, nil) && (!j.speculative || s.register(j, func(*Stats) {})) {
+			s.settle(j, Done, func(st *Stats) { st.Succeeded++ })
 		}
-	case ctx.Err() != nil && s.baseCtx.Err() != nil && !j.wasUserCancelled():
+		if j.speculative {
+			s.spec.book(func(sp *speculator) { sp.completed++ })
+		}
+	case stopped && s.baseCtx.Err() != nil && !j.wasUserCancelled():
 		// The service is stopping, not the submitter cancelling: the
 		// in-process job ends, but the persisted record stays
 		// non-terminal ("interrupted") so the next scheduler on this
@@ -1314,33 +1304,58 @@ func (s *Scheduler) execute(j *Job) {
 		// its latest cadence checkpoint, or scratch. An explicit Cancel
 		// that raced the shutdown stays cancelled (next case), never
 		// resurrected.
-		j.mu.Lock()
-		done := j.stepsDone
-		j.mu.Unlock()
 		if j.finish(Cancelled, nil, fmt.Errorf("sim: job %s interrupted by shutdown after %d steps", j.ID, done)) {
 			s.persist(j, ManifestInterrupted)
-			s.count(func(st *Stats) { st.Cancelled++ })
+			if j.speculative {
+				s.spec.book(func(sp *speculator) { sp.wasted += wasted })
+			} else {
+				s.count(func(st *Stats) { st.Cancelled++ })
+			}
 		}
-	case ctx.Err() != nil:
-		j.mu.Lock()
-		done := j.stepsDone
-		j.mu.Unlock()
+	case stopped && j.speculative:
+		// A higher class arrived. The checkpoint evolve wrote at the
+		// root-step boundary resumes this candidate — or a demand run of
+		// the same configuration — warm; the job itself goes back to the
+		// lowest class. A refusal (the queue closed, or the ID was
+		// re-planned or went live meanwhile) leaves the records to
+		// whoever holds the ID now.
+		s.persist(j, ManifestInterrupted)
+		s.fq.retire(j.ID)
+		reoffered = true
+		if s.planSpeculative(j) {
+			s.trimSpeculativeCheckpoints()
+		} else {
+			j.artifacts.release()
+		}
+		s.spec.book(func(sp *speculator) { sp.preempted++; sp.wasted += wasted })
+	case stopped:
 		if j.finish(Cancelled, nil, fmt.Errorf("sim: job %s cancelled after %d steps", j.ID, done)) {
-			s.persist(j, Cancelled.String())
-			s.store.DeleteCheckpoints(j.ID)
-			s.spec.forgetCheckpoint(j.ID)
-			s.count(func(st *Stats) { st.Cancelled++ })
-			s.notifyTerminal(j.ID)
+			s.settle(j, Cancelled, func(st *Stats) { st.Cancelled++ })
 		}
+	case j.speculative:
+		// Never retried: the configuration fails the same way each time.
+		j.finish(Failed, nil, err)
+		s.discardSpeculative(j)
+		s.spec.book(func(sp *speculator) { sp.failed++; sp.wasted += elapsed; sp.dead[j.ID] = true })
 	default:
 		if j.finish(Failed, nil, err) {
-			s.persist(j, Failed.String())
-			s.store.DeleteCheckpoints(j.ID)
-			s.spec.forgetCheckpoint(j.ID)
-			s.count(func(st *Stats) { st.Failed++ })
-			s.notifyTerminal(j.ID)
+			s.settle(j, Failed, func(st *Stats) { st.Failed++ })
 		}
 	}
+}
+
+// settle records a finished job's terminal outcome: the manifest turns
+// terminal, its checkpoints go (nothing can resume from them now), and
+// — demand jobs only; an adopted speculation was never counted or
+// replicated — the outcome counter is bumped and the peers are told.
+func (s *Scheduler) settle(j *Job, state State, bump func(*Stats)) {
+	s.persist(j, state.String())
+	s.noteStoreErr(s.store.DeleteCheckpoints(j.ID))
+	if j.speculative {
+		return
+	}
+	s.count(bump)
+	s.notifyTerminal(j.ID)
 }
 
 // wasUserCancelled reports whether an explicit Cancel hit this job.
@@ -1351,8 +1366,12 @@ func (j *Job) wasUserCancelled() bool {
 }
 
 // noteStoreErr records a persistence failure (the first one wins) for
-// RecoverState/healthz visibility.
+// RecoverState/healthz visibility; nil is ignored, so call sites wrap
+// the store call directly.
 func (s *Scheduler) noteStoreErr(err error) {
+	if err == nil {
+		return
+	}
 	s.mu.Lock()
 	if s.storeErr == nil {
 		s.storeErr = err
@@ -1370,8 +1389,8 @@ func (s *Scheduler) count(f func(*Stats)) {
 	s.reap(doomed)
 }
 
-// evolve builds the job's problem — or, for a recovered job with a
-// persisted checkpoint, decodes and resumes it — and advances it under
+// evolve builds the job's problem — or, when the store holds a
+// checkpoint for it, decodes and resumes that — and advances it under
 // ctx, streaming per-step progress to watchers. A panic in the physics
 // (bad knob combinations can produce them) is converted to a job failure
 // rather than taking the service down.
@@ -1402,7 +1421,7 @@ func (s *Scheduler) evolve(ctx context.Context, j *Job) (res *Result, err error)
 	// store's checkpoint files, not the artifact index, and it has no
 	// Finish guarantee (a completed job deletes its checkpoints instead).
 	var ckptPlan *analysis.OutputPlan
-	if s.store.Persistent() && !j.speculative && (s.cfg.CheckpointEvery > 0 || s.cfg.CheckpointTime > 0) {
+	if s.cfg.CheckpointEvery > 0 || s.cfg.CheckpointTime > 0 {
 		ckptPlan, err = analysis.NewOutputPlan([]analysis.OutputRequest{{
 			Kind:      analysis.KindCheckpoint,
 			Every:     s.cfg.CheckpointEvery,
@@ -1413,9 +1432,9 @@ func (s *Scheduler) evolve(ctx context.Context, j *Job) (res *Result, err error)
 		}
 	}
 
-	// Build or resume. A recovered job with a checkpoint decodes it and
-	// continues at the following step, keeping the interrupted run's
-	// global step numbering so cadences and artifact names line up.
+	// Build or resume. A job with a checkpoint decodes it and continues
+	// at the following step, keeping the interrupted run's global step
+	// numbering so cadences and artifact names line up.
 	sm, startStep, err := s.buildOrResume(j)
 	if err != nil {
 		return nil, err
@@ -1435,16 +1454,12 @@ func (s *Scheduler) evolve(ctx context.Context, j *Job) (res *Result, err error)
 			// Persist only what the in-memory store retained: an
 			// artifact refused by the byte budget must not linger
 			// unreachable on disk.
-			if err := s.store.SaveArtifact(j.ID, a, hash); err != nil {
-				s.noteStoreErr(err)
-			}
+			s.noteStoreErr(s.store.SaveArtifact(j.ID, a, hash))
 			if h := s.repl.Load(); h != nil && h.artifact != nil {
 				h.artifact(j.ID, a, hash)
 			}
 		}
-		if err := s.store.DeleteArtifacts(j.ID, evicted); err != nil {
-			s.noteStoreErr(err)
-		}
+		s.noteStoreErr(s.store.DeleteArtifacts(j.ID, evicted))
 		if len(evicted) > 0 {
 			if h := s.repl.Load(); h != nil && h.artifactDrop != nil {
 				h.artifactDrop(j.ID, evicted)
@@ -1493,40 +1508,19 @@ func (s *Scheduler) evolve(ctx context.Context, j *Job) (res *Result, err error)
 		return nil, outputErr
 	}
 	if err != nil {
-		switch {
-		case j.speculative && ctx.Err() != nil && taken > 0:
-			// A preempted (or shutdown-interrupted) speculation: capture
-			// the root-step boundary it stopped at so the next idle
-			// window — or a demand run of the same configuration —
-			// resumes warm instead of recomputing. The in-memory copy
-			// serves non-persistent stores; the store copy survives a
-			// restart.
-			if data, encErr := snapshot.Encode(sm.H, j.res.problem); encErr == nil {
-				s.spec.saveCheckpoint(j.ID, steps-1, data)
-				if s.store.Persistent() {
-					if ckErr := s.store.SaveCheckpoint(j.ID, steps-1, data); ckErr != nil {
-						s.noteStoreErr(ckErr)
-					}
-				}
-				j.mu.Lock()
-				j.ckpts++
-				j.ckptStep = steps - 1
-				j.ckptAt = s.now()
-				j.mu.Unlock()
-			} else {
-				s.noteStoreErr(encErr)
+		// A run stopped on purpose at this root-step boundary — a
+		// speculation preempted or caught by shutdown, any job during a
+		// graceful drain — persists the state it reached, so its next run
+		// resumes here, not at the last cadence checkpoint.
+		s.mu.Lock()
+		draining := s.draining
+		s.mu.Unlock()
+		if ctx.Err() != nil && taken > 0 && !j.wasUserCancelled() && (j.speculative || draining) {
+			data, ckErr := snapshot.Encode(sm.H, j.res.problem)
+			if ckErr == nil {
+				ckErr = s.checkpoint(j, steps-1, data)
 			}
-		case ctx.Err() != nil && s.isDraining() && taken > 0 && !j.wasUserCancelled():
-			// Graceful drain: persist the state reached at this root-step
-			// boundary so the next scheduler resumes here, not at the
-			// last cadence checkpoint.
-			if data, encErr := snapshot.Encode(sm.H, j.res.problem); encErr == nil {
-				if ckErr := s.checkpoint(j, steps-1, data); ckErr != nil {
-					s.noteStoreErr(ckErr)
-				}
-			} else {
-				s.noteStoreErr(encErr)
-			}
+			s.noteStoreErr(ckErr)
 		}
 		return nil, err
 	}
@@ -1552,45 +1546,29 @@ func (s *Scheduler) evolve(ctx context.Context, j *Job) (res *Result, err error)
 	}, nil
 }
 
-// buildOrResume constructs the job's simulation: from the problem
-// registry for a fresh job, or from the latest persisted checkpoint for
-// a job recovered mid-run. Returns the global index of the first step
+// buildOrResume constructs the job's simulation: from the store's
+// latest checkpoint for the job when there is one — a recovered job's
+// cadence or drain checkpoint, a preempted speculation's, or the one a
+// speculation left for the demand run of the same configuration — else
+// from the problem registry. Returns the global index of the first step
 // still to take. A checkpoint that fails to decode falls back to a
 // fresh build — a lost resume costs recomputation, never the job.
 func (s *Scheduler) buildOrResume(j *Job) (*core.Simulation, int, error) {
-	// A preempted speculation's in-memory checkpoint warm-starts both
-	// its own next idle-window attempt and a demand run of the same
-	// configuration — on any store, persistent or not.
-	if ck := s.spec.checkpointFor(j.ID); ck != nil && ck.Step < j.res.steps {
+	ck, err := s.store.LatestCheckpoint(j.ID)
+	s.noteStoreErr(err)
+	if ck != nil && ck.Step < j.res.steps {
 		h, problem, err := snapshot.Read(bytes.NewReader(ck.Data))
 		if err == nil {
+			// Workers is a runtime knob of the saving process; the
+			// resolved budget (identical by construction, pinned by the
+			// manifest) is authoritative for this host.
 			h.Cfg.Workers = j.res.opts.Workers
 			j.mu.Lock()
-			j.resumedFrom = fmt.Sprintf("speculative checkpoint step %d", ck.Step)
+			j.resumedFrom = fmt.Sprintf("checkpoint step %d", ck.Step)
 			j.mu.Unlock()
 			return core.Resume(h, problem), ck.Step + 1, nil
 		}
-		s.noteStoreErr(fmt.Errorf("sim: job %s speculative checkpoint unreadable, rebuilding: %w", j.ID, err))
-	}
-	if (j.recovered || j.speculative) && s.store.Persistent() {
-		ck, err := s.store.LatestCheckpoint(j.ID)
-		if err != nil {
-			s.noteStoreErr(err)
-		}
-		if ck != nil && ck.Step < j.res.steps {
-			h, problem, err := snapshot.Read(bytes.NewReader(ck.Data))
-			if err == nil {
-				// Workers is a runtime knob of the saving process; the
-				// resolved budget (identical by construction, pinned by
-				// the manifest) is authoritative for this host.
-				h.Cfg.Workers = j.res.opts.Workers
-				j.mu.Lock()
-				j.resumedFrom = fmt.Sprintf("checkpoint step %d", ck.Step)
-				j.mu.Unlock()
-				return core.Resume(h, problem), ck.Step + 1, nil
-			}
-			s.noteStoreErr(fmt.Errorf("sim: job %s checkpoint unreadable, rebuilding: %w", j.ID, err))
-		}
+		s.noteStoreErr(fmt.Errorf("sim: job %s checkpoint unreadable, rebuilding: %w", j.ID, err))
 	}
 	sm, err := core.New(j.res.problem, func(o *problems.Opts) { *o = j.res.opts })
 	if err != nil {
@@ -1615,7 +1593,7 @@ func (s *Scheduler) checkpoint(j *Job, step int, data []byte) error {
 	s.stats.Checkpoints++
 	s.mu.Unlock()
 	s.persist(j, Running.String())
-	if h := s.repl.Load(); h != nil && h.checkpoint != nil {
+	if h := s.repl.Load(); h != nil && h.checkpoint != nil && !j.speculative {
 		h.checkpoint(j.manifestOf(Running.String()), step, data)
 	}
 	return nil
@@ -1679,22 +1657,12 @@ func (s *Scheduler) trainModel(j *Job, res *Result) {
 	if !changed {
 		return
 	}
-	// A model that just learned may unlock confidence-gated speculation
-	// candidates.
-	s.spec.wake()
-	// Encoding is O(samples); skip it when nobody consumes the state —
-	// an in-memory store discards the save and there is no peer to
-	// replicate to.
-	h := s.repl.Load()
-	hook := h != nil && h.model != nil
-	if !s.store.Persistent() && !hook {
-		return
-	}
+	// A model that just learned re-ranks the speculative backlog and may
+	// release its confidence-gated candidates.
+	s.repriceSpeculative()
 	state := s.model.Encode()
-	if err := s.store.SaveCostModel(state); err != nil {
-		s.noteStoreErr(err)
-	}
-	if hook {
+	s.noteStoreErr(s.store.SaveCostModel(state))
+	if h := s.repl.Load(); h != nil && h.model != nil {
 		h.model(state)
 	}
 }
@@ -1727,9 +1695,7 @@ func (s *Scheduler) MergeCostModel(state []byte) error {
 		return err
 	}
 	if changed {
-		if err := s.store.SaveCostModel(s.model.Encode()); err != nil {
-			s.noteStoreErr(err)
-		}
+		s.noteStoreErr(s.store.SaveCostModel(s.model.Encode()))
 	}
 	return nil
 }

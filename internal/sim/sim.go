@@ -5,15 +5,15 @@
 // completed results keyed by a canonical hash of the resolved
 // configuration, and streams per-job progress over channels.
 //
-// Persistence is pluggable behind the Store interface: the default
-// memory store keeps the historical everything-in-RAM behavior, while a
-// disk store (internal/sim/diskstore, `enzogo serve -data dir`) makes
-// the service durable — completed results and artifacts survive process
-// restarts as cache hits, running jobs write restart checkpoints on an
+// Persistence is pluggable behind the Store interface, one contract
+// for every implementation: completed results and artifacts are
+// recovered as cache hits, running jobs write restart checkpoints on an
 // OutputPlan cadence (Config.CheckpointEvery/CheckpointTime), startup
 // recovery resumes interrupted jobs from their latest checkpoint with
 // bitwise-identical final answers, and Drain checkpoints every running
-// job before shutdown.
+// job before shutdown. The default memory store holds all of it for the
+// life of the value; a disk store (internal/sim/diskstore, `enzogo
+// serve -data dir`) holds it across process restarts.
 //
 // Two front ends drive it: `enzogo serve` exposes the scheduler as an
 // HTTP/JSON API (see Handler) and `enzobatch` pushes sweep files through

@@ -1,40 +1,38 @@
 package sim
 
-// Speculative execution: when the QoS queue is empty and slots are
-// idle, the scheduler pre-warms the result cache with work it predicts
-// is coming. Candidates arrive from two planners — explicit sweep
-// manifests POSTed up front (PrewarmSweep / POST /sweeps) and
-// neighbouring knob values inferred from submission lineage — and are
-// ranked cheapest-first by the cost model, confidence-gated, deduped
-// against cached results, live jobs and in-flight speculations, and
-// bounded by -speculate-slots / -speculate-budget-seconds /
-// -speculate-max-seconds. Speculative runs are strictly lowest class:
-// they never enter the fair queue, never advance the fair-share vclock
-// (their wall seconds go to the separate per-tenant speculative
-// ledger), and the moment a real submission is scheduled they are
-// cancelled at the next root-step boundary, checkpointed, and resumed
-// in the next idle window. A completed speculation lands in the
-// ordinary canonical-hash result cache, so the real submission that
-// follows is a plain "cache" disposition hit.
+// Speculative execution, the planner half. When no demand work is
+// queued, free slots pre-warm the result cache with work the planner
+// predicts is coming (dataflow diagram: docs/ARCHITECTURE.md):
+// explicit sweep manifests announced up front (PrewarmSweep / POST
+// /sweeps) and neighbouring knob values inferred from submission
+// lineage. Each candidate is an ordinary *Job marked speculative and
+// offered to the fair queue's strictly-lowest class (qos.go), so the
+// slot goroutines are the only executors and execute/evolve/checkpoint
+// the only run path: a preempted speculation checkpoints at its
+// root-step boundary like any drained job and re-enters the backlog,
+// and a completed one is adopted into the canonical-hash result cache,
+// where the real submission that follows is a plain "cache" hit. This
+// file holds what is specific to guessing: dedupe, the estimate that
+// ranks the backlog, the confidence / budget / max-seconds gates, the
+// separate per-tenant spend ledger, and the counters.
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sim/costmodel"
 )
 
 const (
-	// specPendingCap bounds the planner's candidate backlog; beyond it
-	// the oldest pending candidate is evicted (sweeps announce intent,
-	// they must not grow server memory without bound).
+	// specPendingCap bounds the speculative backlog; beyond it the
+	// oldest candidate is evicted (sweeps announce intent, they must not
+	// grow server memory without bound).
 	specPendingCap = 2048
-	// specCheckpointCap bounds the in-memory preemption checkpoints a
-	// speculator retains (each is a full hierarchy snapshot).
+	// specCheckpointCap bounds the preemption checkpoints the backlog
+	// retains in the store (each is a full hierarchy snapshot); beyond
+	// it the longest-waiting candidates go back to a cold start.
 	specCheckpointCap = 32
 	// specLineageWindow bounds the recent-submission window the lineage
 	// planner scans for an adjacent row.
@@ -53,24 +51,6 @@ const (
 	specSourceLineage = "lineage"
 )
 
-// specCandidate is one planned speculative request.
-type specCandidate struct {
-	id     string // canonical job ID (resolved.key())
-	req    Request
-	res    resolved
-	tenant string
-	source string
-	seq    uint64 // arrival order; the deterministic tie-break
-}
-
-// specRun is one in-flight speculative execution.
-type specRun struct {
-	cand   *specCandidate
-	est    *costmodel.Estimate
-	ctx    context.Context
-	cancel context.CancelFunc
-}
-
 // lineageEntry is one recently scheduled demand submission the lineage
 // planner may extrapolate a neighbour from.
 type lineageEntry struct {
@@ -78,505 +58,163 @@ type lineageEntry struct {
 	res resolved
 }
 
-// speculator owns the speculative-execution machinery: the candidate
-// backlog, the idle-window workers, the in-memory preemption
-// checkpoints, and the counters. It exists (disabled) even when
-// Config.Speculate is off, so the scheduler's call sites stay
-// branch-free.
+// speculator is the planner's state: the lineage window, the
+// configurations that failed speculatively, and the counters.
 //
-// Lock order: sp.mu may be taken with s.mu NOT held, and may itself
-// take the fair queue's lock (idleLocked → fq.busy). Never take s.mu
-// or j.mu while holding sp.mu.
+// Lock order: sp.mu serializes planning (estimate a candidate, apply
+// the verdict to the queue) against the cost model learning, so a
+// verdict is never older than the backlog's last re-pricing; it may
+// take the queue's lock (sp.mu → q.mu), never s.mu or j.mu.
 type speculator struct {
-	s       *Scheduler
-	enabled bool
-	slots   int
-	budget  float64 // per-tenant speculative wall-second cap (0 = none)
-	maxSec  float64 // per-candidate predicted-seconds cap (0 = none)
-	minConf float64 // confidence gate for lineage candidates
-
-	// hits counts demand submissions answered from a speculatively
-	// computed cached result (updated on the submit path, not under
-	// sp.mu).
-	hits atomic.Int64
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	gen      uint64 // bumped on every state change a worker might act on
-	seq      uint64
-	pending  []*specCandidate
-	byID     map[string]*specCandidate
-	inflight map[string]*specRun
-	ckpts    map[string]*Checkpoint
-	ckptSeq  []string // checkpoint insertion order, for the cap
-	dead     map[string]bool
-	recent   []lineageEntry
-	closed   bool
+	mu     sync.Mutex
+	dead   map[string]bool
+	recent []lineageEntry
 
 	started   int64
 	completed int64
 	preempted int64
 	resumed   int64
 	failed    int64
+	hits      int64 // demand submissions answered from a speculative result
 	wasted    float64
 }
 
-// newSpeculator builds the speculator for cfg (cfg must be
-// default-filled). Workers are not started yet — start runs them after
-// recovery has re-offered any interrupted speculative manifests.
-func newSpeculator(s *Scheduler, cfg Config) *speculator {
-	sp := &speculator{
-		s:        s,
-		enabled:  cfg.Speculate,
-		slots:    cfg.SpeculateSlots,
-		budget:   cfg.SpeculateBudgetSeconds,
-		maxSec:   cfg.SpeculateMaxSeconds,
-		minConf:  cfg.SpeculateMinConfidence,
-		byID:     map[string]*specCandidate{},
-		inflight: map[string]*specRun{},
-		ckpts:    map[string]*Checkpoint{},
-		dead:     map[string]bool{},
-	}
-	sp.cond = sync.NewCond(&sp.mu)
-	return sp
-}
-
-// start launches the idle-window workers (no-op when disabled). They
-// register on the scheduler's WaitGroup so shutdown waits for them.
-func (sp *speculator) start() {
-	if !sp.enabled {
-		return
-	}
-	for i := 0; i < sp.slots; i++ {
-		sp.s.wg.Add(1)
-		go sp.worker()
-	}
-}
-
-// close stops the planner: pending candidates are dropped, in-flight
-// runs cancelled (they checkpoint at the next root-step boundary), and
-// blocked workers released.
-func (sp *speculator) close() {
-	sp.mu.Lock()
-	sp.closed = true
-	cancels := make([]context.CancelFunc, 0, len(sp.inflight))
-	for _, rn := range sp.inflight {
-		cancels = append(cancels, rn.cancel)
-	}
-	sp.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-	sp.cond.Broadcast()
-}
-
-// wake nudges the workers to re-examine the world (queue drained, a
-// slot freed, the model learned, a candidate arrived).
-func (sp *speculator) wake() {
-	if sp == nil || !sp.enabled {
-		return
-	}
-	sp.mu.Lock()
-	sp.gen++
-	sp.mu.Unlock()
-	sp.cond.Broadcast()
-}
-
-// idleLocked reports whether a speculative run may start right now:
-// speculation on, a speculative slot free, nothing queued for demand
-// dispatch, and total occupancy (demand running + speculations) below
-// the scheduler's slot count — speculation uses idle capacity, it
-// never adds any. Callers hold sp.mu; the fair queue's own lock is
-// taken inside (sp.mu → q.mu is the allowed order).
-func (sp *speculator) idleLocked() bool {
-	if !sp.enabled || sp.closed || len(sp.inflight) >= sp.slots {
+// offerSpeculative plans one speculative run of a resolved request,
+// reporting whether it entered the backlog (not when speculation is
+// off, the scheduler closed, or the configuration already live, cached,
+// planned, running or speculatively failed).
+func (s *Scheduler) offerSpeculative(req Request, r resolved, source string) bool {
+	if !s.cfg.Speculate {
 		return false
 	}
-	queued, running := sp.s.fq.busy()
-	return queued == 0 && running+len(sp.inflight) < sp.s.cfg.MaxConcurrent
+	j := s.newJob(r.key(), req, r)
+	j.speculative, j.specSource = true, source
+	return s.planSpeculative(j)
 }
 
-// add offers a candidate to the planner. It reports whether the
-// candidate was accepted (false when speculation is off, the planner is
-// closed, the configuration is already live/cached/in flight, or it
-// previously failed speculatively).
-func (sp *speculator) add(req Request, r resolved, source string) bool {
-	if sp == nil || !sp.enabled {
-		return false
-	}
-	id := r.key()
-	if _, live := sp.s.Get(id); live {
+// appraise estimates a speculative job's cost and decides whether it
+// must wait for the model: a lineage guess runs only on an estimate
+// with history and confidence behind it.
+func (s *Scheduler) appraise(j *Job) specPlan {
+	est := s.model.Estimate(costQuery(j.res))
+	return specPlan{est: est, parked: j.specSource == specSourceLineage &&
+		(est.Samples == 0 || est.Confidence < DefaultSpeculateMinConfidence)}
+}
+
+// planSpeculative appraises a speculative job (fresh, recovered or just
+// preempted) and offers it to the queue's lowest class, reporting
+// whether it was accepted; what the backlog cap evicts is discarded.
+func (s *Scheduler) planSpeculative(j *Job) bool {
+	if _, live := s.Get(j.ID); live {
 		return false // already cached, queued or running: nothing to warm
 	}
+	sp := s.spec
 	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.closed || sp.dead[id] {
+	if sp.dead[j.ID] {
+		sp.mu.Unlock()
 		return false
 	}
-	if _, dup := sp.byID[id]; dup {
+	plan := s.appraise(j)
+	j.est, j.parked = &plan.est, plan.parked // not yet offered: the job is this goroutine's alone
+	evicted, ok := s.fq.offer(j)
+	sp.mu.Unlock()
+	if evicted != nil {
+		s.discardSpeculative(evicted)
+	}
+	return ok
+}
+
+// repriceSpeculative re-appraises the whole speculative backlog after
+// the cost model absorbed an observation: cheapest-first follows what
+// the model now knows, and a lineage guess it has become confident
+// about is released.
+func (s *Scheduler) repriceSpeculative() {
+	if !s.cfg.Speculate {
+		return
+	}
+	s.spec.mu.Lock()
+	defer s.spec.mu.Unlock()
+	backlog, _ := s.fq.speculative()
+	plans := make(map[string]specPlan, len(backlog))
+	for _, j := range backlog {
+		plans[j.ID] = s.appraise(j)
+	}
+	s.fq.reprice(plans)
+}
+
+// admitSpeculative applies the gates that need the job table and the
+// ledger to a speculation a slot just popped — in the slot goroutine,
+// never under the queue's lock. A candidate whose configuration went
+// live, whose estimate exceeds -speculate-max-seconds, or whose tenant
+// has spent its speculative budget is discarded for good.
+func (s *Scheduler) admitSpeculative(j *Job) bool {
+	_, live := s.Get(j.ID)
+	maxSec, budget := s.cfg.SpeculateMaxSeconds, s.cfg.SpeculateBudgetSeconds
+	tooLong := maxSec > 0 && j.est.Samples > 0 && j.est.Seconds > maxSec
+	spent := budget > 0 && s.spend.speculativeSeconds(j.tenant) >= budget
+	if live || tooLong || spent {
+		s.fq.retire(j.ID)
+		s.discardSpeculative(j)
 		return false
 	}
-	if _, running := sp.inflight[id]; running {
-		return false
-	}
-	if len(sp.pending) >= specPendingCap {
-		oldest := sp.pending[0]
-		sp.pending = sp.pending[1:]
-		delete(sp.byID, oldest.id)
-	}
-	sp.seq++
-	c := &specCandidate{id: id, req: req, res: r, tenant: tenantOf(req), source: source, seq: sp.seq}
-	sp.pending = append(sp.pending, c)
-	sp.byID[id] = c
-	sp.gen++
-	sp.cond.Broadcast()
 	return true
 }
 
-// dropLocked removes a pending candidate; sp.mu must be held.
-func (sp *speculator) dropLocked(id string) {
-	c := sp.byID[id]
-	if c == nil {
-		return
-	}
-	delete(sp.byID, id)
-	for i, x := range sp.pending {
-		if x == c {
-			sp.pending = append(sp.pending[:i], sp.pending[i+1:]...)
-			return
-		}
+// discardSpeculative forgets a candidate that will not run (again): its
+// blob references go, and so do its store records (a preempted one's
+// interrupted manifest and checkpoint must not outlive it) unless the
+// configuration is live on the demand path, which then owns them.
+func (s *Scheduler) discardSpeculative(j *Job) {
+	j.artifacts.release()
+	if _, live := s.Get(j.ID); !live {
+		s.noteStoreErr(s.store.DeleteJob(j.ID))
 	}
 }
 
-// worker is one speculative slot: wait for an idle window, claim the
-// cheapest viable candidate, run it, repeat until close.
-func (sp *speculator) worker() {
-	defer sp.s.wg.Done()
-	for {
-		rn := sp.await()
-		if rn == nil {
-			return
-		}
-		sp.run(rn)
-	}
-}
-
-// await blocks until a candidate is claimed or the planner closes.
-// The generation counter prevents a busy spin when every pending
-// candidate is gated (confidence, budget): after a failed claim the
-// worker sleeps until something observable changes.
-func (sp *speculator) await() *specRun {
-	for {
-		sp.mu.Lock()
-		for !sp.closed && (len(sp.pending) == 0 || !sp.idleLocked()) {
-			sp.cond.Wait()
-		}
-		if sp.closed {
-			sp.mu.Unlock()
-			return nil
-		}
-		g := sp.gen
-		sp.mu.Unlock()
-		if rn := sp.tryClaim(); rn != nil {
-			return rn
-		}
-		sp.mu.Lock()
-		for !sp.closed && sp.gen == g {
-			sp.cond.Wait()
-		}
-		closed := sp.closed
-		sp.mu.Unlock()
-		if closed {
-			return nil
-		}
-	}
-}
-
-// tryClaim picks the cheapest viable pending candidate and registers
-// it in flight. Candidate viability (job-table lookups, cost-model
-// estimates) is evaluated with no locks held — the snapshot-unlock-
-// choose-relock pattern — then the pick is re-verified under sp.mu.
-func (sp *speculator) tryClaim() *specRun {
-	sp.mu.Lock()
-	if sp.closed || len(sp.pending) == 0 || !sp.idleLocked() {
-		sp.mu.Unlock()
-		return nil
-	}
-	cands := make([]*specCandidate, len(sp.pending))
-	copy(cands, sp.pending)
-	sp.mu.Unlock()
-
-	pick, est, drop := sp.choose(cands)
-
+// book updates the planner's counters (and the never-retry set) under
+// its lock.
+func (sp *speculator) book(f func(*speculator)) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	for _, id := range drop {
-		sp.dropLocked(id)
-	}
-	if pick == nil || sp.closed || !sp.idleLocked() || sp.byID[pick.id] != pick {
-		return nil
-	}
-	sp.dropLocked(pick.id)
-	ctx, cancel := context.WithCancel(sp.s.baseCtx)
-	rn := &specRun{cand: pick, est: est, ctx: ctx, cancel: cancel}
-	sp.inflight[pick.id] = rn
-	sp.started++
-	return rn
+	f(sp)
 }
 
-// choose ranks candidates cheapest-first by cost-model estimate and
-// applies the planner gates. Returned drop IDs are candidates to
-// discard permanently (already live or cached, over the
-// -speculate-max-seconds bound, or their tenant's speculative budget is
-// exhausted); lineage candidates merely failing the confidence gate
-// stay pending for when the model has learned enough. Called with no
-// locks held.
-func (sp *speculator) choose(cands []*specCandidate) (pick *specCandidate, pickEst *costmodel.Estimate, drop []string) {
-	s := sp.s
-	best := math.Inf(1)
-	for _, c := range cands {
-		if _, live := s.Get(c.id); live {
-			drop = append(drop, c.id)
-			continue
+// trimSpeculativeCheckpoints enforces specCheckpointCap on any store:
+// only the most recently preempted candidates in the backlog keep their
+// checkpoint; the rest lose it and will start cold.
+func (s *Scheduler) trimSpeculativeCheckpoints() {
+	backlog, _ := s.fq.speculative()
+	warm := 0
+	for i := len(backlog) - 1; i >= 0; i-- {
+		j := backlog[i]
+		j.mu.Lock()
+		drop := j.ckpts > 0 && warm >= specCheckpointCap
+		if drop {
+			j.ckpts, j.ckptStep = 0, -1
+		} else if j.ckpts > 0 {
+			warm++
 		}
-		est := s.model.Estimate(costQuery(c.res))
-		if sp.maxSec > 0 && est.Samples > 0 && est.Seconds > sp.maxSec {
-			drop = append(drop, c.id)
-			continue
+		j.mu.Unlock()
+		if drop {
+			s.noteStoreErr(s.store.DeleteCheckpoints(j.ID))
 		}
-		if sp.budget > 0 && s.spend.speculativeSeconds(c.tenant) >= sp.budget {
-			drop = append(drop, c.id)
-			continue
-		}
-		if c.source == specSourceLineage && (est.Samples == 0 || est.Confidence < sp.minConf) {
-			continue
-		}
-		cost := defaultQueueCost
-		if est.Samples > 0 && est.Seconds > 0 {
-			cost = est.Seconds
-		}
-		if pick == nil || cost < best || (cost == best && c.seq < pick.seq) {
-			e := est
-			pick, pickEst, best = c, &e, cost
-		}
-	}
-	return pick, pickEst, drop
-}
-
-// Speculative-run outcomes, for finishRun's bookkeeping.
-const (
-	specOutcomeDone = iota
-	specOutcomePreempted
-	specOutcomeFailed
-	specOutcomeShutdown
-)
-
-// run executes one claimed speculation on the calling worker. The job
-// never touches the fair queue or the demand counters: its seconds are
-// charged to the speculative ledger, its state transitions fire no
-// replication hooks, and on success it is adopted into the ordinary
-// result cache so the demand submission that follows is a cache hit.
-func (sp *speculator) run(rn *specRun) {
-	s := sp.s
-	c := rn.cand
-	j := &Job{
-		ID:          c.id,
-		Req:         c.req,
-		Workers:     c.res.opts.Workers,
-		StepBudget:  c.res.steps,
-		MaxTime:     c.res.maxTime,
-		sched:       s,
-		res:         c.res,
-		doneCh:      make(chan struct{}),
-		artifacts:   newArtifactStore(s.cfg.ArtifactBytes, s.cfg.ArtifactCount, s.blobs),
-		tenant:      c.tenant,
-		est:         rn.est,
-		speculative: true,
-		submitted:   s.now(),
-		started:     s.now(),
-		ckptStep:    -1,
-		state:       Running,
-	}
-	s.persist(j, Running.String())
-	t0 := s.now()
-	res, err := s.evolve(rn.ctx, j)
-	elapsed := s.now().Sub(t0).Seconds()
-	s.spend.charge(c.tenant, true, elapsed)
-	rn.cancel()
-	j.mu.Lock()
-	resumed := j.resumedFrom != ""
-	done := j.stepsDone
-	j.mu.Unlock()
-
-	switch {
-	case err == nil:
-		if serr := s.store.SaveResult(j.ID, res); serr != nil {
-			s.noteStoreErr(serr)
-		}
-		s.trainModel(j, res)
-		s.est.observe(j.est, res.Metrics.WallSeconds)
-		j.finish(Done, res, nil)
-		if s.adoptSpeculative(j) {
-			s.persist(j, Done.String())
-			if serr := s.store.DeleteCheckpoints(j.ID); serr != nil {
-				s.noteStoreErr(serr)
-			}
-		}
-		sp.finishRun(rn, specOutcomeDone, elapsed, resumed)
-	case rn.ctx.Err() != nil && s.baseCtx.Err() != nil:
-		// Service shutdown. Keep the interrupted manifest only when a
-		// checkpoint makes it worth resuming next start; otherwise the
-		// record would resurrect cold work forever.
-		j.finish(Cancelled, nil, fmt.Errorf("sim: speculative job %s interrupted by shutdown after %d steps", j.ID, done))
-		if s.store.Persistent() && sp.checkpointFor(j.ID) != nil {
-			s.persist(j, ManifestInterrupted)
-		} else if serr := s.store.DeleteJob(j.ID); serr != nil {
-			s.noteStoreErr(serr)
-		}
-		sp.finishRun(rn, specOutcomeShutdown, elapsed, resumed)
-	case rn.ctx.Err() != nil:
-		// Preempted by a demand arrival: the checkpoint written at the
-		// root-step boundary resumes this candidate in the next idle
-		// window.
-		j.finish(Cancelled, nil, fmt.Errorf("sim: speculative job %s preempted after %d steps", j.ID, done))
-		if s.store.Persistent() {
-			s.persist(j, ManifestInterrupted)
-		}
-		sp.finishRun(rn, specOutcomePreempted, elapsed, resumed)
-	default:
-		j.finish(Failed, nil, err)
-		if serr := s.store.DeleteJob(j.ID); serr != nil {
-			s.noteStoreErr(serr)
-		}
-		sp.finishRun(rn, specOutcomeFailed, elapsed, resumed)
 	}
 }
 
-// finishRun retires an in-flight speculation: counters, wasted-seconds
-// accounting (work neither completed nor checkpointed for resume), and
-// — for a preemption — the candidate's return to the pending backlog.
-func (sp *speculator) finishRun(rn *specRun, outcome int, elapsed float64, resumed bool) {
-	id := rn.cand.id
-	sp.mu.Lock()
-	delete(sp.inflight, id)
-	if resumed {
-		sp.resumed++
-	}
-	_, hasCkpt := sp.ckpts[id]
-	switch outcome {
-	case specOutcomeDone:
-		sp.completed++
-		sp.forgetCheckpointLocked(id)
-	case specOutcomePreempted:
-		sp.preempted++
-		if !hasCkpt {
-			sp.wasted += elapsed
-		}
-		if !sp.closed && !sp.dead[id] && sp.byID[id] == nil {
-			sp.seq++
-			c := rn.cand
-			c.seq = sp.seq
-			sp.pending = append(sp.pending, c)
-			sp.byID[id] = c
-		}
-	case specOutcomeFailed:
-		sp.failed++
-		sp.wasted += elapsed
-		sp.dead[id] = true
-		sp.forgetCheckpointLocked(id)
-	case specOutcomeShutdown:
-		if !hasCkpt {
-			sp.wasted += elapsed
-		}
-	}
-	sp.gen++
-	sp.mu.Unlock()
-	sp.cond.Broadcast()
-}
-
-// saveCheckpoint retains a preemption checkpoint in memory so the next
-// idle window (or a demand run of the same configuration) resumes warm
-// even on a non-persistent store.
-func (sp *speculator) saveCheckpoint(id string, step int, data []byte) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if _, ok := sp.ckpts[id]; !ok {
-		if len(sp.ckptSeq) >= specCheckpointCap {
-			oldest := sp.ckptSeq[0]
-			sp.ckptSeq = sp.ckptSeq[1:]
-			delete(sp.ckpts, oldest)
-		}
-		sp.ckptSeq = append(sp.ckptSeq, id)
-	}
-	sp.ckpts[id] = &Checkpoint{Step: step, Data: data, At: sp.s.now()}
-}
-
-// checkpointFor returns the in-memory preemption checkpoint for a job,
-// or nil. Safe on a disabled speculator.
-func (sp *speculator) checkpointFor(id string) *Checkpoint {
-	if sp == nil {
-		return nil
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.ckpts[id]
-}
-
-// forgetCheckpoint drops a job's in-memory checkpoint (the job reached
-// a terminal state through the demand path).
-func (sp *speculator) forgetCheckpoint(id string) {
-	if sp == nil {
+// onDemandScheduled observes a fresh demand scheduling (its push has
+// already preempted the running speculations) and extrapolates a
+// lineage candidate: when the submission differs from a recent one in
+// exactly one knob, the next row of that implied sweep is planned. A
+// candidate planned for the submitted configuration itself is left to
+// admitSpeculative (it is live now); the demand run warm-starts from
+// the checkpoint it may have left.
+func (s *Scheduler) onDemandScheduled(req Request, r resolved) {
+	sp := s.spec
+	if !s.cfg.Speculate {
 		return
 	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	sp.forgetCheckpointLocked(id)
-}
-
-func (sp *speculator) forgetCheckpointLocked(id string) {
-	if _, ok := sp.ckpts[id]; !ok {
-		return
-	}
-	delete(sp.ckpts, id)
-	for i, x := range sp.ckptSeq {
-		if x == id {
-			sp.ckptSeq = append(sp.ckptSeq[:i], sp.ckptSeq[i+1:]...)
-			return
-		}
-	}
-}
-
-// preempt cancels every in-flight speculation; each stops at its next
-// root-step boundary, checkpoints, and re-enters the pending backlog.
-func (sp *speculator) preempt() {
-	if sp == nil || !sp.enabled {
-		return
-	}
-	sp.mu.Lock()
-	cancels := make([]context.CancelFunc, 0, len(sp.inflight))
-	for _, rn := range sp.inflight {
-		cancels = append(cancels, rn.cancel)
-	}
-	sp.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-}
-
-// onDemandScheduled observes a fresh demand scheduling: it preempts the
-// in-flight speculations (demand traffic owns the slots), retires any
-// pending candidate for the same configuration, and extrapolates a
-// lineage candidate — when the submission differs from a recent one in
-// exactly one knob, the next row of that implied sweep is planned.
-func (sp *speculator) onDemandScheduled(req Request, r resolved) {
-	if sp == nil || !sp.enabled {
-		return
-	}
-	sp.preempt()
-	id := r.key()
 	var neighbour *Request
 	sp.mu.Lock()
-	sp.dropLocked(id)
 	for i := len(sp.recent) - 1; i >= 0 && neighbour == nil; i-- {
 		neighbour = knobNeighbour(sp.recent[i], req, r)
 	}
@@ -588,11 +226,11 @@ func (sp *speculator) onDemandScheduled(req Request, r resolved) {
 	if neighbour == nil {
 		return
 	}
-	nr, err := resolve(*neighbour, sp.s.cfg.slotWorkers(), sp.s.cfg.TotalWorkers)
+	nr, err := resolve(*neighbour, s.cfg.slotWorkers(), s.cfg.TotalWorkers)
 	if err != nil {
 		return // the extrapolated knob value resolves to nothing runnable
 	}
-	sp.add(*neighbour, nr, specSourceLineage)
+	s.offerSpeculative(*neighbour, nr, specSourceLineage)
 }
 
 // knobNeighbour extrapolates the next row of an implied sweep: when cur
@@ -645,12 +283,12 @@ func knobNeighbour(prev lineageEntry, curReq Request, cur resolved) *Request {
 type SpeculationStats struct {
 	// Enabled reports whether the scheduler speculates at all.
 	Enabled bool `json:"enabled"`
-	// Slots is the speculative worker count; BudgetSeconds the
+	// Slots is how many speculations may run at once; BudgetSeconds the
 	// per-tenant speculative wall-second cap (0 = none).
 	Slots         int     `json:"slots"`
 	BudgetSeconds float64 `json:"budget_seconds"`
-	// Pending and Inflight are the current planner backlog and running
-	// speculations.
+	// Pending and Inflight are the queue's speculative backlog and the
+	// running speculations.
 	Pending  int `json:"pending"`
 	Inflight int `json:"inflight"`
 	// Started counts speculative executions begun; Completed those that
@@ -674,48 +312,23 @@ type SpeculationStats struct {
 // counters.
 func (s *Scheduler) SpeculationStats() SpeculationStats {
 	sp := s.spec
-	st := SpeculationStats{
-		Enabled:       sp.enabled,
-		Slots:         sp.slots,
-		BudgetSeconds: sp.budget,
-		Hits:          sp.hits.Load(),
-	}
+	backlog, running := s.fq.speculative()
 	sp.mu.Lock()
-	st.Pending = len(sp.pending)
-	st.Inflight = len(sp.inflight)
-	st.Started = sp.started
-	st.Completed = sp.completed
-	st.Preempted = sp.preempted
-	st.Resumed = sp.resumed
-	st.Failed = sp.failed
-	st.WastedSeconds = sp.wasted
-	sp.mu.Unlock()
-	return st
-}
-
-// adoptSpeculative registers a completed speculative job in the result
-// cache, unless the same configuration became live through the demand
-// path while the speculation ran (then the demand execution is
-// authoritative and the speculative copy is discarded). Reports whether
-// the job was adopted.
-func (s *Scheduler) adoptSpeculative(j *Job) bool {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		j.artifacts.release()
-		return false
+	defer sp.mu.Unlock()
+	return SpeculationStats{
+		Enabled:       s.cfg.Speculate,
+		Slots:         s.cfg.SpeculateSlots,
+		BudgetSeconds: s.cfg.SpeculateBudgetSeconds,
+		Pending:       len(backlog),
+		Inflight:      running,
+		Started:       sp.started,
+		Completed:     sp.completed,
+		Preempted:     sp.preempted,
+		Resumed:       sp.resumed,
+		Failed:        sp.failed,
+		Hits:          sp.hits,
+		WastedSeconds: sp.wasted,
 	}
-	if _, exists := s.jobs[j.ID]; exists {
-		s.mu.Unlock()
-		j.artifacts.release()
-		return false
-	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	doomed := s.evictLocked()
-	s.mu.Unlock()
-	s.reap(doomed)
-	return true
 }
 
 // spendLedger accumulates observed wall seconds per tenant, demand and
@@ -862,7 +475,7 @@ func (s *Scheduler) PrewarmSweep(name string, rows []Request) (SweepResponse, er
 	if closed {
 		return SweepResponse{}, ErrClosed
 	}
-	resp := SweepResponse{Name: name, Rows: len(rows), Speculate: s.spec.enabled}
+	resp := SweepResponse{Name: name, Rows: len(rows), Speculate: s.cfg.Speculate}
 	for i, req := range rows {
 		row := SweepRowStatus{Index: i}
 		r, err := resolve(req, s.cfg.slotWorkers(), s.cfg.TotalWorkers)
@@ -884,7 +497,7 @@ func (s *Scheduler) PrewarmSweep(name string, rows []Request) (SweepResponse, er
 			default:
 				row.Status = "skipped" // a failed/cancelled record: not worth guessing at
 			}
-		} else if s.spec.add(req, r, specSourceSweep) {
+		} else if s.offerSpeculative(req, r, specSourceSweep) {
 			row.Status = "accepted"
 			resp.Accepted++
 		} else {

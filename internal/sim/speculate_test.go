@@ -1,11 +1,10 @@
 package sim
 
-// The speculative-execution suite. The planner-level tests drive the
-// speculator synchronously (no workers) for exact determinism; the
-// scheduler-level tests run real speculative workers and synchronize on
-// the counters, never on dispatch timing. The one ordering test reuses
-// the qos_test harness to prove speculation never perturbs demand
-// dispatch.
+// The speculative-execution suite. The planner-level test plays the
+// free slot itself for exact determinism; the scheduler-level tests let
+// the real slots run speculations and synchronize on the counters,
+// never on dispatch timing. The one ordering test reuses the qos_test
+// harness to prove speculation never perturbs demand dispatch.
 
 import (
 	"bytes"
@@ -401,16 +400,15 @@ func TestSpeculativeBudgetCap(t *testing.T) {
 	}
 }
 
-// TestSpeculatorPlannerDedupe drives the planner synchronously (no
-// workers): candidates already cached, in flight, duplicated or
-// previously failed are refused; lineage candidates without cost-model
-// history stay pending behind the confidence gate while sweep rows run
-// without it.
+// TestSpeculatorPlannerDedupe drives the planner and the queue's
+// speculative class synchronously: the scheduler's only slot is pinned
+// by a demand blocker, so the test itself plays the free slot.
+// Candidates already cached, in flight, duplicated or previously failed
+// are refused; lineage candidates without cost-model history stay
+// parked behind the confidence gate while sweep rows run without it.
 func TestSpeculatorPlannerDedupe(t *testing.T) {
-	s := NewScheduler(Config{MaxConcurrent: 2, TotalWorkers: 2})
+	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 2, Speculate: true, SpeculateSlots: 2})
 	defer s.Close()
-	sp := newSpeculator(s, Config{Speculate: true, SpeculateSlots: 2,
-		SpeculateMinConfidence: DefaultSpeculateMinConfidence})
 
 	mustResolve := func(req Request) resolved {
 		t.Helper()
@@ -419,6 +417,13 @@ func TestSpeculatorPlannerDedupe(t *testing.T) {
 			t.Fatal(err)
 		}
 		return r
+	}
+	// claim is what a free slot's pop does once the demand backlog is
+	// empty, minus the blocking.
+	claim := func() *Job {
+		s.fq.mu.Lock()
+		defer s.fq.mu.Unlock()
+		return s.fq.popSpeculativeLocked()
 	}
 
 	// A completed demand job: its configuration has nothing to warm.
@@ -430,50 +435,61 @@ func TestSpeculatorPlannerDedupe(t *testing.T) {
 	if _, err := j.Wait(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	if sp.add(cached, mustResolve(cached), specSourceSweep) {
+	if s.offerSpeculative(cached, mustResolve(cached), specSourceSweep) {
 		t.Fatal("planner accepted an already-cached configuration")
+	}
+
+	// Pin the slot: from here on nothing but the test pops speculations.
+	blocker, err := s.Submit(Request{Problem: "sedov", RootN: 32, MaxLevel: Int(1), Steps: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Cancel(blocker.ID)
+	for blocker.State() != Running {
+		time.Sleep(time.Millisecond)
 	}
 
 	// A fresh sweep row is accepted exactly once.
 	fresh := Request{Problem: "sedov", RootN: 8, MaxLevel: Int(0), Steps: 3}
 	fr := mustResolve(fresh)
-	if !sp.add(fresh, fr, specSourceSweep) {
+	if !s.offerSpeculative(fresh, fr, specSourceSweep) {
 		t.Fatal("planner refused a fresh sweep row")
 	}
-	if sp.add(fresh, fr, specSourceSweep) {
+	if s.offerSpeculative(fresh, fr, specSourceSweep) {
 		t.Fatal("planner accepted a duplicate pending candidate")
 	}
 
-	// A lineage candidate with no model history stays pending behind the
-	// confidence gate: tryClaim must pick the sweep row, never the guess.
+	// A lineage candidate with no model history stays parked behind the
+	// confidence gate: a claim must pick the sweep row, never the guess.
 	guess := Request{Problem: "khi", RootN: 8, MaxLevel: Int(0), Steps: 2}
-	if !sp.add(guess, mustResolve(guess), specSourceLineage) {
+	if !s.offerSpeculative(guess, mustResolve(guess), specSourceLineage) {
 		t.Fatal("planner refused a lineage candidate")
 	}
-	rn := sp.tryClaim()
-	if rn == nil || rn.cand.id != fr.key() {
-		t.Fatalf("tryClaim picked %v, want the sweep row", rn)
+	claimed := claim()
+	if claimed == nil || claimed.ID != fr.key() {
+		t.Fatalf("claim picked %v, want the sweep row", claimed)
 	}
+	defer s.fq.retire(claimed.ID)
 	// The claimed configuration is now in flight: re-adding it is a dup.
-	if sp.add(fresh, fr, specSourceSweep) {
+	if s.offerSpeculative(fresh, fr, specSourceSweep) {
 		t.Fatal("planner accepted a candidate already in flight")
 	}
 	// The gated lineage candidate is still pending, and with no history
 	// it is not claimable.
-	if rn2 := sp.tryClaim(); rn2 != nil {
-		t.Fatalf("tryClaim claimed the unconfident lineage guess %s", rn2.cand.id)
+	if again := claim(); again != nil {
+		t.Fatalf("claimed the unconfident lineage guess %s", again.ID)
 	}
-	if st := len(sp.pending); st != 1 {
-		t.Fatalf("pending backlog %d, want the gated lineage candidate only", st)
+	if st := s.SpeculationStats(); st.Pending != 1 || st.Inflight != 1 {
+		t.Fatalf("backlog %+v, want the gated lineage candidate pending and the sweep row in flight", st)
 	}
 
 	// A configuration that failed speculatively is never retried.
 	deadReq := Request{Problem: "sedov", RootN: 8, MaxLevel: Int(0), Steps: 4}
 	dr := mustResolve(deadReq)
-	sp.mu.Lock()
-	sp.dead[dr.key()] = true
-	sp.mu.Unlock()
-	if sp.add(deadReq, dr, specSourceSweep) {
+	s.spec.mu.Lock()
+	s.spec.dead[dr.key()] = true
+	s.spec.mu.Unlock()
+	if s.offerSpeculative(deadReq, dr, specSourceSweep) {
 		t.Fatal("planner accepted a speculatively-failed configuration")
 	}
 }

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -10,25 +13,26 @@ import (
 
 // Store is the scheduler's pluggable persistence layer: job records (a
 // small manifest written as the WAL of state transitions), terminal
-// results, derived-output artifacts, and restart checkpoints. The
-// scheduler drives every implementation identically; what differs is
-// what survives a process restart:
+// results, derived-output artifacts, restart checkpoints and the
+// cost-model state. There is one contract — storetest runs the
+// identical suite against every implementation — and the scheduler
+// never asks which one it has; they differ only in how long the
+// contents last:
 //
-//   - NewMemStore (the default) persists nothing — the scheduler's own
-//     in-memory job table is the only state, which is exactly the
-//     pre-durability behavior extracted behind this interface.
+//   - NewMemStore (the default) holds them in maps for the life of the
+//     value, so a checkpoint resumes within the process and a second
+//     scheduler started on the same value recovers like a restart.
 //   - diskstore.New keeps one directory per job under a data root
-//     (atomic rename writes, manifest.json as the WAL) so a restarted
-//     scheduler recovers completed results as cache hits and resumes
-//     interrupted jobs from their latest checkpoint.
+//     (atomic rename writes, manifest.json as the WAL), so the same
+//     recovery works across a process restart.
 //
 // Implementations must be safe for concurrent use; per-job methods are
 // only ever called sequentially for a given ID by the owning slot, but
 // different jobs write concurrently.
 type Store interface {
-	// Persistent reports whether the store survives a process restart.
-	// The scheduler skips checkpoint cadence entirely on non-persistent
-	// stores (a checkpoint nobody can recover is pure overhead).
+	// Persistent reports whether the contents survive a process
+	// restart. Reporting only (/healthz "durable", sim_store_persistent):
+	// no scheduler behaviour depends on it.
 	Persistent() bool
 	// SaveManifest records a job-state transition. Called on every
 	// lifecycle edge (queued, running, checkpoint written, interrupted,
@@ -38,17 +42,16 @@ type Store interface {
 	SaveResult(id string, res *Result) error
 	// SaveArtifact persists one derived-output artifact in production
 	// order; saving a name again replaces its payload. hash is the
-	// payload's content hash (HashBytes): persistent stores write the
-	// bytes once per hash in a shared blob tier and record the hash in
-	// the per-job index.
+	// payload's content hash (HashBytes): the bytes are kept once per
+	// hash in a shared blob tier and the hash recorded in the per-job
+	// index.
 	SaveArtifact(id string, a analysis.Artifact, hash string) error
 	// DeleteArtifacts forgets named artifacts of a job — the mirror of
 	// ArtifactStore's oldest-first eviction. Blob payloads are reclaimed
 	// when their last referencing index row goes.
 	DeleteArtifacts(id string, names []string) error
 	// LoadBlob reads one content-addressed payload back by its hash —
-	// the hot tier's miss path. Non-persistent stores never see this
-	// call (their resident bytes are the only copy).
+	// the hot tier's miss path.
 	LoadBlob(hash string) ([]byte, error)
 	// SaveCheckpoint persists checkpoint bytes for the job at the given
 	// root step. Implementations retain at least the latest checkpoint;
@@ -72,7 +75,7 @@ type Store interface {
 	// restarts alongside the results that trained them.
 	SaveCostModel(state []byte) error
 	// LoadCostModel returns the persisted cost-model state, or nil when
-	// none was saved (or the store is non-persistent).
+	// none was saved.
 	LoadCostModel() ([]byte, error)
 	// Stats reports the store's size gauges for /metrics.
 	Stats() StoreStats
@@ -156,13 +159,12 @@ type RecoveredJob struct {
 // StoreStats are the store's size gauges, exported on /metrics.
 type StoreStats struct {
 	// CheckpointBytes and CheckpointCount describe the restart
-	// checkpoints currently on disk (0 for memory stores).
+	// checkpoints currently held.
 	CheckpointBytes int64 `json:"checkpoint_bytes"`
 	CheckpointCount int   `json:"checkpoint_count"`
 	// ArtifactBytes and ArtifactCount describe the persisted artifact
 	// payloads as indexed per job — logical bytes, before cross-job
-	// dedupe (0 for memory stores — the in-memory artifact bytes are
-	// reported per job instead).
+	// dedupe.
 	ArtifactBytes int64 `json:"artifact_bytes"`
 	ArtifactCount int   `json:"artifact_count"`
 	// BlobBytes and BlobCount describe the physical content-addressed
@@ -179,63 +181,222 @@ type StoreStats struct {
 // (a service defect) instead of 400 (a bad request).
 var ErrStore = errors.New("sim: store error")
 
-// memStore is the non-persistent Store: every method is a no-op,
-// because the scheduler's own in-memory job table already is the
-// "memory store" — this is the pre-durability behavior, extracted
-// behind the interface.
-type memStore struct{}
+// memStore is the in-memory Store: the disk store's contract — manifests,
+// results, a per-job artifact index over refcounted content-addressed
+// blobs, the latest checkpoint per job, the cost-model bytes — in maps
+// under one mutex. Contents live as long as the value: Close keeps them,
+// so a second scheduler started on the same store recovers what a
+// restarted process would from disk. Payload slices are retained as
+// given (shared with the blob cache, not copied); callers must not
+// mutate them.
+type memStore struct {
+	mu     sync.Mutex
+	jobs   map[string]*memJob
+	blobs  map[string]*memBlob
+	model  []byte
+	dedupe int64
+}
 
-// NewMemStore returns the in-memory Store the scheduler defaults to:
-// nothing survives a restart, checkpoints are disabled, and recovery
-// finds nothing.
-func NewMemStore() Store { return memStore{} }
+// memJob is everything held for one job ID. manifest stays nil for IDs
+// that only ever received artifacts or checkpoints (a standby peer's
+// replicas); Recover skips those.
+type memJob struct {
+	manifest *JobManifest
+	result   *Result
+	arts     []ArtifactMeta
+	ckpt     *Checkpoint
+}
 
-// Persistent reports false: nothing outlives the process.
-func (memStore) Persistent() bool { return false }
+// memBlob is one content-addressed payload and the index rows naming it.
+type memBlob struct {
+	data []byte
+	refs int
+}
 
-// SaveManifest is a no-op.
-func (memStore) SaveManifest(JobManifest) error { return nil }
+// NewMemStore returns an empty in-memory Store — the scheduler's
+// default when Config.Store is nil.
+func NewMemStore() Store {
+	return &memStore{jobs: map[string]*memJob{}, blobs: map[string]*memBlob{}}
+}
 
-// SaveResult is a no-op.
-func (memStore) SaveResult(string, *Result) error { return nil }
+// jobLocked returns the record for id, creating it on first write.
+func (s *memStore) jobLocked(id string) *memJob {
+	j := s.jobs[id]
+	if j == nil {
+		j = &memJob{}
+		s.jobs[id] = j
+	}
+	return j
+}
 
-// SaveArtifact is a no-op.
-func (memStore) SaveArtifact(string, analysis.Artifact, string) error { return nil }
+// unrefLocked drops one reference to a blob, forgetting it with the
+// last one.
+func (s *memStore) unrefLocked(hash string) {
+	if b := s.blobs[hash]; b != nil {
+		if b.refs--; b.refs <= 0 {
+			delete(s.blobs, hash)
+		}
+	}
+}
 
-// DeleteArtifacts is a no-op.
-func (memStore) DeleteArtifacts(string, []string) error { return nil }
+func (s *memStore) Persistent() bool { return false }
 
-// LoadBlob fails: a memory store has no disk tier to read back from
-// (the blob cache pins every referenced payload instead).
-func (memStore) LoadBlob(hash string) ([]byte, error) {
+func (s *memStore) SaveManifest(m JobManifest) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.jobLocked(m.ID).manifest = &m
+	return nil
+}
+
+func (s *memStore) SaveResult(id string, res *Result) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.jobLocked(id).result = res
+	return nil
+}
+
+// SaveArtifact appends the job's index row (or replaces it by name, in
+// place) and references the payload under its content hash.
+func (s *memStore) SaveArtifact(id string, a analysis.Artifact, hash string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if b := s.blobs[hash]; b != nil {
+		b.refs++
+		s.dedupe += int64(len(a.Data))
+	} else {
+		s.blobs[hash] = &memBlob{data: a.Data, refs: 1}
+	}
+	row := metaOf(a)
+	row.Hash = hash
+	j := s.jobLocked(id)
+	for i := range j.arts {
+		if j.arts[i].Name == a.Name {
+			s.unrefLocked(j.arts[i].Hash)
+			j.arts[i] = row
+			return nil
+		}
+	}
+	j.arts = append(j.arts, row)
+	return nil
+}
+
+func (s *memStore) DeleteArtifacts(id string, names []string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j := s.jobs[id]
+	if j == nil {
+		return nil
+	}
+	j.arts = slices.DeleteFunc(j.arts, func(row ArtifactMeta) bool {
+		doomed := slices.Contains(names, row.Name)
+		if doomed {
+			s.unrefLocked(row.Hash)
+		}
+		return doomed
+	})
+	return nil
+}
+
+func (s *memStore) LoadBlob(hash string) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if b := s.blobs[hash]; b != nil {
+		return b.data, nil
+	}
 	return nil, fmt.Errorf("sim: memory store holds no blob %s", hash)
 }
 
-// SaveCheckpoint is a no-op; the scheduler never checkpoints against a
-// non-persistent store.
-func (memStore) SaveCheckpoint(string, int, []byte) error { return nil }
+// SaveCheckpoint keeps the highest-step checkpoint, whatever order the
+// writes arrive in.
+func (s *memStore) SaveCheckpoint(id string, step int, data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j := s.jobLocked(id); j.ckpt == nil || step >= j.ckpt.Step {
+		j.ckpt = &Checkpoint{Step: step, Data: data, At: time.Now()}
+	}
+	return nil
+}
 
-// LatestCheckpoint reports no checkpoint.
-func (memStore) LatestCheckpoint(string) (*Checkpoint, error) { return nil, nil }
+func (s *memStore) LatestCheckpoint(id string) (*Checkpoint, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j := s.jobs[id]; j != nil {
+		return j.ckpt, nil
+	}
+	return nil, nil
+}
 
-// DeleteCheckpoints is a no-op.
-func (memStore) DeleteCheckpoints(string) error { return nil }
+func (s *memStore) DeleteCheckpoints(id string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j := s.jobs[id]; j != nil {
+		j.ckpt = nil
+	}
+	return nil
+}
 
-// DeleteJob is a no-op.
-func (memStore) DeleteJob(string) error { return nil }
+func (s *memStore) DeleteJob(id string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j := s.jobs[id]; j != nil {
+		for _, row := range j.arts {
+			s.unrefLocked(row.Hash)
+		}
+		delete(s.jobs, id)
+	}
+	return nil
+}
 
-// Recover finds nothing.
-func (memStore) Recover() ([]RecoveredJob, error) { return nil, nil }
+// Recover lists every job with a manifest, oldest submission first (ID
+// order between equal submit times, as a directory listing gives the
+// disk store), with its result and artifact rows — metadata only.
+func (s *memStore) Recover() ([]RecoveredJob, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []RecoveredJob
+	for _, j := range s.jobs {
+		if j.manifest != nil {
+			out = append(out, RecoveredJob{Manifest: *j.manifest, Result: j.result, Artifacts: slices.Clone(j.arts)})
+		}
+	}
+	slices.SortFunc(out, func(a, b RecoveredJob) int {
+		return cmp.Or(a.Manifest.SubmittedAt.Compare(b.Manifest.SubmittedAt), cmp.Compare(a.Manifest.ID, b.Manifest.ID))
+	})
+	return out, nil
+}
 
-// SaveCostModel is a no-op; the in-memory cost model is authoritative
-// for the process lifetime.
-func (memStore) SaveCostModel([]byte) error { return nil }
+func (s *memStore) SaveCostModel(state []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.model = state
+	return nil
+}
 
-// LoadCostModel reports no persisted state.
-func (memStore) LoadCostModel() ([]byte, error) { return nil, nil }
+func (s *memStore) LoadCostModel() ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.model, nil
+}
 
-// Stats reports zero gauges.
-func (memStore) Stats() StoreStats { return StoreStats{} }
+func (s *memStore) Stats() StoreStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := StoreStats{DedupeBytes: s.dedupe, BlobCount: len(s.blobs)}
+	for _, j := range s.jobs {
+		if j.ckpt != nil {
+			st.CheckpointCount++
+			st.CheckpointBytes += int64(len(j.ckpt.Data))
+		}
+		st.ArtifactCount += len(j.arts)
+		for _, row := range j.arts {
+			st.ArtifactBytes += int64(row.Size)
+		}
+	}
+	for _, b := range s.blobs {
+		st.BlobBytes += int64(len(b.data))
+	}
+	return st
+}
 
-// Close is a no-op.
-func (memStore) Close() error { return nil }
+// Close keeps the contents: they are the next scheduler's to recover.
+func (s *memStore) Close() error { return nil }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestMemStoreConformance runs the shared Store conformance suite
-// against the non-persistent default.
+// against the in-memory default.
 func TestMemStoreConformance(t *testing.T) {
 	storetest.Run(t, func(t *testing.T) sim.Store { return sim.NewMemStore() })
 }

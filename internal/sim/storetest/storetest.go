@@ -1,10 +1,8 @@
 // Package storetest is the sim.Store conformance suite: one set of
-// behavioral tests every Store implementation must pass, run against
-// both the in-memory default and the disk store so the two can never
-// drift apart on WAL, artifact, or checkpoint semantics. Expectations
-// branch on Persistent(): a non-persistent store must accept every
-// write as a cheap no-op and recover nothing, a persistent one must
-// round-trip everything Recover needs.
+// behavioral tests every Store implementation must pass, run
+// identically against the in-memory default and the disk store so the
+// two can never drift apart on WAL, artifact, checkpoint or cost-model
+// semantics. Every store must round-trip everything Recover needs.
 package storetest
 
 import (
@@ -83,12 +81,6 @@ func testManifestRecover(t *testing.T, open func(t *testing.T) sim.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Persistent() {
-		if len(recovered) != 0 {
-			t.Fatalf("non-persistent store recovered %d jobs", len(recovered))
-		}
-		return
-	}
 	if len(recovered) != 2 {
 		t.Fatalf("recovered %d jobs, want 2", len(recovered))
 	}
@@ -123,12 +115,6 @@ func testResult(t *testing.T, open func(t *testing.T) sim.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Persistent() {
-		if len(recovered) != 0 {
-			t.Fatalf("non-persistent store recovered %d jobs", len(recovered))
-		}
-		return
-	}
 	if len(recovered) != 1 || recovered[0].Result == nil {
 		t.Fatalf("done job did not recover with a result: %+v", recovered)
 	}
@@ -149,7 +135,7 @@ func testArtifacts(t *testing.T, open func(t *testing.T) sim.Store) {
 	otherHash := sim.HashBytes(other)
 
 	// Two names sharing one payload, one distinct: the shared payload
-	// must occupy a single blob in a persistent store.
+	// must occupy a single blob.
 	for i, a := range []analysis.Artifact{
 		artifact("proj_step0001.pgm", payload),
 		artifact("proj_step0002.pgm", payload),
@@ -162,21 +148,6 @@ func testArtifacts(t *testing.T, open func(t *testing.T) sim.Store) {
 		if err := s.SaveArtifact("job-art", a, h); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	if !s.Persistent() {
-		// Non-persistent stores hold no blob tier: LoadBlob must fail
-		// (the in-memory cache pins the only copy) and gauges stay zero.
-		if _, err := s.LoadBlob(hash); err == nil {
-			t.Fatal("non-persistent LoadBlob succeeded")
-		}
-		if st := s.Stats(); st != (sim.StoreStats{}) {
-			t.Fatalf("non-persistent stats non-zero: %+v", st)
-		}
-		if err := s.DeleteArtifacts("job-art", []string{"proj_step0001.pgm"}); err != nil {
-			t.Fatal(err)
-		}
-		return
 	}
 
 	if got, err := s.LoadBlob(hash); err != nil || !bytes.Equal(got, payload) {
@@ -245,12 +216,6 @@ func testCheckpoints(t *testing.T, open func(t *testing.T) sim.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Persistent() {
-		if ck != nil {
-			t.Fatalf("non-persistent store kept a checkpoint: %+v", ck)
-		}
-		return
-	}
 	// The contract is "retain at least the latest"; pruning older ones
 	// is an implementation choice the suite does not pin.
 	if ck == nil || ck.Step != 20 || !bytes.Equal(ck.Data, []byte("latest")) {
@@ -306,7 +271,7 @@ func testDeleteJob(t *testing.T, open func(t *testing.T) sim.Store) {
 func testCostModel(t *testing.T, open func(t *testing.T) sim.Store) {
 	s := open(t)
 	defer s.Close()
-	// An empty store (of either kind) holds no model state.
+	// An empty store holds no model state.
 	if state, err := s.LoadCostModel(); err != nil || state != nil {
 		t.Fatalf("LoadCostModel on empty store: %q, %v", state, err)
 	}
@@ -321,12 +286,6 @@ func testCostModel(t *testing.T, open func(t *testing.T) sim.Store) {
 	got, err := s.LoadCostModel()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !s.Persistent() {
-		if got != nil {
-			t.Fatalf("non-persistent store kept cost-model state: %q", got)
-		}
-		return
 	}
 	// The blob round-trips byte-for-byte and the latest write wins.
 	if !bytes.Equal(got, second) {
