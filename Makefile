@@ -4,7 +4,7 @@ GO ?= go
 # staticcheck job; bump deliberately, in its own commit.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test test-full vet staticcheck sloc bench bench-scaling bench-kernels bench-sim bench-serve bench-queue bench-speculate bench-projection perfgate golden-update problems cluster docs clean
+.PHONY: build test test-full vet staticcheck sloc bench-module bench bench-scaling bench-kernels bench-sim bench-serve bench-queue bench-speculate bench-projection perfgate golden-update problems cluster docs clean
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,12 @@ sloc:
 		printf '%7d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
 	done
 	@printf '%7d total\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+
+# bench/ is a module of its own (BENCHMARK.json's harness), so `go build
+# ./...` here never compiles it: a sim/costmodel signature change would
+# break it only in the pipeline. Vet it and run its tests.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # All paper-reproduction benchmarks, plus the job-service rows — together
 # these regenerate every committed BENCH_*.json history (append a row; do

@@ -16,6 +16,9 @@
 // The runtime substitutes for MPI on the paper's IBM SP2: it exercises the
 // same code paths (ownership, probing, send ordering) and produces the
 // same qualitative statistics, which is what the §3.4 discussion reports.
+// It is a model only: nothing here crosses a process boundary (the serve
+// cluster in internal/sim speaks HTTP), and amr's level loop does not run
+// through it — docs/ARCHITECTURE.md records why that stays parked.
 package mp
 
 import (
@@ -32,58 +35,48 @@ type Message struct {
 	Data     any
 }
 
-// Runtime carries the rank transport and global statistics. The default
-// transport is in-process channels (the virtual-time model); NewRuntimeOver
-// runs the same runtime over any Transport, including TCP peers.
+// mailboxDepth is each rank's mailbox buffer: a send never blocks until
+// one rank has this many messages undelivered, which no modeled exchange
+// phase (tens of sends per rank) approaches.
+const mailboxDepth = 1024
+
+// Runtime carries the per-rank mailboxes and global statistics.
 type Runtime struct {
 	NRanks int
-	tr     Transport
+	queues []chan Message
 
 	sends  atomic.Int64
 	bytes  atomic.Int64
 	probes atomic.Int64
 }
 
-// NewRuntime creates a runtime with n ranks over in-process buffered
-// mailboxes.
+// NewRuntime creates a runtime with n ranks and buffered mailboxes.
 func NewRuntime(n int) (*Runtime, error) {
-	tr, err := NewChanTransport(n)
-	if err != nil {
-		return nil, err
+	if n < 1 {
+		return nil, fmt.Errorf("mp: need at least 1 rank, got %d", n)
 	}
-	return NewRuntimeOver(tr), nil
-}
-
-// NewRuntimeOver creates a runtime over an existing transport. The caller
-// keeps ownership of the transport's lifetime (Close).
-func NewRuntimeOver(tr Transport) *Runtime {
-	return &Runtime{NRanks: tr.NRanks(), tr: tr}
+	r := &Runtime{NRanks: n, queues: make([]chan Message, n)}
+	for i := range r.queues {
+		r.queues[i] = make(chan Message, mailboxDepth)
+	}
+	return r, nil
 }
 
 // Send delivers a message asynchronously (buffered).
 func (r *Runtime) Send(m Message) error {
-	if err := r.tr.Send(m); err != nil {
-		return err
+	if m.To < 0 || m.To >= r.NRanks {
+		return fmt.Errorf("mp: bad destination rank %d", m.To)
 	}
+	r.queues[m.To] <- m
 	r.sends.Add(1)
 	r.bytes.Add(int64(m.Bytes))
 	return nil
 }
 
-// Recv blocks until a message arrives for the rank. A transport failure
-// (peer death, closed transport) panics: the modeling runtime has no
-// recovery story mid-phase, and callers that need one should use the
-// Transport directly.
+// Recv blocks until a message arrives for the rank.
 func (r *Runtime) Recv(rank int) Message {
-	m, err := r.tr.Recv(rank)
-	if err != nil {
-		panic(fmt.Sprintf("mp: recv on rank %d: %v", rank, err))
-	}
-	return m
+	return <-r.queues[rank]
 }
-
-// Close closes the underlying transport.
-func (r *Runtime) Close() error { return r.tr.Close() }
 
 // Probe models the neighbour-discovery query a rank must issue when it
 // does not hold sterile metadata: one round-trip per queried rank.

@@ -16,6 +16,7 @@ package costmodel
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -101,10 +102,13 @@ type Estimate struct {
 	Samples int `json:"samples"`
 }
 
-// history is the per-problem state: the bounded sample window plus the
-// lazily recomputed predictor selection.
+// history is the per-problem state: the bounded sample window, each
+// sample's JSON encoding (marshalled once, when the sample is stored, so
+// Encode never re-marshals the window), and the lazily recomputed
+// predictor selection.
 type history struct {
 	samples    []Sample
+	encoded    [][]byte // encoded[i] is json.Marshal(samples[i])
 	dirty      bool
 	sinceScore int // samples changed since the last held-out scoring
 	predictor  string
@@ -179,26 +183,13 @@ func sanitizeSample(s Sample) Sample {
 	return out
 }
 
-// mapsEqual reports whether two float maps hold identical entries.
-func mapsEqual(a, b map[string]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
-}
-
 // sampleEqual reports whether two (sanitized) samples are identical, so
 // idempotent re-observation (e.g. recovery backfill after a restart)
 // does not dirty the model or rewrite its persisted state.
 func sampleEqual(a, b Sample) bool {
 	return a.JobID == b.JobID && a.Problem == b.Problem &&
 		a.Work == b.Work && a.Seconds == b.Seconds && a.Cells == b.Cells &&
-		mapsEqual(a.Features, b.Features) && mapsEqual(a.OpSeconds, b.OpSeconds)
+		maps.Equal(a.Features, b.Features) && maps.Equal(a.OpSeconds, b.OpSeconds)
 }
 
 // Observe records one completed job. Re-observing a JobID replaces its
@@ -213,7 +204,7 @@ func (m *Model) Observe(s Sample) bool {
 	defer m.mu.Unlock()
 	h := m.problems[s.Problem]
 	if h == nil {
-		h = &history{dirty: true}
+		h = &history{}
 		m.problems[s.Problem] = h
 	}
 	for i := range h.samples {
@@ -221,19 +212,34 @@ func (m *Model) Observe(s Sample) bool {
 			if sampleEqual(h.samples[i], s) {
 				return false
 			}
-			h.samples[i] = s
+			h.samples[i], h.encoded[i] = s, encodeSample(s)
 			h.dirty = true
 			h.sinceScore++
 			return true
 		}
 	}
+	h.add(s)
+	return true
+}
+
+// encodeSample marshals one sanitized sample — every value finite, every
+// string valid UTF-8, so the marshal cannot fail.
+func encodeSample(s Sample) []byte {
+	data, _ := json.Marshal(s)
+	return data
+}
+
+// add appends a sanitized sample with its encoding, dropping the oldest
+// beyond the window (the backing arrays let go of the dropped prefix at
+// their next growth, so at most a window's worth lingers).
+func (h *history) add(s Sample) {
 	h.samples = append(h.samples, s)
-	if len(h.samples) > maxSamplesPerProblem {
-		h.samples = append([]Sample(nil), h.samples[len(h.samples)-maxSamplesPerProblem:]...)
+	h.encoded = append(h.encoded, encodeSample(s))
+	if n := len(h.samples) - maxSamplesPerProblem; n > 0 {
+		h.samples, h.encoded = h.samples[n:], h.encoded[n:]
 	}
 	h.dirty = true
 	h.sinceScore++
-	return true
 }
 
 // Samples reports how many observations the model holds for problem.
@@ -555,21 +561,41 @@ type persistedState struct {
 }
 
 // Encode serializes the model deterministically for Store persistence
-// and peer replication.
+// and peer replication: byte-for-byte json.Marshal of the persistedState
+// holding every non-empty window, assembled from the per-sample
+// encodings so its cost is a copy, not a marshal of the window.
 func (m *Model) Encode() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ps := persistedState{Version: 1, Problems: map[string][]Sample{}}
+	names := make([]string, 0, len(m.problems))
+	size := len(`{"version":1,"problems":{}}`)
 	for name, h := range m.problems {
-		if len(h.samples) > 0 {
-			ps.Problems[name] = h.samples
+		if len(h.samples) == 0 {
+			continue
+		}
+		names = append(names, name)
+		size += len(name) + 16
+		for _, enc := range h.encoded {
+			size += len(enc) + 1
 		}
 	}
-	data, err := json.Marshal(ps)
-	if err != nil {
-		return nil // unreachable: every stored value is finite
+	sort.Strings(names) // json.Marshal's map-key order
+	buf := append(make([]byte, 0, size), `{"version":1,"problems":{`...)
+	for i, name := range names {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		key, _ := json.Marshal(name) // the escaping a map key gets
+		buf = append(append(buf, key...), ':', '[')
+		for k, enc := range m.problems[name].encoded {
+			if k > 0 {
+				buf = append(buf, ',')
+			}
+			buf = append(buf, enc...)
+		}
+		buf = append(buf, ']')
 	}
-	return data
+	return append(buf, "}}"...)
 }
 
 // parseState decodes and sanitizes a persisted blob.
@@ -610,10 +636,11 @@ func (m *Model) Decode(data []byte) error {
 	defer m.mu.Unlock()
 	m.problems = map[string]*history{}
 	for name, ss := range ps.Problems {
-		if len(ss) > maxSamplesPerProblem {
-			ss = ss[len(ss)-maxSamplesPerProblem:]
+		h := &history{}
+		for _, s := range ss[max(0, len(ss)-maxSamplesPerProblem):] { // only the window is kept (or encoded)
+			h.add(s)
 		}
-		m.problems[name] = &history{samples: ss, dirty: true, sinceScore: len(ss)}
+		m.problems[name] = h
 	}
 	return nil
 }
@@ -658,13 +685,8 @@ func (m *Model) Merge(data []byte) (bool, error) {
 				continue
 			}
 			seen[s.JobID] = true
-			h.samples = append(h.samples, s)
-			h.dirty = true
-			h.sinceScore++
+			h.add(s)
 			changed = true
-		}
-		if len(h.samples) > maxSamplesPerProblem {
-			h.samples = append([]Sample(nil), h.samples[len(h.samples)-maxSamplesPerProblem:]...)
 		}
 	}
 	return changed, nil

@@ -2,7 +2,9 @@ package costmodel
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 	"testing"
 )
 
@@ -225,6 +227,101 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 	if m2.TotalSamples() != 0 {
 		t.Fatalf("decode(nil) left %d samples", m2.TotalSamples())
+	}
+}
+
+// ReferenceEncode is the encoding Encode must reproduce byte-for-byte:
+// one json.Marshal of the whole persisted state, re-marshalling every
+// sample — what Encode itself did before samples cached their bytes.
+// Exported for the external fuzz test.
+func ReferenceEncode(m *Model) []byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ps := persistedState{Version: 1, Problems: map[string][]Sample{}}
+	for name, h := range m.problems {
+		if len(h.samples) > 0 {
+			ps.Problems[name] = h.samples
+		}
+	}
+	data, err := json.Marshal(ps)
+	if err != nil {
+		panic(err)
+	}
+	return data
+}
+
+// TestEncodeMatchesReference: assembling cached per-sample bytes yields
+// exactly the reference marshal — on an empty model, on a full
+// 512-sample window of three problems (names that need JSON escaping,
+// every optional field present and absent, in-place replacement, window
+// overflow), and after Decode and Merge rebuilt the cache.
+func TestEncodeMatchesReference(t *testing.T) {
+	check := func(what string, m *Model) {
+		t.Helper()
+		if got, want := m.Encode(), ReferenceEncode(m); !bytes.Equal(got, want) {
+			t.Fatalf("%s: Encode differs from json.Marshal reference:\n%.300s\nvs\n%.300s", what, got, want)
+		}
+	}
+	m := New()
+	check("empty model", m)
+	if got := string(m.Encode()); got != `{"version":1,"problems":{}}` {
+		t.Fatalf("empty model encodes as %s", got)
+	}
+	problems := []string{"sedov", "a<b>&\"q\"\u2028\\", "zoom"}
+	for i := 0; i < maxSamplesPerProblem+40; i++ {
+		for _, p := range problems {
+			s := Sample{JobID: fmt.Sprintf("%s-%d", p, i), Problem: p, Work: float64(i) * 512, Seconds: 1e-7 * float64(i*i+1)}
+			if i%2 == 0 {
+				s.Features = map[string]float64{"rootn": 16, "knob:<e0>": -float64(i) / 3, "workers": 2}
+				s.Cells = float64(i) * 1e9
+			}
+			if i%3 == 0 {
+				s.OpSeconds = map[string]float64{"hydro": 0.1 / float64(i+1), "other": 1e-21}
+			}
+			m.Observe(s)
+		}
+	}
+	for _, p := range problems {
+		if n := m.Samples(p); n != maxSamplesPerProblem {
+			t.Fatalf("%q holds %d samples, want a full window", p, n)
+		}
+	}
+	check("full window", m)
+	m.Observe(Sample{JobID: "zoom-300", Problem: "zoom", Work: 1, Seconds: 99}) // replace in place
+	check("after replacement", m)
+
+	decoded, merged := New(), New()
+	if err := decoded.Decode(m.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	check("after Decode", decoded)
+	if !bytes.Equal(decoded.Encode(), m.Encode()) {
+		t.Fatal("Decode→Encode is not a fixed point on a full window")
+	}
+	merged.Observe(Sample{JobID: "local", Problem: "sedov", Work: 5, Seconds: 5})
+	if changed, err := merged.Merge(m.Encode()); err != nil || !changed {
+		t.Fatalf("merge: changed=%v err=%v", changed, err)
+	}
+	check("after Merge", merged)
+}
+
+// TestParentStateRoundTrips: a costmodel.json written by the commit
+// before samples cached their encoding (five real jobs through `enzogo
+// serve -data`) decodes and re-encodes to the same bytes.
+func TestParentStateRoundTrips(t *testing.T) {
+	want, err := os.ReadFile("testdata/parent_costmodel.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New()
+	if err := m.Decode(want); err != nil {
+		t.Fatal(err)
+	}
+	if m.TotalSamples() != 5 {
+		t.Fatalf("fixture decoded to %d samples, want 5", m.TotalSamples())
+	}
+	if got := m.Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("parent-written state re-encodes differently:\n%s\nvs\n%s", got, want)
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 // sets and metric histories — including NaN, ±Inf, negative and
 // absurdly large values — must never produce a NaN, Inf or negative
 // estimate, confidence must stay in [0,1], and the resulting model
-// state must round-trip bit-for-bit through Encode→Decode→Encode and
-// through the disk store's cost-model persistence.
+// state must equal the json.Marshal reference encoding and round-trip
+// bit-for-bit through Encode→Decode→Encode and through the disk store's
+// cost-model persistence.
 func FuzzCostEstimate(f *testing.F) {
 	f.Add("j1", "sedov", 4096.0, 0.5, 6000.0, 16.0, 0.3, 0.1, 8192.0, 32.0)
 	f.Add("j2", "kh", 0.0, -1.0, math.NaN(), math.Inf(1), 1e300, -0.0, math.Inf(-1), math.NaN())
@@ -63,6 +64,9 @@ func FuzzCostEstimate(f *testing.F) {
 
 		// Persistence round-trip: bit-for-bit through Encode/Decode...
 		state := m.Encode()
+		if want := costmodel.ReferenceEncode(m); !bytes.Equal(state, want) {
+			t.Fatalf("Encode differs from the json.Marshal reference:\n%q\nvs\n%q", state, want)
+		}
 		m2 := costmodel.New()
 		if err := m2.Decode(state); err != nil {
 			t.Fatalf("decode own encoding: %v", err)

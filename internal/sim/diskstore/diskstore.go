@@ -608,18 +608,24 @@ func (s *Store) DeleteJob(id string) error {
 // Recover loads every persisted job: its manifest, the terminal result
 // of done jobs, and the retained artifact metadata in production order
 // — rows only, no payload reads; the bytes stay in the blob tier until
-// a reader asks. Job directories whose manifest is missing or
-// unreadable are skipped (a kill between MkdirAll and the first
-// manifest write can leave one); recovery must never take the service
-// down.
+// a reader asks. A job directory without a manifest (a standby's
+// replicated bytes after a restart, a kill between MkdirAll and the
+// first manifest write) is deleted — nothing can reach it again; one
+// whose manifest is unreadable is skipped and kept. Neither takes the
+// service down: a failed delete is reported beside the recovered jobs.
 func (s *Store) Recover() ([]sim.RecoveredJob, error) {
 	ids, err := s.jobIDs()
 	if err != nil {
 		return nil, err
 	}
 	var out []sim.RecoveredJob
+	var sweepErr error
 	for _, id := range ids {
 		data, err := os.ReadFile(filepath.Join(s.jobDir(id), "manifest.json"))
+		if errors.Is(err, os.ErrNotExist) {
+			sweepErr = errors.Join(sweepErr, s.DeleteJob(id))
+			continue
+		}
 		if err != nil {
 			continue
 		}
@@ -654,7 +660,7 @@ func (s *Store) Recover() ([]sim.RecoveredJob, error) {
 	sort.Slice(out, func(i, j int) bool {
 		return out[i].Manifest.SubmittedAt.Before(out[j].Manifest.SubmittedAt)
 	})
-	return out, nil
+	return out, sweepErr
 }
 
 // costModelFile holds the scheduler's serialized cost-model state at

@@ -258,36 +258,45 @@ func (s *Scheduler) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// handleEvents streams the job's progress as newline-delimited JSON, one
-// object per completed root step, ending with the job's final status.
-func (s *Scheduler) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
-	}
+// streamNDJSON writes every value arriving on ch as one line of
+// newline-delimited JSON, flushed as it is written (and once up front, to
+// commit the header even if nothing ever arrives), until ch closes — then
+// last, if given, supplies a final line — or the client goes away.
+func streamNDJSON[T any](w http.ResponseWriter, r *http.Request, ch <-chan T, last func() any) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w)
 	flush := func() {
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
 		}
 	}
-	enc := json.NewEncoder(w)
-	watch := j.Watch()
-	defer j.Unwatch(watch) // a disconnecting client must not leak its subscription
+	flush()
 	for {
 		select {
-		case p, open := <-watch:
+		case v, open := <-ch:
 			if !open {
-				enc.Encode(j.Status())
-				flush()
+				if last != nil {
+					enc.Encode(last())
+					flush()
+				}
 				return
 			}
-			enc.Encode(p)
+			enc.Encode(v)
 			flush()
 		case <-r.Context().Done():
 			return
 		}
+	}
+}
+
+// handleEvents streams the job's progress as newline-delimited JSON, one
+// object per completed root step, ending with the job's final status.
+func (s *Scheduler) handleEvents(w http.ResponseWriter, r *http.Request) {
+	if j, ok := s.job(w, r); ok {
+		watch := j.Watch()
+		defer j.Unwatch(watch) // a disconnecting client must not leak its subscription
+		streamNDJSON(w, r, watch, func() any { return j.Status() })
 	}
 }
 
@@ -447,32 +456,10 @@ func (s *Scheduler) handleArtifactTile(w http.ResponseWriter, r *http.Request) {
 // newline-delimited JSON: one object per stored artifact (starting with
 // a replay of those already present), closing once the job is terminal.
 func (s *Scheduler) handleArtifactEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flush := func() {
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-	}
-	flush() // commit the header even if no artifact ever arrives
-	enc := json.NewEncoder(w)
-	watch := j.Artifacts().Watch()
-	defer j.Artifacts().Unwatch(watch)
-	for {
-		select {
-		case m, open := <-watch:
-			if !open {
-				return
-			}
-			enc.Encode(m)
-			flush()
-		case <-r.Context().Done():
-			return
-		}
+	if j, ok := s.job(w, r); ok {
+		watch := j.Artifacts().Watch()
+		defer j.Artifacts().Unwatch(watch)
+		streamNDJSON(w, r, watch, nil)
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"net/url"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,7 +57,8 @@ type PeerConfig struct {
 	// Must be identical on every member.
 	Vnodes int
 	// PingEvery is the health-check cadence (<= 0 = 1s). A peer that
-	// fails one ping is treated as dead until a ping succeeds again.
+	// fails three pings in a row is treated as dead until a ping succeeds
+	// again.
 	PingEvery time.Duration
 }
 
@@ -93,6 +95,7 @@ type Peer struct {
 
 	mu       sync.Mutex
 	dead     map[string]bool
+	misses   map[string]int // consecutive failed pings per peer
 	replicas map[string]replica
 
 	forwards    atomic.Int64 // submissions forwarded to their owner
@@ -135,6 +138,7 @@ func NewPeer(s *Scheduler, cfg PeerConfig) (*Peer, error) {
 		client:   &http.Client{Timeout: 30 * time.Second},
 		proxies:  make(map[string]*httputil.ReverseProxy),
 		dead:     make(map[string]bool),
+		misses:   make(map[string]int),
 		replicas: make(map[string]replica),
 		stop:     make(chan struct{}),
 	}
@@ -166,7 +170,8 @@ func NewPeer(s *Scheduler, cfg PeerConfig) (*Peer, error) {
 		artifactDrop: func(id string, names []string) {
 			p.sendJSON(http.MethodDelete, id, "/artifacts", names)
 		},
-		terminal: p.replicaDone,
+		// A terminal job's standby can drop the replicated record.
+		terminal: func(id string) { p.sendJSON(http.MethodDelete, id, "", nil) },
 		model:    p.replicateModel,
 	})
 	p.wg.Add(1)
@@ -345,12 +350,6 @@ func (p *Peer) sendJSON(method, id, suffix string, body any) {
 	p.do(req)
 }
 
-// replicaDone tells the standby a job reached a terminal state, so it
-// can drop the replicated record.
-func (p *Peer) replicaDone(id string) {
-	p.sendJSON(http.MethodDelete, id, "", nil)
-}
-
 // replicateModel broadcasts the local cost model's serialized state to
 // every live peer, so each member estimates (and admits) from the whole
 // group's job history, not just the jobs it happened to own. Receivers
@@ -453,15 +452,9 @@ func (p *Peer) handleReplicaArtifactPut(w http.ResponseWriter, r *http.Request) 
 	}
 	p.mu.Lock()
 	rep := p.replicas[id]
-	replaced := false
-	for i := range rep.Artifacts {
-		if rep.Artifacts[i].Name == ra.Meta.Name {
-			rep.Artifacts[i] = ra.Meta
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
+	if i := slices.IndexFunc(rep.Artifacts, func(m ArtifactMeta) bool { return m.Name == ra.Meta.Name }); i >= 0 {
+		rep.Artifacts[i] = ra.Meta
+	} else {
 		rep.Artifacts = append(rep.Artifacts, ra.Meta)
 	}
 	p.replicas[id] = rep
@@ -480,19 +473,9 @@ func (p *Peer) handleReplicaArtifactDelete(w http.ResponseWriter, r *http.Reques
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad artifact drop body: %w", err))
 		return
 	}
-	doomed := make(map[string]bool, len(names))
-	for _, n := range names {
-		doomed[n] = true
-	}
 	p.mu.Lock()
 	if rep, ok := p.replicas[id]; ok {
-		kept := rep.Artifacts[:0]
-		for _, m := range rep.Artifacts {
-			if !doomed[m.Name] {
-				kept = append(kept, m)
-			}
-		}
-		rep.Artifacts = kept
+		rep.Artifacts = slices.DeleteFunc(rep.Artifacts, func(m ArtifactMeta) bool { return slices.Contains(names, m.Name) })
 		p.replicas[id] = rep
 	}
 	p.mu.Unlock()
@@ -563,11 +546,11 @@ func (p *Peer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "sim_peer_model_syncs_total %d\n", p.modelSyncs.Load())
 }
 
+// pingMissesForDead consecutive failed pings turn a live peer dead; one
+// miss is a dropped packet, and acting on it runs the job on two peers.
+const pingMissesForDead = 3
+
 // pingLoop polls every other peer's /healthz on the configured cadence.
-// An alive→dead transition triggers a takeover scan; a dead→alive
-// transition just restores routing (the returned peer starts empty of
-// the jobs it lost — static membership makes no attempt to hand jobs
-// back).
 func (p *Peer) pingLoop() {
 	defer p.wg.Done()
 	t := time.NewTicker(p.cfg.PingEvery)
@@ -578,18 +561,31 @@ func (p *Peer) pingLoop() {
 			return
 		case <-t.C:
 		}
-		for _, peer := range p.cfg.Peers {
-			if peer == p.cfg.Self {
-				continue
-			}
-			alive := p.ping(peer)
-			p.mu.Lock()
-			wasAlive := !p.dead[peer]
-			p.dead[peer] = !alive
-			p.mu.Unlock()
-			if wasAlive && !alive {
-				p.takeover()
-			}
+		p.pingPeers()
+	}
+}
+
+// pingPeers probes every other peer once. The pingMissesForDead-th
+// consecutive miss is the alive→dead transition and triggers a takeover
+// scan; one success is the dead→alive transition, which just restores
+// routing (the returned peer starts empty of the jobs it lost — static
+// membership makes no attempt to hand jobs back).
+func (p *Peer) pingPeers() {
+	for _, peer := range p.cfg.Peers {
+		if peer == p.cfg.Self {
+			continue
+		}
+		alive := p.ping(peer)
+		died := false
+		p.mu.Lock()
+		if alive {
+			p.misses[peer], p.dead[peer] = 0, false
+		} else if p.misses[peer]++; p.misses[peer] == pingMissesForDead {
+			p.dead[peer], died = true, true
+		}
+		p.mu.Unlock()
+		if died {
+			p.takeover()
 		}
 	}
 }

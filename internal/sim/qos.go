@@ -134,9 +134,10 @@ func newFairQueue(depth int, weights map[string]float64, now func() time.Time) *
 	return q
 }
 
-// push enqueues a job under its tenant. enforceDepth applies the
-// QueueDepth backpressure bound (Submit); recovery and peer takeover
-// bypass it, because refusing to re-admit persisted work would lose it.
+// push enqueues a job under its tenant; admitLocked is its only caller.
+// enforceDepth applies the QueueDepth backpressure bound (submissions
+// and peer takeovers); startup recovery bypasses it, because refusing to
+// re-admit persisted work would lose it.
 func (q *fairQueue) push(j *Job, enforceDepth bool) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()

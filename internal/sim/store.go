@@ -68,7 +68,10 @@ type Store interface {
 	DeleteJob(id string) error
 	// Recover enumerates every persisted job for scheduler startup:
 	// terminal jobs rehydrate the cache, interrupted ones are re-queued
-	// to resume from their latest checkpoint.
+	// to resume from their latest checkpoint. A record without a
+	// manifest (a restarted standby's replicated bytes, a kill before
+	// the first manifest write) is deleted, blob references included:
+	// no Peer is attached yet, so nothing can name those bytes again.
 	Recover() ([]RecoveredJob, error)
 	// SaveCostModel persists the scheduler's serialized cost-model state
 	// (an opaque blob; the latest write wins), so cost estimates survive
@@ -199,7 +202,7 @@ type memStore struct {
 
 // memJob is everything held for one job ID. manifest stays nil for IDs
 // that only ever received artifacts or checkpoints (a standby peer's
-// replicas); Recover skips those.
+// replicas); Recover deletes those.
 type memJob struct {
 	manifest *JobManifest
 	result   *Result
@@ -338,13 +341,19 @@ func (s *memStore) DeleteCheckpoints(id string) error {
 func (s *memStore) DeleteJob(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.deleteJobLocked(id)
+	return nil
+}
+
+// deleteJobLocked forgets a job's record and releases its blob
+// references.
+func (s *memStore) deleteJobLocked(id string) {
 	if j := s.jobs[id]; j != nil {
 		for _, row := range j.arts {
 			s.unrefLocked(row.Hash)
 		}
 		delete(s.jobs, id)
 	}
-	return nil
 }
 
 // Recover lists every job with a manifest, oldest submission first (ID
@@ -354,10 +363,12 @@ func (s *memStore) Recover() ([]RecoveredJob, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []RecoveredJob
-	for _, j := range s.jobs {
-		if j.manifest != nil {
-			out = append(out, RecoveredJob{Manifest: *j.manifest, Result: j.result, Artifacts: slices.Clone(j.arts)})
+	for id, j := range s.jobs {
+		if j.manifest == nil {
+			s.deleteJobLocked(id) // unreachable, see Store.Recover
+			continue
 		}
+		out = append(out, RecoveredJob{Manifest: *j.manifest, Result: j.result, Artifacts: slices.Clone(j.arts)})
 	}
 	slices.SortFunc(out, func(a, b RecoveredJob) int {
 		return cmp.Or(a.Manifest.SubmittedAt.Compare(b.Manifest.SubmittedAt), cmp.Compare(a.Manifest.ID, b.Manifest.ID))

@@ -24,6 +24,7 @@ func Run(t *testing.T, open func(t *testing.T) sim.Store) {
 	t.Run("ArtifactsAndBlobs", func(t *testing.T) { testArtifacts(t, open) })
 	t.Run("Checkpoints", func(t *testing.T) { testCheckpoints(t, open) })
 	t.Run("DeleteJob", func(t *testing.T) { testDeleteJob(t, open) })
+	t.Run("ManifestlessSwept", func(t *testing.T) { testManifestlessSwept(t, open) })
 	t.Run("CostModel", func(t *testing.T) { testCostModel(t, open) })
 	t.Run("EmptyStore", func(t *testing.T) { testEmpty(t, open) })
 }
@@ -265,6 +266,53 @@ func testDeleteJob(t *testing.T, open func(t *testing.T) sim.Store) {
 	}
 	if st := s.Stats(); st != (sim.StoreStats{DedupeBytes: st.DedupeBytes}) {
 		t.Fatalf("gauges non-zero after DeleteJob: %+v", st)
+	}
+}
+
+// testManifestlessSwept: a record that only ever received artifact and
+// checkpoint bytes (what a standby peer holds for another peer's job)
+// does not survive Recover — its checkpoint and index rows go and its
+// blob references are released, while a payload a manifest-bearing job
+// shares stays readable.
+func testManifestlessSwept(t *testing.T, open func(t *testing.T) sim.Store) {
+	s := open(t)
+	defer s.Close()
+	if err := s.SaveManifest(manifest("kept", "done", time.Now())); err != nil {
+		t.Fatal(err)
+	}
+	shared, own := []byte("both jobs produced this"), []byte("only the orphan produced this")
+	for _, w := range []struct {
+		id, name string
+		data     []byte
+	}{{"kept", "proj_step0001.pgm", shared}, {"orphan", "proj_step0001.pgm", shared}, {"orphan", "slice_step0001.pgm", own}} {
+		if err := s.SaveArtifact(w.id, artifact(w.name, w.data), sim.HashBytes(w.data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.SaveCheckpoint("orphan", 7, []byte("replicated checkpoint")); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := s.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != 1 || recovered[0].Manifest.ID != "kept" || len(recovered[0].Artifacts) != 1 {
+		t.Fatalf("recovered %+v, want only the manifest-bearing job and its one artifact", recovered)
+	}
+	if ck, err := s.LatestCheckpoint("orphan"); err != nil || ck != nil {
+		t.Fatalf("manifest-less checkpoint survived Recover: %v, %v", ck, err)
+	}
+	if _, err := s.LoadBlob(sim.HashBytes(own)); err == nil {
+		t.Fatal("manifest-less record's own blob survived Recover")
+	}
+	if got, err := s.LoadBlob(sim.HashBytes(shared)); err != nil || !bytes.Equal(got, shared) {
+		t.Fatalf("blob shared with a live job was reclaimed: %v", err)
+	}
+	st := s.Stats()
+	st.DedupeBytes = 0 // a process-lifetime counter, not a gauge
+	n := int64(len(shared))
+	if want := (sim.StoreStats{ArtifactBytes: n, ArtifactCount: 1, BlobBytes: n, BlobCount: 1}); st != want {
+		t.Fatalf("gauges after the sweep: %+v, want %+v", st, want)
 	}
 }
 

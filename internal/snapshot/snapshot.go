@@ -22,10 +22,12 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/amr"
 	"repro/internal/ep128"
+	"repro/internal/hydro"
 )
 
 // FormatVersion guards against decoding incompatible snapshots. Version 2
@@ -193,6 +195,12 @@ func Read(r io.Reader) (*amr.Hierarchy, string, error) {
 	if f.Version != FormatVersion && f.Version != 2 {
 		return nil, "", fmt.Errorf("snapshot: version %d unsupported (this build reads 2..%d)", f.Version, FormatVersion)
 	}
+	// The stream may come from anywhere (a peer's replica PUT, a file
+	// named on the command line): nothing is allocated or indexed from
+	// its numbers until they are checked against the data it carries.
+	if err := f.validate(); err != nil {
+		return nil, "", err
+	}
 	cfg := f.Config
 	h, err := amr.NewHierarchy(cfg)
 	if err != nil {
@@ -242,6 +250,74 @@ func Read(r io.Reader) (*amr.Hierarchy, string, error) {
 		h.Levels[rec.Level] = append(h.Levels[rec.Level], grids[i])
 	}
 	return h, f.Problem, nil
+}
+
+// validate checks the decoded file's shape — everything Read sizes an
+// allocation by or indexes with — against the field and particle data
+// the stream actually delivered, so a grid can never be allocated larger
+// than the payload that fills it: a valid config, the root record first
+// and spanning the root domain, every other record on a level in
+// [1, MaxLevel] with positive extents inside that level's domain, field
+// slices exactly the extents' size (ghost zones included), and parallel
+// particle slices of one length.
+func (f *File) validate() error {
+	cfg := f.Config
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	if len(f.Grids) == 0 || f.Grids[0].Level != 0 {
+		return fmt.Errorf("snapshot: the first grid record is not the root")
+	}
+	nFields := len(f.Grids[0].Fields)
+	if cfg.NSpecies < 0 || cfg.NSpecies >= nFields {
+		return fmt.Errorf("snapshot: config has %d species, grids carry %d fields", cfg.NSpecies, nFields)
+	}
+	for i := range f.Grids {
+		rec := &f.Grids[i]
+		if (rec.Level == 0) != (i == 0) || rec.Level < 0 || rec.Level > cfg.MaxLevel {
+			return fmt.Errorf("snapshot: grid %d on level %d (max level %d)", i, rec.Level, cfg.MaxLevel)
+		}
+		domain := cfg.RootN // the level's extent in cells, per dimension
+		for l := 0; l < rec.Level; l++ {
+			if domain > math.MaxInt/cfg.Refine {
+				return fmt.Errorf("snapshot: grid %d: level %d domain overflows", i, rec.Level)
+			}
+			domain *= cfg.Refine
+		}
+		if len(rec.Fields) != nFields {
+			return fmt.Errorf("snapshot: grid %d carries %d fields, the root %d", i, len(rec.Fields), nFields)
+		}
+		// The field length is divided down by each padded extent and must
+		// come out at 1; the product itself could overflow on hostile input.
+		n := [3]int{rec.Nx, rec.Ny, rec.Nz}
+		cells := len(rec.Fields[0])
+		for d := 0; d < 3; d++ {
+			if n[d] <= 0 || rec.Lo[d] < 0 || n[d] > domain || rec.Lo[d] > domain-n[d] || (i == 0 && n[d] != domain) {
+				return fmt.Errorf("snapshot: grid %d: extent %v at %v does not fit its level's %d^3 domain", i, n, rec.Lo, domain)
+			}
+			padded := n[d] + 2*hydro.NGhost
+			if cells%padded != 0 {
+				cells = 0
+			}
+			cells /= padded
+		}
+		if cells != 1 {
+			return fmt.Errorf("snapshot: grid %d: %d values per field do not fill extent %v", i, len(rec.Fields[0]), n)
+		}
+		for _, fld := range rec.Fields {
+			if len(fld) != len(rec.Fields[0]) {
+				return fmt.Errorf("snapshot: grid %d: fields of unequal size", i)
+			}
+		}
+		np := len(rec.PMass)
+		for _, l := range []int{len(rec.PXHi), len(rec.PXLo), len(rec.PYHi), len(rec.PYLo), len(rec.PZHi), len(rec.PZLo),
+			len(rec.PVx), len(rec.PVy), len(rec.PVz), len(rec.PID)} {
+			if l != np {
+				return fmt.Errorf("snapshot: grid %d: particle arrays of unequal length", i)
+			}
+		}
+	}
+	return nil
 }
 
 func decodeFields(g *amr.Grid, rec GridRec) error {

@@ -13,7 +13,7 @@ import (
 	"repro/internal/ep128"
 )
 
-func buildHierarchy(t *testing.T) (*amr.Hierarchy, amr.Config) {
+func buildHierarchy(t testing.TB) (*amr.Hierarchy, amr.Config) {
 	t.Helper()
 	cfg := amr.DefaultConfig(8)
 	cfg.SelfGravity = false
