@@ -51,10 +51,11 @@ bench: bench-sim bench-serve bench-queue bench-speculate
 bench-scaling:
 	$(GO) test -run xxx -bench='Scaling' -benchmem .
 
-# The perfgate-gated kernel set (hydro step, multigrid, FFT, chemistry)
-# at 1/2/4/NumCPU workers; the baseline lives in BENCH_kernels.json.
+# The perfgate-gated kernel set (hydro step, multigrid, FFT, chemistry,
+# AMR ghost-zone fill) at 1/2/4/NumCPU workers; the baseline lives in
+# BENCH_kernels.json.
 bench-kernels:
-	$(GO) test -run xxx -bench '^(BenchmarkScalingStep64|BenchmarkScalingMultigrid64|BenchmarkScalingGravityFFT64|BenchmarkChemistry)$$' -benchmem .
+	$(GO) test -run xxx -bench '^(BenchmarkScalingStep64|BenchmarkScalingMultigrid64|BenchmarkScalingGravityFFT64|BenchmarkChemistry|BenchmarkScalingBoundaryFill)$$' -benchmem .
 
 # Job-service throughput (jobs/sec at 1/2/4 concurrent slots) and the
 # cache-hit fast path; the baseline lives in BENCH_sim.json.

@@ -213,6 +213,36 @@ func BenchmarkScalingMultigrid64(b *testing.B) {
 	}
 }
 
+// BenchmarkScalingBoundaryFill measures one §3.2.1 ghost-zone fill (parent
+// interpolation, then sibling exchange) of a static level of 64 8³
+// subgrids over the central 0.6³ of a 16³ root — the small-grid regime of
+// the AMR workloads, with 468 sibling pairs overlapping in active cells.
+// An EvolveLevel call whose target is the level's current time performs
+// exactly the entry fill and no step. allocs/op is host-independent. The
+// baseline history lives in BENCH_kernels.json (`make bench-kernels`).
+func BenchmarkScalingBoundaryFill(b *testing.B) {
+	for _, w := range scalingWorkerCounts() {
+		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
+			h := newScalingHierarchy(b, 16, w)
+			h.Cfg.MaxLevel, h.Cfg.StaticLevels, h.Cfg.MaxGridSize = 1, 1, 8
+			h.Cfg.StaticLo = [3]float64{0.2, 0.2, 0.2}
+			h.Cfg.StaticHi = [3]float64{0.8, 0.8, 0.8}
+			h.Cfg.DisableRebuild = false
+			h.RebuildHierarchy(1)
+			h.Cfg.DisableRebuild = true
+			if n := len(h.Levels[1]); n != 64 {
+				b.Fatalf("level 1 has %d grids, want 64", n)
+			}
+			now := h.Levels[1][0].Time
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.EvolveLevel(1, now)
+			}
+		})
+	}
+}
+
 // --- Figure 1: the 2-D SAMR example (root + two subgrids + one
 // sub-subgrid) realized by the hierarchy machinery on an analytic
 // refinement pattern. ---

@@ -90,7 +90,7 @@ type gateSpec struct {
 var gates = []gateSpec{
 	{
 		File: "BENCH_kernels.json", Metric: "ns_per_op", Pkg: ".",
-		Bench: "^(BenchmarkScalingStep64|BenchmarkScalingMultigrid64|BenchmarkScalingGravityFFT64|BenchmarkChemistry)$",
+		Bench: "^(BenchmarkScalingStep64|BenchmarkScalingMultigrid64|BenchmarkScalingGravityFFT64|BenchmarkChemistry|BenchmarkScalingBoundaryFill)$",
 		// The kernels history keys rows by the full benchmark path.
 		Key: func(name string) (string, bool) { return name, true },
 	},

@@ -168,7 +168,9 @@ func (h *Hierarchy) EvolveLevel(level int, parentTime float64) {
 	if level >= len(h.Levels) || len(h.Levels[level]) == 0 {
 		return
 	}
+	t0 := time.Now()
 	h.setBoundaries(level)
+	h.Timing.Boundary += time.Since(t0)
 	for {
 		now := h.levelTime(level)
 		if now >= parentTime-1e-14*math.Max(1, math.Abs(parentTime)) {
@@ -187,7 +189,7 @@ func (h *Hierarchy) EvolveLevel(level int, parentTime float64) {
 		}
 		h.installTaps(level)
 		h.stepLevelGrids(level, dt)
-		t0 := time.Now()
+		t0 = time.Now()
 		h.setBoundaries(level)
 		h.Timing.Boundary += time.Since(t0)
 
@@ -302,45 +304,41 @@ func (h *Hierarchy) setBoundaries(level int) {
 	if level >= len(h.Levels) {
 		return
 	}
-	for _, g := range h.Levels[level] {
-		h.Stats.BoundaryFills++
-		if g.Level == 0 {
-			for _, f := range g.totalFields() {
+	grids := h.Levels[level]
+	h.Stats.BoundaryFills += int64(len(grids))
+	fields := make([][]*mesh.Field3, len(grids))
+	for i, g := range grids {
+		fields[i] = g.totalFields()
+	}
+	if level == 0 {
+		for _, gf := range fields {
+			for _, f := range gf {
 				f.ApplyPeriodicBC()
 			}
-			continue
 		}
-		fillGhostsFromParent(g, h.Cfg.Refine)
+		return
 	}
+	// Parent pass, grid-parallel: a grid writes only its own ghosts and
+	// reads only the coarser level, so any worker count gives the same bits.
+	par.For(h.Cfg.Workers, len(grids), 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fillGhostsFromParent(grids[i], fields[i], h.Cfg.Refine)
+		}
+	})
 	// Sibling pass: overwrite ghost values where a same-level grid has
 	// the higher-resolution answer. Periodic images are included (a grid
 	// spanning the box is its own periodic sibling), so fine data wins
 	// over coarse parent interpolation across the box boundary too.
-	B := h.levelBoxCells(level)
-	for _, g := range h.Levels[level] {
-		if g.Level == 0 {
-			continue
-		}
-		for _, s := range h.Levels[level] {
-			for _, sh := range periodicShifts(B) {
-				if s == g && sh == [3]int{} {
-					continue
-				}
-				di := s.Lo[0] + sh[0] - g.Lo[0]
-				dj := s.Lo[1] + sh[1] - g.Lo[1]
-				dk := s.Lo[2] + sh[2] - g.Lo[2]
-				// Quick reject: no overlap within ghost halo.
-				if di > g.Nx+hydro.NGhost || di+s.Nx < -hydro.NGhost ||
-					dj > g.Ny+hydro.NGhost || dj+s.Ny < -hydro.NGhost ||
-					dk > g.Nz+hydro.NGhost || dk+s.Nz < -hydro.NGhost {
-					continue
-				}
-				gf := g.totalFields()
-				sf := s.totalFields()
-				for fi := range gf {
-					mesh.CopyOverlap(gf[fi], sf[fi], di, dj, dk, hydro.NGhost)
-				}
-			}
+	//
+	// Serial, in plan order, on purpose: snapToEven grows clustered boxes
+	// into their neighbours, so same-level grids overlap in ACTIVE cells;
+	// CopyOverlap then writes active cells that other grids read, and the
+	// result depends on the order of the copies. A grid-parallel pass is a
+	// data race with a different answer every run.
+	for _, l := range h.siblingLinks(level) {
+		gf, sf := fields[l.g], fields[l.s]
+		for fi := range gf {
+			mesh.CopyOverlap(gf[fi], sf[fi], l.d[0], l.d[1], l.d[2], hydro.NGhost)
 		}
 	}
 }
@@ -355,82 +353,19 @@ func (h *Hierarchy) levelBoxCells(level int) int {
 	return n
 }
 
-// periodicShifts enumerates the 27 periodic image offsets for box size B.
-func periodicShifts(B int) [][3]int {
-	out := make([][3]int, 0, 27)
-	for _, sx := range [3]int{0, -B, B} {
-		for _, sy := range [3]int{0, -B, B} {
-			for _, sz := range [3]int{0, -B, B} {
-				out = append(out, [3]int{sx, sy, sz})
-			}
-		}
-	}
-	return out
-}
-
-// fillGhostsFromParent interpolates every ghost cell of the child from its
-// parent with limited linear reconstruction (all boundary values "first
-// interpolated from the grid's parent").
-func fillGhostsFromParent(g *Grid, refine int) {
+// fillGhostsFromParent interpolates every ghost cell of the child's fields
+// cf from its parent with limited linear reconstruction (all boundary
+// values "first interpolated from the grid's parent").
+func fillGhostsFromParent(g *Grid, cf []*mesh.Field3, refine int) {
 	p := g.Parent
 	if p == nil {
 		return
 	}
 	oi, oj, ok := offsetWithin(p, g, refine)
-	pf := p.totalFields()
-	cf := g.totalFields()
-	ng := hydro.NGhost
-	rf := float64(refine)
-	for fi := range cf {
-		pField := pf[fi]
-		cField := cf[fi]
-		for k := -ng; k < g.Nz+ng; k++ {
-			kGhost := k < 0 || k >= g.Nz
-			for j := -ng; j < g.Ny+ng; j++ {
-				jGhost := j < 0 || j >= g.Ny
-				for i := -ng; i < g.Nx+ng; i++ {
-					if !(kGhost || jGhost || i < 0 || i >= g.Nx) {
-						i = g.Nx - 1 // skip interior span
-						continue
-					}
-					fi3 := oi + i
-					fj3 := oj + j
-					fk3 := ok + k
-					pi := floorDiv(fi3, refine)
-					pj := floorDiv(fj3, refine)
-					pk := floorDiv(fk3, refine)
-					zi := (float64(fi3-pi*refine)+0.5)/rf - 0.5
-					zj := (float64(fj3-pj*refine)+0.5)/rf - 0.5
-					zk := (float64(fk3-pk*refine)+0.5)/rf - 0.5
-					c := pField.At(pi, pj, pk)
-					sx := minmod3(pField.At(pi-1, pj, pk), c, pField.At(pi+1, pj, pk))
-					sy := minmod3(pField.At(pi, pj-1, pk), c, pField.At(pi, pj+1, pk))
-					sz := minmod3(pField.At(pi, pj, pk-1), c, pField.At(pi, pj, pk+1))
-					cField.Set(i, j, k, c+sx*zi+sy*zj+sz*zk)
-				}
-			}
-		}
+	pl := mesh.NewProlongation(g.Nx, g.Ny, g.Nz, oi, oj, ok, refine, hydro.NGhost)
+	for fi, pf := range p.totalFields() {
+		pl.FillGhosts(pf, cf[fi])
 	}
-}
-
-func minmod3(l, c, r float64) float64 {
-	dl := c - l
-	dr := r - c
-	if dl*dr <= 0 {
-		return 0
-	}
-	if math.Abs(dl) < math.Abs(dr) {
-		return dl
-	}
-	return dr
-}
-
-func floorDiv(a, b int) int {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
 }
 
 // installTaps prepares each grid's interior flux taps at the boundary
@@ -549,9 +484,9 @@ func fillPhiGhosts(g *Grid, refine int) {
 					continue
 				}
 				fi3, fj3, fk3 := oi+i, oj+j, ok+k
-				pi := floorDiv(fi3, refine)
-				pj := floorDiv(fj3, refine)
-				pk := floorDiv(fk3, refine)
+				pi := mesh.FloorDiv(fi3, refine)
+				pj := mesh.FloorDiv(fj3, refine)
+				pk := mesh.FloorDiv(fk3, refine)
 				zi := (float64(fi3-pi*refine)+0.5)/rf - 0.5
 				zj := (float64(fj3-pj*refine)+0.5)/rf - 0.5
 				zk := (float64(fk3-pk*refine)+0.5)/rf - 0.5
@@ -617,6 +552,7 @@ func (h *Hierarchy) fluxCorrect(level int) {
 	}
 	r := h.Cfg.Refine
 	r2 := float64(r * r)
+	fine := make([]float64, h.Root().Reg.NFields) // applyCorrection's per-cell scratch
 	for _, g := range h.Levels[level] {
 		for ci, c := range g.Children {
 			taps := g.Taps[6*ci : 6*ci+6]
@@ -650,7 +586,7 @@ func (h *Hierarchy) fluxCorrect(level int) {
 						}
 						// Fine flux: average child register over r^2
 						// fine faces (dt-integrated).
-						h.applyCorrection(g, c, taps[face], face, dir, high, i, j, k, c1, c2, r, r2)
+						h.applyCorrection(g, c, taps[face], fine, face, dir, high, i, j, k, c1, c2, r, r2)
 					}
 				}
 			}
@@ -680,12 +616,12 @@ func cellFromFace(dir, ci0, c1, c2 int) (int, int, int) {
 	}
 }
 
-// applyCorrection adjusts one coarse cell for one face's flux mismatch.
-func (h *Hierarchy) applyCorrection(g, c *Grid, tap *hydro.FluxTap, face, dir int, high bool, i, j, k, c1, c2, r int, r2 float64) {
+// applyCorrection adjusts one coarse cell for one face's flux mismatch;
+// fine is caller-owned scratch of c.Reg.NFields entries.
+func (h *Hierarchy) applyCorrection(g, c *Grid, tap *hydro.FluxTap, fine []float64, face, dir int, high bool, i, j, k, c1, c2, r int, r2 float64) {
 	// Child register face index layout matches hydro.FluxRegister.
 	reg := c.Reg
 	nf := reg.NFields
-	fine := make([]float64, nf)
 	// Child-local transverse ranges of the r^2 fine faces for this
 	// coarse face cell. c1/c2 are in g's active coords; child-local
 	// coarse offsets:
@@ -787,6 +723,8 @@ func (h *Hierarchy) project(level int) {
 	}
 	r := h.Cfg.Refine
 	r3 := float64(r * r * r)
+	nsp := len(h.Root().State.Species)
+	spSum := make([]float64, nsp)
 	for _, g := range h.Levels[level] {
 		for _, c := range g.Children {
 			lo := [3]int{c.Lo[0]/r - g.Lo[0], c.Lo[1]/r - g.Lo[1], c.Lo[2]/r - g.Lo[2]}
@@ -796,8 +734,7 @@ func (h *Hierarchy) project(level int) {
 				for pj := 0; pj < c.Ny/r; pj++ {
 					for pi := 0; pi < c.Nx/r; pi++ {
 						var mRho, mMx, mMy, mMz, mE, mEi float64
-						nsp := len(gs.Species)
-						spSum := make([]float64, nsp)
+						clear(spSum)
 						for dk := 0; dk < r; dk++ {
 							for dj := 0; dj < r; dj++ {
 								for di := 0; di < r; di++ {

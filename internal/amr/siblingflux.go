@@ -15,42 +15,36 @@ func (h *Hierarchy) reconcileSiblingFluxes(level int) {
 		return
 	}
 	grids := h.Levels[level]
-	B := h.levelBoxCells(level)
-	// Ordered enumeration: every physical shared face has exactly one
-	// (left grid, right grid, shift) triple with a.Hi == b.Lo + shift.
-	for _, a := range grids {
-		for _, b := range grids {
-			for _, sh := range periodicShifts(B) {
-				if a == b && sh == [3]int{} {
-					continue
-				}
-				for dir := 0; dir < 3; dir++ {
-					if a.Hi()[dir] == b.Lo[dir]+sh[dir] {
-						reconcilePair(a, b, dir, sh, h)
-					}
-				}
+	// Every physical shared face has exactly one (left grid, right grid,
+	// image) link with a's high face on b's low face; links that touch
+	// along an axis are a subset of the sibling plan, in the same order.
+	for _, l := range h.siblingLinks(level) {
+		a, b := grids[l.g], grids[l.s]
+		for dir, n := range [3]int{a.Nx, a.Ny, a.Nz} {
+			if l.d[dir] == n {
+				reconcilePair(a, b, dir, l.d, h)
 			}
 		}
 	}
 }
 
 // reconcilePair handles grid a's high face touching grid b's low face
-// along dir, with b displaced by the periodic shift sh. Transverse overlap
-// is computed in a's face coordinates.
-func reconcilePair(a, b *Grid, dir int, sh [3]int, h *Hierarchy) {
+// along dir, with b's (periodically shifted) origin at d in a's active
+// index space. Transverse overlap is computed in a's face coordinates.
+func reconcilePair(a, b *Grid, dir int, d [3]int, h *Hierarchy) {
 	// Transverse dims (t1, t2) and sizes for the two grids.
 	var an1, an2, bn1, bn2 int
 	var aOff1, aOff2 int // b's (shifted) origin minus a's origin, transverse
 	switch dir {
 	case 0:
 		an1, an2, bn1, bn2 = a.Ny, a.Nz, b.Ny, b.Nz
-		aOff1, aOff2 = b.Lo[1]+sh[1]-a.Lo[1], b.Lo[2]+sh[2]-a.Lo[2]
+		aOff1, aOff2 = d[1], d[2]
 	case 1:
 		an1, an2, bn1, bn2 = a.Nx, a.Nz, b.Nx, b.Nz
-		aOff1, aOff2 = b.Lo[0]+sh[0]-a.Lo[0], b.Lo[2]+sh[2]-a.Lo[2]
+		aOff1, aOff2 = d[0], d[2]
 	default:
 		an1, an2, bn1, bn2 = a.Nx, a.Ny, b.Nx, b.Ny
-		aOff1, aOff2 = b.Lo[0]+sh[0]-a.Lo[0], b.Lo[1]+sh[1]-a.Lo[1]
+		aOff1, aOff2 = d[0], d[1]
 	}
 	lo1 := maxI(0, aOff1)
 	hi1 := minI(an1, aOff1+bn1)

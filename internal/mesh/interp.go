@@ -36,11 +36,11 @@ func minmod(l, c, r float64) float64 {
 // refinement factor. Fills the child's active region plus nb ghost layers.
 func ProlongPiecewiseConstant(parent, child *Field3, offI, offJ, offK, r, nb int) {
 	for k := -nb; k < child.Nz+nb; k++ {
-		pk := floorDiv(offK+k, r)
+		pk := FloorDiv(offK+k, r)
 		for j := -nb; j < child.Ny+nb; j++ {
-			pj := floorDiv(offJ+j, r)
+			pj := FloorDiv(offJ+j, r)
 			for i := -nb; i < child.Nx+nb; i++ {
-				pi := floorDiv(offI+i, r)
+				pi := FloorDiv(offI+i, r)
 				child.Set(i, j, k, parent.At(pi, pj, pk))
 			}
 		}
@@ -55,33 +55,93 @@ func ProlongPiecewiseConstant(parent, child *Field3, offI, offJ, offK, r, nb int
 // The parent must have at least one valid ghost layer around the touched
 // region.
 func ProlongLinear(parent, child *Field3, offI, offJ, offK, r, nb int) {
-	rf := float64(r)
-	for k := -nb; k < child.Nz+nb; k++ {
-		fk := offK + k
-		pk := floorDiv(fk, r)
-		// Fractional offset of the fine cell center from the coarse
-		// cell center, in coarse cell widths: in (-1/2, 1/2).
-		zk := (float64(fk-pk*r) + 0.5) / rf
-		dzk := zk - 0.5
-		for j := -nb; j < child.Ny+nb; j++ {
-			fj := offJ + j
-			pj := floorDiv(fj, r)
-			zj := (float64(fj-pj*r) + 0.5) / rf
-			dzj := zj - 0.5
-			for i := -nb; i < child.Nx+nb; i++ {
-				fi := offI + i
-				pi := floorDiv(fi, r)
-				zi := (float64(fi-pi*r) + 0.5) / rf
-				dzi := zi - 0.5
+	p := NewProlongation(child.Nx, child.Ny, child.Nz, offI, offJ, offK, r, nb)
+	p.Fill(parent, child, [3]int{-nb, -nb, -nb}, [3]int{child.Nx + nb, child.Ny + nb, child.Nz + nb})
+}
 
-				c := parent.At(pi, pj, pk)
-				sx := minmod(parent.At(pi-1, pj, pk), c, parent.At(pi+1, pj, pk))
-				sy := minmod(parent.At(pi, pj-1, pk), c, parent.At(pi, pj+1, pk))
-				sz := minmod(parent.At(pi, pj, pk-1), c, parent.At(pi, pj, pk+1))
-				child.Set(i, j, k, c+sx*dzi+sy*dzj+sz*dzk)
+// Prolongation is the limited-linear parent→child map of one child grid:
+// for every child index within nb of the active region, per axis, the
+// parent cell containing it and the fine cell centre's offset from that
+// parent cell's centre in coarse cell widths (in (-1/2, 1/2)). Both depend
+// only on the grid's placement, so one value serves all of a grid's fields.
+type Prolongation struct {
+	nb  int
+	idx [3][]int     // parent active index of child index i, at [i+nb]
+	w   [3][]float64 // centre offset of child index i, at [i+nb]
+}
+
+// NewProlongation builds the map for a child of nx×ny×nz active cells
+// whose (0,0,0) lies offI/offJ/offK fine cells from the parent's, at
+// refinement factor r, covering nb child ghost layers.
+func NewProlongation(nx, ny, nz, offI, offJ, offK, r, nb int) *Prolongation {
+	p := &Prolongation{nb: nb}
+	n := [3]int{nx + 2*nb, ny + 2*nb, nz + 2*nb}
+	off := [3]int{offI, offJ, offK}
+	idx := make([]int, n[0]+n[1]+n[2])
+	w := make([]float64, len(idx))
+	rf := float64(r)
+	for d := 0; d < 3; d++ {
+		p.idx[d], idx = idx[:n[d]], idx[n[d]:]
+		p.w[d], w = w[:n[d]], w[n[d]:]
+		for t := range p.idx[d] {
+			f := off[d] + t - nb
+			pi := FloorDiv(f, r)
+			p.idx[d][t] = pi
+			p.w[d][t] = (float64(f-pi*r)+0.5)/rf - 0.5
+		}
+	}
+	return p
+}
+
+// Fill interpolates the child cells of the box [lo, hi) (child active
+// indices; ghosts are negative or >= N) from the parent, row by row over
+// flat Data: the three limited slopes are computed once per parent cell
+// and reused by the r fine cells of the row that share it.
+func (p *Prolongation) Fill(parent, child *Field3, lo, hi [3]int) {
+	if lo[0] >= hi[0] {
+		return
+	}
+	pd, cd := parent.Data, child.Data
+	psy, psz := parent.sx, parent.sy
+	nb := p.nb
+	ix := p.idx[0][lo[0]+nb : hi[0]+nb]
+	wx := p.w[0][lo[0]+nb : hi[0]+nb]
+	for k := lo[2]; k < hi[2]; k++ {
+		pk, zk := p.idx[2][k+nb], p.w[2][k+nb]
+		for j := lo[1]; j < hi[1]; j++ {
+			pj, zj := p.idx[1][j+nb], p.w[1][j+nb]
+			pbase := parent.Idx(0, pj, pk)
+			cbase := child.Idx(lo[0], j, k)
+			out := cd[cbase : cbase+len(ix)]
+			prev := ix[0] - 1
+			var c, sx, sy, sz float64
+			for n, pi := range ix {
+				if pi != prev {
+					prev = pi
+					q := pbase + pi
+					c = pd[q]
+					sx = minmod(pd[q-1], c, pd[q+1])
+					sy = minmod(pd[q-psy], c, pd[q+psy])
+					sz = minmod(pd[q-psz], c, pd[q+psz])
+				}
+				out[n] = c + sx*wx[n] + sy*zj + sz*zk
 			}
 		}
 	}
+}
+
+// FillGhosts interpolates the nb-deep ghost halo of child from the parent
+// and leaves the active region alone (paper §3.2.1 step 1): six slabs, the
+// z pair spanning the full x–y extent, the y pair the full x extent.
+func (p *Prolongation) FillGhosts(parent, child *Field3) {
+	nb := p.nb
+	nx, ny, nz := child.Nx, child.Ny, child.Nz
+	p.Fill(parent, child, [3]int{-nb, -nb, -nb}, [3]int{nx + nb, ny + nb, 0})
+	p.Fill(parent, child, [3]int{-nb, -nb, nz}, [3]int{nx + nb, ny + nb, nz + nb})
+	p.Fill(parent, child, [3]int{-nb, -nb, 0}, [3]int{nx + nb, 0, nz})
+	p.Fill(parent, child, [3]int{-nb, ny, 0}, [3]int{nx + nb, ny + nb, nz})
+	p.Fill(parent, child, [3]int{-nb, 0, 0}, [3]int{0, ny, nz})
+	p.Fill(parent, child, [3]int{nx, 0, 0}, [3]int{nx + nb, ny, nz})
 }
 
 // Restrict projects the child's active region onto the parent by averaging
@@ -147,16 +207,22 @@ func CopyOverlap(dst, src *Field3, di, dj, dk, nb int) {
 	j1 := minInt(dst.Ny+nb, dj+src.Ny)
 	k0 := maxInt(-nb, dk)
 	k1 := minInt(dst.Nz+nb, dk+src.Nz)
+	if i0 >= i1 {
+		return
+	}
+	n := i1 - i0
 	for k := k0; k < k1; k++ {
 		for j := j0; j < j1; j++ {
-			for i := i0; i < i1; i++ {
-				dst.Set(i, j, k, src.At(i-di, j-dj, k-dk))
-			}
+			d := dst.Idx(i0, j, k)
+			s := src.Idx(i0-di, j-dj, k-dk)
+			copy(dst.Data[d:d+n], src.Data[s:s+n])
 		}
 	}
 }
 
-func floorDiv(a, b int) int {
+// FloorDiv returns a/b rounded toward negative infinity: the coarse cell
+// containing fine index a at refinement factor b, ghosts (a < 0) included.
+func FloorDiv(a, b int) int {
 	q := a / b
 	if a%b != 0 && (a < 0) != (b < 0) {
 		q--

@@ -232,8 +232,8 @@ func TestFloorDiv(t *testing.T) {
 		{5, 2, 2}, {-5, 2, -3}, {4, 2, 2}, {-4, 2, -2}, {0, 3, 0}, {-1, 4, -1},
 	}
 	for _, c := range cases {
-		if got := floorDiv(c.a, c.b); got != c.want {
-			t.Errorf("floorDiv(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
+		if got := FloorDiv(c.a, c.b); got != c.want {
+			t.Errorf("FloorDiv(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
