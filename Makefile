@@ -79,10 +79,10 @@ bench-queue:
 bench-speculate:
 	$(GO) test -run xxx -bench '^BenchmarkSpeculativeSweep$$' -benchmem ./internal/sim
 
-# The derived-output projection kernel (SurfaceDensity) at 1/2/4/NumCPU
-# workers; the baseline lives in BENCH_projection.json.
+# The sample-lattice kernels: the projection (SurfaceDensity) at 1/2/4/NumCPU
+# workers — baseline in BENCH_projection.json — and a 256-px slice (ungated).
 bench-projection:
-	$(GO) test -run xxx -bench 'Projection' -benchmem .
+	$(GO) test -run xxx -bench '^(BenchmarkProjection|BenchmarkSlice)$$' -benchmem .
 
 # CI performance-regression gate: re-run the gated benchmarks and compare
 # ns/op against the latest row of each committed BENCH_*.json history

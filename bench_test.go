@@ -85,15 +85,9 @@ func newScalingHierarchy(b *testing.B, rootN, workers int) *amr.Hierarchy {
 	return h
 }
 
-// BenchmarkProjection measures the SurfaceDensity projection kernel — a
-// 128² column-density map with 128 line-of-sight samples over an evolved
-// multi-level sedov hierarchy — at 1/2/4/NumCPU workers. This is the hot
-// path of the sim service's derived-output pipeline (in-flight data
-// products are evaluated at root-step boundaries on the job's worker
-// share); results are bitwise identical across rows, so the bench
-// measures pure execution-model gains. The baseline history lives in
-// BENCH_projection.json (`make bench-projection`).
-func BenchmarkProjection(b *testing.B) {
+// projectionHierarchy evolves the multi-level sedov hierarchy the
+// analysis-kernel benches sample.
+func projectionHierarchy(b *testing.B) *amr.Hierarchy {
 	sim, err := core.New("sedov", func(o *problems.Opts) {
 		o.RootN, o.MaxLevel, o.Workers = 32, 2, 1
 		o.Extra["e0"] = 50
@@ -105,15 +99,40 @@ func BenchmarkProjection(b *testing.B) {
 	if sim.H.MaxLevel() == 0 {
 		b.Fatal("projection bench hierarchy did not refine")
 	}
+	return sim.H
+}
+
+// BenchmarkProjection measures the SurfaceDensity projection kernel — a
+// 128² column-density map with 128 line-of-sight samples over an evolved
+// multi-level sedov hierarchy — at 1/2/4/NumCPU workers. This is the hot
+// path of the sim service's derived-output pipeline (in-flight data
+// products are evaluated at root-step boundaries on the job's worker
+// share); results are bitwise identical across rows, so the bench
+// measures pure execution-model gains. The baseline history lives in
+// BENCH_projection.json (`make bench-projection`).
+func BenchmarkProjection(b *testing.B) {
+	h := projectionHierarchy(b)
 	const n, nsamp = 128, 128
 	for _, w := range scalingWorkerCounts() {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				analysis.SurfaceDensity(sim.H, 2, 0, 1, 0, 1, n, nsamp, w)
+				analysis.SurfaceDensity(h, 2, 0, 1, 0, 1, n, nsamp, w)
 			}
 			b.ReportMetric(float64(n*n*nsamp)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 		})
 	}
+}
+
+// BenchmarkSlice measures the other kernel on the sample lattice: a
+// 256-px log-density slice through the same hierarchy (`make
+// bench-projection` runs it; it has no gated baseline).
+func BenchmarkSlice(b *testing.B) {
+	h := projectionHierarchy(b)
+	b.Run("workers1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			analysis.DensitySlice(h, 2, 0.5, 0, 1, 0, 1, 256, 1)
+		}
+	})
 }
 
 // BenchmarkScalingStep64 measures a full 64³ root-grid Hierarchy.Step

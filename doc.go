@@ -151,7 +151,10 @@
 //
 // The same requests drive `enzogo -output` (one-shot runs, files in
 // -outdir) and sweep rows' "outputs" lists (enzobatch -artifacts).
-// The sampling loops run on par.For with per-row or per-grid partials
+// Slices and projections resolve whole lines of sight through one
+// separable sample lattice (per-axis containment and cell-index tables,
+// internal/analysis/lattice.go) instead of locating each sample; the
+// sampling loops run on par.For with per-row or per-grid partials
 // reduced in a fixed order, so the analysis itself is bitwise invariant
 // to the worker count; on particle-free problems the whole product is,
 // and a served artifact can be verified byte-for-byte against an

@@ -6,6 +6,10 @@
 // visualizations of Fig. 3. All routines understand the structure of the
 // hierarchy: each point of space is represented by its finest covering
 // grid, and coarse cells under refined regions are skipped.
+//
+// Slices and projections resolve whole lines of sight through per-axis
+// containment and cell-index tables (lattice.go), bitwise equal to a
+// FinestGridAt descent per sample, at any worker count.
 package analysis
 
 import (
@@ -276,46 +280,16 @@ func minImage(d float64) float64 {
 // Slice samples a 2-D plane of the composite solution. axis selects the
 // normal (0=x: plane spans y,z); coord is the plane position in box units;
 // the window [lo0,hi0)x[lo1,hi1) is sampled at n×n points. value extracts
-// the quantity from the finest covering grid. Rows are sampled in
-// parallel on `workers` par goroutines (0 = NumCPU, 1 = serial); each row
-// is written by exactly one worker, so the image is bitwise identical at
-// any worker count.
+// the quantity from the finest covering grid (the sample lattice with a
+// one-point line of sight). Rows are sampled in parallel on `workers` par
+// goroutines (0 = NumCPU, 1 = serial); each row is written by exactly one
+// worker, so the image is bitwise identical at any worker count.
 func Slice(h *amr.Hierarchy, axis int, coord float64, lo0, hi0, lo1, hi1 float64, n, workers int,
 	value func(g *amr.Grid, i, j, k int) float64) [][]float64 {
-	out := make([][]float64, n)
-	for b := range out {
-		out[b] = make([]float64, n)
-	}
-	par.For(workers, n, 0, func(_, blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			c1 := lo1 + (float64(b)+0.5)*(hi1-lo1)/float64(n)
-			for a := 0; a < n; a++ {
-				c0 := lo0 + (float64(a)+0.5)*(hi0-lo0)/float64(n)
-				g, i, j, k := sampleCell(h, axis, coord, c0, c1)
-				out[b][a] = value(g, i, j, k)
-			}
-		}
-	})
-	return out
-}
-
-// sampleCell locates the finest grid cell covering the sample point with
-// in-plane coordinates (c0,c1) on the plane axis=coord.
-func sampleCell(h *amr.Hierarchy, axis int, coord, c0, c1 float64) (g *amr.Grid, i, j, k int) {
-	var x, y, z float64
-	switch axis {
-	case 0:
-		x, y, z = coord, c0, c1
-	case 1:
-		x, y, z = c0, coord, c1
-	default:
-		x, y, z = c0, c1, coord
-	}
-	g = h.FinestGridAt(wrap01(x), wrap01(y), wrap01(z))
-	i = clampI(int((wrap01(x)-g.Edge[0].Float64())/g.Dx), g.Nx-1)
-	j = clampI(int((wrap01(y)-g.Edge[1].Float64())/g.Dx), g.Ny-1)
-	k = clampI(int((wrap01(z)-g.Edge[2].Float64())/g.Dx), g.Nz-1)
-	return g, i, j, k
+	return sampleLattice(h, axis, lo0, hi0, lo1, hi1, n, []float64{coord}, workers,
+		func(l *lattice, a, b int, owner []int32) float64 {
+			return value(l.cell(owner[0], a, b, 0))
+		})
 }
 
 // DensitySlice is the Fig. 3 quantity: log10 of gas density.
@@ -323,22 +297,4 @@ func DensitySlice(h *amr.Hierarchy, axis int, coord float64, lo0, hi0, lo1, hi1 
 	return Slice(h, axis, coord, lo0, hi0, lo1, hi1, n, workers, func(g *amr.Grid, i, j, k int) float64 {
 		return math.Log10(math.Max(g.State.Rho.At(i, j, k), 1e-300))
 	})
-}
-
-func wrap01(x float64) float64 {
-	x = math.Mod(x, 1)
-	if x < 0 {
-		x++
-	}
-	return x
-}
-
-func clampI(v, max int) int {
-	if v < 0 {
-		return 0
-	}
-	if v > max {
-		return max
-	}
-	return v
 }

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/amr"
 	"repro/internal/chem"
-	"repro/internal/par"
 	"repro/internal/units"
 )
 
@@ -98,33 +97,25 @@ func SurfaceDensity(h *amr.Hierarchy, axis int, lo0, hi0, lo1, hi1 float64, n, n
 
 // ProjectField integrates an arbitrary cell quantity along the given axis
 // over the window, sampling the finest covering grid at nsamp points per
-// line of sight. Pixel rows are distributed over `workers` par goroutines
-// (0 = NumCPU, 1 = serial); every pixel accumulates its own line of sight
-// serially in sample order, so the projection is bitwise identical at any
-// worker count.
+// line of sight (resolved together by the sample lattice). Pixel rows are
+// distributed over `workers` par goroutines (0 = NumCPU, 1 = serial); every
+// pixel accumulates its own line of sight serially in sample order, so the
+// projection is bitwise identical at any worker count.
 func ProjectField(h *amr.Hierarchy, axis int, lo0, hi0, lo1, hi1 float64, n, nsamp, workers int,
 	value func(g *amr.Grid, i, j, k int) float64) [][]float64 {
-	out := make([][]float64, n)
-	for b := range out {
-		out[b] = make([]float64, n)
-	}
 	dlos := 1.0 / float64(nsamp)
-	par.For(workers, n, 0, func(_, blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			c1 := lo1 + (float64(b)+0.5)*(hi1-lo1)/float64(n)
-			for a := 0; a < n; a++ {
-				c0 := lo0 + (float64(a)+0.5)*(hi0-lo0)/float64(n)
-				var sum float64
-				for s := 0; s < nsamp; s++ {
-					coord := (float64(s) + 0.5) * dlos
-					g, i, j, k := sampleCell(h, axis, coord, c0, c1)
-					sum += value(g, i, j, k) * dlos
-				}
-				out[b][a] = sum
+	los := make([]float64, max(nsamp, 0))
+	for s := range los {
+		los[s] = (float64(s) + 0.5) * dlos
+	}
+	return sampleLattice(h, axis, lo0, hi0, lo1, hi1, n, los, workers,
+		func(l *lattice, a, b int, owner []int32) float64 {
+			var sum float64
+			for s, g := range owner {
+				sum += value(l.cell(g, a, b, s)) * dlos
 			}
-		}
-	})
-	return out
+			return sum
+		})
 }
 
 // InertiaTensor returns the mass-weighted inertia tensor (second moments

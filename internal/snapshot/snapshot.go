@@ -24,6 +24,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/amr"
 	"repro/internal/ep128"
@@ -132,11 +134,10 @@ func WriteSized(w io.Writer, h *amr.Hierarchy, problem string) (rawBytes int64, 
 			gi++
 		}
 	}
-	zw, err := gzip.NewWriterLevel(w, gzip.BestSpeed)
-	if err != nil {
-		return 0, fmt.Errorf("snapshot: gzip: %w", err)
-	}
-	zw.Comment = gzipComment
+	zw := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(zw)
+	zw.Reset(w)
+	zw.Comment = gzipComment // Reset clears the header
 	cw := &countWriter{w: zw}
 	if err := gob.NewEncoder(cw).Encode(&f); err != nil {
 		return 0, fmt.Errorf("snapshot: encode: %w", err)
@@ -144,6 +145,17 @@ func WriteSized(w io.Writer, h *amr.Hierarchy, problem string) (rawBytes int64, 
 	return cw.n, zw.Close()
 }
 
+// gzipWriters recycles the BestSpeed compressors (≈1.2 MB of tables each)
+// across the checkpoints of the sim scheduler's slot goroutines.
+var gzipWriters = sync.Pool{New: func() any {
+	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // the level is valid
+	return zw
+}}
+
+// encodeGrid builds the record of one grid. Field data and the particle
+// velocity/mass/id slices are aliased, not copied: the record only lives
+// for the duration of one encode, and the hierarchy is not stepped while
+// it is being encoded.
 func encodeGrid(g *amr.Grid) GridRec {
 	rec := GridRec{
 		Level: g.Level, Lo: g.Lo, Nx: g.Nx, Ny: g.Ny, Nz: g.Nz,
@@ -153,25 +165,23 @@ func encodeGrid(g *amr.Grid) GridRec {
 		rec.EdgeHi[d] = g.Edge[d].Hi
 		rec.EdgeLo[d] = g.Edge[d].Lo
 	}
-	for _, fld := range g.State.Fields() {
-		data := make([]float64, len(fld.Data))
-		copy(data, fld.Data)
-		rec.Fields = append(rec.Fields, data)
+	fields := g.State.Fields()
+	rec.Fields = make([][]float64, len(fields))
+	for fi, fld := range fields {
+		rec.Fields[fi] = fld.Data
 	}
 	p := g.Parts
-	for i := 0; i < p.Len(); i++ {
-		rec.PXHi = append(rec.PXHi, p.X[i].Hi)
-		rec.PXLo = append(rec.PXLo, p.X[i].Lo)
-		rec.PYHi = append(rec.PYHi, p.Y[i].Hi)
-		rec.PYLo = append(rec.PYLo, p.Y[i].Lo)
-		rec.PZHi = append(rec.PZHi, p.Z[i].Hi)
-		rec.PZLo = append(rec.PZLo, p.Z[i].Lo)
+	n := p.Len()
+	split := make([]float64, 6*n) // extended-precision positions, Hi and Lo apart
+	rec.PXHi, rec.PXLo = split[:n], split[n:2*n]
+	rec.PYHi, rec.PYLo = split[2*n:3*n], split[3*n:4*n]
+	rec.PZHi, rec.PZLo = split[4*n:5*n], split[5*n:]
+	for i := 0; i < n; i++ {
+		rec.PXHi[i], rec.PXLo[i] = p.X[i].Hi, p.X[i].Lo
+		rec.PYHi[i], rec.PYLo[i] = p.Y[i].Hi, p.Y[i].Lo
+		rec.PZHi[i], rec.PZLo[i] = p.Z[i].Hi, p.Z[i].Lo
 	}
-	rec.PVx = append(rec.PVx, p.Vx...)
-	rec.PVy = append(rec.PVy, p.Vy...)
-	rec.PVz = append(rec.PVz, p.Vz...)
-	rec.PMass = append(rec.PMass, p.Mass...)
-	rec.PID = append(rec.PID, p.ID...)
+	rec.PVx, rec.PVy, rec.PVz, rec.PMass, rec.PID = p.Vx, p.Vy, p.Vz, p.Mass, p.ID
 	return rec
 }
 
@@ -347,12 +357,17 @@ func Encode(h *amr.Hierarchy, problem string) ([]byte, error) {
 // payload size (see WriteSized).
 func EncodeSized(h *amr.Hierarchy, problem string) ([]byte, int64, error) {
 	var buf bytes.Buffer
+	buf.Grow(int(lastEncodedSize.Load())) // one allocation instead of a doubling chain
 	raw, err := WriteSized(&buf, h, problem)
 	if err != nil {
 		return nil, 0, err
 	}
+	lastEncodedSize.Store(int64(buf.Len()))
 	return buf.Bytes(), raw, nil
 }
+
+// lastEncodedSize, the previous EncodeSized's output size, hints the next.
+var lastEncodedSize atomic.Int64
 
 // Save writes a snapshot to path; problem is the registry name of the
 // run's problem (may be "").
