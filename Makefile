@@ -4,7 +4,7 @@ GO ?= go
 # staticcheck job; bump deliberately, in its own commit.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test test-full vet staticcheck sloc bench-module bench bench-scaling bench-kernels bench-sim bench-serve bench-queue bench-speculate bench-projection perfgate golden-update problems cluster docs clean
+.PHONY: build test test-full vet staticcheck sloc bench-module bench bench-scaling perfgate golden-update problems cluster docs clean
 
 build:
 	$(GO) build ./...
@@ -40,54 +40,24 @@ sloc:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# All paper-reproduction benchmarks, plus the job-service rows — together
-# these regenerate every committed BENCH_*.json history (append a row; do
-# not overwrite).
-bench: bench-sim bench-serve bench-queue bench-speculate
-	$(GO) test -bench=. -benchmem .
+# Every benchmark of both benchmark packages: the paper's figures, tables
+# and ablations, the kernel scaling rows and the job-service rows. For
+# numbers to commit use `make perfgate`, which prints a BENCH.json row.
+bench:
+	$(GO) test -run xxx -bench=. -benchmem . ./internal/sim
 
 # Serial-vs-parallel scaling of the hot kernels (hydro sweeps, FFT
 # Poisson solve, multigrid) at 1/2/4/NumCPU workers.
 bench-scaling:
 	$(GO) test -run xxx -bench='Scaling' -benchmem .
 
-# The perfgate-gated kernel set (hydro step, multigrid, FFT, chemistry,
-# AMR ghost-zone fill) at 1/2/4/NumCPU workers; the baseline lives in
-# BENCH_kernels.json.
-bench-kernels:
-	$(GO) test -run xxx -bench '^(BenchmarkScalingStep64|BenchmarkScalingMultigrid64|BenchmarkScalingGravityFFT64|BenchmarkChemistry|BenchmarkScalingBoundaryFill)$$' -benchmem .
-
-# Job-service throughput (jobs/sec at 1/2/4 concurrent slots) and the
-# cache-hit fast path; the baseline lives in BENCH_sim.json.
-bench-sim:
-	$(GO) test -run xxx -bench 'Sim(Throughput|CacheHit)' -benchmem ./internal/sim
-
-# Artifact serving throughput (cold/warm/etag304/tiles read regimes of
-# one GET through the scheduler handler); the baseline lives in
-# BENCH_serve.json.
-bench-serve:
-	$(GO) test -run xxx -bench 'ServeReads' -benchmem ./internal/sim
-
-# Steady-state dispatch cost of the fair-share QoS queue at 1/4/16
-# tenants; the baseline lives in BENCH_queue.json.
-bench-queue:
-	$(GO) test -run xxx -bench '^BenchmarkSchedulerQoS$$' -benchmem ./internal/sim
-
-# Wall time of a staggered-arrival sweep with speculative pre-warming
-# off vs on (the enzobatch -server -stagger pattern); the baseline
-# lives in BENCH_speculate.json.
-bench-speculate:
-	$(GO) test -run xxx -bench '^BenchmarkSpeculativeSweep$$' -benchmem ./internal/sim
-
-# The sample-lattice kernels: the projection (SurfaceDensity) at 1/2/4/NumCPU
-# workers — baseline in BENCH_projection.json — and a 256-px slice (ungated).
-bench-projection:
-	$(GO) test -run xxx -bench '^(BenchmarkProjection|BenchmarkSlice)$$' -benchmem .
-
-# CI performance-regression gate: re-run the gated benchmarks and compare
-# ns/op against the latest row of each committed BENCH_*.json history
-# (±15% by default). PERFGATE_FLAGS widens the tolerance on noisy shared
-# runners, e.g. PERFGATE_FLAGS='-tol 0.25'.
+# The performance-regression gate: re-run every benchmark baselined in
+# BENCH.json five times and judge the medians against each name's newest
+# row — ns/op within ±15% when that row was recorded on this host (not
+# judged otherwise), allocs/op exactly on any host — then print the
+# measured row, ready to append. PERFGATE_FLAGS passes flags through, e.g.
+# PERFGATE_FLAGS='-tol 0.25' or PERFGATE_FLAGS='-only BenchmarkNew' to give
+# a new benchmark its first row.
 perfgate:
 	$(GO) run ./cmd/perfgate $(PERFGATE_FLAGS)
 

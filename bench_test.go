@@ -108,8 +108,7 @@ func projectionHierarchy(b *testing.B) *amr.Hierarchy {
 // path of the sim service's derived-output pipeline (in-flight data
 // products are evaluated at root-step boundaries on the job's worker
 // share); results are bitwise identical across rows, so the bench
-// measures pure execution-model gains. The baseline history lives in
-// BENCH_projection.json (`make bench-projection`).
+// measures pure execution-model gains. Baselined in BENCH.json.
 func BenchmarkProjection(b *testing.B) {
 	h := projectionHierarchy(b)
 	const n, nsamp = 128, 128
@@ -124,8 +123,8 @@ func BenchmarkProjection(b *testing.B) {
 }
 
 // BenchmarkSlice measures the other kernel on the sample lattice: a
-// 256-px log-density slice through the same hierarchy (`make
-// bench-projection` runs it; it has no gated baseline).
+// 256-px log-density slice through the same hierarchy. Baselined in
+// BENCH.json.
 func BenchmarkSlice(b *testing.B) {
 	h := projectionHierarchy(b)
 	b.Run("workers1", func(b *testing.B) {
@@ -155,8 +154,8 @@ func BenchmarkScalingStep64(b *testing.B) {
 // chemistry operator's execution model — over a 32³ block of cells
 // spanning the collapse's density range (1e-2..1e2 cm⁻³, a few hundred K)
 // at 1/2/4/NumCPU workers. Every cell is an independent stiff
-// integration, so results are bitwise identical across rows; the baseline
-// history lives in BENCH_kernels.json (`make bench-kernels`).
+// integration, so results are bitwise identical across rows. Baselined
+// in BENCH.json.
 func BenchmarkChemistry(b *testing.B) {
 	const n = 32
 	cp := chem.CoolParams{Redshift: 20}
@@ -237,8 +236,7 @@ func BenchmarkScalingMultigrid64(b *testing.B) {
 // subgrids over the central 0.6³ of a 16³ root — the small-grid regime of
 // the AMR workloads, with 468 sibling pairs overlapping in active cells.
 // An EvolveLevel call whose target is the level's current time performs
-// exactly the entry fill and no step. allocs/op is host-independent. The
-// baseline history lives in BENCH_kernels.json (`make bench-kernels`).
+// exactly the entry fill and no step. Baselined in BENCH.json.
 func BenchmarkScalingBoundaryFill(b *testing.B) {
 	for _, w := range scalingWorkerCounts() {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {

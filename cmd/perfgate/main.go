@@ -1,24 +1,25 @@
-// Command perfgate is the CI performance-regression gate: it runs the
-// repository's named benchmarks (BenchmarkScaling*, BenchmarkChemistry,
-// BenchmarkProjection, BenchmarkSimThroughput, BenchmarkServeReads,
-// BenchmarkSchedulerQoS, BenchmarkSpeculativeSweep),
-// parses the `go test -bench` output, and compares each ns/op against
-// the latest row of the committed BENCH_*.json histories. A benchmark slower than baseline by
-// more than the tolerance is a regression and the gate exits 1; a
-// benchmark faster by more than the tolerance is reported as an
-// improvement worth recording (append a row to the history — never
-// overwrite it; see README "Benchmark baselines").
+// Command perfgate is the performance-regression gate over BENCH.json,
+// the repository's one append-only micro-benchmark history (schema and
+// workflow: README "Benchmark baselines & the perf gate"). A benchmark's
+// baseline is its newest occurrence scanning rows newest to oldest, and
+// the history is the gate list: perfgate runs every baselined benchmark
+// (or -only, verbatim as the -bench regexp — also how a new benchmark
+// gets its first row) five times in one `go test`, takes each name's
+// median, and judges
 //
-// Benchmarks whose measured iteration count is below -min-iters are
-// reported but not judged: a single-iteration sample on a noisy host is
-// not evidence of a regression. The gate prints the host CPU model and
-// NumCPU, and warns (without failing) when the baseline row was recorded
-// on a different CPU — cross-machine ns/op comparisons are advisory only.
+//   - ns/op against -tol, only when the baseline row's host, numcpu and
+//     gomaxprocs are this machine's; otherwise "ns not judged";
+//   - allocs/op, on any host: it must equal the baseline exactly. A row
+//     carries allocs only for a benchmark whose five recording runs
+//     agreed, so the field's presence is the opt-in;
+//   - presence: a baselined benchmark absent from the output fails.
 //
-//	perfgate [-tol 0.15] [-min-iters 1] [-benchtime 1s] [-dir .] [-only regexp]
+// It ends by printing the measured row in the file's schema, ready to
+// append.
 //
-// Exit codes: 0 pass, 1 regression (or gated benchmark missing from the
-// bench output), 2 operational error.
+//	perfgate [-tol 0.15] [-benchtime 1s] [-only regexp] [-dir .]
+//
+// Exit codes: 0 pass, 1 regression, 2 operational error.
 package main
 
 import (
@@ -26,245 +27,162 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// benchResult is one parsed `go test -bench` result line.
-type benchResult struct {
-	Name    string // benchmark path with the -GOMAXPROCS suffix stripped
-	Iters   int
-	NsPerOp float64
+// result is one benchmark's entry in a row: medians of the recording runs.
+type result struct {
+	Ns     float64 `json:"ns"`
+	Allocs *int64  `json:"allocs,omitempty"` // present only when every run agreed
+	Bytes  float64 `json:"bytes"`
+	Iters  int     `json:"iters"`
+
+	medianAllocs int64 // of this measurement, agreed or not; never stored
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op`)
+// row is one BENCH.json entry; Results is keyed by the benchmark path
+// exactly as `go test` prints it, less the -GOMAXPROCS suffix.
+type row struct {
+	Date       string            `json:"date"`
+	Commit     string            `json:"commit"`
+	Go         string            `json:"go"`
+	Host       string            `json:"host"`
+	NumCPU     int               `json:"numcpu"`
+	GOMAXPROCS int               `json:"gomaxprocs"`
+	Note       string            `json:"note"`
+	Results    map[string]result `json:"results"`
+}
 
-// parseBench extracts the result lines from `go test -bench` output.
-func parseBench(out string) []benchResult {
-	var res []benchResult
-	for _, ln := range strings.Split(out, "\n") {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(ln))
-		if m == nil {
-			continue
-		}
-		iters, err1 := strconv.Atoi(m[2])
-		ns, err2 := strconv.ParseFloat(m[3], 64)
-		if err1 != nil || err2 != nil {
-			continue
-		}
-		res = append(res, benchResult{Name: stripProcs(m[1]), Iters: iters, NsPerOp: ns})
+// write prints the row as JSON, one benchmark per line.
+func (r *row) write(w io.Writer) {
+	js := func(v any) string { b, _ := json.Marshal(v); return string(b) } // strings, numbers, results: cannot fail
+	var lines []string
+	for _, name := range slices.Sorted(maps.Keys(r.Results)) {
+		lines = append(lines, "    "+js(name)+": "+js(r.Results[name]))
 	}
-	return res
+	fmt.Fprintf(w, "{\n  \"date\": %s, \"commit\": %s, \"go\": %s,\n  \"host\": %s, \"numcpu\": %d, \"gomaxprocs\": %d,\n  \"note\": %s,\n  \"results\": {\n%s\n  }\n}\n",
+		js(r.Date), js(r.Commit), js(r.Go), js(r.Host), r.NumCPU, r.GOMAXPROCS, js(r.Note), strings.Join(lines, ",\n"))
 }
 
-// stripProcs removes the trailing -N GOMAXPROCS suffix go test appends to
-// every benchmark name.
-func stripProcs(name string) string {
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i]
-		}
-	}
-	return name
-}
-
-// gateSpec binds one committed BENCH_*.json history to the benchmarks it
-// baselines.
-type gateSpec struct {
-	File   string                           // history file at the repo root
-	Metric string                           // key of the ns/op map in a history row
-	Pkg    string                           // package holding the benchmarks
-	Bench  string                           // -bench regexp selecting them
-	Key    func(name string) (string, bool) // parsed bench name -> metric map key
-}
-
-var gates = []gateSpec{
-	{
-		File: "BENCH_kernels.json", Metric: "ns_per_op", Pkg: ".",
-		Bench: "^(BenchmarkScalingStep64|BenchmarkScalingMultigrid64|BenchmarkScalingGravityFFT64|BenchmarkChemistry|BenchmarkScalingBoundaryFill)$",
-		// The kernels history keys rows by the full benchmark path.
-		Key: func(name string) (string, bool) { return name, true },
-	},
-	{
-		File: "BENCH_projection.json", Metric: "ns_per_op", Pkg: ".",
-		Bench: "^BenchmarkProjection$",
-		Key: func(name string) (string, bool) {
-			s, ok := strings.CutPrefix(name, "BenchmarkProjection/workers")
-			if !ok {
-				return "", false
-			}
-			return "workers=" + s, true
-		},
-	},
-	{
-		File: "BENCH_sim.json", Metric: "ns_per_job", Pkg: "./internal/sim",
-		Bench: "^BenchmarkSimThroughput$",
-		Key: func(name string) (string, bool) {
-			return strings.CutPrefix(name, "BenchmarkSimThroughput/")
-		},
-	},
-	{
-		File: "BENCH_serve.json", Metric: "ns_per_op", Pkg: "./internal/sim",
-		Bench: "^BenchmarkServeReads$",
-		Key: func(name string) (string, bool) {
-			return strings.CutPrefix(name, "BenchmarkServeReads/")
-		},
-	},
-	{
-		File: "BENCH_queue.json", Metric: "ns_per_op", Pkg: "./internal/sim",
-		Bench: "^BenchmarkSchedulerQoS$",
-		Key: func(name string) (string, bool) {
-			return strings.CutPrefix(name, "BenchmarkSchedulerQoS/")
-		},
-	},
-	{
-		File: "BENCH_speculate.json", Metric: "ns_per_op", Pkg: "./internal/sim",
-		Bench: "^BenchmarkSpeculativeSweep$",
-		Key: func(name string) (string, bool) {
-			return strings.CutPrefix(name, "BenchmarkSpeculativeSweep/")
-		},
-	},
-}
-
-// baseline is the latest row of one history file, reduced to what the gate
-// needs.
-type baseline struct {
-	Date string
-	CPU  string
-	Ns   map[string]float64
-}
-
-// loadLatest reads a BENCH_*.json history and returns its newest row.
-// Histories are append-only (rows are ordered oldest to newest), so the
-// last element is the baseline.
-func loadLatest(path, metric string) (baseline, error) {
-	var bl baseline
+// loadBaselines reads the history (a JSON array of rows, oldest first) and
+// resolves every benchmark name to the newest row holding it.
+func loadBaselines(path string) (map[string]*row, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return bl, err
+		return nil, err
 	}
-	var file struct {
-		History []map[string]json.RawMessage `json:"history"`
+	var rows []*row
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if err := json.Unmarshal(raw, &file); err != nil {
-		return bl, fmt.Errorf("%s: %w", path, err)
+	base := map[string]*row{}
+	for _, r := range slices.Backward(rows) {
+		for name := range r.Results {
+			if base[name] == nil {
+				base[name] = r
+			}
+		}
 	}
-	if len(file.History) == 0 {
-		return bl, fmt.Errorf("%s: empty history", path)
-	}
-	row := file.History[len(file.History)-1]
-	if v, ok := row["date"]; ok {
-		_ = json.Unmarshal(v, &bl.Date)
-	}
-	if v, ok := row["cpu"]; ok {
-		_ = json.Unmarshal(v, &bl.CPU)
-	}
-	v, ok := row[metric]
-	if !ok {
-		return bl, fmt.Errorf("%s: latest row has no %q map", path, metric)
-	}
-	if err := json.Unmarshal(v, &bl.Ns); err != nil {
-		return bl, fmt.Errorf("%s: %s: %w", path, metric, err)
-	}
-	return bl, nil
+	return base, nil
 }
 
-// verdict is the judgement for one baselined benchmark.
-type verdict struct {
-	Key        string
-	Base, Got  float64
-	Iters      int
-	Regression bool
-	Improved   bool
-	LowIters   bool
-}
-
-// compare judges every parsed result that maps into the baseline. Returns
-// the verdicts plus the baseline keys no result matched (a renamed or
-// deleted benchmark must not silently pass the gate).
-func compare(results []benchResult, bl baseline, key func(string) (string, bool), tol float64, minIters int) ([]verdict, []string) {
-	seen := map[string]bool{}
-	var vs []verdict
-	for _, r := range results {
-		k, ok := key(r.Name)
-		if !ok {
+// measure reduces `go test -bench -benchmem -count N` output to a row: per
+// name the median ns/op, B/op and iteration count, and allocs/op when all
+// N runs agreed; host from the "cpu:" header, gomaxprocs from the -N name
+// suffix (go test omits it at 1). Custom metrics are parsed and ignored.
+func measure(out string) *row {
+	r := &row{Host: runtime.GOARCH, NumCPU: runtime.NumCPU(), GOMAXPROCS: 1, Results: map[string]result{}}
+	runs := map[string]map[string][]float64{} // name -> unit -> one sample per run
+	for _, ln := range strings.Split(out, "\n") {
+		if cpu, ok := strings.CutPrefix(ln, "cpu: "); ok {
+			r.Host = strings.TrimSpace(cpu)
 			continue
 		}
-		base, ok := bl.Ns[k]
-		if !ok {
-			continue // measured but not baselined (e.g. a NumCPU row the recording host lacked)
+		f := strings.Fields(ln)
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
 		}
-		seen[k] = true
-		v := verdict{Key: k, Base: base, Got: r.NsPerOp, Iters: r.Iters}
-		switch {
-		case r.Iters < minIters:
-			v.LowIters = true
-		case r.NsPerOp > base*(1+tol):
-			v.Regression = true
-		case r.NsPerOp < base*(1-tol):
-			v.Improved = true
+		iters, err := strconv.Atoi(f[1])
+		if err != nil {
+			continue
 		}
-		vs = append(vs, v)
-	}
-	var missing []string
-	for k := range bl.Ns {
-		if !seen[k] {
-			missing = append(missing, k)
-		}
-	}
-	return vs, missing
-}
-
-// cpuModel returns the host CPU model string (normalized whitespace), or
-// the architecture when /proc/cpuinfo is unavailable.
-func cpuModel() string {
-	raw, err := os.ReadFile("/proc/cpuinfo")
-	if err == nil {
-		for _, ln := range strings.Split(string(raw), "\n") {
-			rest, ok := strings.CutPrefix(ln, "model name")
-			if !ok {
-				continue
+		name := f[0]
+		if i := strings.LastIndex(name, "-"); i > 0 {
+			if procs, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, r.GOMAXPROCS = name[:i], procs
 			}
-			if _, v, ok := strings.Cut(rest, ":"); ok {
-				return strings.Join(strings.Fields(v), " ")
+		}
+		if runs[name] == nil {
+			runs[name] = map[string][]float64{}
+		}
+		runs[name]["iters"] = append(runs[name]["iters"], float64(iters))
+		for i := 2; i+1 < len(f); i += 2 { // value-unit pairs
+			if v, err := strconv.ParseFloat(f[i], 64); err == nil {
+				runs[name][f[i+1]] = append(runs[name][f[i+1]], v)
 			}
 		}
 	}
-	return runtime.GOARCH
-}
-
-// cpuMatches reports whether the baseline row's cpu annotation names the
-// host CPU. Vendor decorations and spacing are ignored.
-func cpuMatches(baselineCPU, hostModel string) bool {
-	return strings.Contains(normalizeCPU(baselineCPU), normalizeCPU(hostModel))
-}
-
-func normalizeCPU(s string) string {
-	s = strings.ToLower(s)
-	for _, deco := range []string{"(r)", "(tm)", "(c)"} {
-		s = strings.ReplaceAll(s, deco, "")
+	for name, s := range runs {
+		res := result{Ns: median(s["ns/op"]), Bytes: median(s["B/op"]), Iters: int(median(s["iters"]))}
+		if a := s["allocs/op"]; len(a) > 0 {
+			res.medianAllocs = int64(median(a))
+			if slices.Min(a) == slices.Max(a) {
+				res.Allocs = &res.medianAllocs
+			}
+		}
+		r.Results[name] = res
 	}
-	return strings.Join(strings.Fields(s), " ")
+	return r
 }
 
-// runBenchCmd executes the benchmarks of one gate and returns the combined
-// output. A variable so tests can substitute canned output.
-var runBenchCmd = func(pkg, bench, benchtime, dir string) (string, error) {
-	args := []string{"test", "-run", "^$", "-bench", bench}
+// median returns the middle of xs (the upper middle of an even count), or
+// 0 for none; xs is sorted in place.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
+}
+
+// benchSelects reports whether `go test -bench pattern` runs the named
+// benchmark: the pattern is split at "/" and each element must match the
+// name's element at its level.
+func benchSelects(pattern, name string) bool {
+	elems := strings.Split(name, "/")
+	for i, p := range strings.Split(pattern, "/") {
+		if i < len(elems) {
+			if ok, err := regexp.MatchString(p, elems[i]); err != nil || !ok {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// runBenchCmd runs the selected benchmarks of both benchmark packages
+// five times and returns the combined output. A variable so tests can
+// substitute canned output.
+var runBenchCmd = func(bench, benchtime, dir string) (string, error) {
+	args := []string{"test", "-run", "^$", "-bench", bench, "-benchmem", "-count", "5"}
 	if benchtime != "" {
 		args = append(args, "-benchtime", benchtime)
 	}
-	args = append(args, pkg)
-	cmd := exec.Command("go", args...)
+	cmd := exec.Command("go", append(args, ".", "./internal/sim")...)
 	cmd.Dir = dir
 	out, err := cmd.CombinedOutput()
 	return string(out), err
@@ -274,75 +192,77 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("perfgate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	tol := fs.Float64("tol", 0.15, "relative ns/op tolerance before a change is judged")
-	minIters := fs.Int("min-iters", 1, "skip judging benchmarks measured with fewer iterations")
 	benchtime := fs.String("benchtime", "", "go test -benchtime value (empty = go default)")
-	dir := fs.String("dir", ".", "repo root holding the BENCH_*.json histories")
-	only := fs.String("only", "", "regexp filtering which BENCH files to gate")
+	only := fs.String("only", "", "go test -bench regexp to run instead of every baselined benchmark")
+	dir := fs.String("dir", ".", "repo root holding BENCH.json")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	host := cpuModel()
-	fmt.Fprintf(stdout, "perfgate: cpu=%q numcpu=%d %s tol=%.0f%%\n",
-		host, runtime.NumCPU(), runtime.Version(), *tol*100)
-
-	var filter *regexp.Regexp
-	if *only != "" {
-		re, err := regexp.Compile(*only)
-		if err != nil {
-			fmt.Fprintf(stderr, "perfgate: bad -only: %v\n", err)
-			return 2
-		}
-		filter = re
+	base, err := loadBaselines(filepath.Join(*dir, "BENCH.json"))
+	if err != nil {
+		fmt.Fprintf(stderr, "perfgate: %v\n", err)
+		return 2
 	}
+	pattern := *only
+	if pattern == "" {
+		var tops []string
+		for _, name := range slices.Sorted(maps.Keys(base)) {
+			top, _, _ := strings.Cut(name, "/")
+			tops = append(tops, regexp.QuoteMeta(top))
+		}
+		pattern = "^(" + strings.Join(slices.Compact(tops), "|") + ")$"
+	}
+	fmt.Fprintf(stdout, "perfgate: go test -bench %q -benchmem -count 5 . ./internal/sim\n", pattern)
+	out, err := runBenchCmd(pattern, *benchtime, *dir)
+	if err != nil {
+		fmt.Fprintf(stderr, "perfgate: bench run failed: %v\n%s", err, out)
+		return 2
+	}
+	got := measure(out)
+	got.Date = time.Now().UTC().Format(time.DateOnly)
+	got.Go = runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH
+	if rev, err := exec.Command("git", "-C", *dir, "describe", "--always", "--dirty").Output(); err == nil {
+		got.Commit = strings.TrimSpace(string(rev))
+	}
+	fmt.Fprintf(stdout, "perfgate: host=%q numcpu=%d gomaxprocs=%d %s tol=%.0f%%\n",
+		got.Host, got.NumCPU, got.GOMAXPROCS, got.Go, *tol*100)
 
 	failed := false
-	for _, g := range gates {
-		if filter != nil && !filter.MatchString(g.File) {
+	for _, name := range slices.Sorted(maps.Keys(base)) {
+		blRow := base[name]
+		bl := blRow.Results[name]
+		m, ran := got.Results[name]
+		if !ran {
+			if benchSelects(pattern, name) {
+				failed = true
+				fmt.Fprintf(stdout, "  FAIL  %-46s baselined but absent from bench output (renamed or deleted?)\n", name)
+			}
 			continue
 		}
-		bl, err := loadLatest(filepath.Join(*dir, g.File), g.Metric)
-		if err != nil {
-			fmt.Fprintf(stderr, "perfgate: %v\n", err)
-			return 2
+		verdict := "ok  "
+		detail := fmt.Sprintf("%12.0f ns/op vs %12.0f (%+.1f%%)", m.Ns, bl.Ns, (m.Ns/bl.Ns-1)*100)
+		switch {
+		case got.Host != blRow.Host || got.NumCPU != blRow.NumCPU || got.GOMAXPROCS != blRow.GOMAXPROCS:
+			detail = fmt.Sprintf("%12.0f ns/op, ns not judged: host mismatch with the %s row", m.Ns, blRow.Date)
+		case m.Ns > bl.Ns*(1+*tol):
+			verdict, failed = "FAIL", true
+		case m.Ns < bl.Ns*(1-*tol):
+			verdict = "GOOD"
+			detail += " — append the row below"
 		}
-		if !cpuMatches(bl.CPU, host) {
-			fmt.Fprintf(stdout, "%s: WARNING baseline recorded on %q, host is %q — ns/op comparison is advisory\n",
-				g.File, bl.CPU, host)
-		}
-		fmt.Fprintf(stdout, "%s: baseline %s, running go test -bench %q %s\n", g.File, bl.Date, g.Bench, g.Pkg)
-		out, err := runBenchCmd(g.Pkg, g.Bench, *benchtime, *dir)
-		if err != nil {
-			fmt.Fprintf(stderr, "perfgate: bench run failed: %v\n%s", err, out)
-			return 2
-		}
-		verdicts, missing := compare(parseBench(out), bl, g.Key, *tol, *minIters)
-		for _, v := range verdicts {
-			delta := (v.Got/v.Base - 1) * 100
-			switch {
-			case v.LowIters:
-				fmt.Fprintf(stdout, "  SKIP  %-45s %12.0f ns/op (%+.1f%%, %d iters < %d)\n",
-					v.Key, v.Got, delta, v.Iters, *minIters)
-			case v.Regression:
-				failed = true
-				fmt.Fprintf(stdout, "  FAIL  %-45s %12.0f ns/op vs %12.0f baseline (%+.1f%% > +%.0f%%)\n",
-					v.Key, v.Got, v.Base, delta, *tol*100)
-			case v.Improved:
-				fmt.Fprintf(stdout, "  GOOD  %-45s %12.0f ns/op vs %12.0f baseline (%+.1f%% — append a new history row)\n",
-					v.Key, v.Got, v.Base, delta)
-			default:
-				fmt.Fprintf(stdout, "  ok    %-45s %12.0f ns/op vs %12.0f baseline (%+.1f%%)\n",
-					v.Key, v.Got, v.Base, delta)
+		if bl.Allocs != nil {
+			detail += fmt.Sprintf("; %d allocs/op vs %d", m.medianAllocs, *bl.Allocs)
+			if m.medianAllocs != *bl.Allocs {
+				verdict, failed = "FAIL", true
 			}
 		}
-		for _, k := range missing {
-			failed = true
-			fmt.Fprintf(stdout, "  FAIL  %-45s baselined but absent from bench output (renamed or deleted?)\n", k)
-		}
+		fmt.Fprintf(stdout, "  %s  %-46s %s\n", verdict, name, detail)
 	}
+	code, word := 0, "PASS"
 	if failed {
-		fmt.Fprintln(stdout, "perfgate: FAIL")
-		return 1
+		code, word = 1, "FAIL"
 	}
-	fmt.Fprintln(stdout, "perfgate: PASS")
-	return 0
+	fmt.Fprintf(stdout, "perfgate: %s\nperfgate: measured row, in BENCH.json's schema:\n", word)
+	got.write(stdout)
+	return code
 }

@@ -169,6 +169,7 @@
 // record. The BenchmarkScaling* benches measure serial-vs-parallel
 // speedup of the hot kernels (the paper's §5 component table, whose
 // wall-clock decomposition perf.UsageTable reproduces, is the map of
-// where those cycles go). BenchmarkSimThroughput (`make bench-sim`)
-// tracks job-service throughput against the BENCH_sim.json baseline.
+// where those cycles go). BenchmarkSimThroughput tracks job-service
+// throughput. BENCH.json is the committed history of the gated benches
+// and `make perfgate` judges a fresh run against it.
 package repro

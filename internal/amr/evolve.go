@@ -368,6 +368,14 @@ func fillGhostsFromParent(g *Grid, cf []*mesh.Field3, refine int) {
 	}
 }
 
+// childBox returns child c's extent [lo, hi) in the active cell
+// coordinates of its parent g, r being the refinement factor.
+func childBox(g, c *Grid, r int) (lo, hi [3]int) {
+	lo = [3]int{c.Lo[0]/r - g.Lo[0], c.Lo[1]/r - g.Lo[1], c.Lo[2]/r - g.Lo[2]}
+	hi = [3]int{lo[0] + c.Nx/r, lo[1] + c.Ny/r, lo[2] + c.Nz/r}
+	return lo, hi
+}
+
 // installTaps prepares each grid's interior flux taps at the boundary
 // planes of its children, and zeroes the children's registers, readying
 // one coarse step of flux bookkeeping.
@@ -377,22 +385,14 @@ func (h *Hierarchy) installTaps(level int) {
 		g.Taps = g.Taps[:0]
 		for _, c := range g.Children {
 			c.Reg.Zero()
-			lo := [3]int{
-				c.Lo[0]/r - g.Lo[0],
-				c.Lo[1]/r - g.Lo[1],
-				c.Lo[2]/r - g.Lo[2],
-			}
-			hi := [3]int{lo[0] + c.Nx/r, lo[1] + c.Ny/r, lo[2] + c.Nz/r}
+			lo, hi := childBox(g, c, r)
 			nsp := len(g.State.Species)
-			// x faces: transverse (j,k); y faces: (i,k); z faces: (i,j).
-			g.Taps = append(g.Taps,
-				hydro.NewFluxTap(0, lo[0], lo[1], hi[1], lo[2], hi[2], nsp),
-				hydro.NewFluxTap(0, hi[0], lo[1], hi[1], lo[2], hi[2], nsp),
-				hydro.NewFluxTap(1, lo[1], lo[0], hi[0], lo[2], hi[2], nsp),
-				hydro.NewFluxTap(1, hi[1], lo[0], hi[0], lo[2], hi[2], nsp),
-				hydro.NewFluxTap(2, lo[2], lo[0], hi[0], lo[1], hi[1], nsp),
-				hydro.NewFluxTap(2, hi[2], lo[0], hi[0], lo[1], hi[1], nsp),
-			)
+			for dir := 0; dir < 3; dir++ { // face order x-, x+, y-, y+, z-, z+
+				t1lo, t1hi, t2lo, t2hi := tapTransverse(lo, hi, dir)
+				g.Taps = append(g.Taps,
+					hydro.NewFluxTap(dir, lo[dir], t1lo, t1hi, t2lo, t2hi, nsp),
+					hydro.NewFluxTap(dir, hi[dir], t1lo, t1hi, t2lo, t2hi, nsp))
+			}
 		}
 	}
 }
@@ -551,13 +551,11 @@ func (h *Hierarchy) fluxCorrect(level int) {
 		return
 	}
 	r := h.Cfg.Refine
-	r2 := float64(r * r)
 	fine := make([]float64, h.Root().Reg.NFields) // applyCorrection's per-cell scratch
 	for _, g := range h.Levels[level] {
 		for ci, c := range g.Children {
 			taps := g.Taps[6*ci : 6*ci+6]
-			lo := [3]int{c.Lo[0]/r - g.Lo[0], c.Lo[1]/r - g.Lo[1], c.Lo[2]/r - g.Lo[2]}
-			hi := [3]int{lo[0] + c.Nx/r, lo[1] + c.Ny/r, lo[2] + c.Nz/r}
+			lo, hi := childBox(g, c, r)
 			for face := 0; face < 6; face++ {
 				dir := face / 2
 				high := face%2 == 1
@@ -586,7 +584,7 @@ func (h *Hierarchy) fluxCorrect(level int) {
 						}
 						// Fine flux: average child register over r^2
 						// fine faces (dt-integrated).
-						h.applyCorrection(g, c, taps[face], fine, face, dir, high, i, j, k, c1, c2, r, r2)
+						h.applyCorrection(g, c.Reg.Face[face], taps[face], fine, dir, high, i, j, k, c1, c2, (c1-t1lo)*r, (c2-t2lo)*r, r)
 					}
 				}
 			}
@@ -616,33 +614,18 @@ func cellFromFace(dir, ci0, c1, c2 int) (int, int, int) {
 	}
 }
 
-// applyCorrection adjusts one coarse cell for one face's flux mismatch;
-// fine is caller-owned scratch of c.Reg.NFields entries.
-func (h *Hierarchy) applyCorrection(g, c *Grid, tap *hydro.FluxTap, fine []float64, face, dir int, high bool, i, j, k, c1, c2, r int, r2 float64) {
-	// Child register face index layout matches hydro.FluxRegister.
-	reg := c.Reg
-	nf := reg.NFields
-	// Child-local transverse ranges of the r^2 fine faces for this
-	// coarse face cell. c1/c2 are in g's active coords; child-local
-	// coarse offsets:
-	lo := [3]int{c.Lo[0]/r - g.Lo[0], c.Lo[1]/r - g.Lo[1], c.Lo[2]/r - g.Lo[2]}
-	var f1, f2 int // fine transverse start indices in child coords
-	switch dir {
-	case 0:
-		f1 = (c1 - lo[1]) * r
-		f2 = (c2 - lo[2]) * r
-	case 1:
-		f1 = (c1 - lo[0]) * r
-		f2 = (c2 - lo[2]) * r
-	default:
-		f1 = (c1 - lo[0]) * r
-		f2 = (c2 - lo[1]) * r
-	}
-	for q := 0; q < nf; q++ {
+// applyCorrection adjusts one coarse cell of g for the mismatch between
+// the coarse flux (tap) and the child's dt-integrated fine flux (reg, the
+// matching face of the child's register) through face cell (c1, c2); the
+// r^2 fine faces under it start at (f1, f2) in the child's transverse
+// coordinates. fine is caller-owned scratch of one entry per flux field.
+func (h *Hierarchy) applyCorrection(g *Grid, reg, tap *hydro.FluxTap, fine []float64, dir int, high bool, i, j, k, c1, c2, f1, f2, r int) {
+	r2 := float64(r * r)
+	for q := range fine {
 		var s float64
 		for b := 0; b < r; b++ {
 			for a := 0; a < r; a++ {
-				s += regFaceAt(reg, face, q, f1+a, f2+b)
+				s += reg.At(q, f1+a, f2+b)
 			}
 		}
 		fine[q] = s / r2
@@ -690,18 +673,6 @@ func (h *Hierarchy) applyCorrection(g, c *Grid, tap *hydro.FluxTap, fine []float
 	}
 }
 
-// regFaceAt reads a child's register face with the FluxRegister layout.
-func regFaceAt(reg *hydro.FluxRegister, face, field, c1, c2 int) float64 {
-	var stride int
-	switch face / 2 {
-	case 0:
-		stride = reg.Ny
-	default:
-		stride = reg.Nx
-	}
-	return reg.Face[face][field][c1+stride*c2]
-}
-
 // coveredByChild reports whether coarse cell (i,j,k) of g lies under any
 // of g's children.
 func (h *Hierarchy) coveredByChild(g *Grid, i, j, k int) bool {
@@ -727,7 +698,7 @@ func (h *Hierarchy) project(level int) {
 	spSum := make([]float64, nsp)
 	for _, g := range h.Levels[level] {
 		for _, c := range g.Children {
-			lo := [3]int{c.Lo[0]/r - g.Lo[0], c.Lo[1]/r - g.Lo[1], c.Lo[2]/r - g.Lo[2]}
+			lo, _ := childBox(g, c, r)
 			cs := c.State
 			gs := g.State
 			for pk := 0; pk < c.Nz/r; pk++ {

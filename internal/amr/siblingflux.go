@@ -53,41 +53,23 @@ func reconcilePair(a, b *Grid, dir int, d [3]int, h *Hierarchy) {
 	if lo1 >= hi1 || lo2 >= hi2 {
 		return
 	}
-	faceA := 2*dir + 1 // a's high face
-	faceB := 2 * dir   // b's low face
+	ta := a.Reg.Face[2*dir+1] // a's high face
+	tb := b.Reg.Face[2*dir]   // b's low face
 	// a's last interior cell index along dir and b's first.
 	aCell := [3]int{a.Nx - 1, a.Ny - 1, a.Nz - 1}[dir]
 	nf := a.Reg.NFields
 	for c2 := lo2; c2 < hi2; c2++ {
 		for c1 := lo1; c1 < hi1; c1++ {
-			// Register transverse strides per face orientation.
-			ta := regAt(a.Reg, faceA, c1, c2)
-			tb := regAt(b.Reg, faceB, c1-aOff1, c2-aOff2)
 			for q := 0; q < nf; q++ {
-				avg := 0.5 * (ta[q] + tb[q])
-				dA := (ta[q] - avg) / a.Dx
-				dB := (avg - tb[q]) / b.Dx
+				fa, fb := ta.At(q, c1, c2), tb.At(q, c1-aOff1, c2-aOff2)
+				avg := 0.5 * (fa + fb)
+				dA := (fa - avg) / a.Dx
+				dB := (avg - fb) / b.Dx
 				applyFaceDelta(a, dir, aCell, c1, c2, q, dA, h)
 				applyFaceDelta(b, dir, 0, c1-aOff1, c2-aOff2, q, dB, h)
 			}
 		}
 	}
-}
-
-// regAt returns the per-field dt-integrated fluxes of one face cell.
-func regAt(reg *hydro.FluxRegister, face, c1, c2 int) []float64 {
-	var stride int
-	if face/2 == 0 {
-		stride = reg.Ny
-	} else {
-		stride = reg.Nx
-	}
-	out := make([]float64, reg.NFields)
-	idx := c1 + stride*c2
-	for q := 0; q < reg.NFields; q++ {
-		out[q] = reg.Face[face][q][idx]
-	}
-	return out
 }
 
 // applyFaceDelta adds a conserved-variable increment to the cell adjacent

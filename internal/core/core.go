@@ -97,28 +97,6 @@ func NewSedov(rootN, maxLevel int, e0 float64) (*Simulation, error) {
 	})
 }
 
-// NewPancake builds the Zel'dovich pancake validation problem with the
-// full problem-specific option set; prefer New("pancake", ...) when the
-// registry knobs suffice.
-func NewPancake(o problems.PancakeOpts) (*Simulation, error) {
-	h, err := problems.Pancake(o)
-	if err != nil {
-		return nil, err
-	}
-	return &Simulation{H: h, Problem: "pancake"}, nil
-}
-
-// NewZoom builds the nested zoom-in cosmological run of §4 with the full
-// problem-specific option set; prefer New("zoom", ...) when the registry
-// knobs suffice.
-func NewZoom(o problems.ZoomOpts) (*Simulation, error) {
-	h, _, err := problems.CosmologicalZoom(o)
-	if err != nil {
-		return nil, err
-	}
-	return &Simulation{H: h, Problem: "zoom"}, nil
-}
-
 // Step advances one root timestep and records a structure sample.
 func (s *Simulation) Step() float64 {
 	t0 := time.Now()

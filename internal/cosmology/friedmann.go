@@ -59,9 +59,6 @@ func (p Params) Hubble(a float64) float64 {
 // AofZ converts a redshift to an expansion factor.
 func AofZ(z float64) float64 { return 1 / (1 + z) }
 
-// ZofA converts an expansion factor to a redshift.
-func ZofA(a float64) float64 { return 1/a - 1 }
-
 // AgeOfUniverse integrates t(a) = ∫ da / (a H(a)) from a=~0 with Simpson's
 // rule in log a. For Omega_M = 1 (Einstein-de Sitter) this reproduces the
 // analytic t = (2/3) a^{3/2} / H0.

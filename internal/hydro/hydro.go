@@ -103,9 +103,6 @@ func (s *State) Fields() []*mesh.Field3 {
 	return append(f, s.Species...)
 }
 
-// NumFields returns len(Fields()).
-func (s *State) NumFields() int { return 6 + len(s.Species) }
-
 // Clone deep-copies the state.
 func (s *State) Clone() *State {
 	c := &State{

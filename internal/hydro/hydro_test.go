@@ -412,22 +412,22 @@ func TestFluxRegisterAccumulation(t *testing.T) {
 	Step3D(s, 1.0/float64(n), dt, p, SolverPPM, 0, periodicBC, reg, nil)
 	want := 2.0 * 0.5 * dt
 	for idx := 0; idx < n*n; idx++ {
-		got := reg.Face[0][FluxMass][idx]
+		got := reg.Face[0].Data[FluxMass][idx]
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("x- face mass flux %v, want %v", got, want)
 		}
-		if math.Abs(reg.Face[1][FluxMass][idx]-want) > 1e-12 {
+		if math.Abs(reg.Face[1].Data[FluxMass][idx]-want) > 1e-12 {
 			t.Fatalf("x+ face mass flux mismatch")
 		}
 		// No flow in y/z.
-		if math.Abs(reg.Face[2][FluxMass][idx]) > 1e-12 {
+		if math.Abs(reg.Face[2].Data[FluxMass][idx]) > 1e-12 {
 			t.Fatalf("spurious y-face mass flux")
 		}
 	}
 	reg.Zero()
 	for f := 0; f < 6; f++ {
-		for q := range reg.Face[f] {
-			for _, v := range reg.Face[f][q] {
+		for q := range reg.Face[f].Data {
+			for _, v := range reg.Face[f].Data[q] {
 				if v != 0 {
 					t.Fatal("Zero() left residue")
 				}

@@ -74,9 +74,9 @@ func TestStep3DParallelBitwise(t *testing.T) {
 			}
 		}
 		for f := 0; f < 6; f++ {
-			for q := range regS.Face[f] {
-				for i, v := range regS.Face[f][q] {
-					if regP.Face[f][q][i] != v {
+			for q := range regS.Face[f].Data {
+				for i, v := range regS.Face[f].Data[q] {
+					if regP.Face[f].Data[q][i] != v {
 						t.Fatalf("%v: flux register face %d field %d idx %d differs", solver, f, q, i)
 					}
 				}

@@ -61,7 +61,7 @@ func sweep(s *State, dir int, dx, dt float64, prm Params, solver Solver, reg *Fl
 			updatePencil(pc, prm, dtdx)
 			scatterPencil(s, dir, c1, c2, pc)
 			if reg != nil {
-				accumulateRegister(reg, dir, c1, c2, pc, dt)
+				accumulateTaps(reg.Face[2*dir:2*dir+2], dir, c1, c2, pc, dt)
 			}
 			if len(taps) > 0 {
 				accumulateTaps(taps, dir, c1, c2, pc, dt)
@@ -410,44 +410,4 @@ func scatterPencil(s *State, dir, c1, c2 int, pc *pencil) {
 			spD[idx] = src[x]
 		}
 	}
-}
-
-// accumulateRegister adds dt-weighted boundary fluxes from this pencil into
-// the register. Momentum fluxes are rotated back to global orientation.
-func accumulateRegister(reg *FluxRegister, dir, c1, c2 int, pc *pencil, dt float64) {
-	fLow := pc.ng // interface at the low active face
-	fHigh := pc.ng + pc.n
-	var faceLow, faceHigh, tIdx int
-	switch dir {
-	case 0:
-		faceLow, faceHigh = 0, 1
-		tIdx = c1 + reg.Ny*c2
-	case 1:
-		faceLow, faceHigh = 2, 3
-		tIdx = c1 + reg.Nx*c2
-	case 2:
-		faceLow, faceHigh = 4, 5
-		tIdx = c1 + reg.Nx*c2
-	}
-	add := func(face, f int) {
-		reg.Face[face][FluxMass][tIdx] += dt * pc.fMass[f]
-		var mx, my, mz float64
-		switch dir {
-		case 0:
-			mx, my, mz = pc.fMomU[f], pc.fMomV[f], pc.fMomW[f]
-		case 1:
-			my, mz, mx = pc.fMomU[f], pc.fMomV[f], pc.fMomW[f]
-		case 2:
-			mz, mx, my = pc.fMomU[f], pc.fMomV[f], pc.fMomW[f]
-		}
-		reg.Face[face][FluxMomX][tIdx] += dt * mx
-		reg.Face[face][FluxMomY][tIdx] += dt * my
-		reg.Face[face][FluxMomZ][tIdx] += dt * mz
-		reg.Face[face][FluxEnergy][tIdx] += dt * pc.fE[f]
-		for sp := range pc.fSpecies {
-			reg.Face[face][FluxNumBase+sp][tIdx] += dt * pc.fSpecies[sp][f]
-		}
-	}
-	add(faceLow, fLow)
-	add(faceHigh, fHigh)
 }

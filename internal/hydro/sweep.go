@@ -23,35 +23,31 @@ const (
 )
 
 // FluxRegister accumulates time-integrated conserved fluxes through the six
-// outer faces of a grid. Face order: x-, x+, y-, y+, z-, z+. Each entry is
-// indexed [field][transverseCell]; the transverse index is j+Ny*k for x
-// faces, i+Nx*k for y faces, i+Nx*j for z faces.
+// outer faces of a grid. Face order: x-, x+, y-, y+, z-, z+. Face f is the
+// tap on sweep direction f/2 at interface 0 (low) or N (high) over the
+// full transverse range, so it shares FluxTap's layout and accumulation.
 type FluxRegister struct {
-	Nx, Ny, Nz int
-	NFields    int
-	Face       [6][][]float64
+	NFields int
+	Face    [6]*FluxTap
 }
 
 // NewFluxRegister allocates a zeroed register for a grid of the given
 // active size with nspecies advected species.
 func NewFluxRegister(nx, ny, nz, nspecies int) *FluxRegister {
-	r := &FluxRegister{Nx: nx, Ny: ny, Nz: nz, NFields: FluxNumBase + nspecies}
-	sizes := [6]int{ny * nz, ny * nz, nx * nz, nx * nz, nx * ny, nx * ny}
-	for f := 0; f < 6; f++ {
-		r.Face[f] = make([][]float64, r.NFields)
-		for q := range r.Face[f] {
-			r.Face[f][q] = make([]float64, sizes[f])
-		}
+	r := &FluxRegister{NFields: FluxNumBase + nspecies}
+	n := [3]int{nx, ny, nz}
+	// Transverse sizes: (j,k) for x faces, (i,k) for y faces, (i,j) for z.
+	for dir, t := range [3][2]int{{ny, nz}, {nx, nz}, {nx, ny}} {
+		r.Face[2*dir] = NewFluxTap(dir, 0, 0, t[0], 0, t[1], nspecies)
+		r.Face[2*dir+1] = NewFluxTap(dir, n[dir], 0, t[0], 0, t[1], nspecies)
 	}
 	return r
 }
 
 // Zero clears all accumulated fluxes.
 func (r *FluxRegister) Zero() {
-	for f := 0; f < 6; f++ {
-		for q := range r.Face[f] {
-			clear(r.Face[f][q])
-		}
+	for _, t := range r.Face {
+		t.Zero()
 	}
 }
 

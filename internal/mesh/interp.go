@@ -30,28 +30,13 @@ func minmod(l, c, r float64) float64 {
 	return dr
 }
 
-// ProlongPiecewiseConstant fills a child region by direct injection of the
-// parent value. offI/offJ/offK locate the child's (0,0,0) active cell in
-// *fine* cells relative to the parent's (0,0,0) active cell; r is the
-// refinement factor. Fills the child's active region plus nb ghost layers.
-func ProlongPiecewiseConstant(parent, child *Field3, offI, offJ, offK, r, nb int) {
-	for k := -nb; k < child.Nz+nb; k++ {
-		pk := FloorDiv(offK+k, r)
-		for j := -nb; j < child.Ny+nb; j++ {
-			pj := FloorDiv(offJ+j, r)
-			for i := -nb; i < child.Nx+nb; i++ {
-				pi := FloorDiv(offI+i, r)
-				child.Set(i, j, k, parent.At(pi, pj, pk))
-			}
-		}
-	}
-}
-
 // ProlongLinear fills a child region with conservative (minmod-limited)
 // linear interpolation from the parent. Conservative means the average of
 // the r^3 fine values inside a coarse cell equals the coarse value, which
-// the symmetric slope reconstruction guarantees. offI/offJ/offK and r as in
-// ProlongPiecewiseConstant; nb is the number of child ghost layers to fill.
+// the symmetric slope reconstruction guarantees. offI/offJ/offK locate the
+// child's (0,0,0) active cell in *fine* cells relative to the parent's
+// (0,0,0) active cell; r is the refinement factor; nb is the number of
+// child ghost layers to fill.
 // The parent must have at least one valid ghost layer around the touched
 // region.
 func ProlongLinear(parent, child *Field3, offI, offJ, offK, r, nb int) {

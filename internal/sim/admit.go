@@ -54,53 +54,32 @@ func (s *Scheduler) SubmitWithDisposition(req Request) (*Job, Disposition, error
 		return nil, "", err
 	}
 	id := r.key()
-	// The estimate is computed for every submission (the 202 body and
-	// the queue's fair-share charge both want it), outside s.mu — the
-	// model has its own lock and may recompute its held-out selection.
-	est := s.model.Estimate(costQuery(r))
 	var deadline time.Time
 	if req.DeadlineSeconds > 0 {
 		deadline = s.now().Add(time.Duration(req.DeadlineSeconds * float64(time.Second)))
 	}
 
+	// Look up before estimating: a cache hit or a coalesced submission
+	// never touches the cost model. Only a fresh admission drops s.mu for
+	// the estimate (the model has its own lock and may recompute its
+	// held-out selection) and then looks the ID up again, because an
+	// identical submission may have been admitted meanwhile.
 	s.mu.Lock()
-	if s.closed {
+	j, disp, err := s.answerLocked(id, deadline)
+	var est *costmodel.Estimate // priced on the fresh path only, so a hit allocates none
+	if j == nil && err == nil {
 		s.mu.Unlock()
-		return nil, "", ErrClosed
+		e := s.model.Estimate(costQuery(r))
+		est = &e
+		s.mu.Lock()
+		j, disp, err = s.answerLocked(id, deadline)
 	}
-	if j, ok := s.jobs[id]; ok {
-		j.mu.Lock()
-		state := j.state
-		j.submissions++
-		if state == Done {
-			j.cacheHits++
+	if j != nil || err != nil {
+		s.mu.Unlock()
+		if disp == CacheHit && j.speculative {
+			s.spec.book(func(sp *speculator) { sp.hits++ }) // a pre-warmed result answered a real submission
 		}
-		j.mu.Unlock()
-		switch {
-		case state == Done:
-			s.stats.Submitted++
-			s.stats.CacheHits++
-			s.mu.Unlock()
-			if j.speculative {
-				s.spec.book(func(sp *speculator) { sp.hits++ }) // a pre-warmed result answered a real submission
-			}
-			return j, CacheHit, nil
-		case !state.terminal():
-			s.stats.Submitted++
-			s.stats.Coalesced++
-			// A coalesced submission may tighten the queued entry's
-			// deadline (lock order: s.mu, then the queue's own lock).
-			s.fq.tighten(id, deadline)
-			s.mu.Unlock()
-			return j, Coalesced, nil
-		}
-		// Failed or cancelled: drop the stale job and re-run below. The
-		// store directory is NOT deleted (a RemoveAll must not run under
-		// s.mu): the fresh run's queued manifest overwrites the stale
-		// terminal one below, and any leftover artifacts are replaced by
-		// the re-run's bitwise-identical products (same canonical
-		// configuration) as it emits them.
-		s.removeLocked(id)
+		return j, disp, err
 	}
 
 	// Admission control, on fresh executions only: cache hits and
@@ -109,11 +88,11 @@ func (s *Scheduler) SubmitWithDisposition(req Request) (*Job, Disposition, error
 	if s.cfg.MaxJobSeconds > 0 && est.Samples > 0 && est.Seconds > s.cfg.MaxJobSeconds {
 		s.stats.AdmissionRejected++
 		s.mu.Unlock()
-		return nil, "", &AdmissionError{Estimate: est, Limit: s.cfg.MaxJobSeconds}
+		return nil, "", &AdmissionError{Estimate: *est, Limit: s.cfg.MaxJobSeconds}
 	}
 
-	j := s.newJob(id, req, r)
-	j.deadline, j.est, j.submissions = deadline, &est, 1
+	j = s.newJob(id, req, r)
+	j.deadline, j.est, j.submissions = deadline, est, 1
 	// The submit-time manifest write is the one store failure surfaced to
 	// the submitter: a durable service that cannot record the job it just
 	// accepted should say so up front, not lose it silently on restart.
@@ -141,6 +120,48 @@ func (s *Scheduler) SubmitWithDisposition(req Request) (*Job, Disposition, error
 	// push above already preempted the running speculations.
 	s.onDemandScheduled(req, r)
 	return j, Scheduled, nil
+}
+
+// answerLocked satisfies a submission of id from the job table when it
+// can; s.mu must be held. A retained completed job is a cache hit, a live
+// one coalesces (and may have its queued deadline tightened), and a failed
+// or cancelled one is dropped so the caller re-runs it. A nil job with a
+// nil error means the ID needs a fresh execution.
+func (s *Scheduler) answerLocked(id string, deadline time.Time) (*Job, Disposition, error) {
+	if s.closed {
+		return nil, "", ErrClosed
+	}
+	j, ok := s.jobs[id]
+	if !ok {
+		return nil, "", nil
+	}
+	j.mu.Lock()
+	state := j.state
+	j.submissions++
+	if state == Done {
+		j.cacheHits++
+	}
+	j.mu.Unlock()
+	switch {
+	case state == Done:
+		s.stats.Submitted++
+		s.stats.CacheHits++
+		return j, CacheHit, nil
+	case !state.terminal():
+		s.stats.Submitted++
+		s.stats.Coalesced++
+		// A coalesced submission may tighten the queued entry's deadline
+		// (lock order: s.mu, then the queue's own lock).
+		s.fq.tighten(id, deadline)
+		return j, Coalesced, nil
+	}
+	// Failed or cancelled: drop the stale job. The store directory is NOT
+	// deleted (a RemoveAll must not run under s.mu): the fresh run's queued
+	// manifest overwrites the stale terminal one, and any leftover artifacts
+	// are replaced by the re-run's bitwise-identical products (same
+	// canonical configuration) as it emits them.
+	s.removeLocked(id)
+	return nil, "", nil
 }
 
 // AdmissionError is returned by Submit when the cost model predicts

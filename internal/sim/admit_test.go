@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -110,8 +111,11 @@ func testAdmissionPaths(t *testing.T, reopen func() sim.Store) {
 	if recovered, resumed, err := s.RecoverState(); err != nil || recovered != 3 || resumed != 3 {
 		t.Fatalf("recovered %d resumed %d err %v, want 3/3", recovered, resumed, err)
 	}
+	// Running is visible before the start is booked in Stats (the running
+	// manifest is persisted in between), and the refusals below must not
+	// be blamed for that bump.
 	b, _ := s.Get("blocker")
-	for deadline := time.Now().Add(30 * time.Second); b.State() != sim.Running; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(30 * time.Second); b.State() != sim.Running || s.Stats().Executed != 1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("blocker is %s, never started", b.State())
 		}
@@ -179,5 +183,80 @@ func testAdmissionPaths(t *testing.T, reopen func() sim.Store) {
 	s.Close()
 	if err := s.Readmit(interrupted("take2", small(5), 4), nil); !errors.Is(err, sim.ErrClosed) {
 		t.Errorf("takeover after Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestConcurrentFreshSubmitsExecuteOnce: the estimate is taken with s.mu
+// released, so 32 identical fresh submissions race through that window;
+// exactly one may admit, the rest must find it on the second lookup.
+func TestConcurrentFreshSubmitsExecuteOnce(t *testing.T) {
+	s := sim.NewScheduler(sim.Config{MaxConcurrent: 2, TotalWorkers: 2})
+	defer s.Close()
+	req := sim.Request{Problem: "sedov", RootN: 8, MaxLevel: sim.Int(0), Steps: 2}
+
+	const n = 32
+	jobs := make([]*sim.Job, n)
+	disps := make([]sim.Disposition, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			j, d, err := s.SubmitWithDisposition(req)
+			if err != nil {
+				t.Errorf("submitter %d: %v", i, err)
+				return
+			}
+			jobs[i], disps[i] = j, d
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	scheduled := 0
+	for i, j := range jobs {
+		if j != jobs[0] {
+			t.Fatalf("submitter %d got a different job", i)
+		}
+		if disps[i] == sim.Scheduled {
+			scheduled++
+		}
+	}
+	if _, err := jobs[0].Wait(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if scheduled != 1 || st.Executed != 1 || st.Submitted != n || st.Coalesced+st.CacheHits != n-1 {
+		t.Fatalf("%d scheduled dispositions; executed %d submitted %d coalesced %d hits %d, want 1 / 1 / %d / %d in total",
+			scheduled, st.Executed, st.Submitted, st.Coalesced, st.CacheHits, n, n-1)
+	}
+}
+
+// TestCacheHitSkipsTheCostModel: a hit is answered from the job table
+// before anything is priced. The parent commit estimated first — a
+// feature map, the model's fits and an escaping Estimate per hit, 20
+// allocations in all.
+func TestCacheHitSkipsTheCostModel(t *testing.T) {
+	s := sim.NewScheduler(sim.Config{MaxConcurrent: 1, TotalWorkers: 1})
+	defer s.Close()
+	req := sim.Request{Problem: "sedov", RootN: 8, MaxLevel: sim.Int(1), Steps: 2}
+	j, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, d, err := s.SubmitWithDisposition(req); err != nil || d != sim.CacheHit {
+			t.Fatalf("disposition %q, err %v", d, err)
+		}
+	})
+	if allocs >= 20 {
+		t.Errorf("a cache hit allocates %.0f times, not below the 20 it cost with the estimate first", allocs)
 	}
 }

@@ -4,7 +4,7 @@ package sim
 // dispatch cost — one push plus one pop against a standing backlog — as
 // the tenant population grows. pop scans tenant heads, so the tenant
 // count is the axis that matters; the committed baseline lives in
-// BENCH_queue.json and cmd/perfgate gates regressions against it.
+// BENCH.json and cmd/perfgate gates regressions against it.
 
 import (
 	"fmt"

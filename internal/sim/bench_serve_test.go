@@ -6,8 +6,8 @@ package sim_test
 // cold (every read misses the hot tier and re-reads + re-verifies the
 // disk blob), warm (resident in the LRU hot tier), etag304 (a
 // revalidation that never touches the payload at all), and tiles (one
-// pyramid tile per request). Baselined in BENCH_serve.json and enforced
-// by cmd/perfgate; record new rows with `make bench-serve`.
+// pyramid tile per request). Baselined in BENCH.json and enforced by
+// cmd/perfgate.
 
 import (
 	"context"

@@ -8,7 +8,7 @@ package sim
 // gaps; with speculation on the idle slot runs ahead through the
 // announced backlog during the gaps, so later rows are cache hits and
 // the sweep costs roughly one row plus the gaps. The committed
-// baseline lives in BENCH_speculate.json and cmd/perfgate gates both
+// baseline lives in BENCH.json and cmd/perfgate gates both
 // modes against it — "off" doubles as the regression guard proving the
 // speculation machinery costs nothing when disabled.
 

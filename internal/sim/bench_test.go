@@ -11,10 +11,8 @@ import (
 // service — build ICs, evolve, hash, cache — at 1/2/4 concurrent slots
 // over the machine's full worker budget. Each job is a distinct sedov
 // configuration (a unique e0 knob) so nothing short-circuits through the
-// cache; jobs/sec is the headline metric tracked in BENCH_sim.json.
-// Run with:
-//
-//	make bench-sim
+// cache; ns/op is one job's share of the wall clock, baselined in
+// BENCH.json.
 func BenchmarkSimThroughput(b *testing.B) {
 	for _, slots := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("slots=%d", slots), func(b *testing.B) {

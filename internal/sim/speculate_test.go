@@ -231,6 +231,16 @@ func TestSpeculationDoesNotPerturbDemandDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Its first progress event proves the blocker has been dispatched.
+	// The dispatch bills tenant "warm" and advances the queue's virtual
+	// clock, and a tenant enters at the clock's value when its first job
+	// is pushed. Push claims the blocker on the spot only while the slot
+	// is parked in pop or running a speculation; when the slot is between
+	// a finished bait run and its next pop, the dispatch waits for that
+	// pop and races the pushes below. Landing between alice's first and
+	// bob's first, it admits alice at 0 and bob at 1, and alice rightly
+	// gets two turns before bob's first.
+	<-blocker.Watch()
 	submit := func(tenant string, steps int) *Job {
 		t.Helper()
 		j, err := s.Submit(Request{Problem: "sedov", RootN: 8, MaxLevel: Int(0), Steps: steps, Tenant: tenant})
