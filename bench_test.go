@@ -26,6 +26,7 @@ import (
 	"repro/internal/hydro"
 	"repro/internal/mesh"
 	"repro/internal/mp"
+	"repro/internal/nbody"
 	"repro/internal/par"
 	"repro/internal/perf"
 	"repro/internal/problems"
@@ -202,6 +203,49 @@ func BenchmarkScalingGravityFFT64(b *testing.B) {
 				if _, err := gravity.SolvePeriodicWorkers(rho, 1.0/64, 1.0, w); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// newPancake64 is the particle-mesh workload of bench/'s pancake_unigrid:
+// the pancake's 64³ lattice-ordered particles (a deposit chunk is half a
+// k-plane) on its 64³ root, one step in so the acceleration fields exist.
+func newPancake64(b *testing.B) *amr.Grid {
+	sim, err := core.New("pancake", func(o *problems.Opts) { o.RootN, o.MaxLevel = 64, 0 })
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim.Step()
+	return sim.H.Root()
+}
+
+// BenchmarkDepositCIC64 measures the CIC deposit of 64³ particles onto a
+// 64³ field with hydro.NGhost ghosts: 128 chunks, each reduced over the
+// cells it touched. Baselined in BENCH.json.
+func BenchmarkDepositCIC64(b *testing.B) {
+	g := newPancake64(b)
+	rho := mesh.NewField3(g.Nx, g.Ny, g.Nz, hydro.NGhost)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				nbody.DepositCICWorkers(g.Parts, rho, g.Geom(), w)
+			}
+		})
+	}
+}
+
+// BenchmarkNBodyKick64 measures the particle half-kick — one CIC
+// interpolation of three acceleration fields per particle — for the same
+// 64³ particles. Baselined in BENCH.json.
+func BenchmarkNBodyKick64(b *testing.B) {
+	g := newPancake64(b)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				nbody.Kick(g.Parts, g.GAcc[0], g.GAcc[1], g.GAcc[2], g.Geom(), 1e-6, w)
 			}
 		})
 	}

@@ -78,16 +78,19 @@
 //   - red-black multigrid smoothing, residual and prolongation passes,
 //   - the batched 1-D line transforms of the 3-D FFT Poisson solve,
 //   - the per-cell chemistry backward-Euler solver,
-//   - the CIC particle deposit (per-range buffers reduced in fixed order),
+//   - the CIC particle deposit (fixed chunks, each reduced in chunk order
+//     over the cells it touched) and the particle kick and drift,
+//   - the gas gravity kick and the acceleration gradient (k-planes),
 //   - and whole-grid stepping within an AMR level.
 //
 // The conventions are 0 = runtime.NumCPU() (the default), 1 = serial,
 // n = exactly n workers. Grid kernels partition strictly disjoint data
 // (pencil lines, same-color cells, FFT lines), so their parallel results
-// are bitwise identical to the serial ones at any worker count; only the
-// N-body deposit reduces per-range partial sums, in a fixed order that is
-// deterministic for a given worker count. The *ParallelBitwise tests in
-// each package enforce this.
+// are bitwise identical to the serial ones at any worker count; the
+// N-body deposit, the one reduction, sums fixed particle chunks in chunk
+// order — a partition the worker count does not enter — so it is
+// worker-count-invariant too. The *ParallelBitwise and *WorkersBitwise*
+// tests in each package enforce this.
 //
 // # Serving simulations as jobs
 //
@@ -155,13 +158,11 @@
 // separable sample lattice (per-axis containment and cell-index tables,
 // internal/analysis/lattice.go) instead of locating each sample; the
 // sampling loops run on par.For with per-row or per-grid partials
-// reduced in a fixed order, so the analysis itself is bitwise invariant
-// to the worker count; on particle-free problems the whole product is,
-// and a served artifact can be verified byte-for-byte against an
-// offline core.New evaluation (particle runs reproduce exactly for a
-// given worker budget — the CIC deposit's reduction order is the one
-// worker-dependent kernel, which is why Workers is part of the job
-// identity). See the README's "Data products" section for the
+// reduced in a fixed order, so the analysis — like every engine kernel —
+// is bitwise invariant to the worker count, and a served artifact can be
+// verified byte-for-byte against an offline core.New evaluation (Workers
+// is nevertheless part of the job identity; dropping it would change
+// every job ID). See the README's "Data products" section for the
 // field/kind catalog and curl examples.
 //
 // bench_test.go in this directory regenerates every table and figure of

@@ -399,36 +399,40 @@ func (h *Hierarchy) installTaps(level int) {
 
 // solveGravityLevel solves the Poisson equation on every grid of a level:
 // FFT on the periodic root, multigrid with parent-interpolated Dirichlet
-// boundaries plus an iterative sibling exchange on subgrids (§3.3).
+// boundaries plus an iterative sibling exchange on subgrids (§3.3). The
+// exchange is a subgrid matter: the root is one periodic grid whose
+// source does not change between passes, so it is solved once.
 func (h *Hierarchy) solveGravityLevel(level int) {
 	gc := h.gravConstNow()
 	grids := h.Levels[level]
 	for _, g := range grids {
 		h.depositDM(g)
 	}
-	const siblingIters = 2
-	for pass := 0; pass < siblingIters; pass++ {
+	passes := 2 // sibling-exchange iterations
+	if level == 0 {
+		passes = 1
+	}
+	for pass := 0; pass < passes; pass++ {
 		for _, g := range grids {
 			h.Stats.GravitySolves++
 			rhs := mesh.NewField3(g.Nx, g.Ny, g.Nz, 1)
+			gas, dm := g.State.Rho, g.DMRho
 			for k := 0; k < g.Nz; k++ {
 				for j := 0; j < g.Ny; j++ {
-					for i := 0; i < g.Nx; i++ {
-						rhs.Set(i, j, k, gc*(g.State.Rho.At(i, j, k)+g.DMRho.At(i, j, k)-h.Cfg.MeanRho))
+					gi, di := gas.Idx(0, j, k), dm.Idx(0, j, k)
+					row := rhs.Data[rhs.Idx(0, j, k):][:g.Nx]
+					for i := range row {
+						row[i] = gc * (gas.Data[gi+i] + dm.Data[di+i] - h.Cfg.MeanRho)
 					}
 				}
 			}
 			if g.Level == 0 {
-				total := mesh.NewField3(g.Nx, g.Ny, g.Nz, 1)
-				copy(total.Data, rhs.Data)
-				phi, err := gravity.SolvePeriodicWorkers(total, g.Dx, 1.0, h.Cfg.Workers)
+				phi, err := gravity.SolvePeriodicWorkers(rhs, g.Dx, 1.0, h.Cfg.Workers)
 				if err == nil {
 					// Copy into the grid's wider-ghost field.
 					for k := 0; k < g.Nz; k++ {
 						for j := 0; j < g.Ny; j++ {
-							for i := 0; i < g.Nx; i++ {
-								g.Phi.Set(i, j, k, phi.At(i, j, k))
-							}
+							copy(g.Phi.Data[g.Phi.Idx(0, j, k):][:g.Nx], phi.Data[phi.Idx(0, j, k):])
 						}
 					}
 					g.Phi.ApplyPeriodicBC()
@@ -451,7 +455,7 @@ func (h *Hierarchy) solveGravityLevel(level int) {
 		}
 	}
 	for _, g := range grids {
-		gx, gy, gz := gravity.Accelerations(g.Phi, g.Dx)
+		gx, gy, gz := gravity.Accelerations(g.Phi, g.Dx, h.Cfg.Workers)
 		if g.Level == 0 {
 			gx.ApplyPeriodicBC()
 			gy.ApplyPeriodicBC()

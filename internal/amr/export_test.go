@@ -8,8 +8,10 @@ package amr
 import (
 	"math"
 
+	"repro/internal/gravity"
 	"repro/internal/hydro"
 	"repro/internal/mesh"
+	"repro/internal/physics"
 )
 
 // Hooks for boundary_test.go (package amr_test).
@@ -206,4 +208,107 @@ func ReferenceReconcileSiblingFluxes(h *Hierarchy, level int) {
 			}
 		}
 	}
+}
+
+// referenceGravitySolveOp is gravitySolveOp over the parent's solve.
+type referenceGravitySolveOp struct{ gravitySolveOp }
+
+func (o *referenceGravitySolveOp) ApplyLevel(level int, dt float64) {
+	if o.h.Cfg.SelfGravity {
+		referenceSolveGravityLevel(o.h, level)
+	}
+}
+
+// ReferencePipeline is DefaultPipeline with the parent's two-pass gravity
+// solve as its level operator (gravity_test.go).
+func ReferencePipeline(h *Hierarchy) *physics.Pipeline {
+	ops := append([]physics.Operator{&referenceGravitySolveOp{gravitySolveOp{h: h}}}, physics.DefaultOperators()...)
+	return physics.NewPipeline(ops...)
+}
+
+// referenceSolveGravityLevel is solveGravityLevel as it stood before the
+// root was solved once per step: both sibling-exchange passes on every
+// level, the root included, per-cell At/Set loops and a serial
+// Accelerations.
+func referenceSolveGravityLevel(h *Hierarchy, level int) {
+	gc := h.gravConstNow()
+	grids := h.Levels[level]
+	for _, g := range grids {
+		h.depositDM(g)
+	}
+	const siblingIters = 2
+	for pass := 0; pass < siblingIters; pass++ {
+		for _, g := range grids {
+			h.Stats.GravitySolves++
+			rhs := mesh.NewField3(g.Nx, g.Ny, g.Nz, 1)
+			for k := 0; k < g.Nz; k++ {
+				for j := 0; j < g.Ny; j++ {
+					for i := 0; i < g.Nx; i++ {
+						rhs.Set(i, j, k, gc*(g.State.Rho.At(i, j, k)+g.DMRho.At(i, j, k)-h.Cfg.MeanRho))
+					}
+				}
+			}
+			if g.Level == 0 {
+				total := mesh.NewField3(g.Nx, g.Ny, g.Nz, 1)
+				copy(total.Data, rhs.Data)
+				phi, err := gravity.SolvePeriodicWorkers(total, g.Dx, 1.0, h.Cfg.Workers)
+				if err == nil {
+					// Copy into the grid's wider-ghost field.
+					for k := 0; k < g.Nz; k++ {
+						for j := 0; j < g.Ny; j++ {
+							for i := 0; i < g.Nx; i++ {
+								g.Phi.Set(i, j, k, phi.At(i, j, k))
+							}
+						}
+					}
+					g.Phi.ApplyPeriodicBC()
+				}
+				continue
+			}
+			// Subgrid: Dirichlet ghosts from the parent potential, then
+			// overwrite with any sibling's fresher values.
+			fillPhiGhosts(g, h.Cfg.Refine)
+			for _, s := range grids {
+				if s == g {
+					continue
+				}
+				mesh.CopyOverlap(g.Phi, s.Phi, s.Lo[0]-g.Lo[0], s.Lo[1]-g.Lo[1], s.Lo[2]-g.Lo[2], 1)
+			}
+			mg := gravity.DefaultMGParams()
+			mg.Workers = h.Cfg.Workers
+			gravity.SolveMultigrid(g.Phi, rhs, g.Dx, mg)
+			g.Phi.ApplyOutflowBC()
+		}
+	}
+	for _, g := range grids {
+		gx, gy, gz := referenceAccelerations(g.Phi, g.Dx)
+		if g.Level == 0 {
+			gx.ApplyPeriodicBC()
+			gy.ApplyPeriodicBC()
+			gz.ApplyPeriodicBC()
+		} else {
+			gx.ApplyOutflowBC()
+			gy.ApplyOutflowBC()
+			gz.ApplyOutflowBC()
+		}
+		g.GAcc = [3]*mesh.Field3{gx, gy, gz}
+	}
+}
+
+// referenceAccelerations is the parent's gravity.Accelerations.
+func referenceAccelerations(phi *mesh.Field3, dx float64) (gx, gy, gz *mesh.Field3) {
+	gx = mesh.NewField3(phi.Nx, phi.Ny, phi.Nz, phi.Ng)
+	gy = mesh.NewField3(phi.Nx, phi.Ny, phi.Nz, phi.Ng)
+	gz = mesh.NewField3(phi.Nx, phi.Ny, phi.Nz, phi.Ng)
+	inv2dx := 1 / (2 * dx)
+	for k := 0; k < phi.Nz; k++ {
+		for j := 0; j < phi.Ny; j++ {
+			for i := 0; i < phi.Nx; i++ {
+				gx.Set(i, j, k, -(phi.At(i+1, j, k)-phi.At(i-1, j, k))*inv2dx)
+				gy.Set(i, j, k, -(phi.At(i, j+1, k)-phi.At(i, j-1, k))*inv2dx)
+				gz.Set(i, j, k, -(phi.At(i, j, k+1)-phi.At(i, j, k-1))*inv2dx)
+			}
+		}
+	}
+	return
 }

@@ -98,21 +98,29 @@ func lapEigen(n int, dx float64) []float64 {
 }
 
 // Accelerations differentiates the potential with central differences,
-// returning g = -∇φ. The potential's ghost zones must be valid.
-func Accelerations(phi *mesh.Field3, dx float64) (gx, gy, gz *mesh.Field3) {
+// returning g = -∇φ. The potential's ghost zones must be valid. Rows walk
+// the flat arrays by stride, k-planes fanned out over workers (par
+// conventions); every cell is independent, so the result is bitwise
+// identical at any setting.
+func Accelerations(phi *mesh.Field3, dx float64, workers int) (gx, gy, gz *mesh.Field3) {
 	gx = mesh.NewField3(phi.Nx, phi.Ny, phi.Nz, phi.Ng)
 	gy = mesh.NewField3(phi.Nx, phi.Ny, phi.Nz, phi.Ng)
 	gz = mesh.NewField3(phi.Nx, phi.Ny, phi.Nz, phi.Ng)
 	inv2dx := 1 / (2 * dx)
-	for k := 0; k < phi.Nz; k++ {
-		for j := 0; j < phi.Ny; j++ {
-			for i := 0; i < phi.Nx; i++ {
-				gx.Set(i, j, k, -(phi.At(i+1, j, k)-phi.At(i-1, j, k))*inv2dx)
-				gy.Set(i, j, k, -(phi.At(i, j+1, k)-phi.At(i, j-1, k))*inv2dx)
-				gz.Set(i, j, k, -(phi.At(i, j, k+1)-phi.At(i, j, k-1))*inv2dx)
+	pd, xd, yd, zd := phi.Data, gx.Data, gy.Data, gz.Data
+	sy, sz := phi.StrideY(), phi.StrideZ()
+	par.For(workers, phi.Nz, 0, func(_, klo, khi int) {
+		for k := klo; k < khi; k++ {
+			for j := 0; j < phi.Ny; j++ {
+				idx := phi.Idx(0, j, k) // the outputs share phi's shape
+				for end := idx + phi.Nx; idx < end; idx++ {
+					xd[idx] = -(pd[idx+1] - pd[idx-1]) * inv2dx
+					yd[idx] = -(pd[idx+sy] - pd[idx-sy]) * inv2dx
+					zd[idx] = -(pd[idx+sz] - pd[idx-sz]) * inv2dx
+				}
 			}
 		}
-	}
+	})
 	return
 }
 

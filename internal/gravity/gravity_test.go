@@ -85,7 +85,7 @@ func TestAccelerationsPointTowardMass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gx, gy, gz := Accelerations(phi, dx)
+	gx, gy, gz := Accelerations(phi, dx, 1)
 	// Cell to the +x side of center must accelerate in -x.
 	if gx.At(n/2+2, n/2, n/2) >= 0 {
 		t.Errorf("gx on +x side = %v, want negative", gx.At(n/2+2, n/2, n/2))

@@ -68,3 +68,39 @@ func TestSolvePeriodicParallelBitwise(t *testing.T) {
 		}
 	}
 }
+
+// TestAccelerationsParallelBitwise holds the strided, k-plane-parallel
+// gradient to the per-cell At/Set form it replaced, ghosts included, at
+// every worker count.
+func TestAccelerationsParallelBitwise(t *testing.T) {
+	const nx, ny, nz = 12, 8, 10
+	const dx = 1.0 / 12
+	phi := mesh.NewField3(nx, ny, nz, 2)
+	for idx := range phi.Data {
+		phi.Data[idx] = math.Sin(0.7*float64(idx)) + 1e-3*float64(idx%17)
+	}
+	var want [3]*mesh.Field3
+	for d := range want {
+		want[d] = mesh.NewField3(nx, ny, nz, 2)
+	}
+	inv2dx := 1 / (2 * dx)
+	for k := 0; k < nz; k++ {
+		for j := 0; j < ny; j++ {
+			for i := 0; i < nx; i++ {
+				want[0].Set(i, j, k, -(phi.At(i+1, j, k)-phi.At(i-1, j, k))*inv2dx)
+				want[1].Set(i, j, k, -(phi.At(i, j+1, k)-phi.At(i, j-1, k))*inv2dx)
+				want[2].Set(i, j, k, -(phi.At(i, j, k+1)-phi.At(i, j, k-1))*inv2dx)
+			}
+		}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		gx, gy, gz := Accelerations(phi, dx, workers)
+		for d, got := range []*mesh.Field3{gx, gy, gz} {
+			for idx, v := range want[d].Data {
+				if got.Data[idx] != v {
+					t.Fatalf("workers=%d axis %d differs at %d: per-cell %v, got %v", workers, d, idx, v, got.Data[idx])
+				}
+			}
+		}
+	}
+}

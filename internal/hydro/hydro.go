@@ -21,6 +21,7 @@ import (
 	"math"
 
 	"repro/internal/mesh"
+	"repro/internal/par"
 )
 
 // NGhost is the ghost-zone depth required by the PPM stencil.
@@ -221,23 +222,27 @@ func ApplyExpansion(s *State, adotOverA, dt float64) {
 }
 
 // KickGravity applies a gravitational velocity kick g*dt and the matching
-// total-energy update. gx/gy/gz are cell-centered accelerations.
-func KickGravity(s *State, gx, gy, gz *mesh.Field3, dt float64) {
-	for k := 0; k < s.Rho.Nz; k++ {
-		for j := 0; j < s.Rho.Ny; j++ {
-			for i := 0; i < s.Rho.Nx; i++ {
-				ax, ay, az := gx.At(i, j, k), gy.At(i, j, k), gz.At(i, j, k)
-				vx := s.Vx.At(i, j, k)
-				vy := s.Vy.At(i, j, k)
-				vz := s.Vz.At(i, j, k)
-				nvx, nvy, nvz := vx+ax*dt, vy+ay*dt, vz+az*dt
-				s.Vx.Set(i, j, k, nvx)
-				s.Vy.Set(i, j, k, nvy)
-				s.Vz.Set(i, j, k, nvz)
-				// Kinetic energy change at fixed Eint.
-				dke := 0.5 * (nvx*nvx + nvy*nvy + nvz*nvz - vx*vx - vy*vy - vz*vz)
-				s.Etot.Add(i, j, k, dke)
+// total-energy update. gx/gy/gz are cell-centered accelerations sharing
+// one shape. Rows walk the flat arrays, k-planes fanned out over workers
+// (par conventions); every cell is independent, so the result is bitwise
+// identical at any setting.
+func KickGravity(s *State, gx, gy, gz *mesh.Field3, dt float64, workers int) {
+	nx := s.Rho.Nx
+	par.For(workers, s.Rho.Nz, 0, func(_, klo, khi int) {
+		for k := klo; k < khi; k++ {
+			for j := 0; j < s.Rho.Ny; j++ {
+				si, gi := s.Vx.Idx(0, j, k), gx.Idx(0, j, k)
+				svx, svy, svz := s.Vx.Data[si:si+nx], s.Vy.Data[si:si+nx], s.Vz.Data[si:si+nx]
+				etot := s.Etot.Data[si : si+nx]
+				ax, ay, az := gx.Data[gi:gi+nx], gy.Data[gi:gi+nx], gz.Data[gi:gi+nx]
+				for i := range svx {
+					vx, vy, vz := svx[i], svy[i], svz[i]
+					nvx, nvy, nvz := vx+ax[i]*dt, vy+ay[i]*dt, vz+az[i]*dt
+					svx[i], svy[i], svz[i] = nvx, nvy, nvz
+					// Kinetic energy change at fixed Eint.
+					etot[i] += 0.5 * (nvx*nvx + nvy*nvy + nvz*nvz - vx*vx - vy*vy - vz*vz)
+				}
 			}
 		}
-	}
+	})
 }

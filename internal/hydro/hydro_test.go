@@ -372,7 +372,7 @@ func TestKickGravity(t *testing.T) {
 	gy := s.Rho.Clone()
 	gy.Fill(0)
 	gz := gy.Clone()
-	KickGravity(s, gx, gy, gz, 0.25)
+	KickGravity(s, gx, gy, gz, 0.25, 1)
 	if math.Abs(s.Vx.At(0, 0, 0)-1.0) > 1e-14 {
 		t.Errorf("vx after kick %v, want 1.0", s.Vx.At(0, 0, 0))
 	}

@@ -3,6 +3,8 @@ package hydro
 import (
 	"math"
 	"testing"
+
+	"repro/internal/mesh"
 )
 
 // randomishState fills an n³ state (with nsp species) with a smooth but
@@ -88,6 +90,47 @@ func TestStep3DParallelBitwise(t *testing.T) {
 					if tapP[ti].Data[q][i] != v {
 						t.Fatalf("%v: tap %d field %d idx %d differs", solver, ti, q, i)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestKickGravityParallelBitwise holds the row-wise, k-plane-parallel kick
+// to the per-cell At/Set form it replaced, at every worker count; the
+// acceleration fields carry a ghost depth of their own, not the state's.
+func TestKickGravityParallelBitwise(t *testing.T) {
+	const n = 12
+	const dt = 0.37
+	var g [3]*mesh.Field3
+	for d := range g {
+		g[d] = mesh.NewField3(n, n, n, 1)
+		for idx := range g[d].Data {
+			g[d].Data[idx] = math.Sin(float64(idx*(d+2))) + 0.1*float64(d)
+		}
+	}
+	want := randomishState(n, 0)
+	for k := 0; k < n; k++ {
+		for j := 0; j < n; j++ {
+			for i := 0; i < n; i++ {
+				ax, ay, az := g[0].At(i, j, k), g[1].At(i, j, k), g[2].At(i, j, k)
+				vx, vy, vz := want.Vx.At(i, j, k), want.Vy.At(i, j, k), want.Vz.At(i, j, k)
+				nvx, nvy, nvz := vx+ax*dt, vy+ay*dt, vz+az*dt
+				want.Vx.Set(i, j, k, nvx)
+				want.Vy.Set(i, j, k, nvy)
+				want.Vz.Set(i, j, k, nvz)
+				want.Etot.Add(i, j, k, 0.5*(nvx*nvx+nvy*nvy+nvz*nvz-vx*vx-vy*vy-vz*vz))
+			}
+		}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		got := randomishState(n, 0)
+		KickGravity(got, g[0], g[1], g[2], dt, workers)
+		fw, fg := want.Fields(), got.Fields()
+		for fi := range fw {
+			for idx, v := range fw[fi].Data {
+				if fg[fi].Data[idx] != v {
+					t.Fatalf("workers=%d field %d differs at %d: per-cell %v, got %v", workers, fi, idx, v, fg[fi].Data[idx])
 				}
 			}
 		}

@@ -11,6 +11,13 @@
 // arithmetic (offsets within a grid) is done in float64 after a single
 // extended-precision subtraction, keeping the high-precision operation
 // count to a few percent (paper §3.5).
+//
+// The method costs O(particles), and every kernel here runs on par.For to
+// keep it there. The deposit partitions particles into fixed chunks, each
+// accumulated from zero and added to the density in chunk order over the
+// box of cells it touched; the kick and the drift fan fixed particle
+// ranges out over the workers. Neither partition depends on the worker
+// count, so all three are bitwise identical at any setting.
 package nbody
 
 import (
@@ -128,12 +135,14 @@ const depositChunkSize = 2048
 // DepositCICWorkers is DepositCIC with an explicit worker bound (par
 // conventions: 0 = NumCPU, 1 = serial). Particles are partitioned into
 // fixed chunks of depositChunkSize regardless of the worker count; chunks
-// are deposited into per-worker scratch buffers in batches of W and the
-// batch is reduced into rho serially in ascending chunk order. Both the
-// chunk partition and the reduction order are independent of W and of
-// goroutine scheduling, so the result is bitwise identical for every
-// worker count — a job's canonical checksum cannot depend on where (or
-// how wide) it ran.
+// are deposited into per-slot scratch buffers in batches of W and the
+// batch is reduced into rho serially in ascending chunk order, each chunk
+// over the index box of the cells it wrote (a chunk that touched nothing
+// is skipped; the rest of its buffer is exactly zero and would add
+// nothing). Both the chunk partition and the per-cell reduction order are
+// independent of W and of goroutine scheduling, so the result is bitwise
+// identical for every worker count — a job's canonical checksum cannot
+// depend on where (or how wide) it ran.
 func DepositCICWorkers(p *Particles, rho *mesh.Field3, geom GridGeom, workers int) int {
 	n := p.Len()
 	if n == 0 {
@@ -144,13 +153,15 @@ func DepositCICWorkers(p *Particles, rho *mesh.Field3, geom GridGeom, workers in
 	if w > nchunks {
 		w = nchunks
 	}
-	// One scratch grid per worker slot, reused (re-zeroed) across
-	// batches, so the live buffer cost is W grid copies, not nchunks.
+	// One scratch grid per batch slot, reused across batches (the touched
+	// box is re-zeroed by the reduction), so the live buffer cost is W
+	// grid copies, not nchunks.
 	bufs := make([]*mesh.Field3, w)
 	for s := range bufs {
 		bufs[s] = mesh.NewField3(rho.Nx, rho.Ny, rho.Nz, rho.Ng)
 	}
 	counts := make([]int, w)
+	boxes := make([]cellBox, w)
 	total := 0
 	for base := 0; base < nchunks; base += w {
 		batch := w
@@ -167,46 +178,84 @@ func DepositCICWorkers(p *Particles, rho *mesh.Field3, geom GridGeom, workers in
 				if phi > n {
 					phi = n
 				}
-				counts[s] = depositCICRange(p, bufs[s], geom, plo, phi)
+				counts[s], boxes[s] = depositCICRange(p, bufs[s], geom, plo, phi)
 			}
 		})
+		last := base+batch >= nchunks
 		for s := 0; s < batch; s++ {
+			if counts[s] == 0 {
+				continue // nothing written: the buffer is still all zero
+			}
 			total += counts[s]
-			src := bufs[s].Data
-			dst := rho.Data
-			for i, v := range src {
-				if v != 0 {
-					dst[i] += v
-				}
-			}
-			if base+batch < nchunks {
-				bufs[s].Zero()
-			}
+			addBox(rho, bufs[s], boxes[s], !last)
 		}
 	}
 	return total
 }
 
-// depositCICRange deposits particles [lo, hi) with the CIC kernel.
-func depositCICRange(p *Particles, rho *mesh.Field3, geom GridGeom, lo, hi int) int {
-	ng := rho.Ng
+// cellBox is an inclusive box of raw array coordinates (ghost offset
+// included) of a field: the cells one deposit chunk wrote.
+type cellBox struct{ lo, hi [3]int }
+
+// addBox adds src's non-zero cells inside b onto dst, row by row, and
+// re-zeroes them when src is to be reused. dst and src share one shape.
+func addBox(dst, src *mesh.Field3, b cellBox, rezero bool) {
+	sy, sz := src.StrideY(), src.StrideZ()
+	n := b.hi[0] - b.lo[0] + 1
+	for k := b.lo[2]; k <= b.hi[2]; k++ {
+		for j := b.lo[1]; j <= b.hi[1]; j++ {
+			off := b.lo[0] + sy*j + sz*k
+			s, d := src.Data[off:off+n], dst.Data[off:off+n]
+			for i, v := range s {
+				if v != 0 {
+					d[i] += v
+				}
+			}
+			if rezero {
+				clear(s)
+			}
+		}
+	}
+}
+
+// cicCell locates particle i's cloud on a grid of the given shape: the
+// low cell (i0, j0, k0) of the 2×2×2 cloud and the weights of the high
+// cell along each axis. ok is false when the cloud leaves the grid's
+// ghost halo.
+func cicCell(f *mesh.Field3, geom GridGeom, p *Particles, i int) (i0, j0, k0 int, wx, wy, wz float64, ok bool) {
+	x, y, z := geom.RelPos(p, i)
+	fx := x - 0.5
+	fy := y - 0.5
+	fz := z - 0.5
+	i0 = int(math.Floor(fx))
+	j0 = int(math.Floor(fy))
+	k0 = int(math.Floor(fz))
+	wx = fx - float64(i0)
+	wy = fy - float64(j0)
+	wz = fz - float64(k0)
+	ng := f.Ng
+	ok = !(i0 < -ng || i0+1 >= f.Nx+ng || j0 < -ng || j0+1 >= f.Ny+ng || k0 < -ng || k0+1 >= f.Nz+ng)
+	return
+}
+
+// depositCICRange deposits particles [lo, hi) with the CIC kernel and
+// returns how many touched the grid and the box of cells they wrote
+// (meaningless when the count is zero).
+func depositCICRange(p *Particles, rho *mesh.Field3, geom GridGeom, lo, hi int) (int, cellBox) {
 	invVol := 1 / (geom.Dx * geom.Dx * geom.Dx)
+	d := rho.Data
+	sy, sz := rho.StrideY(), rho.StrideZ()
+	// Running bounds of the clouds' low cells, in active coordinates.
+	ilo, jlo, klo := math.MaxInt, math.MaxInt, math.MaxInt
+	ihi, jhi, khi := math.MinInt, math.MinInt, math.MinInt
 	count := 0
 	for i := lo; i < hi; i++ {
-		x, y, z := geom.RelPos(p, i)
-		fx := x - 0.5
-		fy := y - 0.5
-		fz := z - 0.5
-		i0 := int(math.Floor(fx))
-		j0 := int(math.Floor(fy))
-		k0 := int(math.Floor(fz))
-		wx := fx - float64(i0)
-		wy := fy - float64(j0)
-		wz := fz - float64(k0)
-		if i0 < -ng || i0+1 >= rho.Nx+ng || j0 < -ng || j0+1 >= rho.Ny+ng || k0 < -ng || k0+1 >= rho.Nz+ng {
+		i0, j0, k0, wx, wy, wz, ok := cicCell(rho, geom, p, i)
+		if !ok {
 			continue
 		}
 		m := p.Mass[i] * invVol
+		base := rho.Idx(i0, j0, k0)
 		for dk := 0; dk <= 1; dk++ {
 			wk := wz
 			if dk == 0 {
@@ -217,22 +266,28 @@ func depositCICRange(p *Particles, rho *mesh.Field3, geom GridGeom, lo, hi int) 
 				if dj == 0 {
 					wj = 1 - wy
 				}
-				for di := 0; di <= 1; di++ {
-					wi := wx
-					if di == 0 {
-						wi = 1 - wx
-					}
-					rho.Add(i0+di, j0+dj, k0+dk, m*wi*wj*wk)
-				}
+				row := base + dk*sz + dj*sy
+				d[row] += m * (1 - wx) * wj * wk
+				d[row+1] += m * wx * wj * wk
 			}
 		}
+		ilo, ihi = min(ilo, i0), max(ihi, i0)
+		jlo, jhi = min(jlo, j0), max(jhi, j0)
+		klo, khi = min(klo, k0), max(khi, k0)
 		count++
 	}
-	return count
+	ng := rho.Ng
+	return count, cellBox{
+		lo: [3]int{ilo + ng, jlo + ng, klo + ng},
+		hi: [3]int{ihi + ng + 1, jhi + ng + 1, khi + ng + 1},
+	}
 }
 
 // FoldGhostsPeriodic adds ghost-zone deposits back into the periodic
 // active region and zeroes the ghosts (completing a periodic CIC deposit).
+// Only the ghost shell is visited, in the k, j, i order of a full-grid
+// walk, so an active cell that receives several ghosts sums them in a
+// fixed order.
 func FoldGhostsPeriodic(rho *mesh.Field3) {
 	ng := rho.Ng
 	wrap := func(v, n int) int {
@@ -242,40 +297,39 @@ func FoldGhostsPeriodic(rho *mesh.Field3) {
 		}
 		return v
 	}
+	fold := func(k, j, ilo, ihi int) {
+		for i := ilo; i < ihi; i++ {
+			v := rho.At(i, j, k)
+			if v != 0 {
+				rho.Add(wrap(i, rho.Nx), wrap(j, rho.Ny), wrap(k, rho.Nz), v)
+				rho.Set(i, j, k, 0)
+			}
+		}
+	}
 	for k := -ng; k < rho.Nz+ng; k++ {
 		for j := -ng; j < rho.Ny+ng; j++ {
-			for i := -ng; i < rho.Nx+ng; i++ {
-				inside := i >= 0 && i < rho.Nx && j >= 0 && j < rho.Ny && k >= 0 && k < rho.Nz
-				if inside {
-					continue
-				}
-				v := rho.At(i, j, k)
-				if v != 0 {
-					rho.Add(wrap(i, rho.Nx), wrap(j, rho.Ny), wrap(k, rho.Nz), v)
-					rho.Set(i, j, k, 0)
-				}
+			if k < 0 || k >= rho.Nz || j < 0 || j >= rho.Ny {
+				fold(k, j, -ng, rho.Nx+ng)
+				continue
 			}
+			fold(k, j, -ng, 0)
+			fold(k, j, rho.Nx, rho.Nx+ng)
 		}
 	}
 }
 
 // InterpCIC interpolates the acceleration fields to particle i's position
-// with the same CIC kernel used for deposit (ensuring no self-force).
+// with the same CIC kernel used for deposit (ensuring no self-force). The
+// three fields share one shape; the cloud's eight cells are read from
+// their flat arrays by stride.
 func InterpCIC(gx, gy, gz *mesh.Field3, geom GridGeom, p *Particles, i int) (ax, ay, az float64, ok bool) {
-	ng := gx.Ng
-	x, y, z := geom.RelPos(p, i)
-	fx := x - 0.5
-	fy := y - 0.5
-	fz := z - 0.5
-	i0 := int(math.Floor(fx))
-	j0 := int(math.Floor(fy))
-	k0 := int(math.Floor(fz))
-	wx := fx - float64(i0)
-	wy := fy - float64(j0)
-	wz := fz - float64(k0)
-	if i0 < -ng || i0+1 >= gx.Nx+ng || j0 < -ng || j0+1 >= gx.Ny+ng || k0 < -ng || k0+1 >= gx.Nz+ng {
+	i0, j0, k0, wx, wy, wz, ok := cicCell(gx, geom, p, i)
+	if !ok {
 		return 0, 0, 0, false
 	}
+	xd, yd, zd := gx.Data, gy.Data, gz.Data
+	sy, sz := gx.StrideY(), gx.StrideZ()
+	base := gx.Idx(i0, j0, k0)
 	for dk := 0; dk <= 1; dk++ {
 		wk := wz
 		if dk == 0 {
@@ -286,43 +340,52 @@ func InterpCIC(gx, gy, gz *mesh.Field3, geom GridGeom, p *Particles, i int) (ax,
 			if dj == 0 {
 				wj = 1 - wy
 			}
-			for di := 0; di <= 1; di++ {
-				wi := wx
-				if di == 0 {
-					wi = 1 - wx
-				}
-				w := wi * wj * wk
-				ax += w * gx.At(i0+di, j0+dj, k0+dk)
-				ay += w * gy.At(i0+di, j0+dj, k0+dk)
-				az += w * gz.At(i0+di, j0+dj, k0+dk)
-			}
+			row := base + dk*sz + dj*sy
+			w := (1 - wx) * wj * wk
+			ax += w * xd[row]
+			ay += w * yd[row]
+			az += w * zd[row]
+			w = wx * wj * wk
+			ax += w * xd[row+1]
+			ay += w * yd[row+1]
+			az += w * zd[row+1]
 		}
 	}
 	return ax, ay, az, true
 }
 
+// pushRange is the fixed particle range one par.For claim of Kick or
+// Drift covers. Every particle's update is independent of every other's,
+// so the push is bitwise identical at any worker count.
+const pushRange = 4096
+
 // Kick applies a velocity kick from the acceleration fields over dt to all
-// particles inside the grid.
-func Kick(p *Particles, gx, gy, gz *mesh.Field3, geom GridGeom, dt float64) {
-	for i := 0; i < p.Len(); i++ {
-		ax, ay, az, ok := InterpCIC(gx, gy, gz, geom, p, i)
-		if !ok {
-			continue
+// particles inside the grid, particle ranges fanned out over workers (par
+// conventions).
+func Kick(p *Particles, gx, gy, gz *mesh.Field3, geom GridGeom, dt float64, workers int) {
+	par.For(workers, p.Len(), pushRange, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ax, ay, az, ok := InterpCIC(gx, gy, gz, geom, p, i)
+			if !ok {
+				continue
+			}
+			p.Vx[i] += ax * dt
+			p.Vy[i] += ay * dt
+			p.Vz[i] += az * dt
 		}
-		p.Vx[i] += ax * dt
-		p.Vy[i] += ay * dt
-		p.Vz[i] += az * dt
-	}
+	})
 }
 
 // Drift advances positions by v*dt in extended precision (velocities are
-// in box units per code time).
-func (p *Particles) Drift(dt float64) {
-	for i := range p.X {
-		p.X[i] = p.X[i].AddFloat(p.Vx[i] * dt)
-		p.Y[i] = p.Y[i].AddFloat(p.Vy[i] * dt)
-		p.Z[i] = p.Z[i].AddFloat(p.Vz[i] * dt)
-	}
+// in box units per code time), particle ranges fanned out over workers.
+func (p *Particles) Drift(dt float64, workers int) {
+	par.For(workers, p.Len(), pushRange, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p.X[i] = p.X[i].AddFloat(p.Vx[i] * dt)
+			p.Y[i] = p.Y[i].AddFloat(p.Vy[i] * dt)
+			p.Z[i] = p.Z[i].AddFloat(p.Vz[i] * dt)
+		}
+	})
 }
 
 // ApplyExpansion applies the comoving expansion drag dv/dt = -(ȧ/a)v.

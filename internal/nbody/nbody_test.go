@@ -105,7 +105,7 @@ func TestDriftExtendedPrecision(t *testing.T) {
 	// requirement of the paper.
 	p := New(1)
 	p.Add(ep128.FromFloat64(0.75), ep128.FromFloat64(0.5), ep128.FromFloat64(0.5), 1e-18, 0, 0, 1, 0)
-	p.Drift(1.0)
+	p.Drift(1.0, 1)
 	moved := p.X[0].SubFloat(0.75)
 	if moved.Float64() != 1e-18 {
 		t.Fatalf("drift lost below float64 resolution: %v", moved.Float64())
@@ -163,11 +163,11 @@ func TestTwoBodyOrbitSymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gx, gy, gz := gravity.Accelerations(phi, geom.Dx)
+	gx, gy, gz := gravity.Accelerations(phi, geom.Dx, 1)
 	gx.ApplyPeriodicBC()
 	gy.ApplyPeriodicBC()
 	gz.ApplyPeriodicBC()
-	Kick(p, gx, gy, gz, geom, 0.01)
+	Kick(p, gx, gy, gz, geom, 0.01, 1)
 	if p.Vx[0] <= 0 {
 		t.Errorf("left particle should accelerate right: %v", p.Vx[0])
 	}

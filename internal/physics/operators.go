@@ -93,7 +93,7 @@ func (*GravityKickOp) Apply(ctx *Context, g *Grid, dt float64) {
 	if !ctx.SelfGravity || g.GAcc[0] == nil {
 		return
 	}
-	hydro.KickGravity(g.State, g.GAcc[0], g.GAcc[1], g.GAcc[2], dt/2)
+	hydro.KickGravity(g.State, g.GAcc[0], g.GAcc[1], g.GAcc[2], dt/2, ctx.Workers)
 }
 
 // Timestep is unconstrained: the kick follows the hydro CFL.
@@ -122,11 +122,11 @@ func (*NBodyOp) Apply(ctx *Context, g *Grid, dt float64) {
 	}
 	kick := ctx.SelfGravity && g.GAcc[0] != nil
 	if kick {
-		nbody.Kick(g.Parts, g.GAcc[0], g.GAcc[1], g.GAcc[2], g.Geom, dt/2)
+		nbody.Kick(g.Parts, g.GAcc[0], g.GAcc[1], g.GAcc[2], g.Geom, dt/2, ctx.Workers)
 	}
-	g.Parts.Drift(dt)
+	g.Parts.Drift(dt, ctx.Workers)
 	if kick {
-		nbody.Kick(g.Parts, g.GAcc[0], g.GAcc[1], g.GAcc[2], g.Geom, dt/2)
+		nbody.Kick(g.Parts, g.GAcc[0], g.GAcc[1], g.GAcc[2], g.Geom, dt/2, ctx.Workers)
 	}
 	g.Stats.ParticleKicks += int64(g.Parts.Len())
 }

@@ -99,10 +99,10 @@ func ParseCanonicalKnobs(s string) (map[string]float64, error) {
 
 // Canonical renders a fully resolved Opts as a deterministic string: the
 // identity of a run's configuration for hashing and caching. Every field
-// participates, including Workers — grid kernels are worker-invariant but
-// the CIC deposit's reduction order is not, so two worker budgets are two
-// bitwise identities. Callers wanting a workers-agnostic key zero the
-// field first.
+// participates, including Workers — every kernel, the CIC deposit
+// included, is worker-invariant, but dropping the field would change every
+// job ID, so two worker budgets remain two identities. Callers wanting a
+// workers-agnostic key zero the field first.
 func (o Opts) Canonical() string {
 	return fmt.Sprintf("rootn=%d;maxlevel=%d;chem=%t;workers=%d;seed=%d;solver=%s;knobs=%s",
 		o.RootN, o.MaxLevel, o.Chemistry, o.Workers, o.Seed, o.Solver,
