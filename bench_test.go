@@ -29,6 +29,7 @@ import (
 	"repro/internal/nbody"
 	"repro/internal/par"
 	"repro/internal/perf"
+	"repro/internal/physics"
 	"repro/internal/problems"
 	"repro/internal/units"
 )
@@ -299,6 +300,58 @@ func BenchmarkScalingBoundaryFill(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				h.EvolveLevel(1, now)
+			}
+		})
+	}
+}
+
+// collapseHierarchy is bench/'s collapse_restart hierarchy before its
+// checkpoint: collapse at 16³, maxlevel 4, evolved 10 root steps, when
+// level 3 holds 78 grids.
+func collapseHierarchy(b *testing.B) *amr.Hierarchy {
+	sim, err := core.New("collapse", func(o *problems.Opts) { o.RootN, o.MaxLevel = 16, 4 })
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim.RunSteps(10)
+	return sim.H
+}
+
+// BenchmarkRebuildCollapse measures RebuildHierarchy(1) — flag, dilate and
+// cluster every parent, build and fill every new grid, rehome particles —
+// on the evolved collapse hierarchy. Baselined in BENCH.json.
+func BenchmarkRebuildCollapse(b *testing.B) {
+	h := collapseHierarchy(b)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
+			h.Cfg.Workers = w
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.RebuildHierarchy(1)
+			}
+		})
+	}
+}
+
+// BenchmarkSubgridGravity measures the gravity.solve level operator on the
+// deepest level of the evolved collapse hierarchy: deposit, two multigrid
+// sibling-exchange passes over its grids, accelerations. Baselined in
+// BENCH.json.
+func BenchmarkSubgridGravity(b *testing.B) {
+	h := collapseHierarchy(b)
+	var solve physics.LevelOperator
+	for _, op := range h.Physics.Ops() {
+		if lop, ok := op.(physics.LevelOperator); ok && op.Name() == "gravity.solve" {
+			solve = lop
+		}
+	}
+	level := h.MaxLevel()
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
+			h.Cfg.Workers = w
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				solve.ApplyLevel(level, 0)
 			}
 		})
 	}

@@ -16,10 +16,9 @@ import (
 // regression suite and the sim job cache: a changed bit anywhere in the
 // solution changes the checksum.
 //
-// Grid kernels are bitwise identical at any worker count; only the CIC
-// deposit's reduction order depends (deterministically) on it. Callers
-// wanting machine-portable digests for particle problems must therefore
-// pin Cfg.Workers.
+// Every kernel is bitwise identical at any worker count, the CIC deposit
+// included (it reduces fixed particle chunks in chunk order), so the
+// digest does not depend on Cfg.Workers.
 func (h *Hierarchy) Checksum() uint64 {
 	d := fnv.New64a()
 	var buf [8]byte

@@ -224,22 +224,14 @@ func (h *Hierarchy) stepLevelGrids(level int, dt float64) {
 	pipe := h.pipeline()
 	timings := make([]Timing, len(grids))
 	stats := make([]Stats, len(grids))
-	// Split the worker budget between grid-level and in-grid parallelism:
-	// many small grids → one worker each; few grids → each gets a share
-	// of the pool for its pencil/chemistry loops. The share rounds up so
-	// a remainder (e.g. 8 workers, 9 grids) doesn't strand cores on the
-	// level's tail; the slight overcommit is absorbed by chunk stealing.
-	inner := (workers + len(grids) - 1) / len(grids)
-	par.For(workers, len(grids), 1, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			// Each grid accumulates into a private shadow view (Cfg is
-			// copied by value); deltas merge in grid order afterwards.
-			sub := &Hierarchy{Cfg: h.Cfg, Levels: h.Levels, Time: h.Time, parity: h.parity, Physics: pipe}
-			sub.Cfg.Workers = inner
-			sub.stepGrid(grids[i], dt)
-			timings[i] = sub.Timing
-			stats[i] = sub.Stats
-		}
+	h.forGrids(len(grids), func(i, inner int) {
+		// Each grid accumulates into a private shadow view (Cfg is copied
+		// by value); deltas merge in grid order afterwards.
+		sub := &Hierarchy{Cfg: h.Cfg, Levels: h.Levels, Time: h.Time, parity: h.parity, Physics: pipe}
+		sub.Cfg.Workers = inner
+		sub.stepGrid(grids[i], dt)
+		timings[i] = sub.Timing
+		stats[i] = sub.Stats
 	})
 	for i, g := range grids {
 		h.Timing.mergeGridStep(timings[i])
@@ -402,60 +394,76 @@ func (h *Hierarchy) installTaps(level int) {
 // boundaries plus an iterative sibling exchange on subgrids (§3.3). The
 // exchange is a subgrid matter: the root is one periodic grid whose
 // source does not change between passes, so it is solved once.
+//
+// Within a pass, grid j reads each touching sibling i < j after i's solve
+// in this pass and each i > j before it. Subgrids run in dependency waves
+// (gravityWaves) that keep both orders for every touching pair, so every
+// grid of a wave solves concurrently and the bits equal a serial pass in
+// grid order; siblings that do not touch exchange nothing.
 func (h *Hierarchy) solveGravityLevel(level int) {
 	gc := h.gravConstNow()
 	grids := h.Levels[level]
-	for _, g := range grids {
-		h.depositDM(g)
-	}
-	passes := 2 // sibling-exchange iterations
+	// The source reads only Rho and DMRho, which the passes never write,
+	// so each grid's is built once and serves both passes.
+	bounds := h.particleBounds()
+	rhs := make([]*mesh.Field3, len(grids))
+	h.forGrids(len(grids), func(n, inner int) {
+		g := grids[n]
+		h.depositDM(g, bounds, inner)
+		src := mesh.NewField3(g.Nx, g.Ny, g.Nz, 1)
+		gas, dm := g.State.Rho, g.DMRho
+		for k := 0; k < g.Nz; k++ {
+			for j := 0; j < g.Ny; j++ {
+				gi, di := gas.Idx(0, j, k), dm.Idx(0, j, k)
+				row := src.Data[src.Idx(0, j, k):][:g.Nx]
+				for i := range row {
+					row[i] = gc * (gas.Data[gi+i] + dm.Data[di+i] - h.Cfg.MeanRho)
+				}
+			}
+		}
+		rhs[n] = src
+	})
 	if level == 0 {
-		passes = 1
-	}
-	for pass := 0; pass < passes; pass++ {
-		for _, g := range grids {
-			h.Stats.GravitySolves++
-			rhs := mesh.NewField3(g.Nx, g.Ny, g.Nz, 1)
-			gas, dm := g.State.Rho, g.DMRho
+		h.Stats.GravitySolves++
+		g := grids[0]
+		phi, err := gravity.SolvePeriodicWorkers(rhs[0], g.Dx, 1.0, h.Cfg.Workers)
+		if err == nil {
+			// Copy into the grid's wider-ghost field.
 			for k := 0; k < g.Nz; k++ {
 				for j := 0; j < g.Ny; j++ {
-					gi, di := gas.Idx(0, j, k), dm.Idx(0, j, k)
-					row := rhs.Data[rhs.Idx(0, j, k):][:g.Nx]
-					for i := range row {
-						row[i] = gc * (gas.Data[gi+i] + dm.Data[di+i] - h.Cfg.MeanRho)
-					}
+					copy(g.Phi.Data[g.Phi.Idx(0, j, k):][:g.Nx], phi.Data[phi.Idx(0, j, k):])
 				}
 			}
-			if g.Level == 0 {
-				phi, err := gravity.SolvePeriodicWorkers(rhs, g.Dx, 1.0, h.Cfg.Workers)
-				if err == nil {
-					// Copy into the grid's wider-ghost field.
-					for k := 0; k < g.Nz; k++ {
-						for j := 0; j < g.Ny; j++ {
-							copy(g.Phi.Data[g.Phi.Idx(0, j, k):][:g.Nx], phi.Data[phi.Idx(0, j, k):])
+			g.Phi.ApplyPeriodicBC()
+		}
+	} else {
+		waves := gravityWaves(grids)
+		for pass := 0; pass < 2; pass++ { // sibling-exchange iterations
+			h.Stats.GravitySolves += int64(len(grids))
+			for _, wave := range waves {
+				h.forGrids(len(wave), func(n, inner int) {
+					// Dirichlet ghosts from the parent potential, then
+					// overwritten with any sibling's fresher values.
+					i := wave[n]
+					g := grids[i]
+					fillPhiGhosts(g, h.Cfg.Refine)
+					for _, s := range grids {
+						if s == g {
+							continue
 						}
+						mesh.CopyOverlap(g.Phi, s.Phi, s.Lo[0]-g.Lo[0], s.Lo[1]-g.Lo[1], s.Lo[2]-g.Lo[2], 1)
 					}
-					g.Phi.ApplyPeriodicBC()
-				}
-				continue
+					mg := gravity.DefaultMGParams()
+					mg.Workers = inner
+					gravity.SolveMultigrid(g.Phi, rhs[i], g.Dx, mg)
+					g.Phi.ApplyOutflowBC()
+				})
 			}
-			// Subgrid: Dirichlet ghosts from the parent potential, then
-			// overwrite with any sibling's fresher values.
-			fillPhiGhosts(g, h.Cfg.Refine)
-			for _, s := range grids {
-				if s == g {
-					continue
-				}
-				mesh.CopyOverlap(g.Phi, s.Phi, s.Lo[0]-g.Lo[0], s.Lo[1]-g.Lo[1], s.Lo[2]-g.Lo[2], 1)
-			}
-			mg := gravity.DefaultMGParams()
-			mg.Workers = h.Cfg.Workers
-			gravity.SolveMultigrid(g.Phi, rhs, g.Dx, mg)
-			g.Phi.ApplyOutflowBC()
 		}
 	}
-	for _, g := range grids {
-		gx, gy, gz := gravity.Accelerations(g.Phi, g.Dx, h.Cfg.Workers)
+	h.forGrids(len(grids), func(n, inner int) {
+		g := grids[n]
+		gx, gy, gz := gravity.Accelerations(g.Phi, g.Dx, inner)
 		if g.Level == 0 {
 			gx.ApplyPeriodicBC()
 			gy.ApplyPeriodicBC()
@@ -466,7 +474,61 @@ func (h *Hierarchy) solveGravityLevel(level int) {
 			gz.ApplyOutflowBC()
 		}
 		g.GAcc = [3]*mesh.Field3{gx, gy, gz}
+	})
+}
+
+// forGrids runs fn(0..n-1) concurrently, one grid per task, and hands
+// each its in-grid worker share. The budget is split between grid-level
+// and in-grid parallelism: many small grids → one worker each; few grids →
+// each gets a share of the pool for its inner loops. The share rounds up
+// so a remainder (e.g. 8 workers, 9 grids) doesn't strand cores on the
+// level's tail; the slight overcommit is absorbed by chunk stealing.
+func (h *Hierarchy) forGrids(n int, fn func(n, inner int)) {
+	if n == 0 {
+		return
 	}
+	workers := par.Workers(h.Cfg.Workers)
+	inner := (workers + n - 1) / n
+	par.For(workers, n, 1, func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			fn(t, inner)
+		}
+	})
+}
+
+// gravityWaves partitions a level's grids into dependency waves of grid
+// indices, each ascending: the wave of grid j is one more than the
+// largest wave of any earlier grid it touches (0 when there is none), so
+// no two grids of a wave touch and every touching pair keeps its index
+// order across waves.
+func gravityWaves(grids []*Grid) [][]int {
+	wave := make([]int, len(grids))
+	var waves [][]int
+	for j, g := range grids {
+		for i, s := range grids[:j] {
+			if wave[i] >= wave[j] && touches(s, g) {
+				wave[j] = wave[i] + 1
+			}
+		}
+		if wave[j] == len(waves) {
+			waves = append(waves, nil)
+		}
+		waves[wave[j]] = append(waves[wave[j]], j)
+	}
+	return waves
+}
+
+// touches reports whether same-level grids a and b lie within one cell of
+// each other, corners included: the condition for CopyOverlap with one
+// ghost layer between them to copy anything, either way round.
+func touches(a, b *Grid) bool {
+	ah, bh := a.Hi(), b.Hi()
+	for d := 0; d < 3; d++ {
+		if a.Lo[d] > bh[d] || b.Lo[d] > ah[d] {
+			return false
+		}
+	}
+	return true
 }
 
 // fillPhiGhosts interpolates the parent's potential into the child's first
@@ -505,20 +567,60 @@ func fillPhiGhosts(g *Grid, refine int) {
 }
 
 // depositDM deposits every particle in the hierarchy onto g's DM density
-// field (particles outside the grid's halo are skipped by the CIC kernel).
-func (h *Hierarchy) depositDM(g *Grid) {
+// field on the given workers (particles outside the grid's halo are
+// skipped by the CIC kernel). A subgrid skips whole source grids whose
+// particle bounds (particleBounds) cannot reach its halo: such a source
+// would write nothing, so the density keeps its bits.
+func (h *Hierarchy) depositDM(g *Grid, bounds map[*Grid][2][3]float64, workers int) {
 	g.DMRho.Zero()
 	geom := g.Geom()
 	for _, lv := range h.Levels {
 		for _, o := range lv {
-			if o.Parts.Len() > 0 {
-				nbody.DepositCICWorkers(o.Parts, g.DMRho, geom, h.Cfg.Workers)
+			if o.Parts.Len() > 0 && (g.Level == 0 || reaches(bounds[o], g)) {
+				nbody.DepositCICWorkers(o.Parts, g.DMRho, geom, workers)
 			}
 		}
 	}
 	if g.Level == 0 {
 		nbody.FoldGhostsPeriodic(g.DMRho)
 	}
+}
+
+// particleBounds returns the float64 bounding box {lo, hi} of the particle
+// positions of every grid that holds particles.
+func (h *Hierarchy) particleBounds() map[*Grid][2][3]float64 {
+	out := map[*Grid][2][3]float64{}
+	for _, lv := range h.Levels {
+		for _, o := range lv {
+			p := o.Parts
+			if p.Len() == 0 {
+				continue
+			}
+			inf := math.Inf(1)
+			b := [2][3]float64{{inf, inf, inf}, {-inf, -inf, -inf}}
+			for i := range p.Mass {
+				for d, x := range [3]float64{p.X[i].Float64(), p.Y[i].Float64(), p.Z[i].Float64()} {
+					b[0][d], b[1][d] = min(b[0][d], x), max(b[1][d], x)
+				}
+			}
+			out[o] = b
+		}
+	}
+	return out
+}
+
+// reaches reports whether a particle inside the bounds b could deposit
+// onto g: per axis, b meets g's ghost-extended extent widened by two cells
+// for float64 rounding.
+func reaches(b [2][3]float64, g *Grid) bool {
+	n := [3]int{g.Nx, g.Ny, g.Nz}
+	for d := 0; d < 3; d++ {
+		edge := g.Edge[d].Float64()
+		if b[1][d] < edge-float64(g.DMRho.Ng+2)*g.Dx || b[0][d] > edge+float64(n[d]+g.DMRho.Ng+2)*g.Dx {
+			return false
+		}
+	}
+	return true
 }
 
 // liftEscapedParticles moves particles that drifted out of the grid's

@@ -8,9 +8,11 @@ package amr
 import (
 	"math"
 
+	"repro/internal/clustering"
 	"repro/internal/gravity"
 	"repro/internal/hydro"
 	"repro/internal/mesh"
+	"repro/internal/nbody"
 	"repro/internal/physics"
 )
 
@@ -234,7 +236,7 @@ func referenceSolveGravityLevel(h *Hierarchy, level int) {
 	gc := h.gravConstNow()
 	grids := h.Levels[level]
 	for _, g := range grids {
-		h.depositDM(g)
+		serialDepositDM(h, g)
 	}
 	const siblingIters = 2
 	for pass := 0; pass < siblingIters; pass++ {
@@ -311,4 +313,280 @@ func referenceAccelerations(phi *mesh.Field3, dx float64) (gx, gy, gz *mesh.Fiel
 		}
 	}
 	return
+}
+
+// --- The serial level stages: solveGravityLevel, depositDM, rebuildLevel,
+// fillFromParent and dilate as they stood before subgrids were solved in
+// dependency waves and new grids built in parallel, kept verbatim
+// (identifiers prefixed "serial", RebuildHierarchy's loop copied around
+// serialRebuildLevel) as the oracles for gravity_test.go and
+// rebuild_test.go. ---
+
+// Hooks for the external test package.
+var (
+	SolveGravityLevel       = (*Hierarchy).solveGravityLevel
+	SerialSolveGravityLevel = serialSolveGravityLevel
+	SerialRebuildHierarchy  = serialRebuildHierarchy
+)
+
+// GravityWaves returns the dependency waves of a level's grids.
+func GravityWaves(h *Hierarchy, level int) [][]int { return gravityWaves(h.Levels[level]) }
+
+// serialGravitySolveOp is gravitySolveOp over the serial solve.
+type serialGravitySolveOp struct{ gravitySolveOp }
+
+func (o *serialGravitySolveOp) ApplyLevel(level int, dt float64) {
+	if o.h.Cfg.SelfGravity {
+		serialSolveGravityLevel(o.h, level)
+	}
+}
+
+// SerialPipeline is DefaultPipeline with the serial subgrid solve as its
+// level operator.
+func SerialPipeline(h *Hierarchy) *physics.Pipeline {
+	ops := append([]physics.Operator{&serialGravitySolveOp{gravitySolveOp{h: h}}}, physics.DefaultOperators()...)
+	return physics.NewPipeline(ops...)
+}
+
+func serialSolveGravityLevel(h *Hierarchy, level int) {
+	gc := h.gravConstNow()
+	grids := h.Levels[level]
+	for _, g := range grids {
+		serialDepositDM(h, g)
+	}
+	passes := 2 // sibling-exchange iterations
+	if level == 0 {
+		passes = 1
+	}
+	for pass := 0; pass < passes; pass++ {
+		for _, g := range grids {
+			h.Stats.GravitySolves++
+			rhs := mesh.NewField3(g.Nx, g.Ny, g.Nz, 1)
+			gas, dm := g.State.Rho, g.DMRho
+			for k := 0; k < g.Nz; k++ {
+				for j := 0; j < g.Ny; j++ {
+					gi, di := gas.Idx(0, j, k), dm.Idx(0, j, k)
+					row := rhs.Data[rhs.Idx(0, j, k):][:g.Nx]
+					for i := range row {
+						row[i] = gc * (gas.Data[gi+i] + dm.Data[di+i] - h.Cfg.MeanRho)
+					}
+				}
+			}
+			if g.Level == 0 {
+				phi, err := gravity.SolvePeriodicWorkers(rhs, g.Dx, 1.0, h.Cfg.Workers)
+				if err == nil {
+					// Copy into the grid's wider-ghost field.
+					for k := 0; k < g.Nz; k++ {
+						for j := 0; j < g.Ny; j++ {
+							copy(g.Phi.Data[g.Phi.Idx(0, j, k):][:g.Nx], phi.Data[phi.Idx(0, j, k):])
+						}
+					}
+					g.Phi.ApplyPeriodicBC()
+				}
+				continue
+			}
+			// Subgrid: Dirichlet ghosts from the parent potential, then
+			// overwrite with any sibling's fresher values.
+			fillPhiGhosts(g, h.Cfg.Refine)
+			for _, s := range grids {
+				if s == g {
+					continue
+				}
+				mesh.CopyOverlap(g.Phi, s.Phi, s.Lo[0]-g.Lo[0], s.Lo[1]-g.Lo[1], s.Lo[2]-g.Lo[2], 1)
+			}
+			mg := gravity.DefaultMGParams()
+			mg.Workers = h.Cfg.Workers
+			gravity.SolveMultigrid(g.Phi, rhs, g.Dx, mg)
+			g.Phi.ApplyOutflowBC()
+		}
+	}
+	for _, g := range grids {
+		gx, gy, gz := gravity.Accelerations(g.Phi, g.Dx, h.Cfg.Workers)
+		if g.Level == 0 {
+			gx.ApplyPeriodicBC()
+			gy.ApplyPeriodicBC()
+			gz.ApplyPeriodicBC()
+		} else {
+			gx.ApplyOutflowBC()
+			gy.ApplyOutflowBC()
+			gz.ApplyOutflowBC()
+		}
+		g.GAcc = [3]*mesh.Field3{gx, gy, gz}
+	}
+}
+
+// serialDepositDM deposits every particle in the hierarchy onto g's DM density
+// field (particles outside the grid's halo are skipped by the CIC kernel).
+func serialDepositDM(h *Hierarchy, g *Grid) {
+	g.DMRho.Zero()
+	geom := g.Geom()
+	for _, lv := range h.Levels {
+		for _, o := range lv {
+			if o.Parts.Len() > 0 {
+				nbody.DepositCICWorkers(o.Parts, g.DMRho, geom, h.Cfg.Workers)
+			}
+		}
+	}
+	if g.Level == 0 {
+		nbody.FoldGhostsPeriodic(g.DMRho)
+	}
+}
+
+// serialRebuildHierarchy is RebuildHierarchy over serialRebuildLevel.
+func serialRebuildHierarchy(h *Hierarchy, level int) {
+	if level < 1 {
+		level = 1
+	}
+	if h.Cfg.DisableRebuild {
+		return
+	}
+	h.Stats.RebuildCount++
+	for l := level; l <= h.Cfg.MaxLevel; l++ {
+		serialRebuildLevel(h, l)
+		if l >= len(h.Levels) || len(h.Levels[l]) == 0 {
+			break // nothing refined here; deeper levels impossible
+		}
+	}
+	// Drop empty trailing levels.
+	for len(h.Levels) > 1 && len(h.Levels[len(h.Levels)-1]) == 0 {
+		h.Levels = h.Levels[:len(h.Levels)-1]
+	}
+	if m := h.MaxLevel(); m > h.Stats.MaxLevelEver {
+		h.Stats.MaxLevelEver = m
+	}
+}
+
+// serialRebuildLevel replaces the grids at one level.
+func serialRebuildLevel(h *Hierarchy, l int) {
+	r := h.Cfg.Refine
+	var old []*Grid
+	if l < len(h.Levels) {
+		old = h.Levels[l]
+	}
+	var fresh []*Grid
+	for _, parent := range h.Levels[l-1] {
+		flags := h.flagCells(parent)
+		if flags.Count() == 0 {
+			parent.Children = nil
+			continue
+		}
+		serialDilate(flags, h.Cfg.RefineBuffer)
+		cp := clustering.Params{
+			MinEfficiency: h.Cfg.MinEfficiency,
+			MaxSize:       maxI(h.Cfg.MaxGridSize/r, 4),
+			MinSize:       2,
+		}
+		boxes := clustering.Cluster(flags, cp)
+		parent.Children = parent.Children[:0]
+		for _, b := range boxes {
+			b = snapToEven(b, [3]int{parent.Nx, parent.Ny, parent.Nz})
+			lo := [3]int{
+				(parent.Lo[0] + b.Lo[0]) * r,
+				(parent.Lo[1] + b.Lo[1]) * r,
+				(parent.Lo[2] + b.Lo[2]) * r,
+			}
+			nx := (b.Hi[0] - b.Lo[0]) * r
+			ny := (b.Hi[1] - b.Lo[1]) * r
+			nz := (b.Hi[2] - b.Lo[2]) * r
+			g := NewGrid(l, lo, nx, ny, nz, h.Cfg.RootN, r, h.Cfg.NSpecies)
+			g.Parent = parent
+			g.Time = parent.Time
+			// Fill: interpolate from parent everywhere, then overwrite
+			// with old same-level data where available.
+			serialFillFromParent(g, parent, r)
+			for _, o := range old {
+				copyFromSibling(g, o)
+			}
+			parent.Children = append(parent.Children, g)
+			fresh = append(fresh, g)
+			h.Stats.GridsCreated++
+		}
+	}
+	h.Stats.GridsDeleted += int64(len(old))
+
+	// Re-home particles: old level-l particles and parent particles that
+	// now fall inside a new grid. The fallback search must use only live
+	// grids (levels below l have already been rebuilt).
+	for _, o := range old {
+		h.rehomeParticles(o.Parts, fresh, l-1)
+		o.Parts = nbody.New(0)
+	}
+	for _, parent := range h.Levels[l-1] {
+		if len(fresh) == 0 {
+			break
+		}
+		kept := nbody.New(parent.Parts.Len())
+		for i := 0; i < parent.Parts.Len(); i++ {
+			placed := false
+			for _, g := range fresh {
+				if g.ContainsPos(parent.Parts.X[i], parent.Parts.Y[i], parent.Parts.Z[i]) {
+					g.Parts.Add(parent.Parts.X[i], parent.Parts.Y[i], parent.Parts.Z[i],
+						parent.Parts.Vx[i], parent.Parts.Vy[i], parent.Parts.Vz[i],
+						parent.Parts.Mass[i], parent.Parts.ID[i])
+					placed = true
+					break
+				}
+			}
+			if !placed {
+				kept.Add(parent.Parts.X[i], parent.Parts.Y[i], parent.Parts.Z[i],
+					parent.Parts.Vx[i], parent.Parts.Vy[i], parent.Parts.Vz[i],
+					parent.Parts.Mass[i], parent.Parts.ID[i])
+			}
+		}
+		parent.Parts = kept
+	}
+
+	if l < len(h.Levels) {
+		h.Levels[l] = fresh
+	} else {
+		h.Levels = append(h.Levels, fresh)
+	}
+}
+
+// serialFillFromParent seeds a new grid's fields by conservative interpolation
+// from its parent, including two ghost layers (the rest are refreshed by
+// setBoundaries before the next step).
+func serialFillFromParent(g, parent *Grid, refine int) {
+	oi, oj, ok := offsetWithin(parent, g, refine)
+	pf := parent.totalFields()
+	cf := g.totalFields()
+	for fi := range cf {
+		mesh.ProlongLinear(pf[fi], cf[fi], oi, oj, ok, refine, 2)
+	}
+}
+
+// serialDilate expands flags by n cells in every direction (the refinement
+// buffer that keeps features inside their subgrid between rebuilds).
+func serialDilate(fl *clustering.Flags, n int) {
+	if n <= 0 {
+		return
+	}
+	src := make([]bool, len(fl.Data))
+	copy(src, fl.Data)
+	at := func(i, j, k int) bool {
+		if i < 0 || i >= fl.Nx || j < 0 || j >= fl.Ny || k < 0 || k >= fl.Nz {
+			return false
+		}
+		return src[(k*fl.Ny+j)*fl.Nx+i]
+	}
+	for k := 0; k < fl.Nz; k++ {
+		for j := 0; j < fl.Ny; j++ {
+			for i := 0; i < fl.Nx; i++ {
+				if src[(k*fl.Ny+j)*fl.Nx+i] {
+					continue
+				}
+			scan:
+				for dk := -n; dk <= n; dk++ {
+					for dj := -n; dj <= n; dj++ {
+						for di := -n; di <= n; di++ {
+							if at(i+di, j+dj, k+dk) {
+								fl.Set(i, j, k, true)
+								break scan
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }

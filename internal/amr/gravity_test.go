@@ -27,7 +27,7 @@ func requireSameGravity(t *testing.T, what string, want, got *amr.Hierarchy) {
 				}
 				for n, v := range f.Data {
 					if math.Float64bits(v) != math.Float64bits(gf[fi].Data[n]) {
-						t.Fatalf("%s: level %d grid %d gravity field %d flat index %d: two-pass %v, got %v",
+						t.Fatalf("%s: level %d grid %d gravity field %d flat index %d: reference %v, got %v",
 							what, l, gi, fi, n, v, gf[fi].Data[n])
 					}
 				}

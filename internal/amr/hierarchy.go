@@ -59,14 +59,14 @@ type Config struct {
 	DisableRebuild bool
 
 	// Workers is the single parallelism knob of the run, plumbed into
-	// every hot kernel: the per-grid worker pool of stepLevelGrids (the
-	// shared-memory realization of the paper's distributed-objects
-	// strategy), the hydro pencil sweeps, multigrid smoothing, the
-	// root-grid FFT line batches, the per-cell chemistry loop and the
-	// CIC particle deposit. par conventions: 0 = runtime.NumCPU() (the
-	// default), 1 = serial, n = exactly n workers. Grid-level results
-	// are bitwise identical at any setting; only the N-body deposit
-	// reduction order depends (deterministically) on the worker count.
+	// every hot kernel: the per-grid worker pools of stepLevelGrids, the
+	// subgrid gravity waves and the rebuild (the shared-memory
+	// realization of the paper's distributed-objects strategy), the hydro
+	// pencil sweeps, multigrid smoothing, the root-grid FFT line batches,
+	// the per-cell chemistry loop and the CIC particle deposit. par
+	// conventions: 0 = runtime.NumCPU() (the default), 1 = serial, n =
+	// exactly n workers. Results are bitwise identical at any setting,
+	// the deposit included.
 	Workers int
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/clustering"
 	"repro/internal/mesh"
 	"repro/internal/nbody"
+	"repro/internal/par"
 )
 
 // RebuildHierarchy regenerates the grids on the given level and all finer
@@ -37,52 +38,71 @@ func (h *Hierarchy) RebuildHierarchy(level int) {
 	}
 }
 
-// rebuildLevel replaces the grids at one level.
+// rebuildLevel replaces the grids at one level. Parents are flagged and
+// clustered concurrently (each reads only its own fields), then the new
+// grids are built concurrently (each writes only itself and reads its
+// parent and the old level); the hierarchy links are made serially in
+// (parent, box) order, so the result does not depend on the worker count.
 func (h *Hierarchy) rebuildLevel(l int) {
 	r := h.Cfg.Refine
 	var old []*Grid
 	if l < len(h.Levels) {
 		old = h.Levels[l]
 	}
-	var fresh []*Grid
-	for _, parent := range h.Levels[l-1] {
-		flags := h.flagCells(parent)
-		if flags.Count() == 0 {
-			parent.Children = nil
-			continue
+	parents := h.Levels[l-1]
+	boxes := make([][]clustering.Box, len(parents))
+	par.For(h.Cfg.Workers, len(parents), 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			flags := h.flagCells(parents[i])
+			if flags.Count() == 0 {
+				continue
+			}
+			dilate(flags, h.Cfg.RefineBuffer)
+			cp := clustering.Params{
+				MinEfficiency: h.Cfg.MinEfficiency,
+				MaxSize:       maxI(h.Cfg.MaxGridSize/r, 4),
+				MinSize:       2,
+			}
+			boxes[i] = clustering.Cluster(flags, cp)
+			for b := range boxes[i] {
+				boxes[i][b] = snapToEven(boxes[i][b], [3]int{parents[i].Nx, parents[i].Ny, parents[i].Nz})
+			}
 		}
-		dilate(flags, h.Cfg.RefineBuffer)
-		cp := clustering.Params{
-			MinEfficiency: h.Cfg.MinEfficiency,
-			MaxSize:       maxI(h.Cfg.MaxGridSize/r, 4),
-			MinSize:       2,
+	})
+	// The new grids in (parent, box) order, as index pairs into boxes.
+	var specs [][2]int
+	for i := range parents {
+		for b := range boxes[i] {
+			specs = append(specs, [2]int{i, b})
 		}
-		boxes := clustering.Cluster(flags, cp)
-		parent.Children = parent.Children[:0]
-		for _, b := range boxes {
-			b = snapToEven(b, [3]int{parent.Nx, parent.Ny, parent.Nz})
-			lo := [3]int{
+	}
+	fresh := make([]*Grid, len(specs))
+	par.For(h.Cfg.Workers, len(specs), 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			parent, b := parents[specs[i][0]], boxes[specs[i][0]][specs[i][1]]
+			g := NewGrid(l, [3]int{
 				(parent.Lo[0] + b.Lo[0]) * r,
 				(parent.Lo[1] + b.Lo[1]) * r,
 				(parent.Lo[2] + b.Lo[2]) * r,
-			}
-			nx := (b.Hi[0] - b.Lo[0]) * r
-			ny := (b.Hi[1] - b.Lo[1]) * r
-			nz := (b.Hi[2] - b.Lo[2]) * r
-			g := NewGrid(l, lo, nx, ny, nz, h.Cfg.RootN, r, h.Cfg.NSpecies)
+			}, (b.Hi[0]-b.Lo[0])*r, (b.Hi[1]-b.Lo[1])*r, (b.Hi[2]-b.Lo[2])*r, h.Cfg.RootN, r, h.Cfg.NSpecies)
 			g.Parent = parent
 			g.Time = parent.Time
-			// Fill: interpolate from parent everywhere, then overwrite
-			// with old same-level data where available.
-			fillFromParent(g, parent, r)
+			// Fill: interpolate from the parent wherever no old same-level
+			// grid has data, then copy the old data in.
+			fillFromParent(g, parent, old, r)
 			for _, o := range old {
 				copyFromSibling(g, o)
 			}
-			parent.Children = append(parent.Children, g)
-			fresh = append(fresh, g)
-			h.Stats.GridsCreated++
+			fresh[i] = g
 		}
+	})
+	for _, parent := range parents {
+		parent.Children = nil
 	}
+	for _, g := range fresh {
+		g.Parent.Children = append(g.Parent.Children, g)
+	}
+	h.Stats.GridsCreated += int64(len(fresh))
 	h.Stats.GridsDeleted += int64(len(old))
 
 	// Re-home particles: old level-l particles and parent particles that
@@ -222,34 +242,25 @@ func (h *Hierarchy) flagCells(parent *Grid) *clustering.Flags {
 
 // dilate expands flags by n cells in every direction (the refinement
 // buffer that keeps features inside their subgrid between rebuilds).
+// Dilating by a cube is separable, so it runs as three 1-D passes.
 func dilate(fl *clustering.Flags, n int) {
 	if n <= 0 {
 		return
 	}
 	src := make([]bool, len(fl.Data))
-	copy(src, fl.Data)
-	at := func(i, j, k int) bool {
-		if i < 0 || i >= fl.Nx || j < 0 || j >= fl.Ny || k < 0 || k >= fl.Nz {
-			return false
-		}
-		return src[(k*fl.Ny+j)*fl.Nx+i]
-	}
-	for k := 0; k < fl.Nz; k++ {
-		for j := 0; j < fl.Ny; j++ {
-			for i := 0; i < fl.Nx; i++ {
-				if src[(k*fl.Ny+j)*fl.Nx+i] {
-					continue
-				}
-			scan:
-				for dk := -n; dk <= n; dk++ {
-					for dj := -n; dj <= n; dj++ {
-						for di := -n; di <= n; di++ {
-							if at(i+di, j+dj, k+dk) {
-								fl.Set(i, j, k, true)
-								break scan
-							}
-						}
-					}
+	dims := [3]int{fl.Nx, fl.Ny, fl.Nz}
+	stride := 1
+	for a := 0; a < 3; a, stride = a+1, stride*dims[a] {
+		copy(src, fl.Data)
+		for idx, set := range src {
+			if set {
+				continue
+			}
+			c := idx / stride % dims[a]
+			for d := max(-n, -c); d <= min(n, dims[a]-1-c); d++ {
+				if src[idx+d*stride] {
+					fl.Data[idx] = true
+					break
 				}
 			}
 		}
@@ -276,14 +287,61 @@ func snapToEven(b clustering.Box, parentN [3]int) clustering.Box {
 
 // fillFromParent seeds a new grid's fields by conservative interpolation
 // from its parent, including two ghost layers (the rest are refreshed by
-// setBoundaries before the next step).
-func fillFromParent(g, parent *Grid, refine int) {
+// setBoundaries before the next step). Active cells inside an old
+// same-level grid are skipped: copyFromSibling overwrites exactly those.
+func fillFromParent(g, parent *Grid, old []*Grid, refine int) {
+	const nb = 2
 	oi, oj, ok := offsetWithin(parent, g, refine)
-	pf := parent.totalFields()
-	cf := g.totalFields()
-	for fi := range cf {
-		mesh.ProlongLinear(pf[fi], cf[fi], oi, oj, ok, refine, 2)
+	pl := mesh.NewProlongation(g.Nx, g.Ny, g.Nz, oi, oj, ok, refine, nb)
+	active := clustering.Box{Hi: [3]int{g.Nx, g.Ny, g.Nz}}
+	var covered []clustering.Box
+	for _, o := range old {
+		b := clustering.Box{Lo: [3]int{o.Lo[0] - g.Lo[0], o.Lo[1] - g.Lo[1], o.Lo[2] - g.Lo[2]}}
+		b.Hi = [3]int{b.Lo[0] + o.Nx, b.Lo[1] + o.Ny, b.Lo[2] + o.Nz}
+		if b, overlap := b.Intersect(active); overlap {
+			covered = append(covered, b)
+		}
 	}
+	pieces := subtractBoxes(clustering.Box{Lo: [3]int{-nb, -nb, -nb}, Hi: [3]int{g.Nx + nb, g.Ny + nb, g.Nz + nb}}, covered)
+	cf := g.totalFields()
+	for fi, pf := range parent.totalFields() {
+		for _, b := range pieces {
+			pl.Fill(pf, cf[fi], b.Lo, b.Hi)
+		}
+	}
+}
+
+// subtractBoxes returns disjoint boxes covering exactly the cells of b
+// that lie in none of cuts.
+func subtractBoxes(b clustering.Box, cuts []clustering.Box) []clustering.Box {
+	out := []clustering.Box{b}
+	for _, c := range cuts {
+		var next []clustering.Box
+		for _, p := range out {
+			in, ok := p.Intersect(c)
+			if !ok {
+				next = append(next, p)
+				continue
+			}
+			// Peel the slabs of p outside c off axis by axis; what is
+			// left of p at the end is in.
+			for d := 0; d < 3; d++ {
+				if p.Lo[d] < in.Lo[d] {
+					s := p
+					s.Hi[d] = in.Lo[d]
+					next = append(next, s)
+				}
+				if in.Hi[d] < p.Hi[d] {
+					s := p
+					s.Lo[d] = in.Hi[d]
+					next = append(next, s)
+				}
+				p.Lo[d], p.Hi[d] = in.Lo[d], in.Hi[d]
+			}
+		}
+		out = next
+	}
+	return out
 }
 
 // copyFromSibling overwrites g's cells with o's data where their active

@@ -49,10 +49,13 @@ func ProlongLinear(parent, child *Field3, offI, offJ, offK, r, nb int) {
 // parent cell containing it and the fine cell centre's offset from that
 // parent cell's centre in coarse cell widths (in (-1/2, 1/2)). Both depend
 // only on the grid's placement, so one value serves all of a grid's fields.
+// Fill keeps its slope row in the map, so one Prolongation serves one
+// goroutine at a time.
 type Prolongation struct {
 	nb  int
 	idx [3][]int     // parent active index of child index i, at [i+nb]
 	w   [3][]float64 // centre offset of child index i, at [i+nb]
+	row []float64    // Fill's c, sx, sy, sz per parent cell of one parent row
 }
 
 // NewProlongation builds the map for a child of nx×ny×nz active cells
@@ -63,7 +66,10 @@ func NewProlongation(nx, ny, nz, offI, offJ, offK, r, nb int) *Prolongation {
 	n := [3]int{nx + 2*nb, ny + 2*nb, nz + 2*nb}
 	off := [3]int{offI, offJ, offK}
 	idx := make([]int, n[0]+n[1]+n[2])
-	w := make([]float64, len(idx))
+	// The parent cells under the child's x extent, for the slope row.
+	np := FloorDiv(off[0]+nx+nb-1, r) - FloorDiv(off[0]-nb, r) + 1
+	w := make([]float64, len(idx)+4*np)
+	p.row = w[len(idx):]
 	rf := float64(r)
 	for d := 0; d < 3; d++ {
 		p.idx[d], idx = idx[:n[d]], idx[n[d]:]
@@ -80,8 +86,9 @@ func NewProlongation(nx, ny, nz, offI, offJ, offK, r, nb int) *Prolongation {
 
 // Fill interpolates the child cells of the box [lo, hi) (child active
 // indices; ghosts are negative or >= N) from the parent, row by row over
-// flat Data: the three limited slopes are computed once per parent cell
-// and reused by the r fine cells of the row that share it.
+// flat Data: the three limited slopes of a parent row are computed once
+// and reused by every child row beneath it (up to r² of them) and by the r
+// fine cells of each that share a parent cell.
 func (p *Prolongation) Fill(parent, child *Field3, lo, hi [3]int) {
 	if lo[0] >= hi[0] {
 		return
@@ -91,28 +98,45 @@ func (p *Prolongation) Fill(parent, child *Field3, lo, hi [3]int) {
 	nb := p.nb
 	ix := p.idx[0][lo[0]+nb : hi[0]+nb]
 	wx := p.w[0][lo[0]+nb : hi[0]+nb]
-	for k := lo[2]; k < hi[2]; k++ {
-		pk, zk := p.idx[2][k+nb], p.w[2][k+nb]
-		for j := lo[1]; j < hi[1]; j++ {
-			pj, zj := p.idx[1][j+nb], p.w[1][j+nb]
-			pbase := parent.Idx(0, pj, pk)
-			cbase := child.Idx(lo[0], j, k)
-			out := cd[cbase : cbase+len(ix)]
-			prev := ix[0] - 1
-			var c, sx, sy, sz float64
-			for n, pi := range ix {
-				if pi != prev {
-					prev = pi
-					q := pbase + pi
-					c = pd[q]
-					sx = minmod(pd[q-1], c, pd[q+1])
-					sy = minmod(pd[q-psy], c, pd[q+psy])
-					sz = minmod(pd[q-psz], c, pd[q+psz])
+	pi0 := ix[0]
+	row := p.row[:4*(ix[len(ix)-1]-pi0+1)]
+	for k0, k1 := lo[2], 0; k0 < hi[2]; k0 = k1 {
+		k1 = p.runEnd(2, k0, hi[2])
+		pk := p.idx[2][k0+nb]
+		for j0, j1 := lo[1], 0; j0 < hi[1]; j0 = j1 {
+			j1 = p.runEnd(1, j0, hi[1])
+			q := parent.Idx(pi0, p.idx[1][j0+nb], pk)
+			for m := 0; m < len(row); m, q = m+4, q+1 {
+				c := pd[q]
+				row[m] = c
+				row[m+1] = minmod(pd[q-1], c, pd[q+1])
+				row[m+2] = minmod(pd[q-psy], c, pd[q+psy])
+				row[m+3] = minmod(pd[q-psz], c, pd[q+psz])
+			}
+			for k := k0; k < k1; k++ {
+				zk := p.w[2][k+nb]
+				for j := j0; j < j1; j++ {
+					zj := p.w[1][j+nb]
+					cbase := child.Idx(lo[0], j, k)
+					out := cd[cbase : cbase+len(ix)]
+					for n, pi := range ix {
+						s := row[4*(pi-pi0):][:4]
+						out[n] = s[0] + s[1]*wx[n] + s[2]*zj + s[3]*zk
+					}
 				}
-				out[n] = c + sx*wx[n] + sy*zj + sz*zk
 			}
 		}
 	}
+}
+
+// runEnd returns the first child index after t along axis d, capped at
+// hi, that lies in another parent cell than t.
+func (p *Prolongation) runEnd(d, t, hi int) int {
+	e := t + 1
+	for e < hi && p.idx[d][e+p.nb] == p.idx[d][t+p.nb] {
+		e++
+	}
+	return e
 }
 
 // FillGhosts interpolates the nb-deep ghost halo of child from the parent

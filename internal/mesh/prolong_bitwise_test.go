@@ -134,6 +134,69 @@ func TestProlongationMatchesPerCellReference(t *testing.T) {
 	}
 }
 
+// TestFillMatchesParentRowKernel pins the row-grouped Fill (slopes once
+// per parent row) to the parent commit's per-child-row Fill
+// (export_test.go) on random boxes, the six ghost slabs and the whole
+// halo-extended extent, with child offsets that are not multiples of r, so
+// boxes start and end part-way through a parent cell on every axis.
+func TestFillMatchesParentRowKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 300; trial++ {
+		r := []int{2, 4}[rng.Intn(2)]
+		nb := []int{1, 2, 4}[rng.Intn(3)]
+		const png = 4
+		pn := [3]int{3 + rng.Intn(5), 3 + rng.Intn(5), 3 + rng.Intn(5)}
+		parent := NewField3(pn[0], pn[1], pn[2], png)
+		fillNasty(parent, rng)
+		var cn, off [3]int
+		for d := 0; d < 3; d++ {
+			lo := rng.Intn(pn[d])
+			off[d] = r*lo + rng.Intn(r)
+			cn[d] = 1 + rng.Intn(r*(pn[d]-lo)-off[d]+r*lo)
+		}
+		pl := NewProlongation(cn[0], cn[1], cn[2], off[0], off[1], off[2], r, nb)
+		boxes := [][2][3]int{{{-nb, -nb, -nb}, {cn[0] + nb, cn[1] + nb, cn[2] + nb}}}
+		for b := 0; b < 4; b++ {
+			var lo, hi [3]int
+			for d := 0; d < 3; d++ {
+				a, z := rng.Intn(cn[d]+2*nb+1)-nb, rng.Intn(cn[d]+2*nb+1)-nb
+				lo[d], hi[d] = min(a, z), max(a, z)
+			}
+			boxes = append(boxes, [2][3]int{lo, hi})
+		}
+		want := NewField3(cn[0], cn[1], cn[2], 4)
+		fillNasty(want, rng)
+		got := want.Clone()
+		for _, b := range boxes {
+			referenceFill(pl, parent, want, b[0], b[1])
+			pl.Fill(parent, got, b[0], b[1])
+			requireSameData(t, fmt.Sprintf("trial %d: r=%d nb=%d child %v off %v box %v", trial, r, nb, cn, off, b), want, got)
+		}
+		// FillGhosts' six slabs through the new kernel against the same
+		// slabs through the old one.
+		fillNasty(want, rng)
+		got = want.Clone()
+		pl.FillGhosts(parent, got)
+		for _, b := range ghostSlabs(cn, nb) {
+			referenceFill(pl, parent, want, b[0], b[1])
+		}
+		requireSameData(t, fmt.Sprintf("trial %d: ghost slabs", trial), want, got)
+	}
+}
+
+// ghostSlabs lists FillGhosts' six boxes.
+func ghostSlabs(n [3]int, nb int) [][2][3]int {
+	nx, ny, nz := n[0], n[1], n[2]
+	return [][2][3]int{
+		{{-nb, -nb, -nb}, {nx + nb, ny + nb, 0}},
+		{{-nb, -nb, nz}, {nx + nb, ny + nb, nz + nb}},
+		{{-nb, -nb, 0}, {nx + nb, 0, nz}},
+		{{-nb, ny, 0}, {nx + nb, ny + nb, nz}},
+		{{-nb, 0, 0}, {0, ny, nz}},
+		{{nx, 0, 0}, {nx + nb, ny, nz}},
+	}
+}
+
 // TestCopyOverlapMatchesPerCellReference covers partial overlaps on every
 // side, including negative offsets (src starting inside dst's low ghosts
 // or beyond them) and no overlap at all.

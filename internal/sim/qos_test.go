@@ -290,6 +290,11 @@ func TestSchedulerFairDispatchOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Its first progress event proves the blocker has been dispatched, so
+	// the dispatch's advance of the queue's virtual clock cannot land
+	// between alice's first push and bob's (a tenant enters at the clock's
+	// value), as TestSpeculationDoesNotPerturbDemandDispatch explains.
+	<-blocker.Watch()
 	submit := func(tenant string, steps int) *Job {
 		t.Helper()
 		j, err := s.Submit(Request{Problem: "sedov", RootN: 8, MaxLevel: Int(0), Steps: steps, Tenant: tenant})
