@@ -2,8 +2,8 @@ package repro
 
 // The benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (§3.1 Fig 1, §3.2 Fig 2, §4 Figs 3-4, §5 Fig 5 and the
-// component/flop tables, §3.5 EPA), plus the ablation benches DESIGN.md
-// calls out. Run with:
+// component/flop tables, §3.5 EPA), plus ablations of the choices §4
+// discusses. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -25,7 +25,6 @@ import (
 	"repro/internal/gravity"
 	"repro/internal/hydro"
 	"repro/internal/mesh"
-	"repro/internal/mp"
 	"repro/internal/nbody"
 	"repro/internal/par"
 	"repro/internal/perf"
@@ -600,7 +599,7 @@ func BenchmarkTableEPAOverhead(b *testing.B) {
 	})
 }
 
-// --- Ablations (DESIGN.md §5). ---
+// --- Ablations (paper §4). ---
 
 // BenchmarkAblationSolverComparison: PPM vs the robust FD solver on the
 // same collapse (the paper's "double check on any result").
@@ -674,75 +673,6 @@ func BenchmarkAblationStaticLevels(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationSterileObjects measures the probe traffic the sterile
-// replicas eliminate (§3.4).
-func BenchmarkAblationSterileObjects(b *testing.B) {
-	for _, sterile := range []bool{true, false} {
-		name := "sterile"
-		if !sterile {
-			name = "probing"
-		}
-		b.Run(name, func(b *testing.B) {
-			rt, _ := mp.NewRuntime(64)
-			cat := mp.NewCatalog(rt, sterile)
-			for i := 0; i < 500; i++ {
-				cat.Register(mp.GridMeta{ID: i, Level: i % 8, Lo: [3]int{i, 0, 0}, N: [3]int{16, 16, 16}, Owner: i % 64})
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cat.Owner(i % 500)
-			}
-			_, _, probes := rt.Stats()
-			b.ReportMetric(float64(probes)/float64(b.N), "probes/lookup")
-		})
-	}
-}
-
-// BenchmarkAblationPipelinedComm compares pipelined vs interleaved
-// exchange wait times (§3.4: "a large decrease in wait times").
-func BenchmarkAblationPipelinedComm(b *testing.B) {
-	var xfers []mp.Xfer
-	for r := 0; r < 64; r++ {
-		for p := 0; p < 6; p++ {
-			xfers = append(xfers, mp.Xfer{From: r, To: (r + p*11 + 1) % 64, Bytes: 16384 + 1024*p, NeedOrder: p})
-		}
-	}
-	net := mp.DefaultNetParams()
-	for _, pipelined := range []bool{true, false} {
-		name := "pipelined"
-		if !pipelined {
-			name = "interleaved"
-		}
-		b.Run(name, func(b *testing.B) {
-			var res mp.ExchangeResult
-			for i := 0; i < b.N; i++ {
-				res = mp.SimulateExchange(xfers, 64, net, pipelined)
-			}
-			b.ReportMetric(res.TotalWait*1e6, "wait-us")
-		})
-	}
-}
-
-// BenchmarkAblationLoadBalance reports the imbalance of distributing a
-// deep hierarchy's grids over 64 ranks (paper: ~40% of wall time went to
-// communication + imbalance).
-func BenchmarkAblationLoadBalance(b *testing.B) {
-	var metas []mp.GridMeta
-	id := 0
-	for lv := 0; lv < 8; lv++ {
-		for g := 0; g < 1<<lv; g++ {
-			metas = append(metas, mp.GridMeta{ID: id, Level: lv, N: [3]int{20, 20, 20}})
-			id++
-		}
-	}
-	b.ResetTimer()
-	var imb float64
-	for i := 0; i < b.N; i++ {
-		_, imb = mp.BalanceLPT(metas, mp.WorkWeight(2), 64)
-	}
-	b.ReportMetric(imb, "imbalance")
 }
 
 // BenchmarkClusteringScaling exercises the Berger-Rigoutsos cost on a

@@ -460,18 +460,18 @@ func runRemote(base, name string, sweep Sweep, reqs []sim.Request, rows []Row, s
 // fetchArtifacts mirrors dumpArtifacts over HTTP: the artifact index
 // plus each payload, written under dir/<jobid>/.
 func fetchArtifacts(c *remote, dir, id string) error {
-	var index []sim.ArtifactMeta
+	var index sim.ArtifactIndex
 	if err := c.getJSON("/jobs/"+id+"/artifacts", &index); err != nil {
 		return err
 	}
-	if len(index) == 0 {
+	if len(index.Artifacts) == 0 {
 		return nil
 	}
 	jobDir := filepath.Join(dir, id)
 	if err := os.MkdirAll(jobDir, 0o755); err != nil {
 		return err
 	}
-	for _, a := range index {
+	for _, a := range index.Artifacts {
 		data, err := c.getBytes("/jobs/" + id + "/artifacts/" + a.Name)
 		if err != nil {
 			return err
@@ -480,7 +480,7 @@ func fetchArtifacts(c *remote, dir, id string) error {
 			return err
 		}
 	}
-	fmt.Printf("    %d artifacts -> %s\n", len(index), jobDir)
+	fmt.Printf("    %d artifacts -> %s\n", len(index.Artifacts), jobDir)
 	return nil
 }
 

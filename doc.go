@@ -10,13 +10,12 @@
 // particle-mesh N-body (internal/nbody), the 12-species primordial
 // chemistry network (internal/chem), 128-bit extended precision
 // arithmetic (internal/ep128), Berger–Rigoutsos clustering
-// (internal/clustering), the message-passing runtime model (internal/mp),
-// cosmological initial conditions (internal/cosmology), the problem
-// registry (internal/problems), analysis tools and the derived-output
-// pipeline (internal/analysis), the job service (internal/sim) and the
-// Simulation façade (internal/core). docs/ARCHITECTURE.md maps the
-// packages, the W-cycle and job-service dataflows, and the paper-section
-// → package cross-reference in detail.
+// (internal/clustering), cosmological initial conditions
+// (internal/cosmology), the problem registry (internal/problems),
+// analysis tools and the derived-output pipeline (internal/analysis), the
+// job service (internal/sim) and the Simulation façade (internal/core).
+// docs/ARCHITECTURE.md maps the packages, the W-cycle and job-service
+// dataflows, and the paper-section → package cross-reference in detail.
 //
 // # Registering a new problem
 //

@@ -210,17 +210,10 @@ func (h *Hierarchy) EvolveLevel(level int, parentTime float64) {
 
 // stepLevelGrids advances every grid on a level by dt on the shared par
 // engine (grids are independent once boundaries and taps are set; the
-// particle-lift pass mutates ancestors and runs serially afterwards).
+// particle-lift pass mutates ancestors and runs serially afterwards, in
+// grid order — nothing stepped on a level reads an ancestor's particles).
 func (h *Hierarchy) stepLevelGrids(level int, dt float64) {
 	grids := h.Levels[level]
-	workers := par.Workers(h.Cfg.Workers)
-	if workers <= 1 || len(grids) == 1 {
-		for _, g := range grids {
-			h.stepGrid(g, dt)
-			h.liftEscapedParticles(g)
-		}
-		return
-	}
 	pipe := h.pipeline()
 	timings := make([]Timing, len(grids))
 	stats := make([]Stats, len(grids))

@@ -21,19 +21,14 @@ import (
 	"repro/internal/par"
 )
 
-// SolvePeriodic solves ∇²φ = coeff·(ρ - mean(ρ)) on a periodic grid with
-// the FFT, using the eigenvalues of the discrete 7-point Laplacian so the
-// returned potential satisfies the difference equation to round-off. rho's
-// active size must be a power of two in each dimension; dx is the cell
-// width. The result has the same ghost depth as rho with periodic ghosts
-// filled.
-func SolvePeriodic(rho *mesh.Field3, dx, coeff float64) (*mesh.Field3, error) {
-	return SolvePeriodicWorkers(rho, dx, coeff, 0)
-}
-
-// SolvePeriodicWorkers is SolvePeriodic with an explicit worker bound for
-// the FFT line batches and the mode-division pass (par conventions:
-// 0 = NumCPU, 1 = serial). The result is bitwise identical at any setting.
+// SolvePeriodicWorkers solves ∇²φ = coeff·(ρ - mean(ρ)) on a periodic
+// grid with the FFT, using the eigenvalues of the discrete 7-point
+// Laplacian so the returned potential satisfies the difference equation to
+// round-off. rho's active size must be a power of two in each dimension;
+// dx is the cell width. The result has the same ghost depth as rho with
+// periodic ghosts filled. workers bounds the FFT line batches and the
+// mode-division pass (par conventions: 0 = NumCPU, 1 = serial); the result
+// is bitwise identical at any setting.
 func SolvePeriodicWorkers(rho *mesh.Field3, dx, coeff float64, workers int) (*mesh.Field3, error) {
 	nx, ny, nz := rho.Nx, rho.Ny, rho.Nz
 	plan, err := fft.NewPlan3(nx, ny, nz)

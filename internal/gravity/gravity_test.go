@@ -22,7 +22,7 @@ func TestPeriodicSolveSatisfiesDifferenceEquation(t *testing.T) {
 	}
 	dx := 1.0 / float64(n)
 	coeff := 4 * math.Pi
-	phi, err := SolvePeriodic(rho, dx, coeff)
+	phi, err := SolvePeriodicWorkers(rho, dx, coeff, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,35 +41,69 @@ func TestPeriodicSolveSatisfiesDifferenceEquation(t *testing.T) {
 }
 
 func TestPeriodicSolveSingleMode(t *testing.T) {
-	// For rho - mean = A sin(2π i/n), the discrete solution is
-	// phi = A sin(2π i/n) / lambda with lambda the discrete eigenvalue.
-	n := 32
-	rho := mesh.NewField3(n, n, n, 1)
-	amp := 2.0
-	for k := 0; k < n; k++ {
-		for j := 0; j < n; j++ {
-			for i := 0; i < n; i++ {
-				rho.Set(i, j, k, amp*math.Sin(2*math.Pi*float64(i)/float64(n)))
+	// For rho - mean = A Π_d sin(2π m_d x_d/n + φ_d), a separable single
+	// mode, the discrete solution is rho/λ with λ the sum of the three 1-D
+	// discrete eigenvalues (2 cos(2π m_d/n) - 2)/dx². φ_d = π/2 turns an
+	// axis's factor into a cosine (constant 1 at m_d = 0).
+	const n, amp = 32, 2.0
+	dx := 1.0 / n
+	c := math.Pi / 2
+	for _, tc := range []struct {
+		name  string
+		m     [3]int
+		phase [3]float64
+	}{
+		{"x1", [3]int{1, 0, 0}, [3]float64{0, c, c}},
+		{"sin1cos2sin3", [3]int{1, 2, 3}, [3]float64{0, c, 0}},
+		{"nearNyquistZ", [3]int{0, 0, n/2 - 1}, [3]float64{c, c, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mode := func(d, i int) float64 {
+				return math.Sin(2*math.Pi*float64(tc.m[d]*i)/n + tc.phase[d])
 			}
-		}
-	}
-	dx := 1.0 / float64(n)
-	phi, err := SolvePeriodic(rho, dx, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lambda := (2*math.Cos(2*math.Pi/float64(n)) - 2) / (dx * dx)
-	for i := 0; i < n; i++ {
-		want := amp * math.Sin(2*math.Pi*float64(i)/float64(n)) / lambda
-		if d := math.Abs(phi.At(i, 3, 5) - want); d > 1e-10*math.Abs(want)+1e-12 {
-			t.Fatalf("phi(%d) = %v, want %v", i, phi.At(i, 3, 5), want)
-		}
+			rho := mesh.NewField3(n, n, n, 1)
+			var lambda float64
+			for d := 0; d < 3; d++ {
+				lambda += (2*math.Cos(2*math.Pi*float64(tc.m[d])/n) - 2) / (dx * dx)
+			}
+			for k := 0; k < n; k++ {
+				for j := 0; j < n; j++ {
+					for i := 0; i < n; i++ {
+						rho.Set(i, j, k, amp*mode(0, i)*mode(1, j)*mode(2, k))
+					}
+				}
+			}
+			phi, err := SolvePeriodicWorkers(rho, dx, 1.0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tol := 1e-10 * amp / math.Abs(lambda)
+			for k := 0; k < n; k++ {
+				for j := 0; j < n; j++ {
+					for i := 0; i < n; i++ {
+						want := rho.At(i, j, k) / lambda
+						if d := math.Abs(phi.At(i, j, k) - want); d > tol {
+							t.Fatalf("phi(%d,%d,%d) = %v, want %v", i, j, k, phi.At(i, j, k), want)
+						}
+					}
+				}
+			}
+			phi2, err := SolvePeriodicWorkers(rho, dx, 1.0, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range phi.Data {
+				if math.Float64bits(v) != math.Float64bits(phi2.Data[i]) {
+					t.Fatalf("workers 2 differs from workers 1 at flat index %d: %v vs %v", i, phi2.Data[i], v)
+				}
+			}
+		})
 	}
 }
 
 func TestPeriodicRejectsBadSize(t *testing.T) {
 	rho := mesh.NewField3(12, 12, 12, 1)
-	if _, err := SolvePeriodic(rho, 1.0/12, 1.0); err == nil {
+	if _, err := SolvePeriodicWorkers(rho, 1.0/12, 1.0, 0); err == nil {
 		t.Fatal("non-power-of-two size should fail")
 	}
 }
@@ -81,7 +115,7 @@ func TestAccelerationsPointTowardMass(t *testing.T) {
 	rho.Fill(1)
 	rho.Set(n/2, n/2, n/2, 100)
 	dx := 1.0 / float64(n)
-	phi, err := SolvePeriodic(rho, dx, 4*math.Pi)
+	phi, err := SolvePeriodicWorkers(rho, dx, 4*math.Pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +236,7 @@ func BenchmarkPeriodicSolve32(b *testing.B) {
 	dx := 1.0 / float64(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolvePeriodic(rho, dx, 1); err != nil {
+		if _, err := SolvePeriodicWorkers(rho, dx, 1, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -111,19 +111,6 @@ func (g GridGeom) RelPos(p *Particles, i int) (x, y, z float64) {
 	return
 }
 
-// DepositCIC adds the particles' mass density (mass per cell volume) onto
-// rho with cloud-in-cell weighting. Particles whose cloud extends outside
-// the active region deposit into ghost zones; periodic callers fold ghosts
-// back with FoldGhostsPeriodic. Returns the number of particles whose
-// cloud touched the grid.
-//
-// DepositCIC is the serial execution of the same fixed-chunk algorithm
-// DepositCICWorkers runs in parallel, so the deposited field is bitwise
-// identical at every worker count.
-func DepositCIC(p *Particles, rho *mesh.Field3, geom GridGeom) int {
-	return DepositCICWorkers(p, rho, geom, 1)
-}
-
 // depositChunkSize is the fixed particle-chunk width of the CIC deposit.
 // The chunk grid depends only on the particle count — never on the
 // resolved worker count — which is what makes the deposit placement-
@@ -132,17 +119,22 @@ func DepositCIC(p *Particles, rho *mesh.Field3, geom GridGeom) int {
 // reduced into rho in ascending chunk order.
 const depositChunkSize = 2048
 
-// DepositCICWorkers is DepositCIC with an explicit worker bound (par
-// conventions: 0 = NumCPU, 1 = serial). Particles are partitioned into
-// fixed chunks of depositChunkSize regardless of the worker count; chunks
-// are deposited into per-slot scratch buffers in batches of W and the
-// batch is reduced into rho serially in ascending chunk order, each chunk
-// over the index box of the cells it wrote (a chunk that touched nothing
-// is skipped; the rest of its buffer is exactly zero and would add
-// nothing). Both the chunk partition and the per-cell reduction order are
-// independent of W and of goroutine scheduling, so the result is bitwise
-// identical for every worker count — a job's canonical checksum cannot
-// depend on where (or how wide) it ran.
+// DepositCICWorkers adds the particles' mass density (mass per cell
+// volume) onto rho with cloud-in-cell weighting. Particles whose cloud
+// extends outside the active region deposit into ghost zones; periodic
+// callers fold ghosts back with FoldGhostsPeriodic. Returns the number of
+// particles whose cloud touched the grid. workers bounds the parallelism
+// (par conventions: 0 = NumCPU, 1 = serial).
+//
+// Particles are partitioned into fixed chunks of depositChunkSize
+// regardless of the worker count; chunks are deposited into per-slot
+// scratch buffers in batches of W and the batch is reduced into rho
+// serially in ascending chunk order, each chunk over the index box of the
+// cells it wrote (a chunk that touched nothing is skipped; the rest of its
+// buffer is exactly zero and would add nothing). Both the chunk partition
+// and the per-cell reduction order are independent of W and of goroutine
+// scheduling, so the result is bitwise identical for every worker count —
+// a job's canonical checksum cannot depend on where (or how wide) it ran.
 func DepositCICWorkers(p *Particles, rho *mesh.Field3, geom GridGeom, workers int) int {
 	n := p.Len()
 	if n == 0 {

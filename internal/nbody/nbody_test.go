@@ -38,7 +38,7 @@ func TestDepositConservesMass(t *testing.T) {
 		p.Add(ep128.FromFloat64(q[0]), ep128.FromFloat64(q[1]), ep128.FromFloat64(q[2]),
 			0, 0, 0, float64(i+1), int64(i))
 	}
-	deposited := DepositCIC(p, rho, geomUnit(n))
+	deposited := DepositCICWorkers(p, rho, geomUnit(n), 1)
 	if deposited != 4 {
 		t.Fatalf("deposited %d of 4", deposited)
 	}
@@ -57,7 +57,7 @@ func TestDepositCellCentered(t *testing.T) {
 	p := New(1)
 	// Cell (3,4,5) center is at ((3.5)/8, (4.5)/8, (5.5)/8).
 	p.Add(ep128.FromFloat64(3.5/8), ep128.FromFloat64(4.5/8), ep128.FromFloat64(5.5/8), 0, 0, 0, 2.0, 0)
-	DepositCIC(p, rho, geomUnit(n))
+	DepositCICWorkers(p, rho, geomUnit(n), 1)
 	vol := math.Pow(1.0/float64(n), 3)
 	if got := rho.At(3, 4, 5) * vol; math.Abs(got-2.0) > 1e-12 {
 		t.Fatalf("cell-centered deposit = %v, want 2", got)
@@ -157,9 +157,9 @@ func TestTwoBodyOrbitSymmetry(t *testing.T) {
 	p.Add(ep128.FromFloat64(0.4), ep128.FromFloat64(0.5), ep128.FromFloat64(0.5), 0, 0, 0, 5, 0)
 	p.Add(ep128.FromFloat64(0.6), ep128.FromFloat64(0.5), ep128.FromFloat64(0.5), 0, 0, 0, 5, 1)
 	geom := geomUnit(n)
-	DepositCIC(p, rho, geom)
+	DepositCICWorkers(p, rho, geom, 1)
 	FoldGhostsPeriodic(rho)
-	phi, err := gravity.SolvePeriodic(rho, geom.Dx, 4*math.Pi)
+	phi, err := gravity.SolvePeriodicWorkers(rho, geom.Dx, 4*math.Pi, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +205,6 @@ func BenchmarkDepositCIC(b *testing.B) {
 	geom := geomUnit(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DepositCIC(p, rho, geom)
+		DepositCICWorkers(p, rho, geom, 1)
 	}
 }

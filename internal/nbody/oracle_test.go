@@ -100,7 +100,7 @@ func TestDepositCICMatchesParentBitwise(t *testing.T) {
 			continue
 		}
 		probe := mesh.NewField3(c.n, c.n, c.n, 1)
-		if DepositCIC(c.p, probe, c.geom) == 0 {
+		if DepositCICWorkers(c.p, probe, c.geom, 1) == 0 {
 			t.Fatalf("%s: no particle touched the grid — the case tests nothing", c.name)
 		}
 	}

@@ -37,7 +37,7 @@ func TestDepositCICWorkersBitwiseInvariant(t *testing.T) {
 	}
 
 	serial := mesh.NewField3(n, n, n, 1)
-	cs := DepositCIC(p, serial, geom)
+	cs := DepositCICWorkers(p, serial, geom, 1)
 	if cs == 0 {
 		t.Fatal("serial deposit touched no particles")
 	}
