@@ -277,7 +277,7 @@ func TestLatticeGreedyDescentWithOverlappingSiblings(t *testing.T) {
 // TestPinnedArtifactHashes is the end-to-end form of "bitwise identical":
 // the SHA-256 of a projection PGM, a slice PGM and a pyramid container,
 // recorded from the binary of the commit before the lattice, must come out
-// of the same requests today.
+// of the same requests today — evolved and evaluated at 1 worker and at 3.
 func TestPinnedArtifactHashes(t *testing.T) {
 	raw, err := os.ReadFile("testdata/artifact_hashes.json")
 	if err != nil {
@@ -302,25 +302,31 @@ func TestPinnedArtifactHashes(t *testing.T) {
 		reqs = append(reqs, r)
 	}
 	for _, run := range pins.Runs {
-		h := evolved(t, "sedov", 16, 1, run.Steps, nil)
-		plan, err := analysis.NewOutputPlan(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := 0
-		err = plan.Finish(h, "sedov", run.Steps-1, 2, func(art analysis.Artifact) error {
-			sum := sha256.Sum256(art.Data)
-			if got := hex.EncodeToString(sum[:]); got != run.SHA256[i] {
-				t.Errorf("steps %d: %s sha256 %s, pinned %s", run.Steps, art.Name, got, run.SHA256[i])
+		for _, workers := range []int{1, 3} {
+			sim, err := core.New("sedov", func(o *problems.Opts) { o.RootN, o.MaxLevel, o.Workers = 16, 1, workers })
+			if err != nil {
+				t.Fatal(err)
 			}
-			i++
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i != len(run.SHA256) {
-			t.Fatalf("steps %d: %d artifacts, pinned %d", run.Steps, i, len(run.SHA256))
+			sim.RunSteps(run.Steps)
+			plan, err := analysis.NewOutputPlan(reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i := 0
+			err = plan.Finish(sim.H, "sedov", run.Steps-1, workers, func(art analysis.Artifact) error {
+				sum := sha256.Sum256(art.Data)
+				if got := hex.EncodeToString(sum[:]); got != run.SHA256[i] {
+					t.Errorf("steps %d, %d workers: %s sha256 %s, pinned %s", run.Steps, workers, art.Name, got, run.SHA256[i])
+				}
+				i++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i != len(run.SHA256) {
+				t.Fatalf("steps %d: %d artifacts, pinned %d", run.Steps, i, len(run.SHA256))
+			}
 		}
 	}
 }

@@ -170,7 +170,7 @@ func (r OutputRequest) Normalize() (OutputRequest, error) {
 			if r.Coord == 0 {
 				r.Coord = 0.5
 			}
-			if r.Coord < 0 || r.Coord >= 1 {
+			if !(r.Coord >= 0 && r.Coord < 1) { // NaN fails too
 				return r, fmt.Errorf("analysis: slice coord %g not in [0,1)", r.Coord)
 			}
 			r.NSamp = 0
@@ -203,7 +203,7 @@ func (r OutputRequest) Normalize() (OutputRequest, error) {
 		if r.MinSep == 0 {
 			r.MinSep = 0.05
 		}
-		if r.MinSep <= 0 || r.MinSep > 1 {
+		if !(r.MinSep > 0 && r.MinSep <= 1) { // NaN fails too
 			return r, fmt.Errorf("analysis: clump min_sep %g not in (0,1]", r.MinSep)
 		}
 		r.Field, r.Axis, r.Coord, r.N, r.NSamp, r.Format = "", 0, 0, 0, 0, ""
@@ -219,6 +219,7 @@ func (r OutputRequest) Normalize() (OutputRequest, error) {
 	if r.EveryTime < 0 || math.IsNaN(r.EveryTime) || math.IsInf(r.EveryTime, 0) {
 		return r, fmt.Errorf("analysis: output cadence every_time=%g must be finite and >= 0", r.EveryTime)
 	}
+	r.EveryTime += 0 // -0 and 0 are one cadence, so one canonical form
 	return r, nil
 }
 

@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -37,6 +38,14 @@ func TestOutputRequestNormalizeDefaults(t *testing.T) {
 	if r.Canonical() != want.Canonical() {
 		t.Fatalf("canonical forms differ:\n%s\n%s", r.Canonical(), want.Canonical())
 	}
+	// every_time -0 is the disabled cadence 0, spelled differently.
+	r, err = OutputRequest{Kind: KindProfile, EveryTime: math.Copysign(0, -1)}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Canonical() != want.Canonical() {
+		t.Fatalf("every_time -0 has its own canonical form:\n%s\n%s", r.Canonical(), want.Canonical())
+	}
 }
 
 func TestOutputRequestNormalizeRejects(t *testing.T) {
@@ -45,6 +54,8 @@ func TestOutputRequestNormalizeRejects(t *testing.T) {
 		{Kind: KindSlice, Field: "entropy"},
 		{Kind: KindSlice, Axis: 3},
 		{Kind: KindSlice, Coord: 1.5},
+		{Kind: KindSlice, Coord: math.NaN()},
+		{Kind: KindClumps, MinSep: math.NaN()},
 		{Kind: KindSlice, N: 2},
 		{Kind: KindSlice, N: 1 << 20},
 		{Kind: KindSlice, Format: "tiff"},
@@ -81,6 +92,51 @@ func TestParseOutputRequest(t *testing.T) {
 			t.Errorf("ParseOutputRequest(%q) did not fail", spec)
 		}
 	}
+}
+
+// FuzzParseOutputRequest fuzzes the -output spec pipeline: parsing never
+// panics, and every spec that parses and normalizes has finite float
+// knobs, normalizes to a fixed point, and keeps its canonical form across
+// the JSON round trip a job request takes to a server.
+func FuzzParseOutputRequest(f *testing.F) {
+	for _, seed := range []string{
+		"projection,field=rho,axis=2,n=128,every=5", "slice,field=temp,coord=0.25,format=png",
+		"profile,n=32", "clumps,threshold=50,minsep=0.1", "snapshot,every=10",
+		"pyramid,n=256,nsamp=8", "slice,coord=-0", "projection,everytime=1e-3",
+		"", ",", "slice,axis", "slice,n=x", "hologram",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		parsed, err := ParseOutputRequest(spec)
+		if err != nil {
+			return
+		}
+		r, err := parsed.Normalize()
+		if err != nil {
+			return
+		}
+		for name, v := range map[string]float64{"coord": r.Coord, "everytime": r.EveryTime, "threshold": r.Threshold, "minsep": r.MinSep} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%q normalized with %s=%v", spec, name, v)
+			}
+		}
+		again, err := r.Normalize()
+		if err != nil || again != r {
+			t.Fatalf("%q: Normalize is not idempotent: %+v -> %+v (%v)", spec, r, again, err)
+		}
+		raw, err := json.Marshal(r)
+		if err != nil {
+			t.Fatalf("%q: %v", spec, err)
+		}
+		var back OutputRequest
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatalf("%q: %s does not decode: %v", spec, raw, err)
+		}
+		if back.Canonical() != r.Canonical() {
+			t.Fatalf("%q: canonical form %s became %s across JSON", spec, r.Canonical(), back.Canonical())
+		}
+	})
 }
 
 func TestCanonicalOutputsOrderMatters(t *testing.T) {

@@ -227,6 +227,62 @@ func TestHotGasIonizes(t *testing.T) {
 	}
 }
 
+// TestCollisionalIonizationEquilibrium checks the network against its
+// closed-form hot-gas limit. At fixed T, with only collisional
+// ionization and radiative recombination acting, each ionization stage
+// balances its neighbour — HII/HI = K1/K2, HeII/HeI = K3/K4,
+// HeIII/HeII = K5/K6 — and n_e cancels from every ratio. The network's
+// other channels move those balances only slightly at 2·10⁴–10⁵ K and
+// n_H = 1 cm⁻³. The largest is H⁻ formation followed by mutual
+// neutralization with H⁺, a second recombination path worth 0.2 % of
+// HII/HI at 2·10⁴ K and under 10⁻⁵ from 5·10⁴ K up. H₂⁺ and deuterium
+// charge exchange (D/H = 4·10⁻⁵) do less. A 1 % tolerance is five times
+// that, and still fails a 2 % error in any of the six rates wherever the
+// solver uses them.
+func TestCollisionalIonizationEquilibrium(t *testing.T) {
+	const tol = 0.01
+	for _, T := range []float64{2e4, 5e4, 1e5} {
+		r := RatesAt(T)
+		s := Primordial(1, 1e-4, 0)
+		h0, he0, d0 := s.HNuclei(), s.HeNuclei(), s.DNuclei()
+		// The solver's sub-step at a frozen temperature: fast species to
+		// equilibrium, one backward-Euler step, nuclei renormalized, n_e
+		// closed by charge. A step far longer than every rate time makes
+		// each update land on its local balance.
+		for it := 0; it < 10000; it++ {
+			prev := s
+			s[Hm] = equilibriumHm(s, r)
+			s[H2p] = equilibriumH2p(s, r)
+			s = speciesBackwardEuler(s, r, 1e20)
+			s = renormalizeNuclei(s, h0, he0, d0)
+			s[Elec] = math.Max(0, s[HII]+s[HeII]+2*s[HeIII]+s[H2p]+s[DII]-s[Hm])
+			if s == prev {
+				break
+			}
+		}
+		// Renormalization can hide an equation that does not balance; a
+		// steady state needs none, so one bare step must change nothing.
+		bare := speciesBackwardEuler(s, r, 1e20)
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"HII/HI", s[HII] / s[HI], r.K1 / r.K2},
+			{"HeII/HeI", s[HeII] / s[HeI], r.K3 / r.K4},
+			{"HeIII/HeII", s[HeIII] / s[HeII], r.K5 / r.K6},
+			{"HI after a bare step", bare[HI], s[HI]},
+			{"HII after a bare step", bare[HII], s[HII]},
+			{"HeI after a bare step", bare[HeI], s[HeI]},
+			{"HeII after a bare step", bare[HeII], s[HeII]},
+			{"HeIII after a bare step", bare[HeIII], s[HeIII]},
+		} {
+			if dev := math.Abs(c.got/c.want - 1); !(dev <= tol) {
+				t.Errorf("T=%g: %s = %.6g, want %.6g (off by %.2g, tolerance %g)", T, c.name, c.got, c.want, dev, tol)
+			}
+		}
+	}
+}
+
 func TestTemperatureRoundTrip(t *testing.T) {
 	s := Primordial(100, 1e-4, 1e-4)
 	gamma := 5.0 / 3.0

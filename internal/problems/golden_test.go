@@ -28,12 +28,15 @@ type goldenEntry struct {
 const goldenFile = "testdata/golden.json"
 const goldenSteps = 2
 
+// goldenWorkers are the worker budgets every problem is evolved at. Every
+// kernel, including the CIC deposit's fixed-chunk reduction, is bitwise
+// invariant under the worker count, so each must reproduce the one
+// committed hash — this test is the proof that a job's ID can leave the
+// worker count out.
+var goldenWorkers = []int{1, 2, 3, 8}
+
 // goldenOpts shrinks a spec's defaults to the pinned golden size: 16³
-// and at most two refinement levels. The worker budget is deliberately
-// left at the spec default (0 = NumCPU): every kernel, including the CIC
-// deposit's fixed-chunk reduction, is bitwise invariant under the worker
-// count, so the committed hashes must not depend on the host's core
-// count — this test is the proof.
+// and at most two refinement levels.
 func goldenOpts(spec Spec) Opts {
 	o := spec.Defaults
 	o.RootN = 16
@@ -44,10 +47,11 @@ func goldenOpts(spec Spec) Opts {
 }
 
 // TestGoldenRegression is the drift alarm for the whole physics stack:
-// every registered problem evolves two root steps at 16³ and its state
-// checksum (amr.Checksum: every field bit of every grid plus particles)
-// must equal the committed golden hash. Any PR that changes any answer
-// anywhere trips it — intentional changes regenerate with -update.
+// every registered problem evolves two root steps at 16³, at each of
+// goldenWorkers, and its state checksum (amr.Checksum: every field bit of
+// every grid plus particles) must equal the committed golden hash. Any PR
+// that changes any answer anywhere trips it — intentional changes
+// regenerate with -update.
 func TestGoldenRegression(t *testing.T) {
 	golden := map[string]goldenEntry{}
 	if raw, err := os.ReadFile(goldenFile); err == nil {
@@ -62,32 +66,37 @@ func TestGoldenRegression(t *testing.T) {
 	for _, spec := range Specs() { // sorted: table order matches -list
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			o := goldenOpts(spec)
-			h, err := BuildSpec(spec, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for s := 0; s < goldenSteps; s++ {
-				h.Step()
-			}
-			entry := goldenEntry{
-				Hash:     h.ChecksumHex(),
-				RootN:    o.RootN,
-				MaxLevel: o.MaxLevel,
-				Steps:    goldenSteps,
-			}
-			got[spec.Name] = entry
-			if *update {
-				return
-			}
 			want, ok := golden[spec.Name]
-			if !ok {
+			if !ok && !*update {
 				t.Fatalf("problem %q has no golden entry — run with -update after registering a problem", spec.Name)
 			}
-			if want != entry {
-				t.Errorf("golden mismatch for %q:\n  committed: %+v\n  got:       %+v\n"+
-					"the physics changed; if intentional, regenerate with -update",
-					spec.Name, want, entry)
+			for i, workers := range goldenWorkers {
+				o := goldenOpts(spec)
+				o.Workers = workers
+				h, err := BuildSpec(spec, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := 0; s < goldenSteps; s++ {
+					h.Step()
+				}
+				entry := goldenEntry{
+					Hash:     h.ChecksumHex(),
+					RootN:    o.RootN,
+					MaxLevel: o.MaxLevel,
+					Steps:    goldenSteps,
+				}
+				if i == 0 {
+					got[spec.Name] = entry
+					if *update {
+						want = entry // the other budgets must reproduce it
+					}
+				}
+				if want != entry {
+					t.Errorf("golden mismatch for %q at %d workers:\n  committed: %+v\n  got:       %+v\n"+
+						"the physics changed; if intentional, regenerate with -update",
+						spec.Name, workers, want, entry)
+				}
 			}
 		})
 	}

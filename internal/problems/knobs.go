@@ -98,13 +98,11 @@ func ParseCanonicalKnobs(s string) (map[string]float64, error) {
 }
 
 // Canonical renders a fully resolved Opts as a deterministic string: the
-// identity of a run's configuration for hashing and caching. Every field
-// participates, including Workers — every kernel, the CIC deposit
-// included, is worker-invariant, but dropping the field would change every
-// job ID, so two worker budgets remain two identities. Callers wanting a
-// workers-agnostic key zero the field first.
+// identity of a run's configuration for hashing and caching. Every physics
+// field participates; Workers does not — every kernel, the CIC deposit
+// included, gives the same bits at any worker count, so the budget is a
+// resource choice, not part of what is computed.
 func (o Opts) Canonical() string {
-	return fmt.Sprintf("rootn=%d;maxlevel=%d;chem=%t;workers=%d;seed=%d;solver=%s;knobs=%s",
-		o.RootN, o.MaxLevel, o.Chemistry, o.Workers, o.Seed, o.Solver,
-		CanonicalKnobs(o.Extra))
+	return fmt.Sprintf("rootn=%d;maxlevel=%d;chem=%t;seed=%d;solver=%s;knobs=%s",
+		o.RootN, o.MaxLevel, o.Chemistry, o.Seed, o.Solver, CanonicalKnobs(o.Extra))
 }

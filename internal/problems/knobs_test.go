@@ -73,8 +73,8 @@ func TestCanonicalKnobsRoundTripAndOrder(t *testing.T) {
 
 func bits(v float64) uint64 { return math.Float64bits(v) }
 
-// TestOptsCanonicalDiscriminates: every field must participate in the
-// canonical identity.
+// TestOptsCanonicalDiscriminates: every physics field must participate in
+// the canonical identity, and the worker budget must not.
 func TestOptsCanonicalDiscriminates(t *testing.T) {
 	base := Opts{RootN: 16, MaxLevel: 2, Chemistry: true, Workers: 2, Seed: 7, Solver: "ppm",
 		Extra: map[string]float64{"e0": 10}}
@@ -82,18 +82,22 @@ func TestOptsCanonicalDiscriminates(t *testing.T) {
 		func(o *Opts) { o.RootN = 32 },
 		func(o *Opts) { o.MaxLevel = 3 },
 		func(o *Opts) { o.Chemistry = false },
-		func(o *Opts) { o.Workers = 4 },
 		func(o *Opts) { o.Seed = 8 },
 		func(o *Opts) { o.Solver = "fd" },
 		func(o *Opts) { o.Extra = map[string]float64{"e0": 11} },
 	}
+	// Resource choices: the bits do not depend on them.
+	invariants := []func(*Opts){
+		func(o *Opts) { o.Workers = 4 },
+		func(o *Opts) { o.Workers = 0 },
+	}
 	ref := base.Canonical()
-	for i, mut := range mutations {
+	for i, mut := range append(mutations, invariants...) {
 		o := base
 		o.Extra = map[string]float64{"e0": 10}
 		mut(&o)
-		if o.Canonical() == ref {
-			t.Errorf("mutation %d did not change the canonical form %q", i, ref)
+		if changed := o.Canonical() != ref; changed != (i < len(mutations)) {
+			t.Errorf("mutation %d: canonical form changed=%v, want %v (%q)", i, changed, i < len(mutations), ref)
 		}
 	}
 }

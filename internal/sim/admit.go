@@ -275,14 +275,11 @@ func (s *Scheduler) recover() {
 // cache), anything else Queued. It admits nothing; see restore.
 func (s *Scheduler) recoverJob(rec RecoveredJob) (*Job, error) {
 	m := rec.Manifest
-	// Pin the manifest's effective worker budget: the job's canonical
-	// identity (and, via the CIC reduction order, its bitwise answer)
-	// depends on it, so a resumed run must not inherit this process's
-	// slot share. maxWorkers is relaxed to the pinned value on purpose —
-	// recovering on a smaller host must not orphan the job.
+	// Resume at this process's slot share: the worker count is not identity,
+	// and a bigger host's pin must neither orphan nor oversubscribe this one.
 	req := m.Request
-	req.Workers = m.Workers
-	r, err := resolve(req, s.cfg.slotWorkers(), max(s.cfg.TotalWorkers, m.Workers))
+	req.Workers = 0
+	r, err := resolve(req, s.cfg.slotWorkers(), s.cfg.TotalWorkers)
 	if err != nil {
 		return nil, fmt.Errorf("sim: recover %s: %w", m.ID, err)
 	}

@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/problems"
 	"repro/internal/sim"
 )
 
@@ -80,7 +82,8 @@ func TestOneAdmissionSite(t *testing.T) {
 // queue still full — every refusal (a fresh submission, a takeover, a
 // takeover of an ID already present), each of which must leave the job
 // table and the counters exactly as they were; then the same fresh
-// submission and takeover admitted once there is room.
+// submission and takeover admitted once there is room, and a takeover
+// recorded at more workers than this scheduler has.
 func TestAdmissionPaths(t *testing.T) {
 	forEachStore(t, testAdmissionPaths)
 }
@@ -179,6 +182,33 @@ func testAdmissionPaths(t *testing.T, reopen func() sim.Store) {
 	s.Cancel("take1")
 	s.Cancel("blocker")
 	<-b.Done()
+
+	// A job recorded on a bigger host resumes at this scheduler's share,
+	// not at its recorded 8 workers, and reaches the bits of a direct run
+	// at 8.
+	big := interrupted("take8", small(6), 5)
+	big.Workers, big.Request.Workers = 8, 8
+	if err := s.Readmit(big, nil); err != nil {
+		t.Fatalf("takeover recorded at 8 workers: %v", err)
+	}
+	bj, _ := s.Get("take8")
+	if w := bj.Status().Workers; w != 1 {
+		t.Errorf("taken-over job runs at %d workers, want the slot share 1", w)
+	}
+	res, err := bj.Wait(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := core.New("sedov", func(o *problems.Opts) { o.RootN, o.MaxLevel, o.Workers, o.Extra["e0"] = 8, 0, 8, 6 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := direct.RunContext(t.Context(), 2, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := direct.H.ChecksumHex(); res.Hash != want {
+		t.Errorf("taken-over job hash %s, direct run %s", res.Hash, want)
+	}
 
 	s.Close()
 	if err := s.Readmit(interrupted("take2", small(5), 4), nil); !errors.Is(err, sim.ErrClosed) {

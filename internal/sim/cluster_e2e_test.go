@@ -67,9 +67,6 @@ func startCluster(t *testing.T, n int) []*clusterPeer {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Identical scheduling config on every member: the canonical ID
-		// depends on the resolved worker budget, so peers must agree on it
-		// to agree on ownership.
 		sched := sim.NewScheduler(durableConfig(store))
 		peer, err := sim.NewPeer(sched, sim.PeerConfig{
 			Self:      urls[i],

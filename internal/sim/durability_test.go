@@ -30,9 +30,9 @@ import (
 )
 
 // interruptReq is the canonical request of the kill-and-restart test:
-// long enough to interrupt mid-run, with pinned workers (part of the
-// job identity, so the interrupted, resumed and reference runs agree
-// bitwise) and a cadenced projection so artifacts span the
+// long enough to interrupt mid-run, with a worker pin (a resource hint;
+// the interrupted, resumed and reference runs agree bitwise at any
+// worker count) and a cadenced projection so artifacts span the
 // interruption.
 const interruptReq = `{"problem":"sedov","rootn":16,"maxlevel":1,"steps":24,"workers":1,
 	"knobs":{"e0":20},

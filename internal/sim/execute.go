@@ -347,9 +347,9 @@ func (s *Scheduler) buildOrResume(j *Job) (*core.Simulation, int, error) {
 	if ck != nil && ck.Step < j.res.steps {
 		h, problem, err := snapshot.Read(bytes.NewReader(ck.Data))
 		if err == nil {
-			// Workers is a runtime knob of the saving process; the
-			// resolved budget (identical by construction, pinned by the
-			// manifest) is authoritative for this host.
+			// Workers is a runtime knob of the saving process; this
+			// process's resolved budget is authoritative here, and the
+			// bits do not depend on it.
 			h.Cfg.Workers = j.res.opts.Workers
 			j.mu.Lock()
 			j.resumedFrom = fmt.Sprintf("checkpoint step %d", ck.Step)

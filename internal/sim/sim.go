@@ -67,8 +67,8 @@ type Request struct {
 	// Chemistry overrides the spec default when non-nil.
 	Chemistry *bool `json:"chemistry,omitempty"`
 	// Workers pins this job's par worker budget; 0 lets the scheduler
-	// assign the per-slot share of its total budget. The effective
-	// count is part of the job's identity (see Opts.Canonical).
+	// assign the per-slot share of its total budget. A resource hint, not
+	// identity: no bit of the answer depends on it (see Opts.Canonical).
 	Workers int `json:"workers,omitempty"`
 	// Knobs are the problem-specific -p key=value numeric knobs.
 	Knobs map[string]float64 `json:"knobs,omitempty"`
@@ -160,8 +160,8 @@ func Merge(base, over Request) Request {
 }
 
 // resolved is a Request normalized against its problem spec: the full
-// Opts the builder will see plus the run bounds. Its canonical string is
-// the job's dedupe/cache identity.
+// Opts the builder will see plus the run bounds. Its key is the job's
+// dedupe/cache identity.
 type resolved struct {
 	problem string
 	opts    problems.Opts
@@ -224,7 +224,8 @@ func resolve(req Request, slotWorkers, maxWorkers int) (resolved, error) {
 	if err != nil {
 		return resolved{}, err
 	}
-	r := resolved{problem: req.Problem, opts: o, steps: req.Steps, maxTime: req.MaxTime, outputs: outputs}
+	// maxTime + 0 folds -0 to 0: one spelling of "no time bound" per key.
+	r := resolved{problem: req.Problem, opts: o, steps: req.Steps, maxTime: req.MaxTime + 0, outputs: outputs}
 	if r.steps <= 0 {
 		r.steps = DefaultSteps
 	}
@@ -239,6 +240,9 @@ func resolve(req Request, slotWorkers, maxWorkers int) (resolved, error) {
 	}
 	if o.MaxLevel < 0 || o.MaxLevel > MaxMaxLevel {
 		return resolved{}, fmt.Errorf("sim: maxlevel must be in [0,%d], got %d", MaxMaxLevel, o.MaxLevel)
+	}
+	if req.MaxTime < 0 || math.IsNaN(req.MaxTime) || math.IsInf(req.MaxTime, 0) {
+		return resolved{}, fmt.Errorf("sim: max_time must be a finite value >= 0, got %g", req.MaxTime)
 	}
 	// QoS metadata sanity: these never enter the identity hash, but a
 	// malformed value must still fail at submit time, not poison the
@@ -270,10 +274,10 @@ const (
 )
 
 // key returns the canonical job identity: a short sha256 digest of the
-// problem name, the fully resolved Opts (including the effective worker
-// budget — see problems.Opts.Canonical for why), the run bounds, and the
-// normalized output-request list — two jobs that differ only in which
-// data products they collect are distinct jobs, or a coalesced
+// problem name, the resolved physics (problems.Opts.Canonical — not the
+// worker budget, so every peer derives one ID per body), the run bounds,
+// and the normalized output-request list — two jobs that differ only in
+// which data products they collect are distinct jobs, or a coalesced
 // submission could come back missing the artifacts it asked for.
 func (r resolved) key() string {
 	s := fmt.Sprintf("problem=%s;%s;steps=%d;maxtime=%g;outputs=%s",

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/problems"
@@ -307,21 +310,33 @@ func TestKeyCanonicalization(t *testing.T) {
 	if a.key() != b.key() {
 		t.Fatalf("explicit default knob changed the key: %s vs %s", a.key(), b.key())
 	}
-	// A different worker budget is a different bitwise identity.
-	c, err := resolve(Request{Problem: "sedov", Steps: 2}, 4, 8)
-	if err != nil {
-		t.Fatal(err)
+	// The worker budget is a resource choice, not identity: slot shares 2
+	// and 4 and pins 1 and 2 all name one job, as do the spellings 0 and
+	// -0 of "no time bound".
+	for _, tc := range []struct {
+		name        string
+		req         Request
+		slotWorkers int
+	}{
+		{"slot share 4", Request{Problem: "sedov", Steps: 2}, 4},
+		{"pin 1", Request{Problem: "sedov", Steps: 2, Workers: 1}, 4},
+		{"pin 2", Request{Problem: "sedov", Steps: 2, Workers: 2}, 4},
+		{"max_time 0", Request{Problem: "sedov", Steps: 2, MaxTime: 0}, 2},
+		{"max_time -0", Request{Problem: "sedov", Steps: 2, MaxTime: math.Copysign(0, -1)}, 2},
+	} {
+		r, err := resolve(tc.req, tc.slotWorkers, 8)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if r.key() != a.key() {
+			t.Errorf("%s: key %s, want %s", tc.name, r.key(), a.key())
+		}
 	}
-	if c.key() == a.key() {
-		t.Fatal("worker budget not part of the key")
-	}
-	// Pinned workers bypass the slot share.
-	d, err := resolve(Request{Problem: "sedov", Steps: 2, Workers: 2}, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.key() != a.key() {
-		t.Fatal("pinned workers should match the equal slot share")
+	// A bound the run would read as "none" is refused, not given a key.
+	for _, bad := range []float64{-5, math.NaN(), math.Inf(1)} {
+		if _, err := resolve(Request{Problem: "sedov", Steps: 2, MaxTime: bad}, 2, 8); err == nil {
+			t.Errorf("max_time %g resolved, want a submit-time error", bad)
+		}
 	}
 }
 
@@ -339,6 +354,13 @@ func TestCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 		last = j
+	}
+	// Wait returns once the job is terminal, before its outcome is counted;
+	// Succeeded is bumped under s.mu together with the cache bound.
+	for deadline := time.Now().Add(30 * time.Second); s.Stats().Succeeded != 4; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("succeeded %d, want 4", s.Stats().Succeeded)
+		}
 	}
 	if got := s.Stats().Cached; got > 2 {
 		t.Fatalf("cache retained %d terminal jobs, cap 2", got)

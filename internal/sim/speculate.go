@@ -245,7 +245,7 @@ func knobNeighbour(prev lineageEntry, curReq Request, cur resolved) *Request {
 	}
 	po, co := p.opts, c.opts
 	if po.RootN != co.RootN || po.MaxLevel != co.MaxLevel || po.Chemistry != co.Chemistry ||
-		po.Workers != co.Workers || po.Seed != co.Seed || po.Solver != co.Solver {
+		po.Seed != co.Seed || po.Solver != co.Solver {
 		return nil
 	}
 	if len(po.Extra) != len(co.Extra) {

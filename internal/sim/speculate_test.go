@@ -291,9 +291,7 @@ func TestSpeculationDoesNotPerturbDemandDispatch(t *testing.T) {
 // window produces the bitwise-identical result hash of an uninterrupted
 // demand run of the same configuration.
 func TestSpeculativePreemptResumeChecksum(t *testing.T) {
-	// Workers pinned to 1 so the reference and the speculative run
-	// resolve to the same par budget (the hash depends on it).
-	target := Request{Problem: "sedov", RootN: 16, MaxLevel: Int(1), Steps: 20, Workers: 1,
+	target := Request{Problem: "sedov", RootN: 16, MaxLevel: Int(1), Steps: 20,
 		Knobs: map[string]float64{"e0": 12}}
 
 	ref := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1})

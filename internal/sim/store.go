@@ -89,15 +89,15 @@ type Store interface {
 // JobManifest is the persisted record of one job — the small JSON
 // document a disk store rewrites (atomically) on every state
 // transition, and everything recovery needs to reconstruct the job's
-// identity and provenance. Request plus Workers pin the job's canonical
-// configuration: recovery re-resolves the request with Workers forced,
-// so a resumed run keeps the exact worker budget (and therefore the
-// exact bitwise answer) of the interrupted one.
+// identity and provenance. Recovery re-resolves Request with its worker
+// pin cleared, so a resumed run takes the recovering process's slot share
+// and still reaches the interrupted run's bits (they do not depend on the
+// worker count).
 type JobManifest struct {
 	ID      string  `json:"id"`
 	Request Request `json:"request"`
-	// Workers is the effective par budget the job ran with (the slot
-	// share at original submit time, or the request's pinned value).
+	// Workers records the par budget the job last ran with — provenance
+	// only; recovery never reads it back.
 	Workers int `json:"workers"`
 	// State is the job's lifecycle phase: queued, running, interrupted,
 	// done, failed or cancelled. "interrupted" marks a run the process
