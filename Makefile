@@ -4,7 +4,7 @@ GO ?= go
 # staticcheck job; bump deliberately, in its own commit.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test test-full vet staticcheck sloc bench-module bench bench-scaling perfgate golden-update problems cluster docs clean
+.PHONY: build test test-full vet staticcheck sloc bench-module bench bench-scaling perfgate golden-update problems cluster docs fuzz-smoke clean
 
 build:
 	$(GO) build ./...
@@ -93,6 +93,15 @@ docs:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/doccheck $$($(GO) list -f '{{.Dir}}' ./internal/...)
 	$(GO) test -run TestReadmeCurlExamples ./internal/sim
+
+# Every committed fuzz target for 15 s each — the CI fuzz job — so a
+# decoder regression fails CI instead of only a local -fuzz run. Each run
+# starts from the target's seeds and its testdata/fuzz corpus.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz '^FuzzSnapshotRead$$' -fuzztime 15s ./internal/snapshot
+	$(GO) test -run xxx -fuzz '^FuzzParseOutputRequest$$' -fuzztime 15s ./internal/analysis
+	$(GO) test -run xxx -fuzz '^FuzzParseKnobs$$' -fuzztime 15s ./internal/problems
+	$(GO) test -run xxx -fuzz '^FuzzCostEstimate$$' -fuzztime 15s ./internal/sim/costmodel
 
 clean:
 	$(GO) clean ./...

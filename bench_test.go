@@ -11,6 +11,7 @@ package repro
 // records paper-vs-measured.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"runtime"
@@ -30,6 +31,7 @@ import (
 	"repro/internal/perf"
 	"repro/internal/physics"
 	"repro/internal/problems"
+	"repro/internal/snapshot"
 	"repro/internal/units"
 )
 
@@ -351,6 +353,30 @@ func BenchmarkSubgridGravity(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				solve.ApplyLevel(level, 0)
+			}
+		})
+	}
+}
+
+// BenchmarkSnapshotCollapse measures a checkpoint round trip of the evolved
+// collapse hierarchy — snapshot.Encode on h.Cfg.Workers workers, then
+// snapshot.Read, which inflates on runtime.NumCPU() workers at any row —
+// the blocking snapshot path of bench/'s collapse_restart. Baselined in
+// BENCH.json.
+func BenchmarkSnapshotCollapse(b *testing.B) {
+	h := collapseHierarchy(b)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
+			h.Cfg.Workers = w
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				data, err := snapshot.Encode(h, "collapse")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := snapshot.Read(bytes.NewReader(data)); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -13,8 +13,8 @@
 //	enzogo -problem collapse -steps 40 -rootn 16 -maxlevel 5
 //	enzogo -problem sedov -steps 20 -p e0=50
 //	enzogo -problem khi -steps 30 -rootn 32
-//	enzogo -problem zoom -steps 10 -save run.gob.gz
-//	enzogo -restart run.gob.gz -steps 10
+//	enzogo -problem zoom -steps 10 -save run.snap
+//	enzogo -restart run.snap -steps 10
 //
 // Derived data products (slices, projections, radial profiles, clump
 // catalogs, snapshots) are collected in flight with repeated -output

@@ -52,7 +52,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "checkpoint.gob.gz")
+	path := filepath.Join(dir, "checkpoint.snap")
 	if err := snapshot.Save(path, h, sim.Problem); err != nil {
 		log.Fatal(err)
 	}

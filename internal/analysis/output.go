@@ -323,9 +323,9 @@ type Artifact struct {
 	// ContentType is the payload MIME type.
 	ContentType string `json:"content_type"`
 	// RawSize is the uncompressed payload size of a compressed product
-	// (snapshot/checkpoint gob bytes before gzip); 0 for products whose
-	// Data is not compressed. len(Data) is always the on-wire size, so
-	// artifact indexes can report both sides of the compression.
+	// (snapshot/checkpoint grid records before deflate); 0 for products
+	// whose Data is not compressed. len(Data) is always the on-wire size,
+	// so artifact indexes can report both sides of the compression.
 	RawSize int64 `json:"raw_size,omitempty"`
 	// Data is the encoded payload. Omitted from JSON metadata listings.
 	Data []byte `json:"-"`
@@ -483,8 +483,8 @@ func (r OutputRequest) Evaluate(h *amr.Hierarchy, problem string, step, workers 
 		if err != nil {
 			return art, err
 		}
-		art.Name = fmt.Sprintf("%s_step%04d.gob.gz", r.Kind, step)
-		art.ContentType = "application/gzip"
+		art.Name = fmt.Sprintf("%s_step%04d.snap", r.Kind, step)
+		art.ContentType = "application/octet-stream"
 		art.RawSize = raw
 		art.Data = data
 		return art, nil

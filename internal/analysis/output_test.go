@@ -278,7 +278,7 @@ func TestEvaluateCheckpointKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Name != "checkpoint_step0007.gob.gz" {
+	if a.Name != "checkpoint_step0007.snap" {
 		t.Fatalf("checkpoint artifact name %q", a.Name)
 	}
 	if a.RawSize <= int64(len(a.Data)) {

@@ -10,7 +10,7 @@ import (
 // ArtifactMeta is the JSON-facing description of one stored artifact —
 // everything but the payload bytes. Size is always the stored (on-wire)
 // byte count; for compressed products (snapshot/checkpoint payloads)
-// RawSize additionally reports the uncompressed gob size, so the index
+// RawSize additionally reports the raw grid-record size, so the index
 // shows both sides of the compression. Hash is the payload's sha256
 // content hash — the blob-store key and the artifact's strong HTTP ETag.
 type ArtifactMeta struct {

@@ -115,7 +115,7 @@ func TestArtifactOrderReplaceAndEviction(t *testing.T) {
 	arts := []analysis.Artifact{
 		{Name: "00_a.pgm", Kind: "slice", Step: 1, ContentType: "image/x-portable-graymap", Data: []byte("aaa")},
 		{Name: "01_b.json", Kind: "profile", Step: 1, ContentType: "application/json", Data: []byte("bbbb")},
-		{Name: "00_c.gob.gz", Kind: "snapshot", Step: 2, ContentType: "application/gzip", Data: []byte("ccccc"), RawSize: 50},
+		{Name: "00_c.snap", Kind: "snapshot", Step: 2, ContentType: "application/octet-stream", Data: []byte("ccccc"), RawSize: 50},
 	}
 	for _, a := range arts {
 		if err := s.SaveArtifact("j", a, sim.HashBytes(a.Data)); err != nil {
@@ -142,7 +142,7 @@ func TestArtifactOrderReplaceAndEviction(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("recovered %d artifacts, want 3", len(got))
 	}
-	wantOrder := []string{"00_a.pgm", "01_b.json", "00_c.gob.gz"}
+	wantOrder := []string{"00_a.pgm", "01_b.json", "00_c.snap"}
 	for i, name := range wantOrder {
 		if got[i].Name != name {
 			t.Fatalf("production order lost: slot %d = %q, want %q", i, got[i].Name, name)

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
+	"encoding/gob"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -406,4 +410,53 @@ func TestEvictionPrefersFailures(t *testing.T) {
 		t.Fatalf("cached gauge %d, want 1 (Done results only)", got)
 	}
 	s.Cancel(running.ID)
+}
+
+// TestOldFormatCheckpointRebuilds: a checkpoint in the gzip+gob format of
+// snapshot versions 2 and 3, as an older build left it in a data
+// directory, cannot be read; the job rebuilds from its request to the
+// direct-run hash, and the unreadable checkpoint is reported through the
+// store error, not swallowed.
+func TestOldFormatCheckpointRebuilds(t *testing.T) {
+	req := Request{Problem: "sedov", RootN: 8, MaxLevel: Int(1), Steps: 3, Workers: 1}
+	r, err := resolve(req, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old bytes.Buffer
+	zw := gzip.NewWriter(&old)
+	if err := gob.NewEncoder(zw).Encode(struct {
+		Version int
+		Problem string
+	}{3, "sedov"}); err != nil {
+		t.Fatal(err)
+	}
+	zw.Close()
+	store := NewMemStore()
+	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1, Store: store})
+	defer s.Close()
+	if err := store.SaveCheckpoint(r.key(), 1, old.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID != r.key() {
+		t.Fatalf("job %s, checkpoint stored under %s", j.ID, r.key())
+	}
+	res, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := directHash(t, req, 1); res.Hash != want {
+		t.Fatalf("hash %s, direct run %s", res.Hash, want)
+	}
+	if st := j.Status(); st.ResumedFrom != "" {
+		t.Fatalf("resumed from %q, want a rebuild", st.ResumedFrom)
+	}
+	_, _, storeErr := s.RecoverState()
+	if storeErr == nil || !strings.Contains(storeErr.Error(), "checkpoint unreadable") || !strings.Contains(storeErr.Error(), "gzip+gob") {
+		t.Fatalf("store error %v, want the unreadable old-format checkpoint", storeErr)
+	}
 }

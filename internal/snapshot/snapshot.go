@@ -3,381 +3,381 @@
 // run was restarted with additional static levels after the low-resolution
 // pass, and outputs in the 2-4 GB range fed the analysis tools of §6).
 //
-// The format is gob-encoded: self-describing, stdlib-only, and stable
-// within a build. Extended-precision edges are stored exactly (both
-// components), so a restart reproduces grid geometry bit-for-bit.
+// Format 4 is the magic "repro snapshot\x00", a version byte, a
+// uvarint-length-prefixed gob header — problem name, amr.Config (Workers
+// stored as 0: a knob of the process, not state), root time, Strang parity
+// and the grid table (per grid: level, Lo, extent, extended-precision
+// edges, time, parent record, field and particle counts) — then one
+// uvarint-length-prefixed record per grid in hierarchy order: the CRC-32C
+// of the grid's raw record (4 bytes, little-endian) and the raw record
+// deflated on its own at BestSpeed. A raw record is little-endian 64-bit
+// words: the field slabs in hydro.State.Fields order, ghost zones included
+// (Checksum hashes them), then the particles' X, Y, Z (high, low pairs),
+// Vx, Vy, Vz, Mass and ID columns. Records are deflated in parallel but
+// concatenated in order, so the bytes do not depend on the worker count;
+// edges and positions are exact, so a restart reproduces the run bit for
+// bit, and needs no caller-supplied config (the restart-with-more-levels
+// workflow mutates the loaded Cfg after Read).
 //
-// The header embeds the registry problem name and the full amr.Config of
-// the run (including the cosmological background state), so Read rebuilds
-// the hierarchy without any caller-supplied configuration — a restart
-// cannot be fed a mismatched config. The paper's restart-with-more-levels
-// workflow mutates the loaded hierarchy's Cfg (MaxLevel, StaticLevels,
-// Workers, ...) after Read; the grid geometry and field layout are fixed
-// by the file.
+// Integrity: streams arrive from replica PUTs and the command line, so
+// before inflating a byte Read checks the config, every grid against its
+// level's domain, the parent links as a level tree with each child inside
+// its parent's refined box, and every record length against the input.
+// Each record inflates into scratch that grows only with the bytes it
+// produces, never past its declared size plus one; the exact size and the
+// CRC are checked before the grid is allocated. Read thus allocates at
+// most a fixed amount, a small multiple of the input and of the bytes it
+// inflated, and a few hundred bytes per grid-table entry.
 package snapshot
 
 import (
 	"bytes"
-	"compress/gzip"
+	"compress/flate"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"sync"
-	"sync/atomic"
+	"runtime"
+	"slices"
+	"unsafe"
 
 	"repro/internal/amr"
 	"repro/internal/ep128"
 	"repro/internal/hydro"
+	"repro/internal/nbody"
+	"repro/internal/par"
 )
 
-// FormatVersion guards against decoding incompatible snapshots. Version 2
-// added the self-describing header (problem name + serialized config).
-// Version 3 formalizes the compression contract for the durable job
-// store's checkpoint cadence: the gob payload is gzip-compressed at
-// BestSpeed (checkpoints sit on the evolution hot path, where encode
-// stall matters more than a few percent of disk), the gzip header
-// carries a format tag, and writers report the uncompressed payload size
-// (WriteSized/EncodeSized) so artifact indexes can account for
-// compression. Read remains transparent across versions: a version-2
-// stream (default-compression gzip, untagged header) decodes exactly as
-// before.
-const FormatVersion = 3
+// FormatVersion is the version byte after the magic. Versions 2 and 3 were
+// one gob message behind gzip, and Read refuses them by name.
+const FormatVersion = 4
 
-// gzipComment tags the gzip header of version-3 streams, so a snapshot
-// is identifiable without decompressing the gob payload. Version-2
-// streams carry no tag; Read accepts both.
-const gzipComment = "repro snapshot format 3"
+const (
+	magic          = "repro snapshot\x00"
+	baseFields     = 6       // hydro.State's fields before the species
+	particleWords  = 11      // X, Y, Z as two words each, Vx, Vy, Vz, Mass, ID
+	maxRecordWords = 1 << 40 // so no record size computation overflows
+)
 
-// File is the serialized run state.
-type File struct {
-	Version int
-	// Problem is the registry name of the problem the run was built
-	// from ("" when unknown).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+type header struct {
 	Problem string
-	// Config is the complete run configuration, including the
-	// cosmological background at its saved state.
-	Config amr.Config
-	Time   float64
-	Parity int // Strang sweep parity
-	Grids  []GridRec
+	Config  amr.Config
+	Time    float64
+	Parity  int
+	Grids   []gridHead
 }
 
-// GridRec is one serialized grid.
-type GridRec struct {
-	Level      int
-	Lo         [3]int
-	Nx, Ny, Nz int
-	EdgeHi     [3]float64
-	EdgeLo     [3]float64
-	Time       float64
-	ParentIdx  int // index into Grids, -1 for the root
-	Fields     [][]float64
-	// Particles.
-	PXHi, PXLo []float64
-	PYHi, PYLo []float64
-	PZHi, PZLo []float64
-	PVx, PVy   []float64
-	PVz, PMass []float64
-	PID        []int64
+// gridHead is one grid's entry in the header's grid table.
+type gridHead struct {
+	Level, Parent     int // Parent is a record index, -1 for the root
+	Lo, N             [3]int
+	Edge              [3]ep128.Dd
+	Time              float64
+	Fields, Particles int
 }
 
-// Write serializes the hierarchy to w (gzip + gob). problem is the
-// registry name of the run's problem (may be ""); it is embedded in the
-// header so a restart is self-describing.
-func Write(w io.Writer, h *amr.Hierarchy, problem string) error {
-	_, err := WriteSized(w, h, problem)
-	return err
+// size returns the byte count of the grid's raw record.
+func (g *gridHead) size() int {
+	p := 2 * hydro.NGhost
+	return 8 * (g.Fields*(g.N[0]+p)*(g.N[1]+p)*(g.N[2]+p) + particleWords*g.Particles)
 }
 
-// countWriter counts the bytes passed through it — the uncompressed gob
-// payload size WriteSized reports.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// WriteSized is Write, additionally reporting the uncompressed gob
-// payload size — the compression accounting the sim artifact index
-// exposes alongside each snapshot/checkpoint product's on-wire size.
-func WriteSized(w io.Writer, h *amr.Hierarchy, problem string) (rawBytes int64, err error) {
-	f := File{
-		Version: FormatVersion,
-		Problem: problem,
-		Config:  h.Cfg,
-		Time:    h.Time,
-	}
-	f.Parity = h.Parity()
-	index := map[*amr.Grid]int{}
-	for _, lv := range h.Levels {
-		for _, g := range lv {
-			index[g] = len(f.Grids)
-			f.Grids = append(f.Grids, encodeGrid(g))
-		}
-	}
-	for gi := range f.Grids {
-		f.Grids[gi].ParentIdx = -1
-	}
-	gi := 0
-	for _, lv := range h.Levels {
-		for _, g := range lv {
-			if g.Parent != nil {
-				f.Grids[gi].ParentIdx = index[g.Parent]
-			}
-			gi++
-		}
-	}
-	zw := gzipWriters.Get().(*gzip.Writer)
-	defer gzipWriters.Put(zw)
-	zw.Reset(w)
-	zw.Comment = gzipComment // Reset clears the header
-	cw := &countWriter{w: zw}
-	if err := gob.NewEncoder(cw).Encode(&f); err != nil {
-		return 0, fmt.Errorf("snapshot: encode: %w", err)
-	}
-	return cw.n, zw.Close()
-}
-
-// gzipWriters recycles the BestSpeed compressors (≈1.2 MB of tables each)
-// across the checkpoints of the sim scheduler's slot goroutines.
-var gzipWriters = sync.Pool{New: func() any {
-	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // the level is valid
-	return zw
-}}
-
-// encodeGrid builds the record of one grid. Field data and the particle
-// velocity/mass/id slices are aliased, not copied: the record only lives
-// for the duration of one encode, and the hierarchy is not stepped while
-// it is being encoded.
-func encodeGrid(g *amr.Grid) GridRec {
-	rec := GridRec{
-		Level: g.Level, Lo: g.Lo, Nx: g.Nx, Ny: g.Ny, Nz: g.Nz,
-		Time: g.Time,
-	}
-	for d := 0; d < 3; d++ {
-		rec.EdgeHi[d] = g.Edge[d].Hi
-		rec.EdgeLo[d] = g.Edge[d].Lo
-	}
-	fields := g.State.Fields()
-	rec.Fields = make([][]float64, len(fields))
-	for fi, fld := range fields {
-		rec.Fields[fi] = fld.Data
-	}
-	p := g.Parts
-	n := p.Len()
-	split := make([]float64, 6*n) // extended-precision positions, Hi and Lo apart
-	rec.PXHi, rec.PXLo = split[:n], split[n:2*n]
-	rec.PYHi, rec.PYLo = split[2*n:3*n], split[3*n:4*n]
-	rec.PZHi, rec.PZLo = split[4*n:5*n], split[5*n:]
-	for i := 0; i < n; i++ {
-		rec.PXHi[i], rec.PXLo[i] = p.X[i].Hi, p.X[i].Lo
-		rec.PYHi[i], rec.PYLo[i] = p.Y[i].Hi, p.Y[i].Lo
-		rec.PZHi[i], rec.PZLo[i] = p.Z[i].Hi, p.Z[i].Lo
-	}
-	rec.PVx, rec.PVy, rec.PVz, rec.PMass, rec.PID = p.Vx, p.Vy, p.Vz, p.Mass, p.ID
-	return rec
-}
-
-// Read restores a hierarchy previously written by Write, rebuilding it
-// from the config embedded in the header, and returns it together with
-// the registry problem name of the run. The decoded config owns a fresh
-// cosmology.Background, so a restarted run never shares expansion-factor
-// state with the hierarchy that wrote the snapshot.
-func Read(r io.Reader) (*amr.Hierarchy, string, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, "", fmt.Errorf("snapshot: gzip: %w", err)
-	}
-	var f File
-	if err := gob.NewDecoder(zr).Decode(&f); err != nil {
-		return nil, "", fmt.Errorf("snapshot: decode: %w", err)
-	}
-	// Old versions read transparently: the version-2 layout is identical
-	// modulo the compression level and the gzip header tag, both of which
-	// the decompressor absorbs.
-	if f.Version != FormatVersion && f.Version != 2 {
-		return nil, "", fmt.Errorf("snapshot: version %d unsupported (this build reads 2..%d)", f.Version, FormatVersion)
-	}
-	// The stream may come from anywhere (a peer's replica PUT, a file
-	// named on the command line): nothing is allocated or indexed from
-	// its numbers until they are checked against the data it carries.
-	if err := f.validate(); err != nil {
-		return nil, "", err
-	}
-	cfg := f.Config
-	h, err := amr.NewHierarchy(cfg)
-	if err != nil {
-		return nil, "", err
-	}
-	h.Time = f.Time
-	h.SetParity(f.Parity)
-	grids := make([]*amr.Grid, len(f.Grids))
-	for i, rec := range f.Grids {
-		var g *amr.Grid
-		if rec.Level == 0 {
-			g = h.Root()
-		} else {
-			g = amr.NewGrid(rec.Level, rec.Lo, rec.Nx, rec.Ny, rec.Nz,
-				cfg.RootN, cfg.Refine, cfg.NSpecies)
-		}
-		g.Time = rec.Time
-		for d := 0; d < 3; d++ {
-			g.Edge[d] = ep128.Dd{Hi: rec.EdgeHi[d], Lo: rec.EdgeLo[d]}
-		}
-		if err := decodeFields(g, rec); err != nil {
-			return nil, "", err
-		}
-		for pi := range rec.PMass {
-			g.Parts.Add(
-				ep128.Dd{Hi: rec.PXHi[pi], Lo: rec.PXLo[pi]},
-				ep128.Dd{Hi: rec.PYHi[pi], Lo: rec.PYLo[pi]},
-				ep128.Dd{Hi: rec.PZHi[pi], Lo: rec.PZLo[pi]},
-				rec.PVx[pi], rec.PVy[pi], rec.PVz[pi], rec.PMass[pi], rec.PID[pi])
-		}
-		grids[i] = g
-	}
-	// Rebuild the tree and level lists.
-	for i, rec := range f.Grids {
-		if rec.Level == 0 {
-			continue
-		}
-		if rec.ParentIdx < 0 || rec.ParentIdx >= len(grids) {
-			return nil, "", fmt.Errorf("snapshot: grid %d has bad parent %d", i, rec.ParentIdx)
-		}
-		p := grids[rec.ParentIdx]
-		grids[i].Parent = p
-		p.Children = append(p.Children, grids[i])
-		for len(h.Levels) <= rec.Level {
-			h.Levels = append(h.Levels, nil)
-		}
-		h.Levels[rec.Level] = append(h.Levels[rec.Level], grids[i])
-	}
-	return h, f.Problem, nil
-}
-
-// validate checks the decoded file's shape — everything Read sizes an
-// allocation by or indexes with — against the field and particle data
-// the stream actually delivered, so a grid can never be allocated larger
-// than the payload that fills it: a valid config, the root record first
-// and spanning the root domain, every other record on a level in
-// [1, MaxLevel] with positive extents inside that level's domain, field
-// slices exactly the extents' size (ghost zones included), and parallel
-// particle slices of one length.
-func (f *File) validate() error {
-	cfg := f.Config
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if len(f.Grids) == 0 || f.Grids[0].Level != 0 {
-		return fmt.Errorf("snapshot: the first grid record is not the root")
-	}
-	nFields := len(f.Grids[0].Fields)
-	if cfg.NSpecies < 0 || cfg.NSpecies >= nFields {
-		return fmt.Errorf("snapshot: config has %d species, grids carry %d fields", cfg.NSpecies, nFields)
-	}
-	for i := range f.Grids {
-		rec := &f.Grids[i]
-		if (rec.Level == 0) != (i == 0) || rec.Level < 0 || rec.Level > cfg.MaxLevel {
-			return fmt.Errorf("snapshot: grid %d on level %d (max level %d)", i, rec.Level, cfg.MaxLevel)
-		}
-		domain := cfg.RootN // the level's extent in cells, per dimension
-		for l := 0; l < rec.Level; l++ {
-			if domain > math.MaxInt/cfg.Refine {
-				return fmt.Errorf("snapshot: grid %d: level %d domain overflows", i, rec.Level)
-			}
-			domain *= cfg.Refine
-		}
-		if len(rec.Fields) != nFields {
-			return fmt.Errorf("snapshot: grid %d carries %d fields, the root %d", i, len(rec.Fields), nFields)
-		}
-		// The field length is divided down by each padded extent and must
-		// come out at 1; the product itself could overflow on hostile input.
-		n := [3]int{rec.Nx, rec.Ny, rec.Nz}
-		cells := len(rec.Fields[0])
-		for d := 0; d < 3; d++ {
-			if n[d] <= 0 || rec.Lo[d] < 0 || n[d] > domain || rec.Lo[d] > domain-n[d] || (i == 0 && n[d] != domain) {
-				return fmt.Errorf("snapshot: grid %d: extent %v at %v does not fit its level's %d^3 domain", i, n, rec.Lo, domain)
-			}
-			padded := n[d] + 2*hydro.NGhost
-			if cells%padded != 0 {
-				cells = 0
-			}
-			cells /= padded
-		}
-		if cells != 1 {
-			return fmt.Errorf("snapshot: grid %d: %d values per field do not fill extent %v", i, len(rec.Fields[0]), n)
-		}
-		for _, fld := range rec.Fields {
-			if len(fld) != len(rec.Fields[0]) {
-				return fmt.Errorf("snapshot: grid %d: fields of unequal size", i)
-			}
-		}
-		np := len(rec.PMass)
-		for _, l := range []int{len(rec.PXHi), len(rec.PXLo), len(rec.PYHi), len(rec.PYLo), len(rec.PZHi), len(rec.PZLo),
-			len(rec.PVx), len(rec.PVy), len(rec.PVz), len(rec.PID)} {
-			if l != np {
-				return fmt.Errorf("snapshot: grid %d: particle arrays of unequal length", i)
-			}
-		}
-	}
-	return nil
-}
-
-func decodeFields(g *amr.Grid, rec GridRec) error {
-	fields := g.State.Fields()
-	if len(rec.Fields) != len(fields) {
-		return fmt.Errorf("snapshot: grid has %d fields, config expects %d (species mismatch)",
-			len(rec.Fields), len(fields))
-	}
-	for fi, fld := range fields {
-		if len(rec.Fields[fi]) != len(fld.Data) {
-			return fmt.Errorf("snapshot: field %d size %d != %d", fi, len(rec.Fields[fi]), len(fld.Data))
-		}
-		copy(fld.Data, rec.Fields[fi])
-	}
-	return nil
-}
-
-// Encode serializes the hierarchy to an in-memory snapshot in the Write
-// format — the payload of the sim job service's "snapshot" data product
-// and its durability checkpoints, and any other sink that is not a file.
+// Encode serializes the hierarchy to an in-memory snapshot: the sim job
+// service's "snapshot" product and checkpoints, replica PUTs, Save.
 func Encode(h *amr.Hierarchy, problem string) ([]byte, error) {
 	data, _, err := EncodeSized(h, problem)
 	return data, err
 }
 
-// EncodeSized is Encode, additionally reporting the uncompressed gob
-// payload size (see WriteSized).
+// EncodeSized is Encode, additionally reporting the raw record bytes for
+// the sim artifact index. Records are deflated on h.Cfg.Workers workers.
 func EncodeSized(h *amr.Hierarchy, problem string) ([]byte, int64, error) {
-	var buf bytes.Buffer
-	buf.Grow(int(lastEncodedSize.Load())) // one allocation instead of a doubling chain
-	raw, err := WriteSized(&buf, h, problem)
-	if err != nil {
-		return nil, 0, err
+	hd := header{Problem: problem, Config: h.Cfg, Time: h.Time, Parity: h.Parity()}
+	hd.Config.Workers = 0
+	var grids []*amr.Grid
+	index := map[*amr.Grid]int{nil: -1} // the root's parent
+	var raw int64
+	for _, lv := range h.Levels {
+		for _, g := range lv {
+			gh := gridHead{Level: g.Level, Lo: g.Lo, N: [3]int{g.Nx, g.Ny, g.Nz}, Edge: g.Edge,
+				Time: g.Time, Parent: index[g.Parent], Fields: len(g.State.Fields()), Particles: g.Parts.Len()}
+			index[g] = len(grids)
+			grids = append(grids, g)
+			hd.Grids = append(hd.Grids, gh)
+			raw += int64(gh.size())
+		}
 	}
-	lastEncodedSize.Store(int64(buf.Len()))
-	return buf.Bytes(), raw, nil
+	recs := make([][]byte, len(grids))
+	forRecords(h.Cfg.Workers, len(grids), func(c *coder, i int) { recs[i] = c.deflate(grids[i], hd.Grids[i].size()) })
+	var hb bytes.Buffer
+	if err := gob.NewEncoder(&hb).Encode(&hd); err != nil {
+		return nil, 0, fmt.Errorf("snapshot: encode header: %w", err)
+	}
+	recs = append([][]byte{hb.Bytes()}, recs...)
+	size := len(magic) + 1
+	for _, rec := range recs {
+		size += binary.MaxVarintLen64 + len(rec)
+	}
+	out := append(append(make([]byte, 0, size), magic...), FormatVersion)
+	for _, rec := range recs {
+		out = append(binary.AppendUvarint(out, uint64(len(rec))), rec...)
+	}
+	return out, raw, nil
 }
 
-// lastEncodedSize, the previous EncodeSized's output size, hints the next.
-var lastEncodedSize atomic.Int64
+// Read restores a hierarchy written by Encode or Save, with the registry
+// problem name of the run. Its config owns a fresh cosmology.Background.
+// Records are inflated on runtime.NumCPU() workers, at most one per grid.
+func Read(r io.Reader) (*amr.Hierarchy, string, error) {
+	var in bytes.Buffer
+	if _, err := io.Copy(&in, r); err != nil {
+		return nil, "", fmt.Errorf("snapshot: read: %w", err)
+	}
+	hd, recs, err := parse(in.Bytes())
+	if err != nil {
+		return nil, "", err
+	}
+	cfg := hd.Config
+	var h *amr.Hierarchy
+	grids := make([]*amr.Grid, len(recs))
+	errs := make([]error, len(recs))
+	forRecords(0, len(recs), func(c *coder, i int) {
+		gh := &hd.Grids[i]
+		if err := c.inflate(recs[i], gh.size()); err != nil {
+			errs[i] = fmt.Errorf("snapshot: grid %d: %w", i, err)
+			return
+		}
+		if i == 0 {
+			h, _ = amr.NewHierarchy(cfg) // validated
+			grids[i] = h.Root()
+		} else {
+			grids[i] = amr.NewGrid(gh.Level, gh.Lo, gh.N[0], gh.N[1], gh.N[2], cfg.RootN, cfg.Refine, cfg.NSpecies)
+		}
+		gh.restore(grids[i], c.raw)
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, "", err
+	}
+	h.Time = hd.Time
+	h.SetParity(hd.Parity)
+	for i := 1; i < len(grids); i++ {
+		g, p := grids[i], grids[hd.Grids[i].Parent]
+		g.Parent = p
+		p.Children = append(p.Children, g)
+		for len(h.Levels) <= g.Level {
+			h.Levels = append(h.Levels, nil)
+		}
+		h.Levels[g.Level] = append(h.Levels[g.Level], g)
+	}
+	return h, hd.Problem, nil
+}
+
+// parse decodes and validates the header and splits the records off the
+// rest of the stream, each inside the input and nothing after the last.
+func parse(data []byte) (*header, [][]byte, error) {
+	if !bytes.HasPrefix(data, append([]byte(magic), FormatVersion)) {
+		if bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
+			return nil, nil, errors.New("snapshot: a gzip+gob stream (format 2 or 3) is not readable; this build reads format 4 only")
+		}
+		return nil, nil, errors.New("snapshot: not a format-4 snapshot stream")
+	}
+	hb, data, err := chunk(data[len(magic)+1:])
+	var hd header
+	if err == nil {
+		err = gob.NewDecoder(bytes.NewReader(hb)).Decode(&hd)
+	}
+	if err == nil {
+		err = hd.validate()
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("snapshot: header: %w", err)
+	}
+	recs := make([][]byte, len(hd.Grids))
+	for i := range recs {
+		if recs[i], data, err = chunk(data); err == nil && len(recs[i]) < 4 {
+			err = errors.New("record shorter than its CRC")
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("snapshot: grid %d: %w", i, err)
+		}
+	}
+	if len(data) != 0 {
+		return nil, nil, fmt.Errorf("snapshot: %d bytes after the last record", len(data))
+	}
+	return &hd, recs, nil
+}
+
+// chunk splits a uvarint-length-prefixed chunk off data.
+func chunk(data []byte) (body, rest []byte, err error) {
+	n, k := binary.Uvarint(data)
+	if k <= 0 || n > uint64(len(data)-k) {
+		return nil, nil, errors.New("length runs past the input")
+	}
+	return data[k : k+int(n)], data[k+int(n):], nil
+}
+
+// validate checks everything Read sizes an allocation by or indexes with:
+// the config, each grid's level, extent and counts against it, and the
+// parent links as a level tree with each child inside its parent.
+func (hd *header) validate() error {
+	cfg := hd.Config
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if len(hd.Grids) == 0 || hd.Grids[0].Level != 0 || hd.Grids[0].Parent != -1 {
+		return errors.New("the first grid record is not the root")
+	}
+	for i := range hd.Grids {
+		g := &hd.Grids[i]
+		domain, ok := cfg.RootN, (g.Level == 0) == (i == 0) && g.Level >= 0 && g.Level <= cfg.MaxLevel &&
+			cfg.NSpecies >= 0 && cfg.NSpecies < maxRecordWords
+		for l := 0; ok && l < g.Level; l++ {
+			ok, domain = domain <= math.MaxInt/cfg.Refine, domain*cfg.Refine
+		}
+		words := float64(g.Fields)
+		for d, n := range g.N {
+			ok = ok && n > 0 && g.Lo[d] >= 0 && n <= domain && g.Lo[d] <= domain-n && (i > 0 || n == domain)
+			words *= float64(n + 2*hydro.NGhost)
+		}
+		if !ok || g.Fields != baseFields+cfg.NSpecies || g.Particles < 0 || words+particleWords*float64(g.Particles) > maxRecordWords {
+			return fmt.Errorf("grid %d (level %d, extent %v at %v, %d fields, %d particles) does not fit the config",
+				i, g.Level, g.N, g.Lo, g.Fields, g.Particles)
+		}
+		ok = i == 0 || g.Parent >= 0 && g.Parent < i && hd.Grids[g.Parent].Level == g.Level-1
+		for d := 0; ok && i > 0 && d < 3; d++ {
+			p := &hd.Grids[g.Parent]
+			ok = g.Lo[d] >= p.Lo[d]*cfg.Refine && g.Lo[d]+g.N[d] <= (p.Lo[d]+p.N[d])*cfg.Refine
+		}
+		if !ok {
+			return fmt.Errorf("grid %d: parent %d is not an earlier grid one level up whose refined box holds it", i, g.Parent)
+		}
+	}
+	return nil
+}
+
+// columns lists g's raw record in order: the field slabs, then the
+// particle columns, positions viewed as their (Hi, Lo) float64 pairs.
+func columns(g *amr.Grid) []any {
+	var cols []any
+	for _, f := range g.State.Fields() {
+		cols = append(cols, f.Data)
+	}
+	p := g.Parts
+	for _, xs := range [][]ep128.Dd{p.X, p.Y, p.Z} {
+		cols = append(cols, unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(xs))), 2*len(xs)))
+	}
+	return append(cols, p.Vx, p.Vy, p.Vz, p.Mass, p.ID)
+}
+
+// restore fills g, freshly allocated from this entry, from its verified
+// raw record.
+func (gh *gridHead) restore(g *amr.Grid, raw []byte) {
+	g.Time, g.Edge = gh.Time, gh.Edge
+	n := gh.Particles
+	g.Parts = &nbody.Particles{X: make([]ep128.Dd, n), Y: make([]ep128.Dd, n), Z: make([]ep128.Dd, n),
+		Vx: make([]float64, n), Vy: make([]float64, n), Vz: make([]float64, n), Mass: make([]float64, n), ID: make([]int64, n)}
+	for _, col := range columns(g) {
+		k, _ := binary.Decode(raw, binary.LittleEndian, col) // sizes were checked
+		raw = raw[k:]
+	}
+}
+
+// coder is one worker's deflate writer (about 1 MB of tables) and reader,
+// and the scratch records pass through.
+type coder struct {
+	zw  *flate.Writer
+	zr  io.ReadCloser
+	raw []byte
+	out bytes.Buffer
+}
+
+// coders is a free list of deflate state; unlike a sync.Pool it survives
+// garbage collection, which dropped the compressor between a job's
+// checkpoints. It holds one coder per CPU, the most a Read uses; scratch
+// lives for one call only.
+var coders = make(chan *coder, runtime.NumCPU())
+
+// forRecords runs fn for records 0..n-1 on up to workers workers, each
+// worker with one coder from the free list for the whole call.
+func forRecords(workers, n int, fn func(c *coder, i int)) {
+	cs := make([]*coder, par.Workers(workers))
+	par.For(workers, n, 1, func(w, lo, hi int) {
+		if cs[w] == nil {
+			select {
+			case cs[w] = <-coders:
+			default:
+				cs[w] = &coder{zr: flate.NewReader(nil)}
+				cs[w].zw, _ = flate.NewWriter(nil, flate.BestSpeed) // the level is valid
+			}
+		}
+		for i := lo; i < hi; i++ {
+			fn(cs[w], i)
+		}
+	})
+	for _, c := range cs {
+		if c != nil {
+			c.raw, c.out = nil, bytes.Buffer{}
+			c.zr.(flate.Resetter).Reset(bytes.NewReader(nil), nil) // let go of the input
+			select {
+			case coders <- c:
+			default:
+			}
+		}
+	}
+}
+
+// deflate returns g's record: the CRC-32C of its raw record of size bytes,
+// then the raw record deflated.
+func (c *coder) deflate(g *amr.Grid, size int) []byte {
+	c.raw = slices.Grow(c.raw[:0], size)
+	for _, col := range columns(g) {
+		c.raw, _ = binary.Append(c.raw, binary.LittleEndian, col) // fixed-size columns cannot fail
+	}
+	c.out.Reset()
+	c.out.Write(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(c.raw, castagnoli)))
+	c.zw.Reset(&c.out)
+	c.zw.Write(c.raw) // a bytes.Buffer sink cannot fail
+	c.zw.Close()
+	return bytes.Clone(c.out.Bytes())
+}
+
+// inflate decompresses a record into c.raw, which grows only with the bytes
+// produced, never past want+1, and checks the exact size and the CRC.
+func (c *coder) inflate(rec []byte, want int) error {
+	src := bytes.NewReader(rec[4:])
+	c.zr.(flate.Resetter).Reset(src, nil)
+	buf := bytes.NewBuffer(c.raw[:0])
+	_, err := buf.ReadFrom(&io.LimitedReader{R: c.zr, N: int64(want) + 1})
+	c.raw = buf.Bytes()
+	switch {
+	case err != nil:
+		return fmt.Errorf("inflate: %w", err)
+	case len(c.raw) > want:
+		return fmt.Errorf("record inflates past the %d bytes the grid table declares", want)
+	case len(c.raw) < want:
+		return fmt.Errorf("record inflates to %d bytes, the grid table declares %d", len(c.raw), want)
+	case src.Len() != 0:
+		return fmt.Errorf("%d bytes after the record's deflate stream", src.Len())
+	case crc32.Checksum(c.raw, castagnoli) != binary.LittleEndian.Uint32(rec):
+		return errors.New("record CRC mismatch")
+	}
+	return nil
+}
 
 // Save writes a snapshot to path; problem is the registry name of the
 // run's problem (may be "").
 func Save(path string, h *amr.Hierarchy, problem string) error {
-	f, err := os.Create(path)
+	data, err := Encode(h, problem)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return Write(f, h, problem)
+	return os.WriteFile(path, data, 0o666)
 }
 
 // Load reads a snapshot from path, returning the restored hierarchy and

@@ -2,10 +2,13 @@ package snapshot
 
 import (
 	"bytes"
+	"compress/flate"
 	"compress/gzip"
 	"encoding/gob"
+	"io"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/amr"
@@ -42,49 +45,46 @@ func buildHierarchy(t testing.TB) (*amr.Hierarchy, amr.Config) {
 	return h, cfg
 }
 
-func TestRoundTrip(t *testing.T) {
-	h, _ := buildHierarchy(t)
-	var buf bytes.Buffer
-	if err := Write(&buf, h, "synthetic"); err != nil {
+func encode(t testing.TB, h *amr.Hierarchy, problem string) []byte {
+	t.Helper()
+	data, err := Encode(h, problem)
+	if err != nil {
 		t.Fatal(err)
 	}
-	h2, problem, err := Read(&buf)
+	return data
+}
+
+func TestRoundTrip(t *testing.T) {
+	h, _ := buildHierarchy(t)
+	h2, problem, err := Read(bytes.NewReader(encode(t, h, "synthetic")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if problem != "synthetic" {
 		t.Errorf("problem name %q, want synthetic", problem)
 	}
-	if h2.Time != h.Time {
-		t.Errorf("time %v != %v", h2.Time, h.Time)
+	if h2.Time != h.Time || h2.Parity() != h.Parity() {
+		t.Errorf("time %v / parity %d, want %v / %d", h2.Time, h2.Parity(), h.Time, h.Parity())
 	}
 	if h2.NumGrids() != h.NumGrids() || h2.MaxLevel() != h.MaxLevel() {
 		t.Fatalf("structure mismatch: %d/%d grids, %d/%d levels",
 			h2.NumGrids(), h.NumGrids(), h2.MaxLevel(), h.MaxLevel())
 	}
-	// Field data bit-identical on every grid.
+	// Every field bit (ghost zones included), every placement and time,
+	// every particle: the state checksum covers them all.
+	if h2.Checksum() != h.Checksum() {
+		t.Fatalf("checksum %s after the round trip, %s before", h2.ChecksumHex(), h.ChecksumHex())
+	}
 	for l := range h.Levels {
-		if len(h.Levels[l]) != len(h2.Levels[l]) {
-			t.Fatalf("level %d grid count mismatch", l)
-		}
 		for gi := range h.Levels[l] {
 			a, b := h.Levels[l][gi], h2.Levels[l][gi]
-			fa, fb := a.State.Fields(), b.State.Fields()
-			for fi := range fa {
-				for di := range fa[fi].Data {
-					if fa[fi].Data[di] != fb[fi].Data[di] {
-						t.Fatalf("field %d differs on L%d grid %d", fi, l, gi)
-					}
-				}
-			}
-			if a.Lo != b.Lo || a.Time != b.Time {
-				t.Fatal("grid metadata differs")
-			}
-			// EPA edges exact, both components.
 			for d := 0; d < 3; d++ {
 				if !a.Edge[d].Eq(b.Edge[d]) {
 					t.Fatal("EPA edge not exactly restored")
 				}
+			}
+			if (a.Parent == nil) != (b.Parent == nil) || len(a.Children) != len(b.Children) {
+				t.Fatalf("L%d grid %d: tree links differ", l, gi)
 			}
 		}
 	}
@@ -100,8 +100,7 @@ func TestRoundTrip(t *testing.T) {
 	if pg == nil {
 		t.Fatal("particle lost")
 	}
-	off := pg.Parts.X[0].SubFloat(0.5).Float64()
-	if off != 1e-19 {
+	if off := pg.Parts.X[0].SubFloat(0.5).Float64(); off != 1e-19 {
 		t.Fatalf("EPA particle offset %v, want 1e-19", off)
 	}
 	if pg.Parts.ID[0] != 99 || pg.Parts.Mass[0] != 0.125 {
@@ -109,24 +108,50 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestartContinuesEvolution: stepping after a restart agrees with
+// uninterrupted evolution bit for bit, at either worker count.
 func TestRestartContinuesEvolution(t *testing.T) {
-	// Stepping after restart must work and agree with uninterrupted
-	// evolution (determinism across serialization).
-	h, _ := buildHierarchy(t)
-	var buf bytes.Buffer
-	if err := Write(&buf, h, ""); err != nil {
-		t.Fatal(err)
+	for _, w := range []int{1, 2} {
+		h, _ := buildHierarchy(t)
+		h.Cfg.Workers = w
+		data := encode(t, h, "")
+		h.Step()
+		h2, _, err := Read(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h2.Cfg.Workers = w
+		h2.Step()
+		if h2.Checksum() != h.Checksum() {
+			t.Fatalf("workers=%d: restart diverged: %s vs %s", w, h2.ChecksumHex(), h.ChecksumHex())
+		}
 	}
-	h.Step()
-	h2, _, err := Read(&buf)
+}
+
+// TestEncodeWorkerCountInvariant: a hierarchy with particles on both levels
+// and grids without any encodes to the same bytes at any worker count, and
+// Read followed by Encode gives those bytes back.
+func TestEncodeWorkerCountInvariant(t *testing.T) {
+	h, _ := buildHierarchy(t)
+	fine := h.Levels[1][0]
+	for i := 0; i < 5; i++ {
+		x := ep128.FromFloat64(0.4 + 0.05*float64(i)).AddFloat(1e-20)
+		fine.Parts.Add(x, ep128.FromFloat64(0.5), x, float64(i), -1, 0.5, 0.25, int64(100+i))
+	}
+	h.Cfg.Workers = 1
+	want := encode(t, h, "synthetic")
+	for _, w := range []int{2, 3, 8} {
+		h.Cfg.Workers = w
+		if got := encode(t, h, "synthetic"); !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: %d bytes differ from workers=1's %d", w, len(got), len(want))
+		}
+	}
+	h2, _, err := Read(bytes.NewReader(want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2.Step()
-	for idx, v := range h.Root().State.Rho.Data {
-		if v != h2.Root().State.Rho.Data[idx] {
-			t.Fatalf("restart diverged at %d: %v vs %v", idx, v, h2.Root().State.Rho.Data[idx])
-		}
+	if again := encode(t, h2, "synthetic"); !bytes.Equal(again, want) {
+		t.Fatal("Read then Encode is not a fixed point")
 	}
 }
 
@@ -134,11 +159,7 @@ func TestSelfDescribingConfig(t *testing.T) {
 	// The header embeds the run config: a restart needs nothing from the
 	// caller, and every physics switch round-trips.
 	h, cfg := buildHierarchy(t)
-	var buf bytes.Buffer
-	if err := Write(&buf, h, "synthetic"); err != nil {
-		t.Fatal(err)
-	}
-	h2, _, err := Read(&buf)
+	h2, _, err := Read(bytes.NewReader(encode(t, h, "synthetic")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +183,7 @@ func TestCosmoBackgroundIsFresh(t *testing.T) {
 	h, _ := buildHierarchy(t)
 	h.Cfg.Cosmo = cosmology.NewBackground(cosmology.StandardCDM(), 0.05)
 	h.Cfg.Cosmo.A = 0.0625
-	var buf bytes.Buffer
-	if err := Write(&buf, h, ""); err != nil {
-		t.Fatal(err)
-	}
-	h2, _, err := Read(&buf)
+	h2, _, err := Read(bytes.NewReader(encode(t, h, "")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,46 +195,42 @@ func TestCosmoBackgroundIsFresh(t *testing.T) {
 	}
 }
 
-func TestLegacyV2ReadsTransparently(t *testing.T) {
-	// A pre-format-3 stream — default-compression gzip, no header tag,
-	// embedded Version 2 — must decode exactly as it always did.
-	h, _ := buildHierarchy(t)
-	var v3 bytes.Buffer
-	if err := Write(&v3, h, "legacy"); err != nil {
-		t.Fatal(err)
-	}
-	var f File
-	zr, err := gzip.NewReader(bytes.NewReader(v3.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zr.Comment != gzipComment {
-		t.Fatalf("v3 gzip header tag %q, want %q", zr.Comment, gzipComment)
-	}
-	if err := gob.NewDecoder(zr).Decode(&f); err != nil {
-		t.Fatal(err)
-	}
-	f.Version = 2
-	var legacy bytes.Buffer
-	zw := gzip.NewWriter(&legacy) // default level, untagged header
-	if err := gob.NewEncoder(zw).Encode(&f); err != nil {
+// gzipGobStream is what format 3 (and, with another gzip level, format 2)
+// put on the wire: one gzip member holding one gob message whose first
+// field is the version.
+func gzipGobStream(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	zw.Comment = "repro snapshot format 3"
+	if err := gob.NewEncoder(zw).Encode(struct {
+		Version int
+		Problem string
+	}{3, "sedov"}); err != nil {
 		t.Fatal(err)
 	}
 	zw.Close()
-	h2, problem, err := Read(&legacy)
-	if err != nil {
-		t.Fatalf("legacy v2 stream rejected: %v", err)
-	}
-	if problem != "legacy" || h2.NumGrids() != h.NumGrids() {
-		t.Fatalf("legacy decode lost content: problem=%q grids=%d/%d", problem, h2.NumGrids(), h.NumGrids())
-	}
-	for idx, v := range h.Root().State.Rho.Data {
-		if h2.Root().State.Rho.Data[idx] != v {
-			t.Fatalf("legacy decode differs at %d", idx)
-		}
+	return buf.Bytes()
+}
+
+func TestOldFormatRefusedByName(t *testing.T) {
+	_, _, err := Read(bytes.NewReader(gzipGobStream(t)))
+	if err == nil || !strings.Contains(err.Error(), "gzip+gob") || !strings.Contains(err.Error(), "format 2 or 3") {
+		t.Fatalf("a format-3 stream: %v, want the named-format refusal", err)
 	}
 }
 
+func TestVersionMismatchRejected(t *testing.T) {
+	h, _ := buildHierarchy(t)
+	data := encode(t, h, "")
+	data[len(magic)] = FormatVersion + 1
+	if _, _, err := Read(bytes.NewReader(data)); err == nil {
+		t.Fatal("future version should be rejected")
+	}
+}
+
+// TestEncodeSizedReportsRawBytes: the raw size is exactly what the records
+// inflate to, and more than the stream on this compressible hierarchy.
 func TestEncodeSizedReportsRawBytes(t *testing.T) {
 	h, _ := buildHierarchy(t)
 	data, raw, err := EncodeSized(h, "sized")
@@ -225,43 +238,25 @@ func TestEncodeSizedReportsRawBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if raw <= int64(len(data)) {
-		t.Fatalf("uncompressed payload %d should exceed compressed %d on this compressible hierarchy", raw, len(data))
+		t.Fatalf("raw records %d should exceed the %d-byte stream on this compressible hierarchy", raw, len(data))
 	}
-	// The reported raw size is exactly the gob payload: decompressing the
-	// stream must yield that many bytes.
-	zr, err := gzip.NewReader(bytes.NewReader(data))
+	_, recs, err := parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var n int64
-	buf := make([]byte, 32<<10)
-	for {
-		k, err := zr.Read(buf)
-		n += int64(k)
-		if err != nil {
-			break
-		}
+	for _, rec := range recs {
+		k, _ := io.Copy(io.Discard, flate.NewReader(bytes.NewReader(rec[4:])))
+		n += k
 	}
 	if n != raw {
-		t.Fatalf("raw size %d, decompressed %d", raw, n)
-	}
-}
-
-func TestVersionMismatchRejected(t *testing.T) {
-	var raw bytes.Buffer
-	zw := gzip.NewWriter(&raw)
-	if err := gob.NewEncoder(zw).Encode(&File{Version: FormatVersion + 1}); err != nil {
-		t.Fatal(err)
-	}
-	zw.Close()
-	if _, _, err := Read(&raw); err == nil {
-		t.Fatal("future version should be rejected")
+		t.Fatalf("raw size %d, records inflate to %d", raw, n)
 	}
 }
 
 func TestSaveLoadFile(t *testing.T) {
 	h, _ := buildHierarchy(t)
-	path := filepath.Join(t.TempDir(), "snap.gob.gz")
+	path := filepath.Join(t.TempDir(), "run.snap")
 	if err := Save(path, h, "synthetic"); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +267,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if problem != "synthetic" {
 		t.Errorf("problem %q", problem)
 	}
-	if math.Abs(h2.TotalGasMass()-h.TotalGasMass()) > 1e-15 {
-		t.Fatal("mass changed through file round trip")
+	if math.Abs(h2.TotalGasMass()-h.TotalGasMass()) > 1e-15 || h2.Checksum() != h.Checksum() {
+		t.Fatal("state changed through the file round trip")
 	}
 }
