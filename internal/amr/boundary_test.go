@@ -140,6 +140,49 @@ func TestSetBoundariesMatchesReference(t *testing.T) {
 				t.Fatalf("want one box-spanning grid with 26 self-images, got %d grids, %d links",
 					len(h.Levels[1]), len(amr.SiblingLinks(h, 1)))
 			}
+			if r := amr.ResidualBoxes(h, 1)[0]; len(r) != 0 {
+				t.Fatalf("self-images cover the whole ghost shell, yet %d residual boxes", len(r))
+			}
+		}},
+		{"ghost_shell_covered", func() amr.Config {
+			cfg := staticConfig(16, 1, 0, 1)
+			cfg.MaxGridSize = 8
+			return cfg
+		}(), func(t *testing.T, h *amr.Hierarchy) {
+			// The whole box refined in 8³ pieces: siblings and their
+			// periodic images cover every ghost, so the parent pass
+			// prolongs nothing.
+			for gi, r := range amr.ResidualBoxes(h, 1) {
+				if len(r) != 0 {
+					t.Fatalf("grid %d of %d: %d residual boxes, want none", gi, len(h.Levels[1]), len(r))
+				}
+			}
+		}},
+		{"box_spanning_slab", func() amr.Config {
+			cfg := staticConfig(8, 1, 0, 1)
+			cfg.StaticLo = [3]float64{0, 0.3, 0.4}
+			cfg.StaticHi = [3]float64{1, 0.7, 0.6}
+			cfg.MaxGridSize = 32
+			return cfg
+		}(), func(t *testing.T, h *amr.Hierarchy) {
+			// One grid spanning the box in x but not in y or z: its own
+			// periodic images fill its x ghosts, the parent the rest.
+			if len(h.Levels[1]) != 1 || h.Levels[1][0].Nx != 16 || h.Levels[1][0].Ny == 16 || h.Levels[1][0].Nz == 16 {
+				t.Fatalf("want one grid spanning only x, got %v", h.Levels[1])
+			}
+			xImages := 0
+			for _, l := range amr.SiblingLinks(h, 1) {
+				if l[0] != 0 || l[1] != 0 {
+					t.Fatalf("link %v is not a self-image", l)
+				}
+				if l[2] != 0 && l[3] == 0 && l[4] == 0 {
+					xImages++
+				}
+			}
+			if xImages != 2 || len(amr.ResidualBoxes(h, 1)[0]) == 0 {
+				t.Fatalf("want 2 x self-images and a parent-filled remainder, got %d, %d residual boxes",
+					xImages, len(amr.ResidualBoxes(h, 1)[0]))
+			}
 		}},
 		{"refine4", func() amr.Config {
 			cfg := staticConfig(8, 1, 0.25, 0.75)
@@ -164,6 +207,7 @@ func TestSetBoundariesMatchesReference(t *testing.T) {
 			if c.check != nil {
 				c.check(t, ref)
 			}
+			requirePlanMatchesScan(t, c.name, ref)
 			fillAllLevels(ref, amr.ReferenceSetBoundaries)
 			fillAllLevels(ref2, amr.ReferenceSetBoundaries)
 			fillAllLevels(ref2, amr.ReferenceSetBoundaries)
@@ -205,12 +249,20 @@ func TestSetBoundariesOverlappingSiblingsWorkerInvariant(t *testing.T) {
 }
 
 // requirePlanMatchesScan compares every level's cached plan with a fresh
-// reference scan, entry by entry.
+// reference scan, entry by entry, and its residual boxes with a fresh
+// subtractBoxes over that scan and, cell by cell, with what the links
+// leave unwritten.
 func requirePlanMatchesScan(t *testing.T, what string, h *amr.Hierarchy) {
 	t.Helper()
 	for l := 1; l < len(h.Levels); l++ {
 		if want, got := amr.ReferenceSiblingLinks(h, l), amr.SiblingLinks(h, l); !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: level %d plan has %d links, a fresh scan %d (or their order differs)", what, l, len(got), len(want))
+		}
+		if want, got := amr.FreshResidualBoxes(h, l), amr.ResidualBoxes(h, l); !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: level %d cached residual boxes differ from a fresh subtractBoxes", what, l)
+		}
+		if err := amr.ResidualCoverError(h, l); err != nil {
+			t.Fatalf("%s: level %d: %v", what, l, err)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/clustering"
 	"repro/internal/gravity"
 	"repro/internal/hydro"
 	"repro/internal/mesh"
@@ -305,9 +306,13 @@ func (h *Hierarchy) setBoundaries(level int) {
 	}
 	// Parent pass, grid-parallel: a grid writes only its own ghosts and
 	// reads only the coarser level, so any worker count gives the same bits.
+	// Only the plan's residual boxes are prolonged: the sibling pass below
+	// overwrites every other ghost, reading only active cells, so what a
+	// parent value there would have been never matters.
+	plan := h.plan(level)
 	par.For(h.Cfg.Workers, len(grids), 1, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			fillGhostsFromParent(grids[i], fields[i], h.Cfg.Refine)
+			fillGhostsFromParent(grids[i], fields[i], plan.resid[i], h.Cfg.Refine)
 		}
 	})
 	// Sibling pass: overwrite ghost values where a same-level grid has
@@ -320,7 +325,7 @@ func (h *Hierarchy) setBoundaries(level int) {
 	// CopyOverlap then writes active cells that other grids read, and the
 	// result depends on the order of the copies. A grid-parallel pass is a
 	// data race with a different answer every run.
-	for _, l := range h.siblingLinks(level) {
+	for _, l := range plan.links {
 		gf, sf := fields[l.g], fields[l.s]
 		for fi := range gf {
 			mesh.CopyOverlap(gf[fi], sf[fi], l.d[0], l.d[1], l.d[2], hydro.NGhost)
@@ -338,18 +343,21 @@ func (h *Hierarchy) levelBoxCells(level int) int {
 	return n
 }
 
-// fillGhostsFromParent interpolates every ghost cell of the child's fields
-// cf from its parent with limited linear reconstruction (all boundary
-// values "first interpolated from the grid's parent").
-func fillGhostsFromParent(g *Grid, cf []*mesh.Field3, refine int) {
+// fillGhostsFromParent interpolates the child's ghost cells in boxes from
+// its parent with limited linear reconstruction (boundary values "first
+// interpolated from the grid's parent"). A cell gets the same value
+// whichever box it sits in.
+func fillGhostsFromParent(g *Grid, cf []*mesh.Field3, boxes []clustering.Box, refine int) {
 	p := g.Parent
-	if p == nil {
+	if p == nil || len(boxes) == 0 {
 		return
 	}
 	oi, oj, ok := offsetWithin(p, g, refine)
 	pl := mesh.NewProlongation(g.Nx, g.Ny, g.Nz, oi, oj, ok, refine, hydro.NGhost)
 	for fi, pf := range p.totalFields() {
-		pl.FillGhosts(pf, cf[fi])
+		for _, b := range boxes {
+			pl.Fill(pf, cf[fi], b.Lo, b.Hi)
+		}
 	}
 }
 

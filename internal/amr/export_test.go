@@ -6,6 +6,7 @@ package amr
 // external test package through the exported variables below.
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/clustering"
@@ -51,10 +52,82 @@ func ReferenceSiblingLinks(h *Hierarchy, level int) [][5]int {
 // SiblingLinks returns the level's cached plan in the same shape.
 func SiblingLinks(h *Hierarchy, level int) [][5]int {
 	var out [][5]int
-	for _, l := range h.siblingLinks(level) {
+	for _, l := range h.plan(level).links {
 		out = append(out, [5]int{l.g, l.s, l.d[0], l.d[1], l.d[2]})
 	}
 	return out
+}
+
+// ResidualBoxes returns the level's cached residual ghost boxes, per grid.
+func ResidualBoxes(h *Hierarchy, level int) [][]clustering.Box { return h.plan(level).resid }
+
+// FreshResidualBoxes recomputes the residual boxes from a fresh reference
+// scan: each grid's NGhost-extended box minus its active box minus every
+// link's covered box, through subtractBoxes.
+func FreshResidualBoxes(h *Hierarchy, level int) [][]clustering.Box {
+	links := ReferenceSiblingLinks(h, level)
+	grids := h.Levels[level]
+	out := make([][]clustering.Box, len(grids))
+	for gi, g := range grids {
+		out[gi] = subtractBoxes(ghostExtent(g), coveredBoxes(grids, gi, links))
+	}
+	return out
+}
+
+// ResidualCoverError checks the cached residual boxes cell by cell: every
+// cell of a grid's extended box lies in exactly one residual box if no
+// link covers it and it is a ghost, and in none otherwise.
+func ResidualCoverError(h *Hierarchy, level int) error {
+	links := ReferenceSiblingLinks(h, level)
+	grids := h.Levels[level]
+	resid := h.plan(level).resid
+	for gi, g := range grids {
+		ext, cuts := ghostExtent(g), coveredBoxes(grids, gi, links)
+		for k := ext.Lo[2]; k < ext.Hi[2]; k++ {
+			for j := ext.Lo[1]; j < ext.Hi[1]; j++ {
+				for i := ext.Lo[0]; i < ext.Hi[0]; i++ {
+					written := false
+					for _, c := range cuts {
+						written = written || c.Contains(i, j, k)
+					}
+					n := 0
+					for _, b := range resid[gi] {
+						if b.Contains(i, j, k) {
+							n++
+						}
+					}
+					if (written && n != 0) || (!written && n != 1) {
+						return fmt.Errorf("grid %d (%v) cell (%d,%d,%d): covered %v, in %d residual boxes", gi, g, i, j, k, written, n)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+func ghostExtent(g *Grid) clustering.Box {
+	return clustering.Box{
+		Lo: [3]int{-hydro.NGhost, -hydro.NGhost, -hydro.NGhost},
+		Hi: [3]int{g.Nx + hydro.NGhost, g.Ny + hydro.NGhost, g.Nz + hydro.NGhost},
+	}
+}
+
+// coveredBoxes returns grid gi's active box followed by each of its links'
+// sibling boxes (CopyOverlap writes their part inside the extended box).
+func coveredBoxes(grids []*Grid, gi int, links [][5]int) []clustering.Box {
+	g := grids[gi]
+	cuts := []clustering.Box{{Hi: [3]int{g.Nx, g.Ny, g.Nz}}}
+	for _, l := range links {
+		if l[0] != gi {
+			continue
+		}
+		s := grids[l[1]]
+		c := clustering.Box{Lo: [3]int{l[2], l[3], l[4]}}
+		c.Hi = [3]int{c.Lo[0] + s.Nx, c.Lo[1] + s.Ny, c.Lo[2] + s.Nz}
+		cuts = append(cuts, c)
+	}
+	return cuts
 }
 
 // referenceSetBoundaries is setBoundaries as it stood before the row

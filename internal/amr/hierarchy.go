@@ -119,7 +119,7 @@ type Hierarchy struct {
 	// more than hydro.NGhost ghost zones are rejected at step time.
 	Physics *physics.Pipeline
 	parity  int
-	plans   []siblingPlan // per-level sibling plans, see siblingLinks
+	plans   []siblingPlan // per-level sibling plans, see plan
 }
 
 // Stats accumulates the structure metrics the paper plots in Fig. 5 and

@@ -18,7 +18,7 @@ func (h *Hierarchy) reconcileSiblingFluxes(level int) {
 	// Every physical shared face has exactly one (left grid, right grid,
 	// image) link with a's high face on b's low face; links that touch
 	// along an axis are a subset of the sibling plan, in the same order.
-	for _, l := range h.siblingLinks(level) {
+	for _, l := range h.plan(level).links {
 		a, b := grids[l.g], grids[l.s]
 		for dir, n := range [3]int{a.Nx, a.Ny, a.Nz} {
 			if l.d[dir] == n {

@@ -132,13 +132,19 @@ func (s *State) SoundSpeed(i, j, k int, gamma float64) float64 {
 }
 
 // Timestep returns the CFL-limited hydrodynamic timestep for cell width dx.
+// Rows walk the flat arrays; each cell's signal speed is SoundSpeed's
+// expression, and cells are visited in the same order.
 func Timestep(s *State, dx float64, p Params) float64 {
 	dtInv := 0.0
+	nx := s.Rho.Nx
 	for k := 0; k < s.Rho.Nz; k++ {
 		for j := 0; j < s.Rho.Ny; j++ {
-			for i := 0; i < s.Rho.Nx; i++ {
-				c := s.SoundSpeed(i, j, k, p.Gamma)
-				v := math.Abs(s.Vx.At(i, j, k)) + math.Abs(s.Vy.At(i, j, k)) + math.Abs(s.Vz.At(i, j, k))
+			o := s.Rho.Idx(0, j, k)
+			eint := s.Eint.Data[o : o+nx]
+			vx, vy, vz := s.Vx.Data[o:o+nx], s.Vy.Data[o:o+nx], s.Vz.Data[o:o+nx]
+			for i := range eint {
+				c := math.Sqrt(p.Gamma * (p.Gamma - 1) * eint[i])
+				v := math.Abs(vx[i]) + math.Abs(vy[i]) + math.Abs(vz[i])
 				if r := (v + 3*c) / dx; r > dtInv {
 					dtInv = r
 				}

@@ -126,53 +126,87 @@ func TestLimiterBitwisePpmMonotonize(t *testing.T) {
 	}
 }
 
+// seedParabolae is the seed pipeline over a whole pencil: per-face
+// ppmInterface (both slopes recomputed per face), then monotonize, for
+// every cell with a full stencil.
+func seedParabolae(q, cl, cr []float64) {
+	for i := 2; i <= len(q)-3; i++ {
+		fl := refPpmInterface(q[i-2], q[i-1], q[i], q[i+1])
+		fr := refPpmInterface(q[i-1], q[i], q[i+1], q[i+2])
+		cl[i], cr[i] = refPpmMonotonize(q[i], fl, fr)
+	}
+}
+
+// TestLimiterBitwiseParabolaAverages drives the fused kernels' upwind
+// averages against the seed's, which recompute the moments inline per
+// call from the seed parabolae: passiveRecon's states at every active
+// interface, and avgRight/avgLeft over parabolae's stored moments for
+// every cell the interfaces read.
 func TestLimiterBitwiseParabolaAverages(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	const n = 8
-	q := make([]float64, n)
-	cl := make([]float64, n)
-	cr := make([]float64, n)
-	dq := make([]float64, n)
-	q6 := make([]float64, n)
-	for it := 0; it < 20000; it++ {
-		for i := range q {
-			q[i], cl[i], cr[i] = randAwkward(rng), randAwkward(rng), randAwkward(rng)
-		}
-		parabolaMoments(q, cl, cr, dq, q6, n)
-		for i := 2; i <= n-3; i++ {
-			sigma := clamp01(randAwkward(rng))
-			if gr, wr := avgRight(cr, dq, q6, i, sigma), refAvgRight(q, cl, cr, i, sigma); !sameBits(gr, wr) {
-				t.Fatalf("avgRight i=%d sigma=%v: %x vs seed %x", i, sigma, gr, wr)
+	for _, n := range []int{1, 3, 12} {
+		ng := NGhost
+		tot := n + 2*ng
+		pc := newPencil(n, ng, 0)
+		q := make([]float64, tot)
+		wl, wr := make([]float64, tot), make([]float64, tot)
+		cl, cr := make([]float64, tot), make([]float64, tot)
+		dq, q6 := make([]float64, tot), make([]float64, tot)
+		for it := 0; it < 20000; it++ {
+			for i := range q {
+				q[i] = randAwkward(rng)
 			}
-			if gl, wl := avgLeft(cl, dq, q6, i, sigma), refAvgLeft(q, cl, cr, i, sigma); !sameBits(gl, wl) {
-				t.Fatalf("avgLeft i=%d sigma=%v: %x vs seed %x", i, sigma, gl, wl)
+			for f := range pc.sigR {
+				pc.sigR[f], pc.sigL[f] = clamp01(randAwkward(rng)), clamp01(randAwkward(rng))
+			}
+			seedParabolae(q, wl, wr)
+			pc.passiveRecon(q, 2)
+			for f := ng; f <= ng+n; f++ {
+				if g, w := pc.stL[2][f], refAvgRight(q, wl, wr, f-1, pc.sigR[f]); !sameBits(g, w) {
+					t.Fatalf("n=%d passiveRecon left state at interface %d: %x vs seed %x", n, f, g, w)
+				}
+				if g, w := pc.stR[2][f], refAvgLeft(q, wl, wr, f, pc.sigL[f]); !sameBits(g, w) {
+					t.Fatalf("n=%d passiveRecon right state at interface %d: %x vs seed %x", n, f, g, w)
+				}
+			}
+			pc.parabolae(q, cl, cr, dq, q6)
+			for i := ng - 1; i <= ng+n; i++ {
+				sigma := clamp01(randAwkward(rng))
+				if g, w := avgRight(cr[i], dq[i], q6[i], sigma), refAvgRight(q, wl, wr, i, sigma); !sameBits(g, w) {
+					t.Fatalf("n=%d avgRight cell %d sigma=%v: %x vs seed %x", n, i, sigma, g, w)
+				}
+				if g, w := avgLeft(cl[i], dq[i], q6[i], sigma), refAvgLeft(q, wl, wr, i, sigma); !sameBits(g, w) {
+					t.Fatalf("n=%d avgLeft cell %d sigma=%v: %x vs seed %x", n, i, sigma, g, w)
+				}
 			}
 		}
 	}
 }
 
-// TestLimiterBitwiseReconParabola drives the fused slope-sharing
+// TestLimiterBitwiseReconParabola drives the fused rolling-slope
 // reconstruction against the seed pipeline (per-face ppmInterface, then
-// monotonize) over whole random pencils.
+// monotonize) on every cell an active interface reads, over whole random
+// pencils.
 func TestLimiterBitwiseReconParabola(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	const n, ng = 12, NGhost
-	pc := newPencil(n, ng, 0)
-	tot := n + 2*ng
-	q := make([]float64, tot)
-	cl := make([]float64, tot)
-	cr := make([]float64, tot)
-	for it := 0; it < 5000; it++ {
-		for i := range q {
-			q[i] = randAwkward(rng)
-		}
-		pc.reconParabola(q, cl, cr)
-		for i := 2; i <= tot-3; i++ {
-			fl := refPpmInterface(q[i-2], q[i-1], q[i], q[i+1])
-			fr := refPpmInterface(q[i-1], q[i], q[i+1], q[i+2])
-			wl, wr := refPpmMonotonize(q[i], fl, fr)
-			if !sameBits(cl[i], wl) || !sameBits(cr[i], wr) {
-				t.Fatalf("reconParabola cell %d: (%x, %x) vs seed (%x, %x)", i, cl[i], cr[i], wl, wr)
+	for _, n := range []int{1, 2, 12} {
+		ng := NGhost
+		tot := n + 2*ng
+		pc := newPencil(n, ng, 0)
+		q := make([]float64, tot)
+		wl, wr := make([]float64, tot), make([]float64, tot)
+		cl, cr := make([]float64, tot), make([]float64, tot)
+		dq, q6 := make([]float64, tot), make([]float64, tot)
+		for it := 0; it < 5000; it++ {
+			for i := range q {
+				q[i] = randAwkward(rng)
+			}
+			seedParabolae(q, wl, wr)
+			pc.parabolae(q, cl, cr, dq, q6)
+			for i := ng - 1; i <= ng+n; i++ {
+				if !sameBits(cl[i], wl[i]) || !sameBits(cr[i], wr[i]) {
+					t.Fatalf("n=%d parabolae cell %d: (%x, %x) vs seed (%x, %x)", n, i, cl[i], cr[i], wl[i], wr[i])
+				}
 			}
 		}
 	}

@@ -24,25 +24,22 @@ type ifaceFlux struct {
 
 // hllc solves the Riemann problem with the HLLC approximate solver
 // (Toro 1994), which restores the contact wave missing from HLL and is the
-// standard pairing for PPM-class schemes.
+// standard pairing for PPM-class schemes. Only the side whose flux the
+// returned region is built on has its energy and Euler flux evaluated.
 func hllc(s iface, gamma float64) ifaceFlux {
 	cL := math.Sqrt(gamma * s.pL / s.rhoL)
 	cR := math.Sqrt(gamma * s.pR / s.rhoR)
 	sL := min(s.uL-cL, s.uR-cR)
 	sR := max(s.uL+cL, s.uR+cR)
 
-	eL := s.pL/(gamma-1) + 0.5*s.rhoL*(s.uL*s.uL+s.vL*s.vL+s.wL*s.wL)
-	eR := s.pR/(gamma-1) + 0.5*s.rhoR*(s.uR*s.uR+s.vR*s.vR+s.wR*s.wR)
-
-	fL := eulerFlux(s.rhoL, s.uL, s.vL, s.wL, s.pL, eL)
-	fR := eulerFlux(s.rhoR, s.uR, s.vR, s.wR, s.pR, eR)
-
 	if sL >= 0 {
+		fL, _ := sideFlux(s.rhoL, s.uL, s.vL, s.wL, s.pL, gamma)
 		fL.uStar = s.uL
 		fL.upwind = 1
 		return fL
 	}
 	if sR <= 0 {
+		fR, _ := sideFlux(s.rhoR, s.uR, s.vR, s.wR, s.pR, gamma)
 		fR.uStar = s.uR
 		fR.upwind = -1
 		return fR
@@ -57,6 +54,7 @@ func hllc(s iface, gamma float64) ifaceFlux {
 
 	if sStar >= 0 {
 		// Left star region.
+		fL, eL := sideFlux(s.rhoL, s.uL, s.vL, s.wL, s.pL, gamma)
 		rhoS := s.rhoL * (sL - s.uL) / (sL - sStar)
 		f := ifaceFlux{
 			mass: fL.mass + sL*(rhoS-s.rhoL),
@@ -71,6 +69,7 @@ func hllc(s iface, gamma float64) ifaceFlux {
 		return f
 	}
 	// Right star region.
+	fR, eR := sideFlux(s.rhoR, s.uR, s.vR, s.wR, s.pR, gamma)
 	rhoS := s.rhoR * (sR - s.uR) / (sR - sStar)
 	f := ifaceFlux{
 		mass: fR.mass + sR*(rhoS-s.rhoR),
@@ -92,10 +91,8 @@ func rusanov(s iface, gamma float64) ifaceFlux {
 	cR := math.Sqrt(gamma * s.pR / s.rhoR)
 	smax := max(math.Abs(s.uL)+cL, math.Abs(s.uR)+cR)
 
-	eL := s.pL/(gamma-1) + 0.5*s.rhoL*(s.uL*s.uL+s.vL*s.vL+s.wL*s.wL)
-	eR := s.pR/(gamma-1) + 0.5*s.rhoR*(s.uR*s.uR+s.vR*s.vR+s.wR*s.wR)
-	fL := eulerFlux(s.rhoL, s.uL, s.vL, s.wL, s.pL, eL)
-	fR := eulerFlux(s.rhoR, s.uR, s.vR, s.wR, s.pR, eR)
+	fL, eL := sideFlux(s.rhoL, s.uL, s.vL, s.wL, s.pL, gamma)
+	fR, eR := sideFlux(s.rhoR, s.uR, s.vR, s.wR, s.pR, gamma)
 
 	f := ifaceFlux{
 		mass:   0.5*(fL.mass+fR.mass) - 0.5*smax*(s.rhoR-s.rhoL),
@@ -107,6 +104,13 @@ func rusanov(s iface, gamma float64) ifaceFlux {
 	f.uStar = 0.5 * (s.uL + s.uR)
 	f.upwind = f.mass
 	return f
+}
+
+// sideFlux returns the Euler flux of one side's primitive state and its
+// total energy density.
+func sideFlux(rho, u, v, w, p, gamma float64) (ifaceFlux, float64) {
+	e := p/(gamma-1) + 0.5*rho*(u*u+v*v+w*w)
+	return eulerFlux(rho, u, v, w, p, e), e
 }
 
 func eulerFlux(rho, u, v, w, p, e float64) ifaceFlux {

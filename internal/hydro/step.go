@@ -10,9 +10,12 @@ import (
 // Step3D advances the state by dt on a grid with cell width dx using
 // dimensional Strang splitting. The sweep order alternates (xyz / zyx) with
 // the parity argument to cancel splitting errors over step pairs, as in the
-// original implementation. bc is called before each sweep to refresh ghost
-// zones (the AMR layer supplies parent/sibling interpolation; uniform-grid
-// callers pass periodic or outflow fills). If reg is non-nil, the
+// original implementation. If bc is non-nil it is called before each sweep
+// to refresh ghost zones (the root grid and uniform-grid callers pass
+// periodic or outflow fills). The AMR layer passes nil for subgrids: their
+// ghosts, filled from parent and siblings before the step, are inputs for
+// the whole sweep set. Each sweep updates active cells only, so ghosts
+// leave Step3D as they came in. If reg is non-nil, the
 // time-integrated conserved fluxes through the grid's outer faces are
 // accumulated into it for later flux correction; taps capture interior
 // fluxes at child-boundary planes.
@@ -84,14 +87,16 @@ func lineBase(f *mesh.Field3, dir, c1, c2, ng int) (base, stride int) {
 	}
 }
 
-// gatherPencil extracts a line (with ghosts) along dir at transverse
-// coordinates (c1,c2). Velocity components are permuted so that u is the
+// gatherPencil extracts the cells of a line along dir at transverse
+// coordinates (c1,c2) that the sweep reads: the active cells and reach
+// ghosts on each side. Velocity components are permuted so that u is the
 // sweep-normal component. The flat base+stride walk replaces per-cell
 // At() index arithmetic in this innermost hot loop.
 func gatherPencil(s *State, dir, c1, c2 int, pc *pencil, par Params) {
-	tot := pc.n + 2*pc.ng
+	x0, x1 := pc.ng-reach, pc.ng+pc.n+reach
 	gm1 := par.Gamma - 1
 	base, stride := lineBase(s.Rho, dir, c1, c2, pc.ng)
+	base += x0 * stride
 	// Permute velocity fields so vu is the sweep-normal component.
 	var vu, vv, vw []float64
 	switch dir {
@@ -105,7 +110,7 @@ func gatherPencil(s *State, dir, c1, c2 int, pc *pencil, par Params) {
 	rhoD, eintD, etotD := s.Rho.Data, s.Eint.Data, s.Etot.Data
 	dRho, dEint, dEt, dP := pc.rho, pc.eint, pc.et, pc.p
 	dU, dV, dW := pc.u, pc.v, pc.w
-	for x, idx := 0, base; x < tot; x, idx = x+1, idx+stride {
+	for x, idx := x0, base; x < x1; x, idx = x+1, idx+stride {
 		rho := max(rhoD[idx], par.FloorRho)
 		ei := max(eintD[idx], par.FloorEint)
 		dRho[x] = rho
@@ -119,36 +124,26 @@ func gatherPencil(s *State, dir, c1, c2 int, pc *pencil, par Params) {
 	for sp := range s.Species {
 		spD := s.Species[sp].Data
 		dst := pc.species[sp]
-		for x, idx := 0, base; x < tot; x, idx = x+1, idx+stride {
+		for x, idx := x0, base; x < x1; x, idx = x+1, idx+stride {
 			dst[x] = spD[idx]
 		}
 	}
 }
 
 // computeFluxes reconstructs interface states for every variable and runs
-// the Riemann solver at each interior interface.
+// the Riemann solver at each active interface, ng..ng+n.
 func computeFluxes(pc *pencil, par Params, solver Solver, dtdx float64) {
-	tot := pc.n + 2*pc.ng
 	if solver == SolverFD {
-		vars := [][]float64{pc.rho, pc.u, pc.v, pc.w, pc.p, pc.eint}
-		vars = append(vars, pc.species...)
-		for vi, q := range vars {
-			pc.reconPLM(q)
-			copy(pc.stL[vi], pc.ql)
-			copy(pc.stR[vi], pc.qr)
+		for vi, q := range [6][]float64{pc.rho, pc.u, pc.v, pc.w, pc.p, pc.eint} {
+			pc.reconPLM(q, vi)
+		}
+		for sp, q := range pc.species {
+			pc.reconPLM(q, 6+sp)
 		}
 	} else {
 		reconPPM(pc, par.Gamma, dtdx)
 	}
-	// Update the active interfaces plus enough margin that the active
-	// cells all receive valid fluxes: interfaces ng-1 .. ng+n+1.
-	lo, hi := pc.ng-1, pc.ng+pc.n+1
-	if lo < 3 {
-		lo = 3
-	}
-	if hi > tot-3 {
-		hi = tot - 3
-	}
+	lo, hi := pc.ng, pc.ng+pc.n
 	floorP := (par.Gamma - 1) * par.FloorRho * par.FloorEint
 	// Hoist the state rows out of the per-interface loop: pc.stL[v][f]
 	// costs two dependent loads per access in this innermost loop.
@@ -203,30 +198,27 @@ func computeFluxes(pc *pencil, par Params, solver Solver, dtdx float64) {
 // are averaged over the u-characteristic's domain of dependence. This is
 // what gives PPM its sharp contacts relative to the FD solver.
 func reconPPM(pc *pencil, gamma, dtdx float64) {
-	tot := pc.n + 2*pc.ng
-	pc.reconParabola(pc.rho, pc.paRhoL, pc.paRhoR)
-	parabolaMoments(pc.rho, pc.paRhoL, pc.paRhoR, pc.paRhoDq, pc.paRhoQ6, tot)
-	pc.reconParabola(pc.u, pc.paUL, pc.paUR)
-	parabolaMoments(pc.u, pc.paUL, pc.paUR, pc.paUDq, pc.paUQ6, tot)
-	pc.reconParabola(pc.p, pc.paPL, pc.paPR)
-	parabolaMoments(pc.p, pc.paPL, pc.paPR, pc.paPDq, pc.paPQ6, tot)
+	lo, hi := pc.ng, pc.ng+pc.n
+	pc.parabolae(pc.rho, pc.paRhoL, pc.paRhoR, pc.paRhoDq, pc.paRhoQ6)
+	pc.parabolae(pc.u, pc.paUL, pc.paUR, pc.paUDq, pc.paUQ6)
+	pc.parabolae(pc.p, pc.paPL, pc.paPR, pc.paPDq, pc.paPQ6)
 
 	// Upwind domains of dependence at each interface, shared by every
 	// contact-riding variable (the per-variable loop below used to
 	// recompute both clamps for each of its 3+nspecies passes).
 	uD, sigR, sigL := pc.u, pc.sigR, pc.sigL
-	for f := 3; f <= tot-3; f++ {
+	for f := lo; f <= hi; f++ {
 		sigR[f] = clamp01(uD[f-1] * dtdx)
 		sigL[f] = clamp01(-uD[f] * dtdx)
 	}
 
 	// Passive (contact-riding) variables: rows 2 (v), 3 (w), 5 (eint),
 	// 6.. (species).
-	pc.passiveRecon(pc.v, 2, tot)
-	pc.passiveRecon(pc.w, 3, tot)
-	pc.passiveRecon(pc.eint, 5, tot)
+	pc.passiveRecon(pc.v, 2)
+	pc.passiveRecon(pc.w, 3)
+	pc.passiveRecon(pc.eint, 5)
 	for sp := range pc.species {
-		pc.passiveRecon(pc.species[sp], 6+sp, tot)
+		pc.passiveRecon(pc.species[sp], 6+sp)
 	}
 
 	// Acoustic variables with characteristic projection.
@@ -236,29 +228,29 @@ func reconPPM(pc *pencil, gamma, dtdx float64) {
 	pcl, pcr, pdq, pq6 := pc.paPL, pc.paPR, pc.paPDq, pc.paPQ6
 	stL0, stL1, stL4 := pc.stL[0], pc.stL[1], pc.stL[4]
 	stR0, stR1, stR4 := pc.stR[0], pc.stR[1], pc.stR[4]
-	for f := 3; f <= tot-3; f++ {
+	for f := lo; f <= hi; f++ {
 		// ---- Left state: right-moving waves out of cell f-1.
 		i := f - 1
 		rhoI, uI, pI := rhoD[i], uD[i], pD[i]
 		cI := math.Sqrt(gamma * pI / rhoI)
 		lamP, lamZ, lamM := uI+cI, uI, uI-cI
 		sRef := clamp01(lamP * dtdx)
-		refRho := avgRight(rcr, rdq, rq6, i, sRef)
-		refU := avgRight(ucr, udq, uq6, i, sRef)
-		refP := avgRight(pcr, pdq, pq6, i, sRef)
+		refRho := avgRight(rcr[i], rdq[i], rq6[i], sRef)
+		refU := avgRight(ucr[i], udq[i], uq6[i], sRef)
+		refP := avgRight(pcr[i], pdq[i], pq6[i], sRef)
 		rhoL, uL, pL := refRho, refU, refP
 		// The + family coincides with the reference state (beta+ = 0).
 		if lamZ > 0 {
 			s := clamp01(lamZ * dtdx)
-			r0 := avgRight(rcr, rdq, rq6, i, s)
-			p0 := avgRight(pcr, pdq, pq6, i, s)
+			r0 := avgRight(rcr[i], rdq[i], rq6[i], s)
+			p0 := avgRight(pcr[i], pdq[i], pq6[i], s)
 			beta0 := (refRho - r0) - (refP-p0)/(cI*cI)
 			rhoL -= beta0
 		}
 		if lamM > 0 {
 			s := clamp01(lamM * dtdx)
-			uM := avgRight(ucr, udq, uq6, i, s)
-			pM := avgRight(pcr, pdq, pq6, i, s)
+			uM := avgRight(ucr[i], udq[i], uq6[i], s)
+			pM := avgRight(pcr[i], pdq[i], pq6[i], s)
 			betaM := -rhoI/(2*cI)*(refU-uM) + (refP-pM)/(2*cI*cI)
 			rhoL -= betaM
 			uL += betaM * cI / rhoI
@@ -274,22 +266,22 @@ func reconPPM(pc *pencil, gamma, dtdx float64) {
 		cI = math.Sqrt(gamma * pI / rhoI)
 		lamP, lamZ, lamM = uI+cI, uI, uI-cI
 		sRef = clamp01(-lamM * dtdx)
-		refRho = avgLeft(rcl, rdq, rq6, i, sRef)
-		refU = avgLeft(ucl, udq, uq6, i, sRef)
-		refP = avgLeft(pcl, pdq, pq6, i, sRef)
+		refRho = avgLeft(rcl[i], rdq[i], rq6[i], sRef)
+		refU = avgLeft(ucl[i], udq[i], uq6[i], sRef)
+		refP = avgLeft(pcl[i], pdq[i], pq6[i], sRef)
 		rhoR, uR, pR := refRho, refU, refP
 		// The - family coincides with the reference state (beta- = 0).
 		if lamZ < 0 {
 			s := clamp01(-lamZ * dtdx)
-			r0 := avgLeft(rcl, rdq, rq6, i, s)
-			p0 := avgLeft(pcl, pdq, pq6, i, s)
+			r0 := avgLeft(rcl[i], rdq[i], rq6[i], s)
+			p0 := avgLeft(pcl[i], pdq[i], pq6[i], s)
 			beta0 := (refRho - r0) - (refP-p0)/(cI*cI)
 			rhoR -= beta0
 		}
 		if lamP < 0 {
 			s := clamp01(-lamP * dtdx)
-			uP := avgLeft(ucl, udq, uq6, i, s)
-			pP := avgLeft(pcl, pdq, pq6, i, s)
+			uP := avgLeft(ucl[i], udq[i], uq6[i], s)
+			pP := avgLeft(pcl[i], pdq[i], pq6[i], s)
 			betaP := rhoI/(2*cI)*(refU-uP) + (refP-pP)/(2*cI*cI)
 			rhoR -= betaP
 			uR -= betaP * cI / rhoI
@@ -301,35 +293,12 @@ func reconPPM(pc *pencil, gamma, dtdx float64) {
 	}
 }
 
-// passiveRecon reconstructs one contact-riding variable into state row
-// `row`: the monotonized parabola is built once, its moments hoisted, and
-// the per-interface averages use the shared sigR/sigL upwind domains.
-func (pc *pencil) passiveRecon(q []float64, row, tot int) {
-	pc.reconParabola(q, pc.cellL, pc.cellR)
-	parabolaMoments(q, pc.cellL, pc.cellR, pc.cellDq, pc.cellQ6, tot)
-	cl, cr, dq, q6 := pc.cellL, pc.cellR, pc.cellDq, pc.cellQ6
-	sigR, sigL := pc.sigR, pc.sigL
-	dstL, dstR := pc.stL[row], pc.stR[row]
-	for f := 3; f <= tot-3; f++ {
-		dstL[f] = avgRight(cr, dq, q6, f-1, sigR[f])
-		dstR[f] = avgLeft(cl, dq, q6, f, sigL[f])
-	}
-}
-
 // updatePencil applies the conservative update to the active cells of the
-// pencil (plus one ghost layer margin so subsequent sweeps have partially
-// updated data near boundaries — the standard split-scheme practice is to
-// update as wide a band as valid fluxes allow).
+// pencil. Ghost cells are left alone: a later sweep of the same step reads
+// only lines through active cells, never this line's ghosts, and the next
+// boundary fill rewrites every ghost.
 func updatePencil(pc *pencil, par Params, dtdx float64) {
-	lo := pc.ng - 1
-	hi := pc.ng + pc.n // inclusive of one ghost on each side
-	if lo < 3 {
-		lo = 3
-	}
-	tot := pc.n + 2*pc.ng
-	if hi > tot-4 {
-		hi = tot - 4
-	}
+	lo, hi := pc.ng, pc.ng+pc.n-1
 	rhoA, uA, vA, wA := pc.rho, pc.u, pc.v, pc.w
 	etA, eintA, pA := pc.et, pc.eint, pc.p
 	fMass, fMomU, fMomV, fMomW := pc.fMass, pc.fMomU, pc.fMomV, pc.fMomW
@@ -378,9 +347,8 @@ func updatePencil(pc *pencil, par Params, dtdx float64) {
 	}
 }
 
-// scatterPencil writes the updated pencil back to the grid (active cells
-// plus one ghost layer on each side, which holds partially updated data
-// for the subsequent sweeps of the split scheme).
+// scatterPencil writes the updated active cells of the pencil back to the
+// grid.
 func scatterPencil(s *State, dir, c1, c2 int, pc *pencil) {
 	base, stride := lineBase(s.Rho, dir, c1, c2, pc.ng)
 	var vu, vv, vw []float64
@@ -393,9 +361,9 @@ func scatterPencil(s *State, dir, c1, c2 int, pc *pencil) {
 		vu, vv, vw = s.Vz.Data, s.Vx.Data, s.Vy.Data
 	}
 	rhoD, eintD, etotD := s.Rho.Data, s.Eint.Data, s.Etot.Data
-	// Pencil index x = a+ng covers a in [-1, n]; flat index follows.
-	x0 := pc.ng - 1
-	for x, idx := x0, base+x0*stride; x <= pc.ng+pc.n; x, idx = x+1, idx+stride {
+	// Pencil index x = a+ng covers a in [0, n); flat index follows.
+	x0, x1 := pc.ng, pc.ng+pc.n
+	for x, idx := x0, base+x0*stride; x < x1; x, idx = x+1, idx+stride {
 		rhoD[idx] = pc.rho[x]
 		vu[idx] = pc.u[x]
 		vv[idx] = pc.v[x]
@@ -406,7 +374,7 @@ func scatterPencil(s *State, dir, c1, c2 int, pc *pencil) {
 	for sp := range s.Species {
 		spD := s.Species[sp].Data
 		src := pc.species[sp]
-		for x, idx := x0, base+x0*stride; x <= pc.ng+pc.n; x, idx = x+1, idx+stride {
+		for x, idx := x0, base+x0*stride; x < x1; x, idx = x+1, idx+stride {
 			spD[idx] = src[x]
 		}
 	}

@@ -6,9 +6,10 @@ import (
 )
 
 // This file contains the pencil-based dimensionally-split update shared by
-// both solvers: gather a 1-D line of cells (with ghosts), reconstruct
-// left/right interface states, solve the Riemann problem at every
-// interface, apply the conservative update, and scatter back. Fluxes
+// both solvers: gather a 1-D line of cells (with the ghosts the stencil
+// reaches), reconstruct left/right interface states, solve the Riemann
+// problem at every active interface, apply the conservative update to the
+// active cells, and scatter them back. Fluxes
 // crossing the grid's outer faces are accumulated (x dt) into a
 // FluxRegister for the AMR flux-correction step.
 
@@ -77,7 +78,10 @@ func (s Solver) String() string {
 
 // pencil holds one line of primitives (with ghosts) during a sweep.
 // Pencil index p corresponds to active cell p-ng; interface index f lies
-// between pencil cells f-1 and f.
+// between pencil cells f-1 and f. A sweep computes only what the active
+// cells read: interfaces ng..ng+n, the parabolae of cells ng-1..ng+n on
+// either side of them, and the primitives of cells ng-reach..ng+n-1+reach
+// those parabolae are built from.
 type pencil struct {
 	n, ng           int
 	rho, u, v, w, p []float64
@@ -89,20 +93,12 @@ type pencil struct {
 	fEint                          []float64
 	fSpecies                       [][]float64
 	uStar                          []float64
-	// reconstruction scratch
-	ql, qr []float64 // per-interface left/right states
-	faceV  []float64 // 4th-order face values
-	slope  []float64 // per-cell monotonized central slope (shared by all faces)
-	cellL  []float64 // monotonized parabola left edge per cell
-	cellR  []float64 // monotonized parabola right edge per cell
-	// parabola moments for the shared (per-passive-variable) scratch:
-	// dq = cr-cl and q6 = 6(q - (cl+cr)/2), hoisted so the repeated
-	// avgLeft/avgRight evaluations stop recomputing them per call
-	cellDq, cellQ6 []float64
 	// upwind domains of dependence sigma = clamp01(±u dtdx) per interface,
 	// shared by every contact-riding variable
 	sigR, sigL []float64
-	// PPM parabolae for the acoustic variables (rho, u, p), with moments
+	// PPM parabolae for the acoustic variables (rho, u, p): edges and the
+	// moments dq = cr-cl, q6 = 6(q - (cl+cr)/2), which the characteristic
+	// tracing reads up to six times per interface
 	paRhoL, paRhoR, paRhoDq, paRhoQ6 []float64
 	paUL, paUR, paUDq, paUQ6         []float64
 	paPL, paPR, paPDq, paPQ6         []float64
@@ -110,6 +106,11 @@ type pencil struct {
 	// rows 0=rho 1=u 2=v 3=w 4=p 5=eint 6..=species
 	stL, stR [][]float64
 }
+
+// reach is how many cells past each active end a pencil reads: the
+// slopes of cells ng-2..ng+n+1 behind the outermost parabolae each look
+// one cell further (the PLM path reads one cell less).
+const reach = 3
 
 func newPencil(n, ng, nspecies int) *pencil {
 	tot := n + 2*ng
@@ -123,11 +124,7 @@ func newPencil(n, ng, nspecies int) *pencil {
 		fMomV: make([]float64, tot+1), fMomW: make([]float64, tot+1),
 		fE: make([]float64, tot+1), fEint: make([]float64, tot+1),
 		uStar: make([]float64, tot+1),
-		ql:    make([]float64, tot+1), qr: make([]float64, tot+1),
-		faceV: make([]float64, tot+1), slope: make([]float64, tot),
-		cellL: make([]float64, tot), cellR: make([]float64, tot),
-		cellDq: make([]float64, tot), cellQ6: make([]float64, tot),
-		sigR: make([]float64, tot+1), sigL: make([]float64, tot+1),
+		sigR:  make([]float64, tot+1), sigL: make([]float64, tot+1),
 		paRhoL: make([]float64, tot), paRhoR: make([]float64, tot),
 		paRhoDq: make([]float64, tot), paRhoQ6: make([]float64, tot),
 		paUL: make([]float64, tot), paUR: make([]float64, tot),
@@ -187,62 +184,78 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// reconPLM fills pc.ql/pc.qr with piecewise-linear van Leer states (the FD
-// solver's reconstruction).
-func (pc *pencil) reconPLM(q []float64) {
-	tot := pc.n + 2*pc.ng
-	for f := 2; f <= tot-2; f++ {
+// reconPLM writes piecewise-linear van Leer states (the FD solver's
+// reconstruction) of q into state row `row` at the active interfaces.
+func (pc *pencil) reconPLM(q []float64, row int) {
+	ql, qr := pc.stL[row], pc.stR[row]
+	for f := pc.ng; f <= pc.ng+pc.n; f++ {
 		i := f - 1
-		pc.ql[f] = q[i] + 0.5*vanLeerSlope(q[i-1], q[i], q[i+1])
-		pc.qr[f] = q[f] - 0.5*vanLeerSlope(q[f-1], q[f], q[f+1])
+		ql[f] = q[i] + 0.5*vanLeerSlope(q[i-1], q[i], q[i+1])
+		qr[f] = q[f] - 0.5*vanLeerSlope(q[f-1], q[f], q[f+1])
 	}
 }
 
-// reconParabola computes the monotonized PPM parabola (left edge, right
-// edge) for every cell of q, storing into cl/cr (CW84 steps 1-2). The
-// monotonized central slope of each cell is computed once into pc.slope and
-// shared by the two faces that reference it — the fused per-face form
-// (ppmInterface in earlier revisions) evaluated every slope twice.
-func (pc *pencil) reconParabola(q, cl, cr []float64) {
-	tot := pc.n + 2*pc.ng
-	sl := pc.slope
-	for i := 1; i <= tot-2; i++ {
-		sl[i] = mcSlope(q[i-1], q[i], q[i+1])
-	}
-	// 4th-order interface value at face f between cells f-1 and f
-	// (CW84 eq. 1.6).
-	fv := pc.faceV
-	for f := 2; f <= tot-2; f++ {
-		fv[f] = q[f-1] + 0.5*(q[f]-q[f-1]) - (sl[f]-sl[f-1])/6
-	}
-	for i := 2; i <= tot-3; i++ {
-		cl[i], cr[i] = ppmMonotonize(q[i], fv[i], fv[i+1])
-	}
-}
-
-// parabolaMoments hoists the two per-cell parabola moments used by every
-// avgLeft/avgRight evaluation: dq = cr-cl and q6 = 6(q - (cl+cr)/2)
-// (the operands of CW84 eq. 1.12). The acoustic tracing evaluates the same
-// cell's average up to six times per interface; precomputing the moments
-// keeps those evaluations to a handful of flops each.
-func parabolaMoments(q, cl, cr, dq, q6 []float64, tot int) {
-	for i := 2; i <= tot-3; i++ {
-		dq[i] = cr[i] - cl[i]
-		q6[i] = 6 * (q[i] - 0.5*(cl[i]+cr[i]))
+// parabolae builds the monotonized PPM parabola (CW84 steps 1-2) of every
+// cell the active interfaces read, ng-1..ng+n, in one pass over q: the
+// monotonized central slope of the cell ahead, the 4th-order value of the
+// face between (CW84 eq. 1.6), then the limiter. Slope and face value roll
+// forward, so each is computed once and shared by the two cells or faces
+// that use it. Edges go to cl/cr, the moments dq/q6 beside them.
+func (pc *pencil) parabolae(q, cl, cr, dq, q6 []float64) {
+	lo, hi := pc.ng-1, pc.ng+pc.n
+	slPrev := mcSlope(q[lo-2], q[lo-1], q[lo])
+	sl := mcSlope(q[lo-1], q[lo], q[lo+1])
+	fvL := q[lo-1] + 0.5*(q[lo]-q[lo-1]) - (sl-slPrev)/6
+	for i := lo; i <= hi; i++ {
+		slR := mcSlope(q[i], q[i+1], q[i+2])
+		fvR := q[i] + 0.5*(q[i+1]-q[i]) - (slR-sl)/6
+		l, r := ppmMonotonize(q[i], fvL, fvR)
+		cl[i], cr[i] = l, r
+		dq[i] = r - l
+		q6[i] = 6 * (q[i] - 0.5*(l+r))
+		sl, fvL = slR, fvR
 	}
 }
 
-// avgRight returns the parabola average over [1-sigma, 1] of cell i (the
-// domain of dependence of a right-moving wave reaching the cell's right
-// face), CW84 eq. 1.12, from precomputed moments.
-func avgRight(cr, dq, q6 []float64, i int, sigma float64) float64 {
-	return cr[i] - 0.5*sigma*(dq[i]-(1-2.0/3.0*sigma)*q6[i])
+// passiveRecon reconstructs one contact-riding variable into state row
+// `row` in the same single pass as parabolae, writing each cell's upwind
+// averages straight into the states of the two interfaces it borders
+// (cell ng-1 feeds only interface ng, cell ng+n only interface ng+n).
+func (pc *pencil) passiveRecon(q []float64, row int) {
+	lo, hi := pc.ng-1, pc.ng+pc.n
+	sigR, sigL := pc.sigR, pc.sigL
+	dstL, dstR := pc.stL[row], pc.stR[row]
+	slPrev := mcSlope(q[lo-2], q[lo-1], q[lo])
+	sl := mcSlope(q[lo-1], q[lo], q[lo+1])
+	fvL := q[lo-1] + 0.5*(q[lo]-q[lo-1]) - (sl-slPrev)/6
+	for i := lo; i <= hi; i++ {
+		slR := mcSlope(q[i], q[i+1], q[i+2])
+		fvR := q[i] + 0.5*(q[i+1]-q[i]) - (slR-sl)/6
+		l, r := ppmMonotonize(q[i], fvL, fvR)
+		dq := r - l
+		q6 := 6 * (q[i] - 0.5*(l+r))
+		if i > lo {
+			dstR[i] = avgLeft(l, dq, q6, sigL[i])
+		}
+		if i < hi {
+			dstL[i+1] = avgRight(r, dq, q6, sigR[i+1])
+		}
+		sl, fvL = slR, fvR
+	}
 }
 
-// avgLeft returns the parabola average over [0, sigma] of cell i (domain of
-// dependence of a left-moving wave reaching the cell's left face).
-func avgLeft(cl, dq, q6 []float64, i int, sigma float64) float64 {
-	return cl[i] + 0.5*sigma*(dq[i]+(1-2.0/3.0*sigma)*q6[i])
+// avgRight returns the parabola average over [1-sigma, 1] of a cell with
+// right edge cr and moments dq, q6 (the domain of dependence of a
+// right-moving wave reaching the cell's right face), CW84 eq. 1.12.
+func avgRight(cr, dq, q6, sigma float64) float64 {
+	return cr - 0.5*sigma*(dq-(1-2.0/3.0*sigma)*q6)
+}
+
+// avgLeft returns the parabola average over [0, sigma] of a cell with
+// left edge cl (domain of dependence of a left-moving wave reaching the
+// cell's left face).
+func avgLeft(cl, dq, q6, sigma float64) float64 {
+	return cl + 0.5*sigma*(dq+(1-2.0/3.0*sigma)*q6)
 }
 
 func vanLeerSlope(l, c, r float64) float64 {

@@ -139,20 +139,6 @@ func (p *Prolongation) runEnd(d, t, hi int) int {
 	return e
 }
 
-// FillGhosts interpolates the nb-deep ghost halo of child from the parent
-// and leaves the active region alone (paper §3.2.1 step 1): six slabs, the
-// z pair spanning the full x–y extent, the y pair the full x extent.
-func (p *Prolongation) FillGhosts(parent, child *Field3) {
-	nb := p.nb
-	nx, ny, nz := child.Nx, child.Ny, child.Nz
-	p.Fill(parent, child, [3]int{-nb, -nb, -nb}, [3]int{nx + nb, ny + nb, 0})
-	p.Fill(parent, child, [3]int{-nb, -nb, nz}, [3]int{nx + nb, ny + nb, nz + nb})
-	p.Fill(parent, child, [3]int{-nb, -nb, 0}, [3]int{nx + nb, 0, nz})
-	p.Fill(parent, child, [3]int{-nb, ny, 0}, [3]int{nx + nb, ny + nb, nz})
-	p.Fill(parent, child, [3]int{-nb, 0, 0}, [3]int{0, ny, nz})
-	p.Fill(parent, child, [3]int{nx, 0, 0}, [3]int{nx + nb, ny, nz})
-}
-
 // Restrict projects the child's active region onto the parent by averaging
 // each block of r^3 fine cells into the coarse cell that contains it.
 // The child's active size must be a multiple of r in every dimension.

@@ -91,7 +91,7 @@ func requireSameData(t *testing.T, what string, want, got *Field3) {
 }
 
 // TestProlongationMatchesPerCellReference pins the row kernel — whole-box
-// Fill through ProlongLinear, and the six-slab FillGhosts — to the
+// Fill through ProlongLinear, and Fill over six ghost slabs — to the
 // per-cell reference over random placements, refinement factors and halo
 // depths, including children whose halo reaches into the parent's ghosts
 // (negative fine indices).
@@ -129,8 +129,11 @@ func TestProlongationMatchesPerCellReference(t *testing.T) {
 		active := want.Clone()
 		referenceProlongLinear(parent, want, off[0], off[1], off[2], r, nb)
 		referenceCopyOverlap(want, active, 0, 0, 0, 0)
-		NewProlongation(cn[0], cn[1], cn[2], off[0], off[1], off[2], r, nb).FillGhosts(parent, got)
-		requireSameData(t, what+" (FillGhosts)", want, got)
+		pl := NewProlongation(cn[0], cn[1], cn[2], off[0], off[1], off[2], r, nb)
+		for _, b := range ghostSlabs(cn, nb) {
+			pl.Fill(parent, got, b[0], b[1])
+		}
+		requireSameData(t, what+" (ghost slabs)", want, got)
 	}
 }
 
@@ -172,19 +175,21 @@ func TestFillMatchesParentRowKernel(t *testing.T) {
 			pl.Fill(parent, got, b[0], b[1])
 			requireSameData(t, fmt.Sprintf("trial %d: r=%d nb=%d child %v off %v box %v", trial, r, nb, cn, off, b), want, got)
 		}
-		// FillGhosts' six slabs through the new kernel against the same
+		// The six ghost slabs through the new kernel against the same
 		// slabs through the old one.
 		fillNasty(want, rng)
 		got = want.Clone()
-		pl.FillGhosts(parent, got)
 		for _, b := range ghostSlabs(cn, nb) {
+			pl.Fill(parent, got, b[0], b[1])
 			referenceFill(pl, parent, want, b[0], b[1])
 		}
 		requireSameData(t, fmt.Sprintf("trial %d: ghost slabs", trial), want, got)
 	}
 }
 
-// ghostSlabs lists FillGhosts' six boxes.
+// ghostSlabs lists six boxes that tile the nb-deep halo of an n-cell
+// child: the z pair spanning the full x–y extent, the y pair the full x
+// extent.
 func ghostSlabs(n [3]int, nb int) [][2][3]int {
 	nx, ny, nz := n[0], n[1], n[2]
 	return [][2][3]int{
