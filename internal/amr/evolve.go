@@ -56,22 +56,6 @@ func (t *Timing) addOp(name string, comp physics.Component, d time.Duration) {
 	t.PerOp[name] += d
 }
 
-// mergeGridStep folds the per-grid-step timing of a concurrently stepped
-// grid (accumulated on a shadow hierarchy) into t.
-func (t *Timing) mergeGridStep(o Timing) {
-	t.Hydro += o.Hydro
-	t.Gravity += o.Gravity
-	t.Chemistry += o.Chemistry
-	t.NBody += o.NBody
-	t.Other += o.Other
-	for name, d := range o.PerOp {
-		if t.PerOp == nil {
-			t.PerOp = map[string]time.Duration{}
-		}
-		t.PerOp[name] += d
-	}
-}
-
 // gravitySolveOp is the driver's LevelOperator realizing self-gravity:
 // the Poisson solve couples all grids of a level through sibling boundary
 // exchange, so it runs once per level step before the per-grid sweep. The
@@ -213,22 +197,21 @@ func (h *Hierarchy) EvolveLevel(level int, parentTime float64) {
 // engine (grids are independent once boundaries and taps are set; the
 // particle-lift pass mutates ancestors and runs serially afterwards, in
 // grid order — nothing stepped on a level reads an ancestor's particles).
+// Each grid step returns what it did; the operator times and work counters
+// are billed afterwards, in grid order.
 func (h *Hierarchy) stepLevelGrids(level int, dt float64) {
 	grids := h.Levels[level]
-	pipe := h.pipeline()
-	timings := make([]Timing, len(grids))
-	stats := make([]Stats, len(grids))
+	ops := h.pipeline().Ops()
+	spent := make([]time.Duration, len(grids)*len(ops))
+	stats := make([]physics.OpStats, len(grids))
 	h.forGrids(len(grids), func(i, inner int) {
-		// Each grid accumulates into a private shadow view (Cfg is copied
-		// by value); deltas merge in grid order afterwards.
-		sub := &Hierarchy{Cfg: h.Cfg, Levels: h.Levels, Time: h.Time, parity: h.parity, Physics: pipe}
-		sub.Cfg.Workers = inner
-		sub.stepGrid(grids[i], dt)
-		timings[i] = sub.Timing
-		stats[i] = sub.Stats
+		stats[i] = h.stepGrid(grids[i], dt, ops, inner, spent[i*len(ops):][:len(ops)])
 	})
 	for i, g := range grids {
-		h.Timing.mergeGridStep(timings[i])
+		// A level operator's slot stays zero: EvolveLevel billed it.
+		for k, op := range ops {
+			h.Timing.addOp(op.Name(), op.Component(), spent[i*len(ops)+k])
+		}
 		h.Stats.CellUpdates += stats[i].CellUpdates
 		h.Stats.ChemCellCalls += stats[i].ChemCellCalls
 		h.Stats.ParticleKicks += stats[i].ParticleKicks
@@ -236,15 +219,18 @@ func (h *Hierarchy) stepLevelGrids(level int, dt float64) {
 	}
 }
 
-// stepGrid advances one grid by dt by running the operator pipeline in
-// order (default: gravity half-kick, hydro sweep set, half-kick, particle
-// KDK, expansion drag, chemistry), billing each operator's wall-clock time
-// to its Timing component.
-func (h *Hierarchy) stepGrid(g *Grid, dt float64) {
+// stepGrid advances one grid by dt by running the per-grid operators in
+// pipeline order (default: gravity half-kick, hydro sweep set, half-kick,
+// particle KDK, expansion drag, chemistry) on the given workers. It writes
+// each operator's wall-clock time at its pipeline index in spent and
+// returns the grid's work counters; it writes nothing of h, so the grids
+// of a level step concurrently.
+func (h *Hierarchy) stepGrid(g *Grid, dt float64, ops []physics.Operator, workers int, spent []time.Duration) physics.OpStats {
 	ctx := h.physicsContext()
+	ctx.Workers = workers
 	var st physics.OpStats
 	view := h.gridView(g, &st)
-	for _, op := range h.pipeline().Ops() {
+	for k, op := range ops {
 		if _, level := op.(physics.LevelOperator); level {
 			// Level-wide work already ran (and was billed) in
 			// EvolveLevel's per-level stage.
@@ -252,12 +238,10 @@ func (h *Hierarchy) stepGrid(g *Grid, dt float64) {
 		}
 		t0 := time.Now()
 		op.Apply(&ctx, &view, dt)
-		h.Timing.addOp(op.Name(), op.Component(), time.Since(t0))
+		spent[k] = time.Since(t0)
 	}
-	h.Stats.CellUpdates += st.CellUpdates
-	h.Stats.ChemCellCalls += st.ChemCellCalls
-	h.Stats.ParticleKicks += st.ParticleKicks
 	g.Time += dt
+	return st
 }
 
 // ComputeTimestep returns the stable dt for a level: the minimum operator

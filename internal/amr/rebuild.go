@@ -323,11 +323,9 @@ func subtractBoxes(b clustering.Box, cuts []clustering.Box) []clustering.Box {
 				next = append(next, p)
 				continue
 			}
-			// Peel the slabs of p outside c off axis by axis, z first,
-			// so the largest pieces keep p's full x rows (the extent
-			// mesh.Prolongation.Fill walks); what is left of p at the
-			// end is in.
-			for d := 2; d >= 0; d-- {
+			// Peel the slabs of p outside c off axis by axis; what is
+			// left of p at the end is in.
+			for d := 0; d < 3; d++ {
 				if p.Lo[d] < in.Lo[d] {
 					s := p
 					s.Hi[d] = in.Lo[d]

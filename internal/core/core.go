@@ -123,7 +123,7 @@ func (s *Simulation) RunUntil(t float64, maxSteps int) int {
 	return steps
 }
 
-// StepInfo is the per-root-step progress record RunContext hands to its
+// StepInfo is the per-root-step progress record Run hands to its
 // observer (and the sim job service streams to watchers).
 type StepInfo struct {
 	Step     int     // 0-based index of the step just completed
@@ -131,17 +131,6 @@ type StepInfo struct {
 	Dt       float64 // timestep taken
 	MaxLevel int
 	NumGrids int
-}
-
-// RunContext advances up to maxSteps root steps, stopping early when the
-// simulation time reaches maxTime (0 = no time bound) or ctx is
-// cancelled; cancellation is observed between root steps, so the
-// hierarchy is always left in a consistent post-step state. observe, when
-// non-nil, is called after every completed step. Returns the number of
-// steps taken and ctx.Err() when cancellation cut the run short. It is
-// Run without the resume/checkpoint machinery.
-func (s *Simulation) RunContext(ctx context.Context, maxSteps int, maxTime float64, observe func(StepInfo)) (int, error) {
-	return s.Run(ctx, RunOpts{MaxSteps: maxSteps, MaxTime: maxTime, Observe: observe})
 }
 
 // RunOpts configures Run: the run bounds plus the two hooks the durable

@@ -9,7 +9,7 @@ import (
 	"repro/internal/problems"
 )
 
-func TestRunContext(t *testing.T) {
+func TestRunBoundsAndCancel(t *testing.T) {
 	mini := func(o *problems.Opts) { o.RootN = 8; o.MaxLevel = 0; o.Workers = 1 }
 
 	// Full run: takes exactly maxSteps and reports each one in order.
@@ -18,9 +18,9 @@ func TestRunContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seen []StepInfo
-	n, err := sim.RunContext(context.Background(), 3, 0, func(i StepInfo) { seen = append(seen, i) })
+	n, err := sim.Run(context.Background(), RunOpts{MaxSteps: 3, Observe: func(i StepInfo) { seen = append(seen, i) }})
 	if err != nil || n != 3 {
-		t.Fatalf("RunContext = %d,%v want 3,nil", n, err)
+		t.Fatalf("Run = %d,%v want 3,nil", n, err)
 	}
 	for i, info := range seen {
 		if info.Step != i || info.Dt <= 0 || info.NumGrids < 1 {
@@ -36,7 +36,7 @@ func TestRunContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err = sim2.RunContext(context.Background(), 1000, seen[0].Time, nil)
+	n, err = sim2.Run(context.Background(), RunOpts{MaxSteps: 1000, MaxTime: seen[0].Time})
 	if err != nil || n >= 1000 || sim2.H.Time < seen[0].Time {
 		t.Fatalf("maxTime bound: steps=%d err=%v t=%v", n, err, sim2.H.Time)
 	}
@@ -48,11 +48,11 @@ func TestRunContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	n, err = sim3.RunContext(ctx, 1000, 0, func(i StepInfo) {
+	n, err = sim3.Run(ctx, RunOpts{MaxSteps: 1000, Observe: func(i StepInfo) {
 		if i.Step == 1 {
 			cancel()
 		}
-	})
+	}})
 	if err != context.Canceled || n != 2 {
 		t.Fatalf("cancelled run = %d,%v want 2,context.Canceled", n, err)
 	}

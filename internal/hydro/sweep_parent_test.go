@@ -115,18 +115,30 @@ func TestTimestepMatchesParent(t *testing.T) {
 	}
 }
 
+// requireActiveSameBits compares every active cell of every field bit for
+// bit, and fails when fewer than half of a field's active cells are finite
+// on both sides: a NaN equals itself bitwise, so a state the NaNs have
+// overrun would pass while comparing nothing.
 func requireActiveSameBits(t *testing.T, what string, want, got *State) {
 	t.Helper()
 	gf := got.Fields()
 	for fi, f := range want.Fields() {
+		finite := 0
 		for k := 0; k < f.Nz; k++ {
 			for j := 0; j < f.Ny; j++ {
 				for i := 0; i < f.Nx; i++ {
-					if w, g := f.At(i, j, k), gf[fi].At(i, j, k); !sameBits(w, g) {
+					w, g := f.At(i, j, k), gf[fi].At(i, j, k)
+					if !sameBits(w, g) {
 						t.Fatalf("%s: field %d cell (%d,%d,%d): parent %x, got %x", what, fi, i, j, k, math.Float64bits(w), math.Float64bits(g))
+					}
+					if !math.IsNaN(w) && !math.IsInf(w, 0) {
+						finite++
 					}
 				}
 			}
+		}
+		if n := f.Nx * f.Ny * f.Nz; 2*finite < n {
+			t.Fatalf("%s: field %d: only %d of %d active cells finite", what, fi, finite, n)
 		}
 	}
 }

@@ -83,18 +83,10 @@ func CollectJobMetrics(stats amr.Stats, timing amr.Timing, wall time.Duration) J
 		EstimatedFlops: EstimateFlops(stats),
 	}
 	m.SustainedRate = SustainedRate(m.EstimatedFlops, m.WallSeconds)
-	comp := map[string]float64{
-		"hydrodynamics":       timing.Hydro.Seconds(),
-		"Poisson solver":      timing.Gravity.Seconds(),
-		"chemistry & cooling": timing.Chemistry.Seconds(),
-		"N-body":              timing.NBody.Seconds(),
-		"hierarchy rebuild":   timing.Rebuild.Seconds(),
-		"boundary conditions": timing.Boundary.Seconds(),
-		"other overhead":      timing.Other.Seconds(),
-	}
-	for k, v := range comp {
-		if v == 0 {
-			delete(comp, k)
+	comp := map[string]float64{}
+	for _, u := range usage(timing) {
+		if u.d != 0 {
+			comp[u.label] = u.d.Seconds()
 		}
 	}
 	if len(comp) > 0 {

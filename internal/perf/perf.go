@@ -33,6 +33,26 @@ type UsageRow struct {
 	Fraction  float64
 }
 
+// usageTime is one §5 row before normalisation: its label and seconds.
+type usageTime struct {
+	label string
+	d     time.Duration
+}
+
+// usage lists the §5 table's rows in the paper's order, each label with
+// the Timing field it reads. UsageTable and CollectJobMetrics both walk it.
+func usage(t amr.Timing) []usageTime {
+	return []usageTime{
+		{"hydrodynamics", t.Hydro},
+		{"Poisson solver", t.Gravity},
+		{"chemistry & cooling", t.Chemistry},
+		{"N-body", t.NBody},
+		{"hierarchy rebuild", t.Rebuild},
+		{"boundary conditions", t.Boundary},
+		{"other overhead", t.Other},
+	}
+}
+
 // UsageTable converts accumulated component timings into the paper's
 // fractional usage table, largest first.
 func UsageTable(t amr.Timing) []UsageRow {
@@ -40,14 +60,9 @@ func UsageTable(t amr.Timing) []UsageRow {
 	if total <= 0 {
 		return nil
 	}
-	rows := []UsageRow{
-		{"hydrodynamics", float64(t.Hydro) / float64(total)},
-		{"Poisson solver", float64(t.Gravity) / float64(total)},
-		{"chemistry & cooling", float64(t.Chemistry) / float64(total)},
-		{"N-body", float64(t.NBody) / float64(total)},
-		{"hierarchy rebuild", float64(t.Rebuild) / float64(total)},
-		{"boundary conditions", float64(t.Boundary) / float64(total)},
-		{"other overhead", float64(t.Other) / float64(total)},
+	var rows []UsageRow
+	for _, u := range usage(t) {
+		rows = append(rows, UsageRow{u.label, float64(u.d) / float64(total)})
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Fraction > rows[j].Fraction })
 	return rows

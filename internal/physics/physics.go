@@ -45,22 +45,6 @@ const (
 	CompOther
 )
 
-// String returns the component's usage-table label.
-func (c Component) String() string {
-	switch c {
-	case CompHydro:
-		return "hydro"
-	case CompGravity:
-		return "gravity"
-	case CompChemistry:
-		return "chemistry"
-	case CompNBody:
-		return "nbody"
-	default:
-		return "other"
-	}
-}
-
 // Context is the run-wide environment an operator sees: the physics
 // configuration of the run plus the worker budget the driver has assigned
 // to the grid being stepped. It is rebuilt (cheaply, by value) for every

@@ -203,7 +203,7 @@ func testAdmissionPaths(t *testing.T, reopen func() sim.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := direct.RunContext(t.Context(), 2, 0, nil); err != nil {
+	if _, err := direct.Run(t.Context(), core.RunOpts{MaxSteps: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if want := direct.H.ChecksumHex(); res.Hash != want {

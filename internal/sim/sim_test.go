@@ -33,7 +33,7 @@ func directHash(t *testing.T, req Request, slotWorkers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sm.RunContext(context.Background(), r.steps, r.maxTime, nil); err != nil {
+	if _, err := sm.Run(context.Background(), core.RunOpts{MaxSteps: r.steps, MaxTime: r.maxTime}); err != nil {
 		t.Fatal(err)
 	}
 	return sm.H.ChecksumHex()
