@@ -1,80 +1,101 @@
 package amr
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
+	"unsafe"
+
+	"repro/internal/ep128"
 )
 
 // Checksum returns a 64-bit FNV-1a digest of the hierarchy's complete
-// evolving state: the root time, every grid's placement and geometry, the
-// raw bits of every field (ghost zones included — boundary fills are
-// deterministic), and the particle sets with their extended-precision
-// positions. Two hierarchies that evolved through identical arithmetic
-// hash identically, so the digest is the equality test behind the golden
-// regression suite and the sim job cache: a changed bit anywhere in the
-// solution changes the checksum.
+// evolving state, as little-endian 64-bit words: the root time, the level
+// count, and per level its grid count and per grid its geometry (level,
+// Lo, extent, extended-precision edges, time) followed by the words of
+// Grid.Record — every field bit, ghost zones included (boundary fills are
+// deterministic), and the particle set with its extended-precision
+// positions. A snapshot record is that same word stream, so the cache key
+// and the restart cannot disagree about what a grid holds. Two
+// hierarchies that evolved through identical arithmetic hash identically,
+// so the digest is the equality test behind the golden regression suite
+// and the sim job cache: a changed bit anywhere in the solution changes
+// the checksum.
 //
 // Every kernel is bitwise identical at any worker count, the CIC deposit
 // included (it reduces fixed particle chunks in chunk order), so the
 // digest does not depend on Cfg.Workers.
 func (h *Hierarchy) Checksum() uint64 {
-	d := fnv.New64a()
-	var buf [8]byte
-	wf := func(v float64) {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		d.Write(buf[:])
-	}
-	wi := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		d.Write(buf[:])
-	}
-	wf(h.Time)
-	wi(int64(len(h.Levels)))
+	d := fnv64(14695981039346656037)
+	word := d.word
+	d.put(math.Float64bits(h.Time))
+	d.put(uint64(len(h.Levels)))
 	for _, lv := range h.Levels {
-		wi(int64(len(lv)))
+		d.put(uint64(len(lv)))
 		for _, g := range lv {
-			wi(int64(g.Level))
-			wi(int64(g.Lo[0]))
-			wi(int64(g.Lo[1]))
-			wi(int64(g.Lo[2]))
-			wi(int64(g.Nx))
-			wi(int64(g.Ny))
-			wi(int64(g.Nz))
-			for dim := 0; dim < 3; dim++ {
-				wf(g.Edge[dim].Hi)
-				wf(g.Edge[dim].Lo)
+			for _, v := range [...]int{g.Level, g.Lo[0], g.Lo[1], g.Lo[2], g.Nx, g.Ny, g.Nz} {
+				d.put(uint64(v))
 			}
-			wf(g.Time)
-			for _, f := range g.State.Fields() {
-				for _, v := range f.Data {
-					wf(v)
-				}
+			for _, v := range [...]float64{g.Edge[0].Hi, g.Edge[0].Lo, g.Edge[1].Hi, g.Edge[1].Lo, g.Edge[2].Hi, g.Edge[2].Lo, g.Time} {
+				d.put(math.Float64bits(v))
 			}
-			if g.Parts != nil {
-				wi(int64(g.Parts.Len()))
-				for i := 0; i < g.Parts.Len(); i++ {
-					wf(g.Parts.X[i].Hi)
-					wf(g.Parts.X[i].Lo)
-					wf(g.Parts.Y[i].Hi)
-					wf(g.Parts.Y[i].Lo)
-					wf(g.Parts.Z[i].Hi)
-					wf(g.Parts.Z[i].Lo)
-					wf(g.Parts.Vx[i])
-					wf(g.Parts.Vy[i])
-					wf(g.Parts.Vz[i])
-					wf(g.Parts.Mass[i])
-					wi(g.Parts.ID[i])
-				}
-			}
+			g.Record(word)
 		}
 	}
-	return d.Sum64()
+	return uint64(d)
 }
+
+// fnv64 is a running 64-bit FNV-1a digest.
+type fnv64 uint64
+
+// put hashes w's little-endian bytes.
+func (d *fnv64) put(w uint64) {
+	s := *d
+	for range 8 {
+		s = (s ^ fnv64(w&0xff)) * 1099511628211
+		w >>= 8
+	}
+	*d = s
+}
+
+// word hashes *w, as a Grid.Record visitor.
+func (d *fnv64) word(w *uint64) { d.put(*w) }
 
 // ChecksumHex renders Checksum as the fixed-width hex string committed in
 // golden files and returned by the sim job API.
 func (h *Hierarchy) ChecksumHex() string {
 	return fmt.Sprintf("%016x", h.Checksum())
 }
+
+// Record passes word a pointer to each 64-bit word of the grid's state, in
+// the one order both Checksum and a snapshot record use: every field slab,
+// ghost zones included, in hydro.State.Fields order; the particle count;
+// then one row per particle — X, Y, Z as (Hi, Lo) pairs, Vx, Vy, Vz, Mass,
+// ID. A word is its value's bits (float64 bits, int64 two's complement).
+// word may store through the pointer, which is how a reader restores a
+// grid: Record grows the particle set to the count word stores before it
+// visits the rows, so a grid allocated with an empty set is filled in one
+// pass. A column added to hydro.State or nbody.Particles joins the state
+// here, and so reaches the checksum and the checkpoint together.
+func (g *Grid) Record(word func(*uint64)) {
+	for _, f := range g.State.Fields() {
+		for i := range f.Data {
+			word(bits(&f.Data[i]))
+		}
+	}
+	p := g.Parts
+	n := uint64(p.Len())
+	word(&n)
+	for uint64(p.Len()) < n {
+		p.Add(ep128.Dd{}, ep128.Dd{}, ep128.Dd{}, 0, 0, 0, 0, 0)
+	}
+	for i := range p.Len() {
+		for _, v := range [...]*float64{&p.X[i].Hi, &p.X[i].Lo, &p.Y[i].Hi, &p.Y[i].Lo, &p.Z[i].Hi, &p.Z[i].Lo,
+			&p.Vx[i], &p.Vy[i], &p.Vz[i], &p.Mass[i]} {
+			word(bits(v))
+		}
+		word((*uint64)(unsafe.Pointer(&p.ID[i])))
+	}
+}
+
+// bits views a float64 as its IEEE-754 word.
+func bits(v *float64) *uint64 { return (*uint64)(unsafe.Pointer(v)) }

@@ -92,19 +92,7 @@ func (h *Hierarchy) pipeline() *physics.Pipeline {
 
 // physicsContext assembles the operator environment from the run config.
 func (h *Hierarchy) physicsContext() physics.Context {
-	c := &h.Cfg
-	return physics.Context{
-		Hydro:       c.Hydro,
-		Solver:      c.Solver,
-		SelfGravity: c.SelfGravity,
-		Chemistry:   c.Chemistry,
-		ChemParams:  c.ChemParams,
-		CoolParams:  c.CoolParams,
-		Units:       c.Units,
-		Cosmo:       c.Cosmo,
-		InitialA:    c.InitialA,
-		Workers:     c.Workers,
-	}
+	return physics.Context{Params: h.Cfg.Params, Workers: h.Cfg.Workers}
 }
 
 // gridView builds the per-grid operator view.

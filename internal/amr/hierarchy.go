@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/chem"
-	"repro/internal/cosmology"
 	"repro/internal/hydro"
 	"repro/internal/physics"
-	"repro/internal/units"
 )
 
 // Config assembles the physics and refinement configuration of a run.
@@ -17,13 +14,13 @@ type Config struct {
 	Refine   int // refinement factor r (integer, 2 or 4)
 	MaxLevel int // deepest level allowed (root = 0)
 
-	Hydro  hydro.Params
-	Solver hydro.Solver
+	// The physics the operators read: hydro scheme, gravity and chemistry
+	// switches, units and cosmology.
+	physics.Params
 
 	// Gravity.
-	SelfGravity bool
-	GravConst   float64 // coefficient C in ∇²φ = C (ρ-ρ̄) at the initial epoch
-	MeanRho     float64 // background (non-gravitating) total density
+	GravConst float64 // coefficient C in ∇²φ = C (ρ-ρ̄) at the initial epoch
+	MeanRho   float64 // background (non-gravitating) total density
 
 	// Refinement criteria (paper §3.2.3).
 	MassThresholdGas float64 // refine cell when gas mass exceeds this (0 disables)
@@ -38,17 +35,6 @@ type Config struct {
 	// in box units.
 	StaticLevels       int
 	StaticLo, StaticHi [3]float64
-
-	// Chemistry & cooling.
-	Chemistry  bool
-	ChemParams chem.SolverParams
-	CoolParams chem.CoolParams
-
-	// Cosmology: if set, the expansion factor is advanced alongside the
-	// simulation and comoving source terms are applied.
-	Cosmo    *cosmology.Background
-	InitialA float64
-	Units    units.Units
 
 	// DualEnergySpecies is the number of advected chemistry fields
 	// (chem.NumSpecies when Chemistry is on, else 0).
@@ -77,8 +63,7 @@ func DefaultConfig(rootN int) Config {
 		RootN:            rootN,
 		Refine:           2,
 		MaxLevel:         6,
-		Hydro:            hydro.DefaultParams(),
-		Solver:           hydro.SolverPPM,
+		Params:           physics.Params{Hydro: hydro.DefaultParams(), Solver: hydro.SolverPPM},
 		GravConst:        1,
 		MeanRho:          0,
 		MassThresholdGas: 0,

@@ -45,11 +45,11 @@ const (
 	CompOther
 )
 
-// Context is the run-wide environment an operator sees: the physics
-// configuration of the run plus the worker budget the driver has assigned
-// to the grid being stepped. It is rebuilt (cheaply, by value) for every
-// grid step, so operators must not retain it.
-type Context struct {
+// Params is the physics configuration of a run that operators read: the
+// hydro scheme, the gravity and chemistry switches with their parameters,
+// the unit system and the cosmology. amr.Config embeds it, so a run's
+// config says it once.
+type Params struct {
 	Hydro  hydro.Params
 	Solver hydro.Solver
 
@@ -59,9 +59,19 @@ type Context struct {
 	ChemParams chem.SolverParams
 	CoolParams chem.CoolParams
 
-	Units    units.Units
+	// Cosmology: if set, the expansion factor is advanced alongside the
+	// simulation and comoving source terms are applied.
 	Cosmo    *cosmology.Background
 	InitialA float64
+	Units    units.Units
+}
+
+// Context is the run-wide environment an operator sees: the physics
+// configuration of the run plus the worker budget the driver has assigned
+// to the grid being stepped. It is rebuilt (cheaply, by value) for every
+// grid step, so operators must not retain it.
+type Context struct {
+	Params
 
 	// Workers is the goroutine budget for this grid's kernels (par
 	// conventions: 0 = NumCPU, 1 = serial). When several grids of a

@@ -83,7 +83,7 @@ func newTestGrid(n int) *Grid {
 func TestHydroOpMatchesDirectCall(t *testing.T) {
 	// The operator is a pure relocation of the driver's inline call:
 	// results must be bitwise identical to driving hydro.Step3D directly.
-	ctx := &Context{Hydro: hydro.DefaultParams(), Solver: hydro.SolverPPM, Workers: 1}
+	ctx := &Context{Params: Params{Hydro: hydro.DefaultParams(), Solver: hydro.SolverPPM}, Workers: 1}
 	g := newTestGrid(8)
 	ref := g.State.Clone()
 
@@ -110,7 +110,7 @@ func TestHydroOpMatchesDirectCall(t *testing.T) {
 }
 
 func TestTimestepHooks(t *testing.T) {
-	ctx := &Context{Hydro: hydro.DefaultParams()}
+	ctx := &Context{Params: Params{Hydro: hydro.DefaultParams()}}
 	g := newTestGrid(8)
 
 	if got, want := NewHydro().Timestep(ctx, g), hydro.Timestep(g.State, g.Dx, ctx.Hydro); got != want {
@@ -142,7 +142,7 @@ func TestTimestepHooks(t *testing.T) {
 func TestGuardedOperatorsNoOp(t *testing.T) {
 	// Every operator must be inert when its physics is off, so a single
 	// pipeline can serve all registered problems.
-	ctx := &Context{Hydro: hydro.DefaultParams(), Workers: 1}
+	ctx := &Context{Params: Params{Hydro: hydro.DefaultParams()}, Workers: 1}
 	g := newTestGrid(6)
 	before := append([]float64(nil), g.State.Rho.Data...)
 	beforeVx := append([]float64(nil), g.State.Vx.Data...)

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/problems"
+	"repro/internal/snapshot"
 )
 
 // smallReq is a fast deterministic job for scheduler tests.
@@ -412,19 +413,19 @@ func TestEvictionPrefersFailures(t *testing.T) {
 	s.Cancel(running.ID)
 }
 
-// TestOldFormatCheckpointRebuilds: a checkpoint in the gzip+gob format of
-// snapshot versions 2 and 3, as an older build left it in a data
-// directory, cannot be read; the job rebuilds from its request to the
-// direct-run hash, and the unreadable checkpoint is reported through the
-// store error, not swallowed.
+// TestOldFormatCheckpointRebuilds: a checkpoint an older build left in a
+// data directory — the gzip+gob stream of snapshot versions 2 and 3, or a
+// version-4 stream — cannot be read; the job rebuilds from its request to
+// the direct-run hash, and the unreadable checkpoint is reported through
+// the store error, naming its format, not swallowed.
 func TestOldFormatCheckpointRebuilds(t *testing.T) {
 	req := Request{Problem: "sedov", RootN: 8, MaxLevel: Int(1), Steps: 3, Workers: 1}
 	r, err := resolve(req, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var old bytes.Buffer
-	zw := gzip.NewWriter(&old)
+	var gzipGob bytes.Buffer
+	zw := gzip.NewWriter(&gzipGob)
 	if err := gob.NewEncoder(zw).Encode(struct {
 		Version int
 		Problem string
@@ -432,31 +433,48 @@ func TestOldFormatCheckpointRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	zw.Close()
-	store := NewMemStore()
-	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1, Store: store})
-	defer s.Close()
-	if err := store.SaveCheckpoint(r.key(), 1, old.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	j, err := s.Submit(req)
+	sm, err := core.New(r.problem, func(o *problems.Opts) { *o = r.opts })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.ID != r.key() {
-		t.Fatalf("job %s, checkpoint stored under %s", j.ID, r.key())
-	}
-	res, err := j.Wait(context.Background())
+	format4, err := snapshot.Encode(sm.H, "sedov")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := directHash(t, req, 1); res.Hash != want {
-		t.Fatalf("hash %s, direct run %s", res.Hash, want)
-	}
-	if st := j.Status(); st.ResumedFrom != "" {
-		t.Fatalf("resumed from %q, want a rebuild", st.ResumedFrom)
-	}
-	_, _, storeErr := s.RecoverState()
-	if storeErr == nil || !strings.Contains(storeErr.Error(), "checkpoint unreadable") || !strings.Contains(storeErr.Error(), "gzip+gob") {
-		t.Fatalf("store error %v, want the unreadable old-format checkpoint", storeErr)
+	format4[len("repro snapshot\x00")] = 4
+	for _, old := range []struct {
+		name string
+		data []byte
+		says string
+	}{{"format 3", gzipGob.Bytes(), "gzip+gob"}, {"format 4", format4, "format-4"}} {
+		t.Run(old.name, func(t *testing.T) {
+			store := NewMemStore()
+			s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1, Store: store})
+			defer s.Close()
+			if err := store.SaveCheckpoint(r.key(), 1, old.data); err != nil {
+				t.Fatal(err)
+			}
+			j, err := s.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.ID != r.key() {
+				t.Fatalf("job %s, checkpoint stored under %s", j.ID, r.key())
+			}
+			res, err := j.Wait(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := directHash(t, req, 1); res.Hash != want {
+				t.Fatalf("hash %s, direct run %s", res.Hash, want)
+			}
+			if st := j.Status(); st.ResumedFrom != "" {
+				t.Fatalf("resumed from %q, want a rebuild", st.ResumedFrom)
+			}
+			_, _, storeErr := s.RecoverState()
+			if storeErr == nil || !strings.Contains(storeErr.Error(), "checkpoint unreadable") || !strings.Contains(storeErr.Error(), old.says) {
+				t.Fatalf("store error %v, want the unreadable %s checkpoint", storeErr, old.name)
+			}
+		})
 	}
 }

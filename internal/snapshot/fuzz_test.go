@@ -39,6 +39,12 @@ func frame(raw []byte) []byte {
 	return b.Bytes()
 }
 
+// rawOf inflates a framed record back to its raw bytes.
+func rawOf(rec []byte) []byte {
+	raw, _ := io.ReadAll(flate.NewReader(bytes.NewReader(rec[4:])))
+	return raw
+}
+
 // join lays out a stream from a header and framed records with no checks —
 // what a hostile or corrupted sender can put on the wire.
 func join(t testing.TB, hd *header, recs [][]byte) []byte {
@@ -114,6 +120,13 @@ var malformations = []struct {
 	// The grid table and the records disagree.
 	{"declared size shorter than inflated", func(hd *header, recs [][]byte) [][]byte { hd.Grids[1].Particles--; return recs }, nil},
 	{"declared size longer than inflated", func(hd *header, recs [][]byte) [][]byte { hd.Grids[1].Particles++; return recs }, nil},
+	{"record particle count ≠ grid table", func(hd *header, recs [][]byte) [][]byte {
+		raw := rawOf(recs[1])
+		at := 8 * hd.Grids[1].fieldWords()
+		binary.LittleEndian.PutUint64(raw[at:], binary.LittleEndian.Uint64(raw[at:])+1)
+		recs[1] = frame(raw)
+		return recs
+	}, nil},
 	{"fields for another extent", func(hd *header, recs [][]byte) [][]byte { hd.Grids[1].N[0] -= 2; return recs }, nil},
 	{"decompression bomb", func(_ *header, recs [][]byte) [][]byte { recs[1] = frame(make([]byte, 4<<20)); return recs }, nil},
 	{"CRC mismatch", func(_ *header, recs [][]byte) [][]byte { recs[1][0] ^= 1; return recs }, nil},

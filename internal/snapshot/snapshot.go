@@ -3,17 +3,17 @@
 // run was restarted with additional static levels after the low-resolution
 // pass, and outputs in the 2-4 GB range fed the analysis tools of §6).
 //
-// Format 4 is the magic "repro snapshot\x00", a version byte, a
+// Format 5 is the magic "repro snapshot\x00", a version byte, a
 // uvarint-length-prefixed gob header — problem name, amr.Config (Workers
 // stored as 0: a knob of the process, not state), root time, Strang parity
 // and the grid table (per grid: level, Lo, extent, extended-precision
 // edges, time, parent record, field and particle counts) — then one
 // uvarint-length-prefixed record per grid in hierarchy order: the CRC-32C
 // of the grid's raw record (4 bytes, little-endian) and the raw record
-// deflated on its own at BestSpeed. A raw record is little-endian 64-bit
-// words: the field slabs in hydro.State.Fields order, ghost zones included
-// (Checksum hashes them), then the particles' X, Y, Z (high, low pairs),
-// Vx, Vy, Vz, Mass and ID columns. Records are deflated in parallel but
+// deflated on its own at BestSpeed. A raw record is the words of
+// amr.Grid.Record, little-endian — the stream Checksum hashes after the
+// grid's geometry: the field slabs, ghost zones included, the particle
+// count, then the particle rows. Records are deflated in parallel but
 // concatenated in order, so the bytes do not depend on the worker count;
 // edges and positions are exact, so a restart reproduces the run bit for
 // bit, and needs no caller-supplied config (the restart-with-more-levels
@@ -24,10 +24,11 @@
 // level's domain, the parent links as a level tree with each child inside
 // its parent's refined box, and every record length against the input.
 // Each record inflates into scratch that grows only with the bytes it
-// produces, never past its declared size plus one; the exact size and the
-// CRC are checked before the grid is allocated. Read thus allocates at
-// most a fixed amount, a small multiple of the input and of the bytes it
-// inflated, and a few hundred bytes per grid-table entry.
+// produces, never past its declared size plus one; the exact size, the
+// CRC and the record's particle count are checked against the grid table
+// before the grid is allocated. Read thus allocates at most a fixed
+// amount, a small multiple of the input and of the bytes it inflated, and
+// a few hundred bytes per grid-table entry.
 package snapshot
 
 import (
@@ -43,7 +44,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"unsafe"
 
 	"repro/internal/amr"
 	"repro/internal/ep128"
@@ -53,17 +53,27 @@ import (
 )
 
 // FormatVersion is the version byte after the magic. Versions 2 and 3 were
-// one gob message behind gzip, and Read refuses them by name.
-const FormatVersion = 4
+// one gob message behind gzip; version 4 listed a grid's columns apart from
+// Checksum and gob'd the config flat. Read refuses all three by name.
+const FormatVersion = 5
 
 const (
 	magic          = "repro snapshot\x00"
 	baseFields     = 6       // hydro.State's fields before the species
-	particleWords  = 11      // X, Y, Z as two words each, Vx, Vy, Vz, Mass, ID
 	maxRecordWords = 1 << 40 // so no record size computation overflows
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// rowWords is the words amr.Grid.Record spends per particle, counted once
+// off a one-cell grid holding one particle.
+var rowWords = func() int {
+	g := amr.NewGrid(0, [3]int{}, 1, 1, 1, 4, 2, 0)
+	g.Parts.Add(ep128.Dd{}, ep128.Dd{}, ep128.Dd{}, 0, 0, 0, 0, 0)
+	n := 0
+	g.Record(func(*uint64) { n++ })
+	return n - len(g.State.Fields())*len(g.State.Rho.Data) - 1
+}()
 
 type header struct {
 	Problem string
@@ -82,11 +92,15 @@ type gridHead struct {
 	Fields, Particles int
 }
 
-// size returns the byte count of the grid's raw record.
-func (g *gridHead) size() int {
+// fieldWords returns the words of the grid's field slabs, which precede
+// the particle count in its raw record.
+func (g *gridHead) fieldWords() int {
 	p := 2 * hydro.NGhost
-	return 8 * (g.Fields*(g.N[0]+p)*(g.N[1]+p)*(g.N[2]+p) + particleWords*g.Particles)
+	return g.Fields * (g.N[0] + p) * (g.N[1] + p) * (g.N[2] + p)
 }
+
+// size returns the byte count of the grid's raw record.
+func (g *gridHead) size() int { return 8 * (g.fieldWords() + 1 + rowWords*g.Particles) }
 
 // Encode serializes the hierarchy to an in-memory snapshot: the sim job
 // service's "snapshot" product and checkpoints, replica PUTs, Save.
@@ -149,7 +163,11 @@ func Read(r io.Reader) (*amr.Hierarchy, string, error) {
 	errs := make([]error, len(recs))
 	forRecords(0, len(recs), func(c *coder, i int) {
 		gh := &hd.Grids[i]
-		if err := c.inflate(recs[i], gh.size()); err != nil {
+		err := c.inflate(recs[i], gh.size())
+		if err == nil && binary.LittleEndian.Uint64(c.raw[8*gh.fieldWords():]) != uint64(gh.Particles) {
+			err = errors.New("the record's particle count differs from the grid table's")
+		}
+		if err != nil {
 			errs[i] = fmt.Errorf("snapshot: grid %d: %w", i, err)
 			return
 		}
@@ -159,7 +177,9 @@ func Read(r io.Reader) (*amr.Hierarchy, string, error) {
 		} else {
 			grids[i] = amr.NewGrid(gh.Level, gh.Lo, gh.N[0], gh.N[1], gh.N[2], cfg.RootN, cfg.Refine, cfg.NSpecies)
 		}
-		gh.restore(grids[i], c.raw)
+		g, raw := grids[i], c.raw
+		g.Time, g.Edge, g.Parts = gh.Time, gh.Edge, nbody.New(gh.Particles)
+		g.Record(func(w *uint64) { *w, raw = binary.LittleEndian.Uint64(raw), raw[8:] })
 	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, "", err
@@ -182,10 +202,13 @@ func Read(r io.Reader) (*amr.Hierarchy, string, error) {
 // rest of the stream, each inside the input and nothing after the last.
 func parse(data []byte) (*header, [][]byte, error) {
 	if !bytes.HasPrefix(data, append([]byte(magic), FormatVersion)) {
-		if bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
-			return nil, nil, errors.New("snapshot: a gzip+gob stream (format 2 or 3) is not readable; this build reads format 4 only")
+		switch {
+		case bytes.HasPrefix(data, []byte{0x1f, 0x8b}):
+			return nil, nil, errors.New("snapshot: a gzip+gob stream (format 2 or 3) is not readable; this build reads format 5 only")
+		case bytes.HasPrefix(data, []byte(magic+"\x04")):
+			return nil, nil, errors.New("snapshot: a format-4 stream is not readable; this build reads format 5 only")
 		}
-		return nil, nil, errors.New("snapshot: not a format-4 snapshot stream")
+		return nil, nil, errors.New("snapshot: not a format-5 snapshot stream")
 	}
 	hb, data, err := chunk(data[len(magic)+1:])
 	var hd header
@@ -245,7 +268,7 @@ func (hd *header) validate() error {
 			ok = ok && n > 0 && g.Lo[d] >= 0 && n <= domain && g.Lo[d] <= domain-n && (i > 0 || n == domain)
 			words *= float64(n + 2*hydro.NGhost)
 		}
-		if !ok || g.Fields != baseFields+cfg.NSpecies || g.Particles < 0 || words+particleWords*float64(g.Particles) > maxRecordWords {
+		if !ok || g.Fields != baseFields+cfg.NSpecies || g.Particles < 0 || words+1+float64(rowWords)*float64(g.Particles) > maxRecordWords {
 			return fmt.Errorf("grid %d (level %d, extent %v at %v, %d fields, %d particles) does not fit the config",
 				i, g.Level, g.N, g.Lo, g.Fields, g.Particles)
 		}
@@ -259,33 +282,6 @@ func (hd *header) validate() error {
 		}
 	}
 	return nil
-}
-
-// columns lists g's raw record in order: the field slabs, then the
-// particle columns, positions viewed as their (Hi, Lo) float64 pairs.
-func columns(g *amr.Grid) []any {
-	var cols []any
-	for _, f := range g.State.Fields() {
-		cols = append(cols, f.Data)
-	}
-	p := g.Parts
-	for _, xs := range [][]ep128.Dd{p.X, p.Y, p.Z} {
-		cols = append(cols, unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(xs))), 2*len(xs)))
-	}
-	return append(cols, p.Vx, p.Vy, p.Vz, p.Mass, p.ID)
-}
-
-// restore fills g, freshly allocated from this entry, from its verified
-// raw record.
-func (gh *gridHead) restore(g *amr.Grid, raw []byte) {
-	g.Time, g.Edge = gh.Time, gh.Edge
-	n := gh.Particles
-	g.Parts = &nbody.Particles{X: make([]ep128.Dd, n), Y: make([]ep128.Dd, n), Z: make([]ep128.Dd, n),
-		Vx: make([]float64, n), Vy: make([]float64, n), Vz: make([]float64, n), Mass: make([]float64, n), ID: make([]int64, n)}
-	for _, col := range columns(g) {
-		k, _ := binary.Decode(raw, binary.LittleEndian, col) // sizes were checked
-		raw = raw[k:]
-	}
 }
 
 // coder is one worker's deflate writer (about 1 MB of tables) and reader,
@@ -336,9 +332,7 @@ func forRecords(workers, n int, fn func(c *coder, i int)) {
 // then the raw record deflated.
 func (c *coder) deflate(g *amr.Grid, size int) []byte {
 	c.raw = slices.Grow(c.raw[:0], size)
-	for _, col := range columns(g) {
-		c.raw, _ = binary.Append(c.raw, binary.LittleEndian, col) // fixed-size columns cannot fail
-	}
+	g.Record(func(w *uint64) { c.raw = binary.LittleEndian.AppendUint64(c.raw, *w) })
 	c.out.Reset()
 	c.out.Write(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(c.raw, castagnoli)))
 	c.zw.Reset(&c.out)

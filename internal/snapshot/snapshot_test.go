@@ -218,6 +218,14 @@ func TestOldFormatRefusedByName(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "gzip+gob") || !strings.Contains(err.Error(), "format 2 or 3") {
 		t.Fatalf("a format-3 stream: %v, want the named-format refusal", err)
 	}
+	// A format-4 stream shared the magic; only its version byte differs
+	// from a stream this build writes.
+	h, _ := buildHierarchy(t)
+	data := encode(t, h, "")
+	data[len(magic)] = 4
+	if _, _, err := Read(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "format-4") {
+		t.Fatalf("a format-4 stream: %v, want the named-format refusal", err)
+	}
 }
 
 func TestVersionMismatchRejected(t *testing.T) {
