@@ -102,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzParseOutputRequest$$' -fuzztime 15s ./internal/analysis
 	$(GO) test -run xxx -fuzz '^FuzzParseKnobs$$' -fuzztime 15s ./internal/problems
 	$(GO) test -run xxx -fuzz '^FuzzCostEstimate$$' -fuzztime 15s ./internal/sim/costmodel
+	$(GO) test -run xxx -fuzz '^FuzzResolveRequest$$' -fuzztime 15s ./internal/sim
 
 clean:
 	$(GO) clean ./...

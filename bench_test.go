@@ -460,11 +460,9 @@ func BenchmarkFig2WCycle(b *testing.B) {
 // --- Figure 3: zoom slice frames about the densest point. ---
 
 func BenchmarkFig3ZoomSlices(b *testing.B) {
-	opts := problems.DefaultCollapseOpts()
-	opts.RootN = 16
-	opts.MaxLevel = 3
-	opts.Chemistry = false
-	sim, err := core.NewPrimordialCollapse(opts)
+	sim, err := core.New("collapse", func(o *problems.Opts) {
+		o.RootN, o.MaxLevel, o.Chemistry = 16, 3, false
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -491,10 +489,7 @@ func BenchmarkFig3ZoomSlices(b *testing.B) {
 
 func BenchmarkFig4RadialProfiles(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		opts := problems.DefaultCollapseOpts()
-		opts.RootN = 16
-		opts.MaxLevel = 4
-		sim, err := core.NewPrimordialCollapse(opts)
+		sim, err := core.New("collapse", func(o *problems.Opts) { o.RootN, o.MaxLevel = 16, 4 })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -526,11 +521,9 @@ func BenchmarkFig4RadialProfiles(b *testing.B) {
 
 func BenchmarkFig5HierarchyGrowth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		opts := problems.DefaultCollapseOpts()
-		opts.RootN = 16
-		opts.MaxLevel = 4
-		opts.Chemistry = false
-		sim, err := core.NewPrimordialCollapse(opts)
+		sim, err := core.New("collapse", func(o *problems.Opts) {
+			o.RootN, o.MaxLevel, o.Chemistry = 16, 4, false
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -554,10 +547,7 @@ func BenchmarkFig5HierarchyGrowth(b *testing.B) {
 
 func BenchmarkTableComponentUsage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		opts := problems.DefaultCollapseOpts()
-		opts.RootN = 16
-		opts.MaxLevel = 3
-		sim, err := core.NewPrimordialCollapse(opts)
+		sim, err := core.New("collapse", func(o *problems.Opts) { o.RootN, o.MaxLevel = 16, 3 })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -573,11 +563,9 @@ func BenchmarkTableComponentUsage(b *testing.B) {
 
 func BenchmarkTableFlopRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		opts := problems.DefaultCollapseOpts()
-		opts.RootN = 16
-		opts.MaxLevel = 3
-		opts.Chemistry = false
-		sim, err := core.NewPrimordialCollapse(opts)
+		sim, err := core.New("collapse", func(o *problems.Opts) {
+			o.RootN, o.MaxLevel, o.Chemistry = 16, 3, false
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -636,12 +624,10 @@ func BenchmarkAblationSolverComparison(b *testing.B) {
 	for _, solver := range []hydro.Solver{hydro.SolverPPM, hydro.SolverFD} {
 		b.Run(solver.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opts := problems.DefaultCollapseOpts()
-				opts.RootN = 16
-				opts.MaxLevel = 3
-				opts.Chemistry = false
-				opts.Solver = solver
-				sim, err := core.NewPrimordialCollapse(opts)
+				sim, err := core.New("collapse", func(o *problems.Opts) {
+					o.RootN, o.MaxLevel, o.Chemistry = 16, 3, false
+					o.Solver = solver.String()
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -663,15 +649,15 @@ func BenchmarkAblationJeansN(b *testing.B) {
 	for _, nj := range []float64{4, 6, 8} {
 		b.Run(fmt.Sprintf("NJ%.0f", nj), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opts := problems.DefaultCollapseOpts()
-				opts.RootN = 16
-				opts.MaxLevel = 2
-				opts.Chemistry = false
-				opts.JeansN = nj
-				sim, err := core.NewPrimordialCollapse(opts)
+				sim, err := core.New("collapse", func(o *problems.Opts) {
+					o.RootN, o.MaxLevel, o.Chemistry = 16, 2, false
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
+				// N_J is no knob: re-refine the initial state under it.
+				sim.H.Cfg.JeansN = nj
+				sim.H.RebuildHierarchy(1)
 				sim.RunSteps(4)
 				_, peak := analysis.DensestPoint(sim.H)
 				b.ReportMetric(peak, "peak-density")
@@ -688,16 +674,15 @@ func BenchmarkAblationStaticLevels(b *testing.B) {
 	for _, lv := range []int{2, 3} {
 		b.Run(fmt.Sprintf("static%d", lv), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				h, _, err := problems.CosmologicalZoom(problems.ZoomOpts{
-					RootN: 8, StaticLevels: lv, MaxLevel: lv, Seed: 42,
+				sim, err := core.New("zoom", func(o *problems.Opts) {
+					o.RootN, o.MaxLevel, o.Chemistry, o.Seed = 8, lv, false, 42
+					o.Extra["staticlevels"] = float64(lv)
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				for s := 0; s < 2; s++ {
-					h.Step()
-				}
-				_, peak := analysis.DensestPoint(h)
+				sim.RunSteps(2)
+				_, peak := analysis.DensestPoint(sim.H)
 				b.ReportMetric(peak, "peak-density")
 			}
 		})

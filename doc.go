@@ -23,16 +23,20 @@
 // problems.Register call makes a scenario available to the enzogo CLI
 // (-problem name, listed by -list), core.New, the table-driven smoke
 // tests and the CI problem matrix. A Spec carries a one-line summary,
-// the problem's default Opts, and a builder from Opts to an initialized
-// hierarchy:
+// the problem's default Opts, a table of its problem-specific knobs and a
+// builder from Opts to an initialized hierarchy:
 //
 //	problems.Register(problems.Spec{
 //		Name:     "blob",
 //		Summary:  "dense cloud crushed by a supersonic wind",
 //		Defaults: problems.Opts{RootN: 32, MaxLevel: 2},
+//		Knobs: map[string]problems.Knob{
+//			"chi":  {Doc: "cloud-to-wind density contrast", Default: 10},
+//			"mach": {Doc: "wind Mach number", Default: 3},
+//		},
 //		Build: func(o problems.Opts) (*amr.Hierarchy, error) {
 //			cfg := amr.DefaultConfig(o.RootN)
-//			// ... fill the root grid's fields ...
+//			// ... fill the root grid's fields from o.Extra["chi"] ...
 //			h, err := amr.NewHierarchy(cfg)
 //			// ...
 //			h.RebuildHierarchy(1)
@@ -40,8 +44,13 @@
 //		},
 //	})
 //
-// Problem-specific numeric knobs go in Opts.Extra (bound to repeated
-// "-p key=value" CLI flags) and are read with o.ExtraOr(key, default).
+// A knob is declared once, with its default, in Knobs; its value arrives
+// in Opts.Extra (bound to repeated "-p key=value" CLI flags and to a job
+// request's "knobs"). Build rejects a key the table does not declare, and
+// hands the builder an Extra holding every declared knob, unset ones at
+// their Default, so a builder reads o.Extra[key] directly. The table is
+// also the catalog: `enzogo -list -long` and GET /problems print each
+// knob as "doc (default d)".
 //
 // # Registering a new physics operator
 //

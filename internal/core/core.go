@@ -4,7 +4,7 @@
 //
 // Typical use:
 //
-//	sim, err := core.NewPrimordialCollapse(core.CollapseOptions{})
+//	sim, err := core.New("collapse", func(o *problems.Opts) { o.Extra["delta"] = 60 })
 //	sim.RunSteps(50)
 //	profile, _ := sim.RadialProfileAtPeak(24)
 //	fmt.Println(sim.UsageTable())
@@ -46,9 +46,10 @@ func New(name string, mutate ...func(*problems.Opts)) (*Simulation, error) {
 		return nil, fmt.Errorf("core: unknown problem %q (registered: %v)", name, problems.Names())
 	}
 	o := spec.Defaults
-	// Detach the Extra map so mutators cannot write through into the
-	// registry's shared defaults.
-	o.Extra = maps.Clone(o.Extra)
+	// A fresh Extra map: mutators can set knobs without a nil check and
+	// cannot write through into the registry's shared defaults.
+	o.Extra = map[string]float64{}
+	maps.Copy(o.Extra, spec.Defaults.Extra)
 	for _, m := range mutate {
 		m(&o)
 	}
@@ -68,33 +69,6 @@ type StructureSample struct {
 	WorkPer   []float64
 	PeakRho   float64
 	Expansion float64 // a, when cosmological
-}
-
-// CollapseOptions re-exports the primordial-collapse configuration.
-type CollapseOptions = problems.CollapseOpts
-
-// NewPrimordialCollapse builds the headline simulation with the full
-// problem-specific option set. Zero-valued options are filled with the
-// defaults of DefaultCollapseOpts. Prefer New("collapse", ...) when the
-// registry knobs suffice.
-func NewPrimordialCollapse(o CollapseOptions) (*Simulation, error) {
-	def := problems.DefaultCollapseOpts()
-	if o.RootN == 0 {
-		o = def
-	}
-	h, err := problems.PrimordialCollapse(o)
-	if err != nil {
-		return nil, err
-	}
-	return &Simulation{H: h, Problem: "collapse"}, nil
-}
-
-// NewSedov builds the Sedov blast validation problem.
-func NewSedov(rootN, maxLevel int, e0 float64) (*Simulation, error) {
-	return New("sedov", func(o *problems.Opts) {
-		o.RootN, o.MaxLevel = rootN, maxLevel
-		o.Extra["e0"] = e0
-	})
 }
 
 // Step advances one root timestep and records a structure sample.

@@ -92,8 +92,36 @@ func TestNewUsesSpecDefaults(t *testing.T) {
 	}
 }
 
+func TestNewMutatorSetsKnob(t *testing.T) {
+	// coolsphere's defaults spell no knob, so the mutator's Extra must
+	// still be a map it can write.
+	mini := func(o *problems.Opts) { o.RootN, o.MaxLevel = 8, 0 }
+	base, err := New("coolsphere", mini)
+	if err != nil {
+		t.Fatal(err)
+	}
+	denser, err := New("coolsphere", mini, func(o *problems.Opts) { o.Extra["delta"] = 30 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.H.ChecksumHex() == denser.H.ChecksumHex() {
+		t.Fatal("the delta knob did not reach the build")
+	}
+	if spec, _ := problems.Get("coolsphere"); len(spec.Defaults.Extra) != 0 {
+		t.Fatalf("a mutator wrote into the registry's defaults: %v", spec.Defaults.Extra)
+	}
+}
+
+// newSedov builds the Sedov blast at the given size and energy.
+func newSedov(rootN, maxLevel int, e0 float64) (*Simulation, error) {
+	return New("sedov", func(o *problems.Opts) {
+		o.RootN, o.MaxLevel = rootN, maxLevel
+		o.Extra["e0"] = e0
+	})
+}
+
 func TestSedovSimulation(t *testing.T) {
-	sim, err := NewSedov(16, 1, 5.0)
+	sim, err := newSedov(16, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +147,7 @@ func TestSedovSimulation(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	sim, err := NewSedov(16, 0, 5.0)
+	sim, err := newSedov(16, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +161,7 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestRadialProfileAtPeak(t *testing.T) {
-	sim, err := NewSedov(16, 1, 10.0)
+	sim, err := newSedov(16, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +176,7 @@ func TestRadialProfileAtPeak(t *testing.T) {
 }
 
 func TestZoomFrames(t *testing.T) {
-	sim, err := NewSedov(16, 1, 10.0)
+	sim, err := newSedov(16, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,18 +196,5 @@ func TestZoomFrames(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestCollapseOptionsDefaulting(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the full chemistry problem")
-	}
-	sim, err := NewPrimordialCollapse(CollapseOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.H.Cfg.RootN != 16 || !sim.H.Cfg.Chemistry {
-		t.Fatalf("defaults not applied: %+v", sim.H.Cfg.RootN)
 	}
 }

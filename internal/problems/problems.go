@@ -7,7 +7,6 @@
 package problems
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/amr"
@@ -15,19 +14,19 @@ import (
 	"repro/internal/chem"
 	"repro/internal/cosmology"
 	"repro/internal/ep128"
-	"repro/internal/hydro"
 	"repro/internal/units"
 )
 
-// Sedov sets up a point explosion in a cold uniform medium: energy e0
+// sedov sets up a point explosion in a cold uniform medium: energy e0
 // deposited in the central cells of a unit box with density 1. The blast
 // radius grows as (E t²/ρ)^{1/5}, exercising the hydro solvers and dynamic
 // refinement on shocks.
-func Sedov(rootN, maxLevel int, e0 float64) (*amr.Hierarchy, error) {
+func sedov(o Opts) (*amr.Hierarchy, error) {
+	rootN := o.RootN
 	cfg := amr.DefaultConfig(rootN)
 	cfg.SelfGravity = false
 	cfg.JeansN = 0
-	cfg.MaxLevel = maxLevel
+	cfg.MaxLevel = o.MaxLevel
 	// Refine on the blast: cells above ~2x ambient mass.
 	cfg.MassThresholdGas = 1.5 / float64(rootN*rootN*rootN)
 	h, err := amr.NewHierarchy(cfg)
@@ -45,7 +44,7 @@ func Sedov(rootN, maxLevel int, e0 float64) (*amr.Hierarchy, error) {
 	c := rootN / 2
 	// Deposit e0 into the central 2^3 cells.
 	cellVol := root.CellVolume()
-	per := e0 / (8 * cellVol) // energy density per cell -> specific for rho=1
+	per := o.Extra["e0"] / (8 * cellVol) // energy density per cell -> specific for rho=1
 	for k := c - 1; k <= c; k++ {
 		for j := c - 1; j <= c; j++ {
 			for i := c - 1; i <= c; i++ {
@@ -78,30 +77,15 @@ func ShockRadius(h *amr.Hierarchy) float64 {
 	return best
 }
 
-// PancakeOpts configures the Zel'dovich pancake test.
-type PancakeOpts struct {
-	RootN     int
-	ACollapse float64 // expansion factor at caustic formation
-	AStart    float64
-}
-
-// Pancake builds the classic 1-D Zel'dovich pancake in a 3-D periodic box:
+// pancake builds the classic 1-D Zel'dovich pancake in a 3-D periodic box:
 // a single sinusoidal perturbation mode that collapses to a caustic at
-// a = ACollapse, with gas and matching dark-matter particles. The standard
+// a = acollapse, with gas and matching dark-matter particles. The standard
 // cosmological validation problem of the original code.
-func Pancake(o PancakeOpts) (*amr.Hierarchy, error) {
-	if o.RootN == 0 {
-		o.RootN = 32
-	}
-	if o.ACollapse == 0 {
-		o.ACollapse = 0.2
-	}
-	if o.AStart == 0 {
-		o.AStart = 0.05
-	}
+func pancake(o Opts) (*amr.Hierarchy, error) {
+	aStart := o.Extra["astart"]
 	p := cosmology.StandardCDM()
-	bg := cosmology.NewBackground(p, o.AStart)
-	u := units.Cosmological(units.MpcCM, p.OmegaM, 0.5, o.AStart)
+	bg := cosmology.NewBackground(p, aStart)
+	u := units.Cosmological(units.MpcCM, p.OmegaM, 0.5, aStart)
 
 	cfg := amr.DefaultConfig(o.RootN)
 	cfg.SelfGravity = true
@@ -109,9 +93,9 @@ func Pancake(o PancakeOpts) (*amr.Hierarchy, error) {
 	cfg.MeanRho = 1
 	cfg.JeansN = 0
 	cfg.MassThresholdGas = 4.0 / float64(o.RootN*o.RootN*o.RootN)
-	cfg.MaxLevel = 2
+	cfg.MaxLevel = o.MaxLevel
 	cfg.Cosmo = bg
-	cfg.InitialA = o.AStart
+	cfg.InitialA = aStart
 	cfg.Units = u
 	cfg.Hydro.CFL = 0.3
 	h, err := amr.NewHierarchy(cfg)
@@ -124,11 +108,11 @@ func Pancake(o PancakeOpts) (*amr.Hierarchy, error) {
 
 	// Zel'dovich: x = q + D/D(ac) * sin(2πq)/2π (normalized so the
 	// caustic forms when D(a)=D(ac)), with growing-mode velocities.
-	dNow := p.GrowthFactor(o.AStart)
-	dCol := p.GrowthFactor(o.ACollapse)
+	dNow := p.GrowthFactor(aStart)
+	dCol := p.GrowthFactor(o.Extra["acollapse"])
 	amp := dNow / dCol
-	hub := p.Hubble(o.AStart)
-	f := p.GrowthRate(o.AStart)
+	hub := p.Hubble(aStart)
+	f := p.GrowthRate(aStart)
 	// Gas: Eulerian density from the Zel'dovich map, velocities from ψ.
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
@@ -166,74 +150,37 @@ func Pancake(o PancakeOpts) (*amr.Hierarchy, error) {
 	return h, nil
 }
 
-// CollapseOpts configures the scaled primordial star formation problem.
-type CollapseOpts struct {
-	RootN     int
-	MaxLevel  int
-	Chemistry bool
-	Workers   int
-	// Overdensity of the central clump relative to the mean.
-	Delta float64
-	// Initial gas temperature [K].
-	TInit float64
-	// Redshift of the run (sets CMB floor and unit conversions).
-	Redshift float64
-	// BoxComovingKpc is the comoving box side [kpc]; the paper used 256.
-	BoxComovingKpc float64
-	Solver         hydro.Solver
-	JeansN         float64
-}
-
-// DefaultCollapseOpts returns the laptop-scale configuration used by the
-// benchmarks: a 5×10⁵ M⊙-class halo in a small comoving box at z≈19,
-// mirroring the state of the paper's Fig. 4 first output time.
-func DefaultCollapseOpts() CollapseOpts {
-	return CollapseOpts{
-		RootN:          16,
-		MaxLevel:       5,
-		Chemistry:      true,
-		Delta:          40,
-		TInit:          800,
-		Redshift:       19,
-		BoxComovingKpc: 160,
-		Solver:         hydro.SolverPPM,
-		JeansN:         4,
-	}
-}
-
-// PrimordialCollapse sets up the headline problem: a cool primordial gas
+// primordialCollapse sets up the headline problem: a cool primordial gas
 // clump with trace ionization inside a dark-matter overdensity, in
 // comoving coordinates with the full 12-species chemistry. The collapse
 // drives progressive refinement exactly as in the paper, at reduced
-// dynamic range.
-func PrimordialCollapse(o CollapseOpts) (*amr.Hierarchy, error) {
-	if o.RootN == 0 {
-		return nil, fmt.Errorf("problems: zero RootN")
-	}
+// dynamic range. The default knobs make a 5×10⁵ M⊙-class halo in a
+// small comoving box at z≈19, mirroring the state of the paper's Fig. 4
+// first output time.
+func primordialCollapse(o Opts) (*amr.Hierarchy, error) {
+	delta, redshift := o.Extra["delta"], o.Extra["redshift"]
 	p := cosmology.StandardCDM()
-	a0 := cosmology.AofZ(o.Redshift)
+	a0 := cosmology.AofZ(redshift)
 	bg := cosmology.NewBackground(p, a0)
-	u := units.Cosmological(o.BoxComovingKpc*units.KpcCM, p.OmegaM, 0.5, a0)
+	u := units.Cosmological(o.Extra["boxkpc"]*units.KpcCM, p.OmegaM, 0.5, a0)
 
 	cfg := amr.DefaultConfig(o.RootN)
 	cfg.SelfGravity = true
 	cfg.GravConst = 1
 	cfg.MeanRho = 1
-	cfg.JeansN = o.JeansN
+	cfg.JeansN = 4
 	cfg.MassThresholdGas = 4.0 * (p.OmegaB / p.OmegaM) / float64(o.RootN*o.RootN*o.RootN)
 	cfg.MassThresholdDM = 4.0 * (1 - p.OmegaB/p.OmegaM) / float64(o.RootN*o.RootN*o.RootN)
 	cfg.MaxLevel = o.MaxLevel
-	cfg.Solver = o.Solver
 	cfg.Cosmo = bg
 	cfg.InitialA = a0
 	cfg.Units = u
-	cfg.Workers = o.Workers
 	cfg.Hydro.CFL = 0.3
 	if o.Chemistry {
 		cfg.Chemistry = true
 		cfg.NSpecies = chem.NumSpecies
 		cfg.ChemParams = chem.DefaultSolverParams()
-		cfg.CoolParams = chem.CoolParams{Redshift: o.Redshift}
+		cfg.CoolParams = chem.CoolParams{Redshift: redshift}
 	}
 	h, err := amr.NewHierarchy(cfg)
 	if err != nil {
@@ -242,9 +189,9 @@ func PrimordialCollapse(o CollapseOpts) (*amr.Hierarchy, error) {
 	root := h.Root()
 	n := o.RootN
 	fb := p.OmegaB / p.OmegaM
-	eint := u.EFromTemp(o.TInit, cfg.Hydro.Gamma, units.MeanMolecularWeightNeutral)
+	eint := u.EFromTemp(o.Extra["tinit"], cfg.Hydro.Gamma, units.MeanMolecularWeightNeutral)
 
-	// Gas: mean fb with a central Gaussian clump of amplitude Delta*fb;
+	// Gas: mean fb with a central Gaussian clump of amplitude delta*fb;
 	// dark matter carries the matching (1-fb) share via particles.
 	const clumpR = 0.12 // Gaussian radius in box units
 	for k := 0; k < n; k++ {
@@ -253,7 +200,7 @@ func PrimordialCollapse(o CollapseOpts) (*amr.Hierarchy, error) {
 				r2 := sq((float64(i)+0.5)/float64(n)-0.5) +
 					sq((float64(j)+0.5)/float64(n)-0.5) +
 					sq((float64(k)+0.5)/float64(n)-0.5)
-				over := 1 + o.Delta*math.Exp(-r2/(2*clumpR*clumpR))
+				over := 1 + delta*math.Exp(-r2/(2*clumpR*clumpR))
 				root.State.Rho.Set(i, j, k, fb*over)
 				root.State.Eint.Set(i, j, k, eint)
 				root.State.Etot.Set(i, j, k, eint)
@@ -274,7 +221,7 @@ func PrimordialCollapse(o CollapseOpts) (*amr.Hierarchy, error) {
 				r2 := dx*dx + dy*dy + dz*dz
 				// Radial inward displacement mimicking the converging
 				// Zel'dovich flow onto the peak.
-				disp := -0.25 * o.Delta * clumpR * clumpR * math.Exp(-r2/(2*clumpR*clumpR))
+				disp := -0.25 * delta * clumpR * clumpR * math.Exp(-r2/(2*clumpR*clumpR))
 				r := math.Sqrt(r2) + 1e-9
 				root.Parts.Add(
 					ep128.FromFloat64(wrap01(x+disp*dx/r)),
@@ -322,39 +269,23 @@ func setPrimordialSpecies(h *amr.Hierarchy, u units.Units, a0, xe, fH2 float64) 
 	}
 }
 
-// ZoomOpts configures the paper's §4 zoom-in cosmological setup.
-type ZoomOpts struct {
-	RootN          int
-	StaticLevels   int
-	MaxLevel       int
-	Seed           int64
-	Redshift       float64
-	BoxComovingKpc float64
-	Chemistry      bool
-}
-
-// CosmologicalZoom reproduces the paper's initial-conditions workflow:
+// cosmologicalZoom reproduces the paper's initial-conditions workflow:
 // generate a realization at the effective fine resolution, locate the
 // densest region (the low-resolution first pass), and build a hierarchy
 // whose static refined levels cover that region with the fine-grained
 // modes — "equivalent to 512³ initial conditions over the entire box" at
 // our scale.
-func CosmologicalZoom(o ZoomOpts) (*amr.Hierarchy, *cosmology.ZoomIC, error) {
-	if o.RootN == 0 {
-		o.RootN = 16
-	}
-	if o.Redshift == 0 {
-		o.Redshift = 99
-	}
-	if o.BoxComovingKpc == 0 {
-		o.BoxComovingKpc = 256
-	}
+func cosmologicalZoom(o Opts) (*amr.Hierarchy, *cosmology.ZoomIC, error) {
+	// The paper's box side [comoving kpc]; a float constant, so that
+	// boxKpc/1000 does not truncate to 0.
+	const boxKpc = 256.0
+	staticLevels, redshift := int(o.Extra["staticlevels"]), o.Extra["redshift"]
 	p := cosmology.StandardCDM()
-	a0 := cosmology.AofZ(o.Redshift)
+	a0 := cosmology.AofZ(redshift)
 	// Box in Mpc/h for the power spectrum sampling.
 	hpar := 0.5
-	boxMpcH := o.BoxComovingKpc / 1000 * hpar
-	zic, err := p.GenerateZoomIC(o.RootN, o.StaticLevels, boxMpcH, o.Seed)
+	boxMpcH := boxKpc / 1000 * hpar
+	zic, err := p.GenerateZoomIC(o.RootN, staticLevels, boxMpcH, o.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -365,7 +296,7 @@ func CosmologicalZoom(o ZoomOpts) (*amr.Hierarchy, *cosmology.ZoomIC, error) {
 		(float64(ck) + 0.5) / float64(o.RootN),
 	}
 	bg := cosmology.NewBackground(p, a0)
-	u := units.Cosmological(o.BoxComovingKpc*units.KpcCM, p.OmegaM, hpar, a0)
+	u := units.Cosmological(boxKpc*units.KpcCM, p.OmegaM, hpar, a0)
 
 	cfg := amr.DefaultConfig(o.RootN)
 	cfg.SelfGravity = true
@@ -376,7 +307,7 @@ func CosmologicalZoom(o ZoomOpts) (*amr.Hierarchy, *cosmology.ZoomIC, error) {
 	cfg.MassThresholdGas = 4 * fb / float64(o.RootN*o.RootN*o.RootN)
 	cfg.MassThresholdDM = 4 * (1 - fb) / float64(o.RootN*o.RootN*o.RootN)
 	cfg.MaxLevel = o.MaxLevel
-	cfg.StaticLevels = o.StaticLevels
+	cfg.StaticLevels = staticLevels
 	const half = 0.15
 	for d := 0; d < 3; d++ {
 		cfg.StaticLo[d] = center[d] - half
@@ -390,7 +321,7 @@ func CosmologicalZoom(o ZoomOpts) (*amr.Hierarchy, *cosmology.ZoomIC, error) {
 		cfg.Chemistry = true
 		cfg.NSpecies = chem.NumSpecies
 		cfg.ChemParams = chem.DefaultSolverParams()
-		cfg.CoolParams = chem.CoolParams{Redshift: o.Redshift}
+		cfg.CoolParams = chem.CoolParams{Redshift: redshift}
 	}
 	h, err := amr.NewHierarchy(cfg)
 	if err != nil {

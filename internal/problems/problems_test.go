@@ -17,7 +17,7 @@ func TestSedovBlastScaling(t *testing.T) {
 	if testing.Short() {
 		rootN, tMid, tEnd = 16, 0.04, 0.12
 	}
-	h, err := Sedov(rootN, 1, 10.0)
+	h, err := Build("sedov", Opts{RootN: rootN, MaxLevel: 1, Extra: map[string]float64{"e0": 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSedovBlastScaling(t *testing.T) {
 }
 
 func TestSedovSymmetry(t *testing.T) {
-	h, err := Sedov(16, 0, 5.0)
+	h, err := Build("sedov", Opts{RootN: 16, Extra: map[string]float64{"e0": 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,8 @@ func TestSedovSymmetry(t *testing.T) {
 }
 
 func TestPancakeCollapses(t *testing.T) {
-	h, err := Pancake(PancakeOpts{RootN: 16, AStart: 0.05, ACollapse: 0.15})
+	h, err := Build("pancake", Opts{RootN: 16, MaxLevel: 2,
+		Extra: map[string]float64{"astart": 0.05, "acollapse": 0.15}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +101,7 @@ func TestPrimordialCollapseRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration run")
 	}
-	o := DefaultCollapseOpts()
-	o.RootN = 16
-	o.MaxLevel = 3
-	h, err := PrimordialCollapse(o)
+	h, err := Build("collapse", Opts{RootN: 16, MaxLevel: 3, Chemistry: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +145,8 @@ func TestPrimordialCollapseRuns(t *testing.T) {
 }
 
 func TestCosmologicalZoomSetup(t *testing.T) {
-	h, zic, err := CosmologicalZoom(ZoomOpts{
-		RootN: 8, StaticLevels: 2, MaxLevel: 3, Seed: 7, Redshift: 99,
-	})
+	h, zic, err := cosmologicalZoom(Opts{RootN: 8, MaxLevel: 3, Seed: 7,
+		Extra: map[string]float64{"staticlevels": 2, "redshift": 99}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +198,7 @@ func TestCosmologicalZoomSetup(t *testing.T) {
 }
 
 func TestCollapseOptsValidation(t *testing.T) {
-	if _, err := PrimordialCollapse(CollapseOpts{}); err == nil {
+	if _, err := Build("collapse", Opts{}); err == nil {
 		t.Fatal("zero RootN should fail")
 	}
 }

@@ -2,6 +2,8 @@ package problems
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -20,20 +22,23 @@ type Opts struct {
 	Seed      int64  // IC random seed (zoom)
 	Solver    string // "" = problem default, "ppm" or "fd"
 	// Extra holds problem-specific numeric knobs (CLI: repeated
-	// -p key=value flags); builders read them via ExtraOr.
+	// -p key=value flags), each declared in its Spec's Knobs.
 	Extra map[string]float64
 }
 
-// ExtraOr returns the Extra knob key, or def when unset.
-func (o Opts) ExtraOr(key string, def float64) float64 {
-	if v, ok := o.Extra[key]; ok {
-		return v
-	}
-	return def
+// Knob declares one problem-specific numeric knob: what it sets, and the
+// value a build uses when Opts.Extra leaves it unset.
+type Knob struct {
+	Doc     string
+	Default float64
 }
 
+// String renders the knob's catalog line, "doc (default d)", as
+// `enzogo -list -long` and GET /problems show it.
+func (k Knob) String() string { return fmt.Sprintf("%s (default %g)", k.Doc, k.Default) }
+
 // Spec declares one runnable problem: a short description for the
-// catalog, the defaults its builder expects, and the builder itself.
+// catalog, its defaults and knobs, and the builder itself.
 type Spec struct {
 	Name string
 	// Summary is the one-line catalog description (`enzogo -list`).
@@ -44,15 +49,35 @@ type Spec struct {
 	// Example is a representative command line.
 	Example string
 	// Defaults fills an Opts with this problem's canonical
-	// configuration; CLI flags override individual fields.
+	// configuration; CLI flags override individual fields. A knob in
+	// its Extra is part of every default job's identity; its value must
+	// equal the knob's Default.
 	Defaults Opts
-	// Knobs documents the problem-specific Extra keys the builder
-	// reads (key -> one-line description). Build rejects Extra keys
-	// not listed here, so a misspelled -p knob fails instead of
-	// silently running the default physics.
-	Knobs map[string]string
-	// Build constructs the initialized hierarchy.
+	// Knobs declares the problem-specific Extra keys the builder reads,
+	// each with its default. BuildSpec rejects Extra keys not declared
+	// here, so a misspelled -p knob fails instead of silently running
+	// the default physics.
+	Knobs map[string]Knob
+	// Build constructs the initialized hierarchy. BuildSpec hands it an
+	// Extra that holds every declared knob.
 	Build func(Opts) (*amr.Hierarchy, error)
+}
+
+// CheckKnobs rejects a key of extra that the spec does not declare,
+// naming the least such key. It allocates nothing when every key is
+// declared: a job service resolves every submission, cache hits included.
+func (s Spec) CheckKnobs(extra map[string]float64) error {
+	var unknown []string
+	for k := range extra {
+		if _, known := s.Knobs[k]; !known {
+			unknown = append(unknown, k)
+		}
+	}
+	if len(unknown) == 0 {
+		return nil
+	}
+	return fmt.Errorf("problems: %q has no knob %q (available: %v)",
+		s.Name, slices.Min(unknown), slices.Sorted(maps.Keys(s.Knobs)))
 }
 
 var (
@@ -109,11 +134,12 @@ func Specs() []Spec {
 	return out
 }
 
-// Build constructs the named problem with the given options. The options
-// are used verbatim — they are not merged with the spec's Defaults, so a
-// zero field means zero (e.g. MaxLevel 0 disables refinement). Callers
-// wanting the canonical configuration start from Get(name).Defaults and
-// override fields, which is what core.New does.
+// Build constructs the named problem with the given options. The common
+// fields are used verbatim — they are not merged with the spec's
+// Defaults, so a zero field means zero (e.g. MaxLevel 0 disables
+// refinement); only an unset knob falls back, to its declared Default.
+// Callers wanting the canonical configuration start from
+// Get(name).Defaults and override fields, which is what core.New does.
 func Build(name string, o Opts) (*amr.Hierarchy, error) {
 	spec, ok := Get(name)
 	if !ok {
@@ -122,16 +148,21 @@ func Build(name string, o Opts) (*amr.Hierarchy, error) {
 	return BuildSpec(spec, o)
 }
 
-// BuildSpec runs a spec's builder, then applies the cross-cutting knobs
-// (worker budget, solver choice) that every hierarchy honors. Opts are
-// used verbatim; see Build.
+// BuildSpec checks o's knobs against the spec and runs its builder on a
+// copy of Extra with every unset knob at its Default, then applies the
+// cross-cutting knobs (worker budget, solver choice) that every hierarchy
+// honors. The caller's Extra is never written, so o.Canonical() stays the
+// configuration that was asked for. See Build.
 func BuildSpec(spec Spec, o Opts) (*amr.Hierarchy, error) {
-	for k := range o.Extra {
-		if _, known := spec.Knobs[k]; !known {
-			return nil, fmt.Errorf("problems: %q has no knob %q (available: %v)",
-				spec.Name, k, knobNames(spec))
-		}
+	if err := spec.CheckKnobs(o.Extra); err != nil {
+		return nil, err
 	}
+	extra := make(map[string]float64, len(spec.Knobs))
+	for k, knob := range spec.Knobs {
+		extra[k] = knob.Default
+	}
+	maps.Copy(extra, o.Extra)
+	o.Extra = extra
 	h, err := spec.Build(o)
 	if err != nil {
 		return nil, err
@@ -147,16 +178,6 @@ func BuildSpec(spec Spec, o Opts) (*amr.Hierarchy, error) {
 		h.Cfg.Solver = s
 	}
 	return h, nil
-}
-
-// knobNames returns a spec's documented Extra keys, sorted.
-func knobNames(spec Spec) []string {
-	out := make([]string, 0, len(spec.Knobs))
-	for k := range spec.Knobs {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ParseSolver maps the CLI solver names onto hydro.Solver.
@@ -177,11 +198,11 @@ func init() {
 		Summary:   "Sedov-Taylor point explosion in a cold uniform medium",
 		Exercises: "hydro solvers, shock-driven dynamic refinement, flux correction",
 		Example:   "enzogo -problem sedov -steps 20 -rootn 32 -maxlevel 2",
-		Defaults:  Opts{RootN: 16, MaxLevel: 4, Extra: map[string]float64{"e0": 10}},
-		Knobs:     map[string]string{"e0": "deposited blast energy (default 10)"},
-		Build: func(o Opts) (*amr.Hierarchy, error) {
-			return Sedov(o.RootN, o.MaxLevel, o.ExtraOr("e0", 10))
-		},
+		// e0 is spelled out in the defaults only because every sedov job
+		// ID already includes it.
+		Defaults: Opts{RootN: 16, MaxLevel: 4, Extra: map[string]float64{"e0": 10}},
+		Knobs:    map[string]Knob{"e0": {"deposited blast energy", 10}},
+		Build:    sedov,
 	})
 	Register(Spec{
 		Name:      "pancake",
@@ -189,22 +210,11 @@ func init() {
 		Exercises: "cosmology coupling, self-gravity, N-body + hydro, comoving units",
 		Example:   "enzogo -problem pancake -steps 30 -rootn 32",
 		Defaults:  Opts{RootN: 32, MaxLevel: 2},
-		Knobs: map[string]string{
-			"astart":    "starting expansion factor (default 0.05)",
-			"acollapse": "expansion factor of caustic formation (default 0.2)",
+		Knobs: map[string]Knob{
+			"astart":    {"starting expansion factor", 0.05},
+			"acollapse": {"expansion factor of caustic formation", 0.2},
 		},
-		Build: func(o Opts) (*amr.Hierarchy, error) {
-			h, err := Pancake(PancakeOpts{
-				RootN:     o.RootN,
-				AStart:    o.ExtraOr("astart", 0),
-				ACollapse: o.ExtraOr("acollapse", 0),
-			})
-			if err != nil {
-				return nil, err
-			}
-			h.Cfg.MaxLevel = o.MaxLevel
-			return h, nil
-		},
+		Build: pancake,
 	})
 	Register(Spec{
 		Name:      "collapse",
@@ -212,24 +222,13 @@ func init() {
 		Exercises: "the full stack: AMR + gravity + chemistry + N-body at laptop scale",
 		Example:   "enzogo -problem collapse -steps 40 -rootn 16 -maxlevel 5",
 		Defaults:  Opts{RootN: 16, MaxLevel: 5, Chemistry: true},
-		Knobs: map[string]string{
-			"delta":    "central clump overdensity (default 40)",
-			"tinit":    "initial gas temperature [K] (default 800)",
-			"redshift": "epoch of the run (default 19)",
-			"boxkpc":   "comoving box side [kpc] (default 160)",
+		Knobs: map[string]Knob{
+			"delta":    {"central clump overdensity", 40},
+			"tinit":    {"initial gas temperature [K]", 800},
+			"redshift": {"epoch of the run", 19},
+			"boxkpc":   {"comoving box side [kpc]", 160},
 		},
-		Build: func(o Opts) (*amr.Hierarchy, error) {
-			// Workers and Solver are applied generically by Build.
-			d := DefaultCollapseOpts()
-			d.RootN = o.RootN
-			d.MaxLevel = o.MaxLevel
-			d.Chemistry = o.Chemistry
-			d.Delta = o.ExtraOr("delta", d.Delta)
-			d.TInit = o.ExtraOr("tinit", d.TInit)
-			d.Redshift = o.ExtraOr("redshift", d.Redshift)
-			d.BoxComovingKpc = o.ExtraOr("boxkpc", d.BoxComovingKpc)
-			return PrimordialCollapse(d)
-		},
+		Build: primordialCollapse,
 	})
 	Register(Spec{
 		Name:      "zoom",
@@ -237,19 +236,12 @@ func init() {
 		Exercises: "IC generation, static refined levels, restart workflow",
 		Example:   "enzogo -problem zoom -steps 10 -rootn 16 -seed 12345",
 		Defaults:  Opts{RootN: 16, MaxLevel: 4, Chemistry: true, Seed: 12345},
-		Knobs: map[string]string{
-			"staticlevels": "nested static refined levels (default 2)",
-			"redshift":     "starting redshift (default 99)",
+		Knobs: map[string]Knob{
+			"staticlevels": {"nested static refined levels", 2},
+			"redshift":     {"starting redshift", 99},
 		},
 		Build: func(o Opts) (*amr.Hierarchy, error) {
-			h, _, err := CosmologicalZoom(ZoomOpts{
-				RootN:        o.RootN,
-				StaticLevels: int(o.ExtraOr("staticlevels", 2)),
-				MaxLevel:     o.MaxLevel,
-				Seed:         o.Seed,
-				Chemistry:    o.Chemistry,
-				Redshift:     o.ExtraOr("redshift", 0),
-			})
+			h, _, err := cosmologicalZoom(o)
 			return h, err
 		},
 	})
@@ -259,9 +251,7 @@ func init() {
 		Exercises: "contact discontinuities, advection accuracy, refinement on density",
 		Example:   "enzogo -problem khi -steps 30 -rootn 32 -maxlevel 1",
 		Defaults:  Opts{RootN: 32, MaxLevel: 1},
-		Build: func(o Opts) (*amr.Hierarchy, error) {
-			return KelvinHelmholtz(o.RootN, o.MaxLevel)
-		},
+		Build:     kelvinHelmholtz,
 	})
 	Register(Spec{
 		Name:      "coolsphere",
@@ -269,33 +259,21 @@ func init() {
 		Exercises: "chemistry & cooling without cosmology, Jeans refinement, gravity",
 		Example:   "enzogo -problem coolsphere -steps 20 -rootn 16 -maxlevel 3",
 		Defaults:  Opts{RootN: 16, MaxLevel: 3, Chemistry: true},
-		Knobs: map[string]string{
-			"delta":   "central sphere overdensity (default 20)",
-			"tinit":   "initial gas temperature [K] (default 1000)",
-			"boxpc":   "box side [pc] (default 10)",
-			"rhounit": "code density unit [g/cm^3] (default 1e-22)",
+		Knobs: map[string]Knob{
+			"delta":   {"central sphere overdensity", 20},
+			"tinit":   {"initial gas temperature [K]", 1000},
+			"boxpc":   {"box side [pc]", 10},
+			"rhounit": {"code density unit [g/cm^3]", 1e-22},
 		},
-		Build: func(o Opts) (*amr.Hierarchy, error) {
-			d := DefaultCoolingSphereOpts()
-			d.RootN = o.RootN
-			d.MaxLevel = o.MaxLevel
-			d.Chemistry = o.Chemistry
-			d.Delta = o.ExtraOr("delta", d.Delta)
-			d.TInit = o.ExtraOr("tinit", d.TInit)
-			d.BoxPc = o.ExtraOr("boxpc", d.BoxPc)
-			d.RhoUnit = o.ExtraOr("rhounit", d.RhoUnit)
-			return CoolingSphere(d)
-		},
+		Build: coolingSphere,
 	})
 	Register(Spec{
 		Name:      "sod",
 		Summary:   "double Sod shock tube: mirrored Riemann problems in the periodic box",
 		Exercises: "solver validation against the exact Riemann solution (ppm vs fd)",
 		Example:   "enzogo -problem sod -steps 20 -rootn 64 -maxlevel 1",
-		Defaults:  Opts{RootN: 64, MaxLevel: 1, Solver: "ppm"},
-		Build: func(o Opts) (*amr.Hierarchy, error) {
-			// The -solver choice is applied generically by Build.
-			return SodTube(o.RootN, o.MaxLevel, hydro.SolverPPM)
-		},
+		// The -solver choice is applied by BuildSpec.
+		Defaults: Opts{RootN: 64, MaxLevel: 1, Solver: "ppm"},
+		Build:    sodTube,
 	})
 }

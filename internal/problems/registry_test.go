@@ -25,8 +25,9 @@ func TestRegistryNamesAndLookup(t *testing.T) {
 func TestUnknownKnobRejected(t *testing.T) {
 	// A misspelled -p key must fail loudly instead of silently running
 	// the default physics.
-	if _, err := Build("sedov", Opts{RootN: 8, MaxLevel: 1, Extra: map[string]float64{"eo": 50}}); err == nil {
-		t.Error("misspelled knob must error")
+	_, err := Build("sedov", Opts{RootN: 8, MaxLevel: 1, Extra: map[string]float64{"eo": 50}})
+	if want := `problems: "sedov" has no knob "eo" (available: [e0])`; err == nil || err.Error() != want {
+		t.Errorf("misspelled knob: got %v, want %s", err, want)
 	}
 	if _, err := Build("khi", Opts{RootN: 8, MaxLevel: 1, Extra: map[string]float64{"delta": 40}}); err == nil {
 		t.Error("knob of a different problem must error")
@@ -97,110 +98,66 @@ func TestRegistrySmoke(t *testing.T) {
 	}
 }
 
-// hierFingerprint captures the complete evolving state of a hierarchy for
-// bitwise comparison: every field of every grid plus the particle sets.
-func hierEqual(t *testing.T, label string, a, b *amr.Hierarchy) {
-	t.Helper()
-	if a.Time != b.Time || a.NumGrids() != b.NumGrids() || a.MaxLevel() != b.MaxLevel() {
-		t.Fatalf("%s: structure mismatch: t=%v/%v grids=%d/%d", label,
-			a.Time, b.Time, a.NumGrids(), b.NumGrids())
-	}
-	for l := range a.Levels {
-		for gi := range a.Levels[l] {
-			ga, gb := a.Levels[l][gi], b.Levels[l][gi]
-			if ga.Lo != gb.Lo || ga.Nx != gb.Nx || ga.Ny != gb.Ny || ga.Nz != gb.Nz {
-				t.Fatalf("%s: L%d grid %d geometry mismatch", label, l, gi)
-			}
-			fa, fb := ga.State.Fields(), gb.State.Fields()
-			for fi := range fa {
-				for di := range fa[fi].Data {
-					if fa[fi].Data[di] != fb[fi].Data[di] {
-						t.Fatalf("%s: L%d grid %d field %d differs at %d: %v vs %v",
-							label, l, gi, fi, di, fa[fi].Data[di], fb[fi].Data[di])
-					}
+// TestDeclaredDefaultsAreTheBuild holds each knob's declared Default to
+// the value a build uses: leaving every knob unset and spelling every
+// knob out at its Default must build the same hierarchy, bit for bit. A
+// knob a spec keeps in Defaults.Extra (it is part of the default job ID)
+// must be declared, at the same value.
+func TestDeclaredDefaultsAreTheBuild(t *testing.T) {
+	for _, spec := range Specs() {
+		t.Run(spec.Name, func(t *testing.T) {
+			for k, v := range spec.Defaults.Extra {
+				if knob, ok := spec.Knobs[k]; !ok || knob.Default != v {
+					t.Errorf("Defaults.Extra[%q] = %v, declared knob %+v (declared %v)", k, v, knob, ok)
 				}
 			}
-			if ga.Parts.Len() != gb.Parts.Len() {
-				t.Fatalf("%s: L%d grid %d particle count %d vs %d",
-					label, l, gi, ga.Parts.Len(), gb.Parts.Len())
+			unset := smokeOpts(spec)
+			unset.Extra = nil
+			spelled := unset
+			spelled.Extra = map[string]float64{}
+			for k, knob := range spec.Knobs {
+				spelled.Extra[k] = knob.Default
 			}
-			for pi := 0; pi < ga.Parts.Len(); pi++ {
-				if !ga.Parts.X[pi].Eq(gb.Parts.X[pi]) || ga.Parts.Vx[pi] != gb.Parts.Vx[pi] ||
-					ga.Parts.Mass[pi] != gb.Parts.Mass[pi] {
-					t.Fatalf("%s: L%d grid %d particle %d differs", label, l, gi, pi)
-				}
-			}
-		}
-	}
-}
-
-// TestRegistryGoldenSeedConstructors proves the registry is a pure
-// re-plumbing: hierarchies built through it are bitwise identical to the
-// seed problem constructors, both at t=0 and after two evolved root steps.
-func TestRegistryGoldenSeedConstructors(t *testing.T) {
-	cases := []struct {
-		name   string
-		opts   Opts
-		direct func() (*amr.Hierarchy, error)
-	}{
-		{
-			name: "sedov",
-			opts: Opts{RootN: 16, MaxLevel: 2, Extra: map[string]float64{"e0": 10}},
-			direct: func() (*amr.Hierarchy, error) {
-				return Sedov(16, 2, 10)
-			},
-		},
-		{
-			name: "pancake",
-			opts: Opts{RootN: 16, MaxLevel: 2},
-			direct: func() (*amr.Hierarchy, error) {
-				return Pancake(PancakeOpts{RootN: 16})
-			},
-		},
-		{
-			name: "collapse",
-			opts: Opts{RootN: 8, MaxLevel: 2, Chemistry: true},
-			direct: func() (*amr.Hierarchy, error) {
-				d := DefaultCollapseOpts()
-				d.RootN = 8
-				d.MaxLevel = 2
-				return PrimordialCollapse(d)
-			},
-		},
-		{
-			name: "zoom",
-			opts: Opts{RootN: 8, MaxLevel: 3, Seed: 7},
-			direct: func() (*amr.Hierarchy, error) {
-				h, _, err := CosmologicalZoom(ZoomOpts{
-					RootN: 8, StaticLevels: 2, MaxLevel: 3, Seed: 7,
-				})
-				return h, err
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			reg, err := Build(tc.name, tc.opts)
+			a, err := BuildSpec(spec, unset)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := tc.direct()
+			b, err := BuildSpec(spec, spelled)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hierEqual(t, "initial", reg, ref)
-			for s := 0; s < 2; s++ {
-				reg.Step()
-				ref.Step()
+			if a.ChecksumHex() != b.ChecksumHex() {
+				t.Fatalf("unset knobs build %s, knobs at their declared defaults build %s",
+					a.ChecksumHex(), b.ChecksumHex())
 			}
-			hierEqual(t, "after 2 steps", reg, ref)
 		})
 	}
 }
 
-func TestExtraOr(t *testing.T) {
-	o := Opts{Extra: map[string]float64{"delta": 7}}
-	if o.ExtraOr("delta", 1) != 7 || o.ExtraOr("missing", 3) != 3 {
-		t.Fatal("ExtraOr lookup broken")
+// TestBuildSpecLeavesOptsAlone: the defaults BuildSpec fills in reach only
+// the builder, never the caller's map — Opts.Canonical, and so every job
+// ID, is what was asked for.
+func TestBuildSpecLeavesOptsAlone(t *testing.T) {
+	spec, _ := Get("collapse")
+	o := smokeOpts(spec)
+	o.Extra = map[string]float64{"delta": 60}
+	before := o.Canonical()
+	if _, err := BuildSpec(spec, o); err != nil {
+		t.Fatal(err)
+	}
+	if after := o.Canonical(); after != before || len(o.Extra) != 1 {
+		t.Fatalf("BuildSpec changed the request: %s -> %s", before, after)
+	}
+}
+
+func TestKnobString(t *testing.T) {
+	for knob, want := range map[Knob]string{
+		{"deposited blast energy", 10}:        "deposited blast energy (default 10)",
+		{"code density unit [g/cm^3]", 1e-22}: "code density unit [g/cm^3] (default 1e-22)",
+		{"starting expansion factor", 0.05}:   "starting expansion factor (default 0.05)",
+	} {
+		if got := knob.String(); got != want {
+			t.Errorf("Knob.String() = %q, want %q", got, want)
+		}
 	}
 }

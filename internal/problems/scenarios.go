@@ -1,28 +1,24 @@
 package problems
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/amr"
 	"repro/internal/chem"
-	"repro/internal/hydro"
 	"repro/internal/units"
 )
 
-// KelvinHelmholtz sets up the classic shear instability in the unit
+// kelvinHelmholtz sets up the classic shear instability in the unit
 // periodic box: a dense central band streaming against a light ambient
 // medium with a small sinusoidal transverse seed at both interfaces. The
 // billows that roll up exercise contact-discontinuity advection and
 // density-triggered refinement without any gravity.
-func KelvinHelmholtz(rootN, maxLevel int) (*amr.Hierarchy, error) {
-	if rootN == 0 {
-		return nil, fmt.Errorf("problems: zero RootN")
-	}
+func kelvinHelmholtz(o Opts) (*amr.Hierarchy, error) {
+	rootN := o.RootN
 	cfg := amr.DefaultConfig(rootN)
 	cfg.SelfGravity = false
 	cfg.JeansN = 0
-	cfg.MaxLevel = maxLevel
+	cfg.MaxLevel = o.MaxLevel
 	// Refine the dense band (cell mass 2/n³ vs ambient 1/n³).
 	cfg.MassThresholdGas = 1.7 / float64(rootN*rootN*rootN)
 	h, err := amr.NewHierarchy(cfg)
@@ -68,21 +64,18 @@ func KelvinHelmholtz(rootN, maxLevel int) (*amr.Hierarchy, error) {
 	return h, nil
 }
 
-// SodTube sets up two mirrored Sod shock tubes in the periodic box:
+// sodTube sets up two mirrored Sod shock tubes in the periodic box:
 // standard left state (rho=1, p=1) between x=0.25 and x=0.75, right state
 // (rho=0.125, p=0.1) outside, gamma=1.4. Each discontinuity launches the
 // textbook shock/contact/rarefaction fan; until t≈0.14 the fans do not
 // interact, so the exact-solution landmarks (contact plateau 0.4263,
 // post-shock 0.2656) hold and validate either solver.
-func SodTube(rootN, maxLevel int, solver hydro.Solver) (*amr.Hierarchy, error) {
-	if rootN == 0 {
-		return nil, fmt.Errorf("problems: zero RootN")
-	}
+func sodTube(o Opts) (*amr.Hierarchy, error) {
+	rootN := o.RootN
 	cfg := amr.DefaultConfig(rootN)
 	cfg.SelfGravity = false
 	cfg.JeansN = 0
-	cfg.MaxLevel = maxLevel
-	cfg.Solver = solver
+	cfg.MaxLevel = o.MaxLevel
 	cfg.Hydro.Gamma = 1.4
 	// Refine the dense inner region and the shocks running into the
 	// light gas (ambient cell mass 0.125/n³).
@@ -113,50 +106,19 @@ func SodTube(rootN, maxLevel int, solver hydro.Solver) (*amr.Hierarchy, error) {
 	return h, nil
 }
 
-// CoolingSphereOpts configures the isolated cooling-collapse sphere.
-type CoolingSphereOpts struct {
-	RootN     int
-	MaxLevel  int
-	Chemistry bool
-	// Delta is the central overdensity of the Gaussian sphere.
-	Delta float64
-	// TInit is the initial gas temperature [K].
-	TInit float64
-	// BoxPc is the box side [pc].
-	BoxPc float64
-	// RhoUnit is the code density unit [g/cm^3] (sets the cooling
-	// regime; the default puts the sphere at n ≈ 50 cm^-3).
-	RhoUnit float64
-}
-
-// DefaultCoolingSphereOpts returns a dense-cloud configuration where the
-// chemistry actually matters: n ≈ 50 cm^-3, T = 1000 K, trace ionization.
-func DefaultCoolingSphereOpts() CoolingSphereOpts {
-	return CoolingSphereOpts{
-		RootN:     16,
-		MaxLevel:  3,
-		Chemistry: true,
-		Delta:     20,
-		TInit:     1000,
-		BoxPc:     10,
-		RhoUnit:   1e-22,
-	}
-}
-
-// CoolingSphere sets up a non-cosmological overdense gas sphere that
+// coolingSphere sets up a non-cosmological overdense gas sphere that
 // cools through the primordial network and collapses under self-gravity —
 // the simplest workload where refinement is driven by cooling rather than
 // by an expanding background. There is no dark matter and no expansion:
 // the registry's proof that operators guard themselves (expansion and
-// N-body are registered but inert here).
-func CoolingSphere(o CoolingSphereOpts) (*amr.Hierarchy, error) {
-	if o.RootN == 0 {
-		return nil, fmt.Errorf("problems: zero RootN")
-	}
+// N-body are registered but inert here). The default knobs make a dense
+// cloud where the chemistry matters: n ≈ 50 cm^-3, T = 1000 K, trace
+// ionization.
+func coolingSphere(o Opts) (*amr.Hierarchy, error) {
 	// Free-fall-normalized units at the chosen density scale.
 	u := units.Units{
-		Density: o.RhoUnit,
-		Length:  o.BoxPc * units.ParsecCM,
+		Density: o.Extra["rhounit"],
+		Length:  o.Extra["boxpc"] * units.ParsecCM,
 	}
 	u.Time = 1 / math.Sqrt(4*math.Pi*units.G*u.Density)
 	u.Derive()
@@ -181,7 +143,7 @@ func CoolingSphere(o CoolingSphereOpts) (*amr.Hierarchy, error) {
 	}
 	root := h.Root()
 	n := o.RootN
-	eint := u.EFromTemp(o.TInit, cfg.Hydro.Gamma, units.MeanMolecularWeightNeutral)
+	eint := u.EFromTemp(o.Extra["tinit"], cfg.Hydro.Gamma, units.MeanMolecularWeightNeutral)
 	const sphereR = 0.1 // Gaussian radius in box units
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
@@ -189,7 +151,7 @@ func CoolingSphere(o CoolingSphereOpts) (*amr.Hierarchy, error) {
 				r2 := sq((float64(i)+0.5)/float64(n)-0.5) +
 					sq((float64(j)+0.5)/float64(n)-0.5) +
 					sq((float64(k)+0.5)/float64(n)-0.5)
-				rho := 1 + o.Delta*math.Exp(-r2/(2*sphereR*sphereR))
+				rho := 1 + o.Extra["delta"]*math.Exp(-r2/(2*sphereR*sphereR))
 				root.State.Rho.Set(i, j, k, rho)
 				root.State.Eint.Set(i, j, k, eint)
 				root.State.Etot.Set(i, j, k, eint)

@@ -542,10 +542,14 @@ func handleProblems(w http.ResponseWriter, r *http.Request) {
 	specs := problems.Specs()
 	out := make([]ProblemInfo, len(specs))
 	for i, sp := range specs {
+		knobs := make(map[string]string, len(sp.Knobs))
+		for k, knob := range sp.Knobs {
+			knobs[k] = knob.String()
+		}
 		out[i] = ProblemInfo{
 			Name:     sp.Name,
 			Summary:  sp.Summary,
-			Knobs:    sp.Knobs,
+			Knobs:    knobs,
 			Defaults: sp.Defaults.Extra,
 			RootN:    sp.Defaults.RootN,
 			MaxLevel: sp.Defaults.MaxLevel,

@@ -204,14 +204,14 @@ func resolve(req Request, slotWorkers, maxWorkers int) (resolved, error) {
 		}
 		o.Solver = req.Solver
 	}
-	for k, v := range req.Knobs {
-		if _, known := spec.Knobs[k]; !known {
-			return resolved{}, fmt.Errorf("sim: problem %q has no knob %q", req.Problem, k)
-		}
+	if err := spec.CheckKnobs(req.Knobs); err != nil {
+		return resolved{}, err
+	}
+	if len(req.Knobs) > 0 {
 		if o.Extra == nil {
 			o.Extra = map[string]float64{}
 		}
-		o.Extra[k] = v
+		maps.Copy(o.Extra, req.Knobs)
 	}
 	if req.Workers > maxWorkers {
 		return resolved{}, fmt.Errorf("sim: workers %d exceeds the service budget %d", req.Workers, maxWorkers)
