@@ -103,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzParseKnobs$$' -fuzztime 15s ./internal/problems
 	$(GO) test -run xxx -fuzz '^FuzzCostEstimate$$' -fuzztime 15s ./internal/sim/costmodel
 	$(GO) test -run xxx -fuzz '^FuzzResolveRequest$$' -fuzztime 15s ./internal/sim
+	$(GO) test -run xxx -fuzz '^FuzzDiskstoreRecover$$' -fuzztime 15s ./internal/sim/diskstore
 
 clean:
 	$(GO) clean ./...

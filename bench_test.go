@@ -527,16 +527,20 @@ func BenchmarkFig5HierarchyGrowth(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim.RunSteps(14)
+		var history []core.StructureSample
+		for s := 0; s < 14; s++ {
+			sim.Step()
+			history = append(history, sim.Sample())
+		}
 		if i == 0 {
 			b.Logf("Fig 5 series (time, maxlevel, ngrids):")
-			for s, smp := range sim.History {
+			for s, smp := range history {
 				if s%2 == 0 {
 					b.Logf("  t=%.4f  level=%d  grids=%d", smp.Time, smp.MaxLevel, smp.NumGrids)
 				}
 			}
-			early := sim.History[len(sim.History)/4]
-			late := sim.History[len(sim.History)-1]
+			early := history[len(history)/4]
+			late := history[len(history)-1]
 			b.Logf("  grids/level early=%v late=%v", early.GridsPer, late.GridsPer)
 			b.Logf("  work/level late=%v", late.WorkPer)
 		}

@@ -340,7 +340,7 @@ func main() {
 				log.Printf("warning: -%s is fixed by the snapshot and ignored on restart", f.Name)
 			}
 		})
-		sim = &core.Simulation{H: h, Problem: name}
+		sim = core.Resume(h, name)
 		fmt.Printf("restarted %q from %s at t=%.5f\n", name, *restart, h.Time)
 	} else {
 		sim, err = core.New(*problem, func(o *problems.Opts) {
@@ -380,6 +380,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if *restart != "" {
+		plan.Prime(sim.H.Time) // continue time cadences from the snapshot's time
+	}
 	if len(outputs) > 0 {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			log.Fatal(err)
@@ -396,14 +399,12 @@ func main() {
 
 	fmt.Printf("problem=%s rootN=%d maxLevel=%d grids=%d\n",
 		sim.Problem, sim.H.Cfg.RootN, sim.H.Cfg.MaxLevel, sim.H.NumGrids())
-	for s := 0; s < *steps; s++ {
-		dt := sim.Step()
-		h := sim.History[len(sim.History)-1]
+	if _, err := sim.Run(context.Background(), core.RunOpts{MaxSteps: *steps, Observe: func(i core.StepInfo) error {
 		fmt.Printf("step %3d  t=%.5f dt=%.2e  maxlevel=%d grids=%d  peak=%.4g\n",
-			s, h.Time, dt, h.MaxLevel, h.NumGrids, h.PeakRho)
-		if err := plan.Step(sim.H, sim.Problem, s, sim.H.Cfg.Workers, writeArtifact); err != nil {
-			log.Fatal(err)
-		}
+			i.Step, i.Time, i.Dt, i.MaxLevel, i.NumGrids, sim.Sample().PeakRho)
+		return plan.Step(sim.H, sim.Problem, i.Step, sim.H.Cfg.Workers, writeArtifact)
+	}}); err != nil {
+		log.Fatal(err)
 	}
 	if err := plan.Finish(sim.H, sim.Problem, *steps-1, sim.H.Cfg.Workers, writeArtifact); err != nil {
 		log.Fatal(err)

@@ -31,14 +31,16 @@ func main() {
 	}
 
 	fmt.Println("# time  maxlevel  ngrids  peak_density")
+	var history []core.StructureSample
 	for s := 0; s < *steps; s++ {
 		sim.Step()
-		h := sim.History[len(sim.History)-1]
+		h := sim.Sample()
+		history = append(history, h)
 		fmt.Printf("%8.5f  %2d  %4d  %.4g\n", h.Time, h.MaxLevel, h.NumGrids, h.PeakRho)
 	}
 
-	early := sim.History[len(sim.History)/4]
-	late := sim.History[len(sim.History)-1]
+	early := history[len(history)/4]
+	late := history[len(history)-1]
 	fmt.Println("\n# grids per level (early | late)")
 	maxLen := len(early.GridsPer)
 	if len(late.GridsPer) > maxLen {

@@ -29,7 +29,7 @@ func main() {
 	fmt.Println("running 15 root-grid steps of a collapsing primordial clump...")
 	for s := 0; s < 15; s++ {
 		dt := sim.Step()
-		h := sim.History[len(sim.History)-1]
+		h := sim.Sample()
 		fmt.Printf("  step %2d: t=%.4f dt=%.2e  levels=%d  grids=%d  peak density=%.3g\n",
 			s, h.Time, dt, h.MaxLevel+1, h.NumGrids, h.PeakRho)
 	}

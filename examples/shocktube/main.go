@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sim.RunUntil(tEnd, 500)
+		if _, err := sim.Run(context.Background(), core.RunOpts{MaxSteps: 500, MaxTime: tEnd}); err != nil {
+			log.Fatal(err)
+		}
 		// Composite density along x through the box center (projection
 		// has folded the refined solution onto the root).
 		root := sim.H.Root()

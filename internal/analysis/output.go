@@ -566,10 +566,11 @@ func NewOutputPlan(reqs []OutputRequest) (*OutputPlan, error) {
 }
 
 // Prime seeds the time-cadence baseline, as if the plan had already
-// observed a step at code time t. A run resumed from a checkpoint primes
-// its plans with the checkpoint's time so every_time cadences continue
-// from where the interrupted run left off instead of re-firing at the
-// first post-resume step.
+// observed a step at code time t. An unprimed plan never fires a time
+// cadence on its first step, so a run resumed from a checkpoint primes
+// its plans with the checkpoint's time: every_time cadences then continue
+// from where the interrupted run left off, and a boundary crossed by the
+// first post-resume step is not dropped.
 func (p *OutputPlan) Prime(t float64) {
 	p.prevTime, p.havePrev = t, true
 }

@@ -1,6 +1,6 @@
 // Package core is the public façade of the reproduction: a Simulation
 // wraps the AMR hierarchy, problem setup, analysis shortcuts and the
-// structure/performance series the paper's evaluation section plots.
+// structure samples and performance tables of the paper's evaluation.
 //
 // Typical use:
 //
@@ -22,17 +22,13 @@ import (
 	"repro/internal/problems"
 )
 
-// Simulation bundles a hierarchy with its evolution history.
+// Simulation bundles a hierarchy with its evolution wall clock.
 type Simulation struct {
 	H *amr.Hierarchy
 	// Problem is the registry name the simulation was built from (""
 	// when constructed around a hand-built hierarchy); snapshots embed
 	// it so restarts are self-describing.
 	Problem string
-	// History records hierarchy-structure samples per root step (the
-	// Fig. 5 time series).
-	History []StructureSample
-	started time.Time
 	wall    time.Duration
 }
 
@@ -71,47 +67,54 @@ type StructureSample struct {
 	Expansion float64 // a, when cosmological
 }
 
-// Step advances one root timestep and records a structure sample.
+// Sample takes the Fig.-5 structure sample of the hierarchy as it
+// stands: a pass over the finest cells for the peak density plus the
+// per-level tallies, so a caller plotting hierarchy growth calls it after
+// each step and nobody else pays for it.
+func (s *Simulation) Sample() StructureSample {
+	_, peak := analysis.DensestPoint(s.H)
+	a := 0.0
+	if s.H.Cfg.Cosmo != nil {
+		a = s.H.Cfg.Cosmo.A
+	}
+	return StructureSample{
+		Time:      s.H.Time,
+		MaxLevel:  s.H.MaxLevel(),
+		NumGrids:  s.H.NumGrids(),
+		GridsPer:  s.H.GridsPerLevel(),
+		WorkPer:   s.H.WorkPerLevel(),
+		PeakRho:   peak,
+		Expansion: a,
+	}
+}
+
+// Step advances one root timestep and returns the dt it took.
 func (s *Simulation) Step() float64 {
 	t0 := time.Now()
 	dt := s.H.Step()
 	s.wall += time.Since(t0)
-	s.record()
 	return dt
 }
 
 // RunSteps advances n root steps.
 func (s *Simulation) RunSteps(n int) {
-	for i := 0; i < n; i++ {
-		s.Step()
-	}
-}
-
-// RunUntil advances until code time t (or maxSteps).
-func (s *Simulation) RunUntil(t float64, maxSteps int) int {
-	steps := 0
-	for s.H.Time < t && steps < maxSteps {
-		s.Step()
-		steps++
-	}
-	return steps
+	s.Run(context.Background(), RunOpts{MaxSteps: n}) // no hook, no cancel: cannot fail
 }
 
 // StepInfo is the per-root-step progress record Run hands to its
-// observer (and the sim job service streams to watchers).
+// observer; the sim job service streams it to watchers as JSON.
 type StepInfo struct {
-	Step     int     // 0-based index of the step just completed
-	Time     float64 // code time after the step
-	Dt       float64 // timestep taken
-	MaxLevel int
-	NumGrids int
+	Step     int     `json:"step"` // 0-based index of the step just completed
+	Time     float64 `json:"time"` // code time after the step
+	Dt       float64 `json:"dt"`   // timestep taken
+	MaxLevel int     `json:"maxlevel"`
+	NumGrids int     `json:"grids"`
 }
 
-// RunOpts configures Run: the run bounds plus the two hooks the durable
-// job service threads through the stack — a per-step observer and a
-// checkpoint hook, with a StartStep offset so a run resumed from a
-// checkpoint keeps the interrupted run's global step numbering (cadence
-// plans and artifact names depend on it).
+// RunOpts configures Run: the run bounds, a StartStep offset so a run
+// resumed from a checkpoint keeps the interrupted run's global step
+// numbering (cadence plans and artifact names depend on it), and the
+// one per-step hook.
 type RunOpts struct {
 	// MaxSteps bounds the root steps taken by this call (for a resumed
 	// run: the steps remaining, not the job's total budget).
@@ -122,23 +125,19 @@ type RunOpts struct {
 	// 0 for a fresh run, checkpointStep+1 when resuming. StepInfo.Step is
 	// numbered from it.
 	StartStep int
-	// Observe, when non-nil, is called after every completed root step.
-	Observe func(StepInfo)
-	// Checkpoint, when non-nil, is called after every completed root step
-	// (after Observe); the callee decides whether a checkpoint is due —
-	// typically an analysis.OutputPlan carrying a "checkpoint" output
-	// request — and persists the encoded hierarchy. A checkpoint error
-	// stops the run: a job that cannot persist its progress must fail
-	// loudly, not run on with stale durability.
-	Checkpoint func(StepInfo) error
+	// Observe, when non-nil, is called after every completed root step —
+	// where callers print progress, evaluate output plans and write
+	// checkpoints. An error stops the run after that step and is returned:
+	// a job that cannot persist its progress or its products must fail
+	// loudly, not run on.
+	Observe func(StepInfo) error
 }
 
 // Run advances up to o.MaxSteps root steps under the given bounds and
-// hooks (see RunOpts). Cancellation and checkpointing are observed only
-// at root-step boundaries, so the hierarchy is always left in a
-// consistent post-step state. Returns the number of steps taken by this
-// call, and ctx.Err() when cancellation cut the run short or the first
-// checkpoint-hook error.
+// hook (see RunOpts). Cancellation and the hook are observed only at
+// root-step boundaries, so the hierarchy is always left in a consistent
+// post-step state. Returns the number of steps taken by this call, and
+// ctx.Err() when cancellation cut the run short or the first hook error.
 func (s *Simulation) Run(ctx context.Context, o RunOpts) (int, error) {
 	for n := 0; n < o.MaxSteps; n++ {
 		if err := ctx.Err(); err != nil {
@@ -148,20 +147,17 @@ func (s *Simulation) Run(ctx context.Context, o RunOpts) (int, error) {
 			return n, nil
 		}
 		dt := s.Step()
-		info := StepInfo{
+		if o.Observe == nil {
+			continue
+		}
+		if err := o.Observe(StepInfo{
 			Step:     o.StartStep + n,
 			Time:     s.H.Time,
 			Dt:       dt,
 			MaxLevel: s.H.MaxLevel(),
 			NumGrids: s.H.NumGrids(),
-		}
-		if o.Observe != nil {
-			o.Observe(info)
-		}
-		if o.Checkpoint != nil {
-			if err := o.Checkpoint(info); err != nil {
-				return n + 1, err
-			}
+		}); err != nil {
+			return n + 1, err
 		}
 	}
 	return o.MaxSteps, nil
@@ -178,23 +174,6 @@ func Resume(h *amr.Hierarchy, problem string) *Simulation {
 
 // Wall returns the accumulated evolution wall-clock time.
 func (s *Simulation) Wall() time.Duration { return s.wall }
-
-func (s *Simulation) record() {
-	_, peak := analysis.DensestPoint(s.H)
-	a := 0.0
-	if s.H.Cfg.Cosmo != nil {
-		a = s.H.Cfg.Cosmo.A
-	}
-	s.History = append(s.History, StructureSample{
-		Time:      s.H.Time,
-		MaxLevel:  s.H.MaxLevel(),
-		NumGrids:  s.H.NumGrids(),
-		GridsPer:  s.H.GridsPerLevel(),
-		WorkPer:   s.H.WorkPerLevel(),
-		PeakRho:   peak,
-		Expansion: a,
-	})
-}
 
 // RadialProfileAtPeak computes a Fig.-4 style profile about the current
 // densest point.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -18,7 +19,10 @@ func TestRunBoundsAndCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seen []StepInfo
-	n, err := sim.Run(context.Background(), RunOpts{MaxSteps: 3, Observe: func(i StepInfo) { seen = append(seen, i) }})
+	n, err := sim.Run(context.Background(), RunOpts{MaxSteps: 3, Observe: func(i StepInfo) error {
+		seen = append(seen, i)
+		return nil
+	}})
 	if err != nil || n != 3 {
 		t.Fatalf("Run = %d,%v want 3,nil", n, err)
 	}
@@ -48,16 +52,34 @@ func TestRunBoundsAndCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	n, err = sim3.Run(ctx, RunOpts{MaxSteps: 1000, Observe: func(i StepInfo) {
+	n, err = sim3.Run(ctx, RunOpts{MaxSteps: 1000, Observe: func(i StepInfo) error {
 		if i.Step == 1 {
 			cancel()
 		}
+		return nil
 	}})
 	if err != context.Canceled || n != 2 {
 		t.Fatalf("cancelled run = %d,%v want 2,context.Canceled", n, err)
 	}
 	if sim3.H.Stats.StepsTaken != 2 {
 		t.Fatalf("hierarchy took %d steps after cancel at 2", sim3.H.Stats.StepsTaken)
+	}
+
+	// A hook error stops the run after the step it observed and is
+	// returned as is.
+	sim4, err := New("sedov", mini)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errHook := errors.New("hook failed")
+	n, err = sim4.Run(context.Background(), RunOpts{MaxSteps: 1000, StartStep: 5, Observe: func(i StepInfo) error {
+		if i.Step == 6 {
+			return errHook
+		}
+		return nil
+	}})
+	if err != errHook || n != 2 || sim4.H.Stats.StepsTaken != 2 {
+		t.Fatalf("hook error: Run = %d,%v after %d steps, want 2,%v after 2", n, err, sim4.H.Stats.StepsTaken, errHook)
 	}
 }
 
@@ -73,8 +95,8 @@ func TestNewByName(t *testing.T) {
 		t.Errorf("mutator not applied: RootN %d", sim.H.Cfg.RootN)
 	}
 	sim.RunSteps(1)
-	if len(sim.History) != 1 {
-		t.Error("no history recorded")
+	if smp := sim.Sample(); smp.Time != sim.H.Time || smp.Time <= 0 {
+		t.Errorf("sample after one step: %+v", smp)
 	}
 	if _, err := New("no-such-problem"); err == nil {
 		t.Error("unknown name must error")
@@ -126,11 +148,11 @@ func TestSedovSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.RunSteps(3)
-	if len(sim.History) != 3 {
-		t.Fatalf("history %d entries", len(sim.History))
+	if sim.H.Stats.StepsTaken != 3 {
+		t.Fatalf("RunSteps(3) took %d steps", sim.H.Stats.StepsTaken)
 	}
-	last := sim.History[len(sim.History)-1]
-	if last.Time <= 0 || last.NumGrids < 1 {
+	last := sim.Sample()
+	if last.Time <= 0 || last.NumGrids < 1 || len(last.GridsPer) != last.MaxLevel+1 {
 		t.Fatalf("bad sample %+v", last)
 	}
 	if last.PeakRho <= 0 {
@@ -146,17 +168,20 @@ func TestSedovSimulation(t *testing.T) {
 	}
 }
 
+// TestRunUntil checks Run's MaxTime bound: a run advances to the bound,
+// and a run already past it takes no steps.
 func TestRunUntil(t *testing.T) {
 	sim, err := newSedov(16, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps := sim.RunUntil(0.01, 100)
-	if steps == 0 || sim.H.Time < 0.01 {
-		t.Fatalf("RunUntil did not advance: %d steps, t=%v", steps, sim.H.Time)
+	opts := RunOpts{MaxSteps: 100, MaxTime: 0.01}
+	steps, err := sim.Run(context.Background(), opts)
+	if err != nil || steps == 0 || sim.H.Time < 0.01 {
+		t.Fatalf("Run to MaxTime did not advance: %d steps, err=%v, t=%v", steps, err, sim.H.Time)
 	}
-	if s2 := sim.RunUntil(0.01, 100); s2 != 0 {
-		t.Error("RunUntil past target should take no steps")
+	if s2, err := sim.Run(context.Background(), opts); err != nil || s2 != 0 {
+		t.Errorf("Run past MaxTime = %d,%v want 0,nil", s2, err)
 	}
 }
 

@@ -28,12 +28,13 @@
 package diskstore
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -93,10 +94,7 @@ func New(dir string) (*Store, error) {
 			continue // an unreadable index degrades to "no artifacts", never blocks startup
 		}
 		for _, row := range rows {
-			if row.Hash == "" {
-				continue
-			}
-			s.artBytes += row.Size
+			s.artBytes += int64(row.Size)
 			s.artCount++
 			s.refs[row.Hash]++
 		}
@@ -264,45 +262,31 @@ func (s *Store) Persistent() bool { return true }
 // SaveManifest rewrites the job's manifest.json atomically — the WAL of
 // state transitions (the latest write wins; a kill leaves the previous
 // record intact).
-func (s *Store) SaveManifest(m sim.JobManifest) error {
-	data, err := json.MarshalIndent(m, "", " ")
-	if err != nil {
-		return fmt.Errorf("diskstore: manifest %s: %w", m.ID, err)
-	}
-	if err := writeAtomic(filepath.Join(s.jobDir(m.ID), "manifest.json"), append(data, '\n')); err != nil {
-		return fmt.Errorf("diskstore: manifest %s: %w", m.ID, err)
-	}
-	return nil
-}
+func (s *Store) SaveManifest(m sim.JobManifest) error { return s.saveJSON(m.ID, "manifest", m) }
 
 // SaveResult persists a done job's result.json.
-func (s *Store) SaveResult(id string, res *sim.Result) error {
-	data, err := json.MarshalIndent(res, "", " ")
-	if err != nil {
-		return fmt.Errorf("diskstore: result %s: %w", id, err)
+func (s *Store) SaveResult(id string, res *sim.Result) error { return s.saveJSON(id, "result", res) }
+
+// saveJSON writes v, indented, as the job's <name>.json, atomically.
+func (s *Store) saveJSON(id, name string, v any) error {
+	if err := cleanID(id); err != nil {
+		return err
 	}
-	if err := writeAtomic(filepath.Join(s.jobDir(id), "result.json"), append(data, '\n')); err != nil {
-		return fmt.Errorf("diskstore: result %s: %w", id, err)
+	data, err := json.MarshalIndent(v, "", " ")
+	if err == nil {
+		err = writeAtomic(filepath.Join(s.jobDir(id), name+".json"), append(data, '\n'))
+	}
+	if err != nil {
+		return fmt.Errorf("diskstore: %s %s: %w", name, id, err)
 	}
 	return nil
 }
 
-// storedArtifact is one index.json row: the artifact metadata minus the
-// payload, which lives in the shared blob tier under Hash.
-type storedArtifact struct {
-	Name        string  `json:"name"`
-	Kind        string  `json:"kind"`
-	Field       string  `json:"field,omitempty"`
-	Step        int     `json:"step"`
-	Time        float64 `json:"time"`
-	ContentType string  `json:"content_type"`
-	Size        int64   `json:"size"`
-	RawSize     int64   `json:"raw_size,omitempty"`
-	Hash        string  `json:"content_hash"`
-}
-
-// loadArtIndex reads a job's artifact index (empty when absent).
-func (s *Store) loadArtIndex(id string) ([]storedArtifact, error) {
+// loadArtIndex reads a job's artifact index (empty when absent): one row
+// per retained artifact, its payload in the blob tier under Hash. Rows
+// the store would not have written — a hand-edited or corrupt index —
+// are dropped, so no name or hash read from disk reaches a path.
+func (s *Store) loadArtIndex(id string) ([]sim.ArtifactMeta, error) {
 	data, err := os.ReadFile(filepath.Join(s.artDir(id), indexFile))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -310,14 +294,16 @@ func (s *Store) loadArtIndex(id string) ([]storedArtifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	var idx []storedArtifact
+	var idx []sim.ArtifactMeta
 	if err := json.Unmarshal(data, &idx); err != nil {
 		return nil, err
 	}
-	return idx, nil
+	return slices.DeleteFunc(idx, func(row sim.ArtifactMeta) bool {
+		return cleanName(row.Name) != nil || cleanHash(row.Hash) != nil || row.Size < 0
+	}), nil
 }
 
-func (s *Store) saveArtIndex(id string, idx []storedArtifact) error {
+func (s *Store) saveArtIndex(id string, idx []sim.ArtifactMeta) error {
 	data, err := json.Marshal(idx)
 	if err != nil {
 		return err
@@ -325,11 +311,21 @@ func (s *Store) saveArtIndex(id string, idx []storedArtifact) error {
 	return writeAtomic(filepath.Join(s.artDir(id), indexFile), append(data, '\n'))
 }
 
-// cleanName rejects artifact names that could escape the job directory.
-// The analysis layer never produces such names; this is defense against
-// a future producer that does.
+// cleanID rejects job ids that could escape the jobs directory. The
+// scheduler only mints hex ids; this guards the replica endpoints, whose
+// ids arrive over the wire, and any future caller.
+func cleanID(id string) error {
+	if id == "" || strings.ContainsAny(id, "/\\") || strings.HasPrefix(id, ".") {
+		return fmt.Errorf("diskstore: unsafe job id %q", id)
+	}
+	return nil
+}
+
+// cleanName rejects artifact names that could escape the job directory
+// or overwrite its index. The analysis layer never produces such names;
+// this is defense against a future producer that does.
 func cleanName(name string) error {
-	if name == "" || name == indexFile || strings.ContainsAny(name, "/\\") || strings.HasPrefix(name, ".") {
+	if name == indexFile || cleanID(name) != nil {
 		return fmt.Errorf("diskstore: unsafe artifact name %q", name)
 	}
 	return nil
@@ -355,10 +351,7 @@ func cleanHash(hash string) error {
 // production order. The blob lands before the index row referencing it,
 // so a crash can orphan a blob (swept at next open) but never a row.
 func (s *Store) SaveArtifact(id string, a analysis.Artifact, hash string) error {
-	if err := cleanName(a.Name); err != nil {
-		return err
-	}
-	if err := cleanHash(hash); err != nil {
+	if err := errors.Join(cleanID(id), cleanName(a.Name), cleanHash(hash)); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -376,17 +369,17 @@ func (s *Store) SaveArtifact(id string, a analysis.Artifact, hash string) error 
 	} else {
 		s.dedupe += int64(len(a.Data))
 	}
-	row := storedArtifact{
+	row := sim.ArtifactMeta{
 		Name: a.Name, Kind: string(a.Kind), Field: a.Field,
 		Step: a.Step, Time: a.Time, ContentType: a.ContentType,
-		Size: int64(len(a.Data)), RawSize: a.RawSize, Hash: hash,
+		Size: len(a.Data), RawSize: a.RawSize, Hash: hash,
 	}
 	s.refs[hash]++
 	replaced := false
 	var oldHash string
 	for i := range idx {
 		if idx[i].Name == a.Name {
-			s.artBytes += row.Size - idx[i].Size
+			s.artBytes += int64(row.Size - idx[i].Size)
 			oldHash = idx[i].Hash
 			idx[i] = row
 			replaced = true
@@ -396,12 +389,12 @@ func (s *Store) SaveArtifact(id string, a analysis.Artifact, hash string) error 
 	if !replaced {
 		idx = append(idx, row)
 		s.artCount++
-		s.artBytes += row.Size
+		s.artBytes += int64(row.Size)
 	}
 	if err := s.saveArtIndex(id, idx); err != nil {
 		return fmt.Errorf("diskstore: artifact index %s: %w", id, err)
 	}
-	if replaced && oldHash != "" {
+	if replaced {
 		s.unrefLocked(oldHash)
 	}
 	return nil
@@ -440,8 +433,8 @@ func (s *Store) LoadBlob(hash string) ([]byte, error) {
 // in-memory store's oldest-first eviction — and reclaims blobs no
 // remaining row references.
 func (s *Store) DeleteArtifacts(id string, names []string) error {
-	if len(names) == 0 {
-		return nil
+	if err := cleanID(id); err != nil || len(names) == 0 {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -460,11 +453,9 @@ func (s *Store) DeleteArtifacts(id string, names []string) error {
 			kept = append(kept, row)
 			continue
 		}
-		s.artBytes -= row.Size
+		s.artBytes -= int64(row.Size)
 		s.artCount--
-		if row.Hash != "" {
-			unref = append(unref, row.Hash)
-		}
+		unref = append(unref, row.Hash)
 	}
 	if err := s.saveArtIndex(id, kept); err != nil {
 		return fmt.Errorf("diskstore: artifact index %s: %w", id, err)
@@ -494,6 +485,9 @@ func ckptStep(name string) int {
 // SaveCheckpoint writes the restart point atomically and prunes all but
 // the latest keepCheckpoints.
 func (s *Store) SaveCheckpoint(id string, step int, data []byte) error {
+	if err := cleanID(id); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dir := s.ckptDir(id)
@@ -524,7 +518,7 @@ func (s *Store) SaveCheckpoint(id string, step int, data []byte) error {
 			names = append(names, e.Name())
 		}
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, name := range names[:max(0, len(names)-keepCheckpoints)] {
 		path := filepath.Join(dir, name)
 		if fi, err := os.Stat(path); err == nil {
@@ -539,6 +533,9 @@ func (s *Store) SaveCheckpoint(id string, step int, data []byte) error {
 // LatestCheckpoint loads the most recent checkpoint, nil when the job
 // has none.
 func (s *Store) LatestCheckpoint(id string) (*sim.Checkpoint, error) {
+	if err := cleanID(id); err != nil {
+		return nil, err
+	}
 	entries, err := os.ReadDir(s.ckptDir(id))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -570,6 +567,9 @@ func (s *Store) LatestCheckpoint(id string) (*sim.Checkpoint, error) {
 // DeleteCheckpoints drops every checkpoint of a job (it reached a
 // terminal state; there is nothing left to resume).
 func (s *Store) DeleteCheckpoints(id string) error {
+	if err := cleanID(id); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var n int
@@ -584,6 +584,9 @@ func (s *Store) DeleteCheckpoints(id string) error {
 // DeleteJob removes the job's whole directory and dereferences every
 // blob its index rows named.
 func (s *Store) DeleteJob(id string) error {
+	if err := cleanID(id); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var n int
@@ -591,10 +594,7 @@ func (s *Store) DeleteJob(id string) error {
 	s.ckptCount -= n
 	if rows, err := s.loadArtIndex(id); err == nil {
 		for _, row := range rows {
-			if row.Hash == "" {
-				continue
-			}
-			s.artBytes -= row.Size
+			s.artBytes -= int64(row.Size)
 			s.artCount--
 			s.unrefLocked(row.Hash)
 		}
@@ -640,25 +640,14 @@ func (s *Store) Recover() ([]sim.RecoveredJob, error) {
 				rec.Result = &r
 			}
 		}
-		idx, err := s.loadArtIndex(id)
-		if err == nil {
-			for _, row := range idx {
-				if row.Hash == "" {
-					continue // pre-content-addressing row: payload location unknown
-				}
-				rec.Artifacts = append(rec.Artifacts, sim.ArtifactMeta{
-					Name: row.Name, Kind: row.Kind, Field: row.Field,
-					Step: row.Step, Time: row.Time, ContentType: row.ContentType,
-					Size: int(row.Size), RawSize: row.RawSize, Hash: row.Hash,
-				})
-			}
-		}
+		rec.Artifacts, _ = s.loadArtIndex(id) // unreadable: no artifacts
 		out = append(out, rec)
 	}
 	// Oldest submissions first, so the scheduler's eviction order (and
-	// GET /jobs listing order) survives the restart.
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Manifest.SubmittedAt.Before(out[j].Manifest.SubmittedAt)
+	// GET /jobs listing order) survives the restart; ties in id order, as
+	// the in-memory store orders them.
+	slices.SortFunc(out, func(a, b sim.RecoveredJob) int {
+		return cmp.Or(a.Manifest.SubmittedAt.Compare(b.Manifest.SubmittedAt), cmp.Compare(a.Manifest.ID, b.Manifest.ID))
 	})
 	return out, sweepErr
 }

@@ -192,6 +192,28 @@ func TestUnsafeArtifactNamesRejected(t *testing.T) {
 	}
 }
 
+func TestUnsafeJobIDsRejected(t *testing.T) {
+	s := open(t, t.TempDir())
+	x := []byte("x")
+	for _, id := range []string{"", "..", "../escape", "a/b", `a\b`, ".hidden"} {
+		_, ckErr := s.LatestCheckpoint(id)
+		for name, err := range map[string]error{
+			"SaveManifest":      s.SaveManifest(sim.JobManifest{ID: id}),
+			"SaveResult":        s.SaveResult(id, &sim.Result{}),
+			"SaveArtifact":      s.SaveArtifact(id, analysis.Artifact{Name: "ok.pgm", Data: x}, sim.HashBytes(x)),
+			"DeleteArtifacts":   s.DeleteArtifacts(id, []string{"ok.pgm"}),
+			"SaveCheckpoint":    s.SaveCheckpoint(id, 0, x),
+			"LatestCheckpoint":  ckErr,
+			"DeleteCheckpoints": s.DeleteCheckpoints(id),
+			"DeleteJob":         s.DeleteJob(id),
+		} {
+			if err == nil {
+				t.Errorf("%s accepted job id %q", name, id)
+			}
+		}
+	}
+}
+
 func TestStatsSurviveReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -517,6 +518,13 @@ func (f faultStore) DeleteCheckpoints(id string) error {
 	return f.Store.DeleteCheckpoints(id)
 }
 
+func (f faultStore) SaveCheckpoint(id string, step int, data []byte) error {
+	if err := f.fail["SaveCheckpoint"]; err != nil {
+		return err
+	}
+	return f.Store.SaveCheckpoint(id, step, data)
+}
+
 func (f faultStore) Close() error {
 	if err := f.fail["Close"]; err != nil {
 		return err
@@ -555,5 +563,25 @@ func TestStoreErrorsSurface(t *testing.T) {
 				t.Fatalf("RecoverState error = %v, want %v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestCheckpointFailureFailsJob: unlike the store errors above, a
+// checkpoint that cannot be written fails the job at the step that owed
+// it — a job must not run on with stale durability.
+func TestCheckpointFailureFailsJob(t *testing.T) {
+	errSave := fmt.Errorf("injected SaveCheckpoint failure")
+	s := sim.NewScheduler(sim.Config{MaxConcurrent: 1, TotalWorkers: 1, CheckpointEvery: 1,
+		Store: faultStore{Store: sim.NewMemStore(), fail: map[string]error{"SaveCheckpoint": errSave}}})
+	defer s.Close()
+	j, err := s.Submit(sim.Request{Problem: "sedov", RootN: 8, MaxLevel: sim.Int(0), Steps: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); !errors.Is(err, errSave) {
+		t.Fatalf("Wait error = %v, want %v", err, errSave)
+	}
+	if st := j.Status(); st.State != "failed" || st.Progress.Step != 0 {
+		t.Fatalf("status = %s at step %d, want failed at step 0", st.State, st.Progress.Step)
 	}
 }

@@ -235,7 +235,6 @@ func (s *Scheduler) evolve(ctx context.Context, j *Job) (res *Result, err error)
 	}
 
 	var analysisWall time.Duration
-	var outputErr error
 	emit := func(a analysis.Artifact) error {
 		evicted, hash, stored := j.artifacts.Put(a)
 		if stored {
@@ -255,46 +254,27 @@ func (s *Scheduler) evolve(ctx context.Context, j *Job) (res *Result, err error)
 		}
 		return nil
 	}
-	// runCtx lets an output-evaluation error stop the physics at the next
-	// root-step boundary instead of burning the remaining step budget on
-	// a job already doomed to fail.
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	taken, err := sm.Run(runCtx, core.RunOpts{
+	// Each root step is published, then its products and its checkpoint
+	// are evaluated; an error from either stops the physics at this
+	// boundary instead of burning the remaining step budget on a job
+	// already doomed to fail.
+	taken, err := sm.Run(ctx, core.RunOpts{
 		MaxSteps:  j.res.steps - startStep,
 		MaxTime:   j.res.maxTime,
 		StartStep: startStep,
-		Observe: func(info core.StepInfo) {
-			j.publish(Progress{
-				Step:     info.Step,
-				Time:     info.Time,
-				Dt:       info.Dt,
-				MaxLevel: info.MaxLevel,
-				NumGrids: info.NumGrids,
-			})
-			if outputErr != nil {
-				return
-			}
+		Observe: func(info core.StepInfo) error {
+			j.publish(info)
 			t0 := time.Now()
-			if outputErr = plan.Step(sm.H, j.res.problem, info.Step, j.res.opts.Workers, emit); outputErr != nil {
-				cancelRun()
-			}
+			err := plan.Step(sm.H, j.res.problem, info.Step, j.res.opts.Workers, emit)
 			analysisWall += time.Since(t0)
-		},
-		Checkpoint: func(info core.StepInfo) error {
-			if ckptPlan == nil {
-				return nil
+			if err != nil || ckptPlan == nil {
+				return err
 			}
 			return ckptPlan.Step(sm.H, j.res.problem, info.Step, j.res.opts.Workers,
 				func(a analysis.Artifact) error { return s.checkpoint(j, info.Step, a.Data) })
 		},
 	})
 	steps := startStep + taken
-	// outputErr outranks the cancellation it triggered (execute inspects
-	// the outer ctx, so this still reports as Failed, not Cancelled).
-	if outputErr != nil {
-		return nil, outputErr
-	}
 	if err != nil {
 		// A run stopped on purpose at this root-step boundary — a
 		// speculation preempted or caught by shutdown, any job during a

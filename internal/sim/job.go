@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/perf"
 	"repro/internal/sim/costmodel"
 )
@@ -45,14 +46,9 @@ func (s State) String() string {
 // terminal reports whether the state is final.
 func (s State) terminal() bool { return s >= Done }
 
-// Progress is one per-root-step update streamed to job watchers.
-type Progress struct {
-	Step     int     `json:"step"`
-	Time     float64 `json:"time"`
-	Dt       float64 `json:"dt"`
-	MaxLevel int     `json:"maxlevel"`
-	NumGrids int     `json:"grids"`
-}
+// Progress is one per-root-step update streamed to job watchers: the
+// StepInfo core.Run hands its observer, as is.
+type Progress = core.StepInfo
 
 // Result is the outcome of a completed job.
 type Result struct {

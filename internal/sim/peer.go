@@ -20,6 +20,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -215,10 +216,10 @@ func (p *Peer) standbyFor(id string) string {
 func (p *Peer) Handler() http.Handler {
 	base := p.s.Handler()
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /peer/replicas/{id}", p.handleReplicaPut)
-	mux.HandleFunc("DELETE /peer/replicas/{id}", p.handleReplicaDelete)
-	mux.HandleFunc("POST /peer/replicas/{id}/artifacts", p.handleReplicaArtifactPut)
-	mux.HandleFunc("DELETE /peer/replicas/{id}/artifacts", p.handleReplicaArtifactDelete)
+	mux.HandleFunc("POST /peer/replicas/{id}", replicaRoute(p.handleReplicaPut))
+	mux.HandleFunc("DELETE /peer/replicas/{id}", replicaRoute(p.handleReplicaDelete))
+	mux.HandleFunc("POST /peer/replicas/{id}/artifacts", replicaRoute(p.handleReplicaArtifactPut))
+	mux.HandleFunc("DELETE /peer/replicas/{id}/artifacts", replicaRoute(p.handleReplicaArtifactDelete))
 	mux.HandleFunc("POST /peer/model", p.handleModelPut)
 	mux.HandleFunc("GET /peer/ring", p.handleRing)
 	mux.HandleFunc("GET /metrics", p.handleMetrics)
@@ -227,6 +228,21 @@ func (p *Peer) Handler() http.Handler {
 	mux.Handle("/jobs/{id}/{rest...}", p.routeJob(base))
 	mux.Handle("/", base)
 	return mux
+}
+
+// replicaRoute answers 400 for a /peer/replicas/{id} request whose id is
+// not a canonical job ID — the lowercase hex of key's 8 digest bytes —
+// before h touches the store or the replica map: the mux decodes %2F
+// inside a segment, so {id} can carry a path.
+func replicaRoute(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		if b, err := hex.DecodeString(id); err != nil || len(b) != 8 || hex.EncodeToString(b) != id {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("replica id %q is not a job id", id))
+			return
+		}
+		h(w, r)
+	}
 }
 
 // routeSubmit decides where a submission runs. The canonical ID is

@@ -66,7 +66,8 @@ type Store interface {
 	// DeleteJob forgets everything about a job (cache eviction, or a
 	// failed configuration being re-run fresh).
 	DeleteJob(id string) error
-	// Recover enumerates every persisted job for scheduler startup:
+	// Recover enumerates every persisted job for scheduler startup,
+	// oldest submission first and equal submit times in ID order:
 	// terminal jobs rehydrate the cache, interrupted ones are re-queued
 	// to resume from their latest checkpoint. A record without a
 	// manifest (a restarted standby's replicated bytes, a kill before
@@ -357,8 +358,8 @@ func (s *memStore) deleteJobLocked(id string) {
 }
 
 // Recover lists every job with a manifest, oldest submission first (ID
-// order between equal submit times, as a directory listing gives the
-// disk store), with its result and artifact rows — metadata only.
+// order between equal submit times, as the disk store orders them), with
+// its result and artifact rows — metadata only.
 func (s *memStore) Recover() ([]RecoveredJob, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

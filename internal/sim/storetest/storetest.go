@@ -8,6 +8,7 @@ package storetest
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -20,6 +21,7 @@ import (
 // temp directory for disk stores); the suite closes what it opens.
 func Run(t *testing.T, open func(t *testing.T) sim.Store) {
 	t.Run("ManifestWALAndRecover", func(t *testing.T) { testManifestRecover(t, open) })
+	t.Run("EqualSubmitTimesInIDOrder", func(t *testing.T) { testEqualSubmitTimes(t, open) })
 	t.Run("ResultRoundTrip", func(t *testing.T) { testResult(t, open) })
 	t.Run("ArtifactsAndBlobs", func(t *testing.T) { testArtifacts(t, open) })
 	t.Run("Checkpoints", func(t *testing.T) { testCheckpoints(t, open) })
@@ -98,6 +100,29 @@ func testManifestRecover(t *testing.T, open func(t *testing.T) sim.Store) {
 	}
 	if !got.SubmittedAt.Equal(base) {
 		t.Fatalf("submit time %v != %v", got.SubmittedAt, base)
+	}
+}
+
+// testEqualSubmitTimes: jobs submitted at one instant recover in ID
+// order on every store, so a restart re-queues and evicts them alike.
+func testEqualSubmitTimes(t *testing.T, open func(t *testing.T) sim.Store) {
+	s := open(t)
+	defer s.Close()
+	at := time.Now().Truncate(time.Second)
+	var want, got []string
+	for i := range 24 {
+		want = append(want, fmt.Sprintf("job-%02d", i))
+		// 7 is coprime to 24: the writes visit every ID out of order.
+		if err := s.SaveManifest(manifest(fmt.Sprintf("job-%02d", i*7%24), "queued", at)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recovered, err := s.Recover()
+	for _, rec := range recovered {
+		got = append(got, rec.Manifest.ID)
+	}
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("Recover = %v, %v; want %v", got, err, want)
 	}
 }
 
