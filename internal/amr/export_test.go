@@ -546,7 +546,7 @@ func serialRebuildLevel(h *Hierarchy, l int) {
 		serialDilate(flags, h.Cfg.RefineBuffer)
 		cp := clustering.Params{
 			MinEfficiency: h.Cfg.MinEfficiency,
-			MaxSize:       maxI(h.Cfg.MaxGridSize/r, 4),
+			MaxSize:       max(h.Cfg.MaxGridSize/r, 4),
 			MinSize:       2,
 		}
 		boxes := clustering.Cluster(flags, cp)

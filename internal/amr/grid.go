@@ -49,12 +49,6 @@ type Grid struct {
 	Children []*Grid
 
 	Time float64 // current time of this grid's solution
-
-	// OwnerRank is the processor that holds the field data (the
-	// distributed-objects strategy of §3.4). Sterile replicas have
-	// metadata only.
-	OwnerRank int
-	Sterile   bool
 }
 
 // NewGrid allocates a grid with fields for nspecies advected species.

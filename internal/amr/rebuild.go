@@ -60,7 +60,7 @@ func (h *Hierarchy) rebuildLevel(l int) {
 			dilate(flags, h.Cfg.RefineBuffer)
 			cp := clustering.Params{
 				MinEfficiency: h.Cfg.MinEfficiency,
-				MaxSize:       maxI(h.Cfg.MaxGridSize/r, 4),
+				MaxSize:       max(h.Cfg.MaxGridSize/r, 4),
 				MinSize:       2,
 			}
 			boxes[i] = clustering.Cluster(flags, cp)
@@ -358,18 +358,4 @@ func copyFromSibling(g, o *Grid) {
 	for fi := range gf {
 		mesh.CopyOverlap(gf[fi], of[fi], di, dj, dk, 0)
 	}
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -46,10 +46,10 @@ func reconcilePair(a, b *Grid, dir int, d [3]int, h *Hierarchy) {
 		an1, an2, bn1, bn2 = a.Nx, a.Ny, b.Nx, b.Ny
 		aOff1, aOff2 = d[0], d[1]
 	}
-	lo1 := maxI(0, aOff1)
-	hi1 := minI(an1, aOff1+bn1)
-	lo2 := maxI(0, aOff2)
-	hi2 := minI(an2, aOff2+bn2)
+	lo1 := max(0, aOff1)
+	hi1 := min(an1, aOff1+bn1)
+	lo2 := max(0, aOff2)
+	hi2 := min(an2, aOff2+bn2)
 	if lo1 >= hi1 || lo2 >= hi2 {
 		return
 	}

@@ -42,8 +42,8 @@ func (b Box) Contains(i, j, k int) bool {
 func (b Box) Intersect(o Box) (Box, bool) {
 	var r Box
 	for d := 0; d < 3; d++ {
-		r.Lo[d] = maxInt(b.Lo[d], o.Lo[d])
-		r.Hi[d] = minInt(b.Hi[d], o.Hi[d])
+		r.Lo[d] = max(b.Lo[d], o.Lo[d])
+		r.Hi[d] = min(b.Hi[d], o.Hi[d])
 		if r.Lo[d] >= r.Hi[d] {
 			return Box{}, false
 		}
@@ -272,18 +272,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

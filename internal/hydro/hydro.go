@@ -120,12 +120,6 @@ func (s *State) Clone() *State {
 	return c
 }
 
-// Pressure returns the pressure at active cell (i,j,k) using the
-// dual-energy internal energy.
-func (s *State) Pressure(i, j, k int, gamma float64) float64 {
-	return (gamma - 1) * s.Rho.At(i, j, k) * s.Eint.At(i, j, k)
-}
-
 // SoundSpeed returns the adiabatic sound speed at active cell (i,j,k).
 func (s *State) SoundSpeed(i, j, k int, gamma float64) float64 {
 	return math.Sqrt(gamma * (gamma - 1) * s.Eint.At(i, j, k))

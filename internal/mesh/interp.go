@@ -196,12 +196,12 @@ func restrict2(parent, child *Field3, offI, offJ, offK int) {
 // Used for sibling boundary exchange (paper §3.2.1 step 2).
 func CopyOverlap(dst, src *Field3, di, dj, dk, nb int) {
 	// Range of dst indices (including nb ghosts) covered by src actives.
-	i0 := maxInt(-nb, di)
-	i1 := minInt(dst.Nx+nb, di+src.Nx)
-	j0 := maxInt(-nb, dj)
-	j1 := minInt(dst.Ny+nb, dj+src.Ny)
-	k0 := maxInt(-nb, dk)
-	k1 := minInt(dst.Nz+nb, dk+src.Nz)
+	i0 := max(-nb, di)
+	i1 := min(dst.Nx+nb, di+src.Nx)
+	j0 := max(-nb, dj)
+	j1 := min(dst.Ny+nb, dj+src.Ny)
+	k0 := max(-nb, dk)
+	k1 := min(dst.Nz+nb, dk+src.Nz)
 	if i0 >= i1 {
 		return
 	}
@@ -223,18 +223,4 @@ func FloorDiv(a, b int) int {
 		q--
 	}
 	return q
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

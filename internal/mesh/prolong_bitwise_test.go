@@ -41,12 +41,12 @@ func referenceProlongLinear(parent, child *Field3, offI, offJ, offK, r, nb int) 
 
 // referenceCopyOverlap is the per-cell CopyOverlap the row copies replaced.
 func referenceCopyOverlap(dst, src *Field3, di, dj, dk, nb int) {
-	i0 := maxInt(-nb, di)
-	i1 := minInt(dst.Nx+nb, di+src.Nx)
-	j0 := maxInt(-nb, dj)
-	j1 := minInt(dst.Ny+nb, dj+src.Ny)
-	k0 := maxInt(-nb, dk)
-	k1 := minInt(dst.Nz+nb, dk+src.Nz)
+	i0 := max(-nb, di)
+	i1 := min(dst.Nx+nb, di+src.Nx)
+	j0 := max(-nb, dj)
+	j1 := min(dst.Ny+nb, dj+src.Ny)
+	k0 := max(-nb, dk)
+	k1 := min(dst.Nz+nb, dk+src.Nz)
 	for k := k0; k < k1; k++ {
 		for j := j0; j < j1; j++ {
 			for i := i0; i < i1; i++ {

@@ -242,14 +242,12 @@ func (s *Scheduler) admitLocked(j *Job, how admission, bump func(*Stats)) (doome
 	return s.evictLocked(), nil
 }
 
-// admit is admitLocked for callers not holding s.mu; a refused job's
-// blob references are dropped.
+// admit is admitLocked for callers not holding s.mu.
 func (s *Scheduler) admit(j *Job, how admission, bump func(*Stats)) error {
 	s.mu.Lock()
 	doomed, err := s.admitLocked(j, how, bump)
 	s.mu.Unlock()
 	if err != nil {
-		j.artifacts.release()
 		return err
 	}
 	s.reap(doomed)
@@ -375,13 +373,8 @@ func (s *Scheduler) readmit(m JobManifest, arts []ArtifactMeta) error {
 
 // removeLocked forgets a job in memory; s.mu must be held. The caller
 // owns the matching store deletion (synchronously for a re-run of a
-// stale configuration, via reap after unlocking for evictions). The
-// job's blob references are dropped so the shared payload tier does not
-// pin bytes nobody can reach.
+// stale configuration, via reap after unlocking for evictions).
 func (s *Scheduler) removeLocked(id string) {
-	if j, ok := s.jobs[id]; ok {
-		j.artifacts.release()
-	}
 	delete(s.jobs, id)
 	if i := slices.Index(s.order, id); i >= 0 {
 		s.order = slices.Delete(s.order, i, i+1)

@@ -66,8 +66,8 @@ type ArtifactIndex struct {
 
 // ArtifactStore is a bounded, per-job collection of derived-output
 // artifacts. It retains metadata rows in production order up to a byte
-// and count budget; the payload bytes live in the scheduler's shared
-// content-addressed BlobCache, referenced by hash. When a new artifact
+// and count budget; the payload bytes are read through the scheduler's
+// shared content-addressed BlobCache by hash. When a new artifact
 // would exceed the budget, the oldest retained artifacts are evicted
 // first (a long run's trailing products win over its head). Watchers
 // stream artifact-ready metadata with full replay, mirroring Job.Watch.
@@ -120,15 +120,15 @@ func (s *ArtifactStore) Put(a analysis.Artifact) (evicted []string, hash string,
 		return nil, "", false
 	}
 	m := metaOf(a)
-	m.Hash = s.blobs.Acquire(a.Data)
+	m.Hash = s.blobs.Put(a.Data)
 	evicted = s.insertLocked(m)
 	return evicted, m.Hash, true
 }
 
 // putRecovered re-registers a persisted artifact by metadata alone: the
-// payload stays in the store's blob tier (referenced, not resident)
-// until a reader asks for it. The metadata row must carry its content
-// hash; rows without one (a pre-content-addressing store) are refused.
+// payload stays in the store's blob tier until a reader asks for it. The
+// metadata row must carry its content hash; rows without one (a
+// pre-content-addressing store) are refused.
 func (s *ArtifactStore) putRecovered(m ArtifactMeta) (evicted []string, stored bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -137,19 +137,16 @@ func (s *ArtifactStore) putRecovered(m ArtifactMeta) (evicted []string, stored b
 		s.idx = nil
 		return nil, false
 	}
-	s.blobs.AcquireRef(m.Hash, int64(m.Size))
 	return s.insertLocked(m), true
 }
 
-// insertLocked places a referenced metadata row, replacing its name or
-// evicting oldest rows to fit, and notifies watchers; s.mu must be held
-// and the row's blob reference already acquired.
+// insertLocked places a metadata row, replacing its name or evicting
+// oldest rows to fit, and notifies watchers; s.mu must be held.
 func (s *ArtifactStore) insertLocked(m ArtifactMeta) (evicted []string) {
 	replaced := false
 	for i := range s.arts {
 		if s.arts[i].Name == m.Name {
 			s.bytes += m.Size - s.arts[i].Size
-			s.blobs.Release(s.arts[i].Hash)
 			s.arts[i] = m
 			replaced = true
 			break
@@ -158,7 +155,6 @@ func (s *ArtifactStore) insertLocked(m ArtifactMeta) (evicted []string) {
 	if !replaced {
 		for len(s.arts) > 0 && (s.bytes+m.Size > s.maxBytes || len(s.arts)+1 > s.maxCount) {
 			s.bytes -= s.arts[0].Size
-			s.blobs.Release(s.arts[0].Hash)
 			evicted = append(evicted, s.arts[0].Name)
 			s.arts[0] = ArtifactMeta{} // release the row; the backing array outlives the re-slice
 			s.arts = s.arts[1:]
@@ -309,20 +305,6 @@ func (s *ArtifactStore) close() {
 		close(ch)
 	}
 	s.subs = nil
-}
-
-// release drops the store's blob references — called when the job is
-// forgotten entirely (cache eviction), so the shared tier does not pin
-// payloads nobody can reach.
-func (s *ArtifactStore) release() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, m := range s.arts {
-		s.blobs.Release(m.Hash)
-	}
-	s.arts = nil
-	s.bytes = 0
-	s.idx = nil
 }
 
 // Artifact-store sizing defaults: enough for a sweep's worth of images

@@ -9,8 +9,8 @@ import (
 
 // Content-addressed artifact payloads. Artifact bodies are keyed by the
 // sha256 of their bytes: the per-job ArtifactStore holds only metadata
-// rows (name → meta + hash), while the bytes live once in a shared
-// BlobCache no matter how many jobs produced them. The cache is a
+// rows (name → meta + hash), while the store keeps the bytes once per
+// hash no matter how many jobs produced them. The shared BlobCache is a
 // byte-budgeted LRU hot tier over the store's blobs: whatever it evicts
 // is read back through Store.LoadBlob.
 
@@ -25,33 +25,29 @@ func HashBytes(data []byte) string {
 // hot tier fronting the store.
 const DefaultHotTierBytes = 64 << 20
 
-// blobEntry is one referenced content hash: its refcount, size, and —
-// while resident in the hot tier — the payload bytes plus its LRU links.
+// blobEntry is one resident payload and its LRU links.
 type blobEntry struct {
 	hash       string
-	size       int64
-	refs       int
-	data       []byte // nil when evicted to the store
+	data       []byte
 	prev, next *blobEntry
 }
 
-// BlobCache is the shared content-addressed payload tier. Entries are
-// refcounted by the artifact metadata rows pointing at them; resident
-// bytes are bounded by the budget with least-recently-used eviction.
-// All counters are served on /metrics.
+// BlobCache is the shared content-addressed payload tier: a
+// byte-budgeted LRU of resident payloads over Store.LoadBlob. It owns no
+// payload's lifetime — the store's refcounted index rows do — so a
+// payload no retained row names simply ages out. All counters are
+// served on /metrics.
 type BlobCache struct {
 	mu     sync.Mutex
 	store  Store
 	budget int64
 
-	entries  map[string]*blobEntry
-	lru      blobEntry // sentinel ring: lru.next = most recent
+	entries  map[string]*blobEntry // resident payloads only
+	lru      blobEntry             // sentinel ring: lru.next = most recent
 	hotBytes int64
-	hotCount int
 
 	hits        int64
 	misses      int64
-	diskReads   int64
 	evictions   int64
 	dedupeBytes int64
 }
@@ -73,125 +69,69 @@ func NewBlobCache(store Store, budget int64) *BlobCache {
 
 // lruUnlink removes e from the recency ring.
 func (c *BlobCache) lruUnlink(e *blobEntry) {
-	if e.next == nil {
-		return
-	}
 	e.prev.next = e.next
 	e.next.prev = e.prev
-	e.next, e.prev = nil, nil
 }
 
 // lruFront moves (or inserts) e at the most-recent end.
 func (c *BlobCache) lruFront(e *blobEntry) {
-	c.lruUnlink(e)
+	if e.next != nil {
+		c.lruUnlink(e)
+	}
 	e.next = c.lru.next
 	e.prev = &c.lru
 	e.next.prev = e
 	c.lru.next = e
 }
 
-// resident marks e's payload bytes as in the hot tier.
-func (c *BlobCache) resident(e *blobEntry, data []byte) {
-	if e.data == nil {
-		c.hotBytes += e.size
-		c.hotCount++
-	}
-	e.data = data
+// insertLocked makes a payload resident, then evicts least-recently-used
+// payloads until the hot tier fits the budget; c.mu must be held.
+func (c *BlobCache) insertLocked(hash string, data []byte) {
+	e := &blobEntry{hash: hash, data: data}
+	c.entries[hash] = e
+	c.hotBytes += int64(len(data))
 	c.lruFront(e)
-	c.enforceBudget()
-}
-
-// enforceBudget evicts least-recently-used resident payloads until the
-// hot tier fits the budget.
-func (c *BlobCache) enforceBudget() {
 	for c.hotBytes > c.budget && c.lru.prev != &c.lru {
 		e := c.lru.prev
 		c.lruUnlink(e)
-		e.data = nil
-		c.hotBytes -= e.size
-		c.hotCount--
+		delete(c.entries, e.hash)
+		c.hotBytes -= int64(len(e.data))
 		c.evictions++
 	}
 }
 
-// Acquire references a payload under its content hash, making it
-// resident, and returns the hash. A second acquisition of bytes already
-// referenced is the dedupe win counted in DedupeBytes.
-func (c *BlobCache) Acquire(data []byte) string {
+// Put makes a payload resident under its content hash and returns the
+// hash. Bytes already resident are the dedupe win counted in
+// DedupeBytes.
+func (c *BlobCache) Put(data []byte) string {
 	hash := HashBytes(data)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[hash]
-	if !ok {
-		e = &blobEntry{hash: hash, size: int64(len(data))}
-		c.entries[hash] = e
-	} else {
+	if e, ok := c.entries[hash]; ok {
 		c.dedupeBytes += int64(len(data))
+		c.lruFront(e)
+	} else {
+		c.insertLocked(hash, data)
 	}
-	e.refs++
-	c.resident(e, data)
 	return hash
 }
 
-// AcquireRef references a content hash without its bytes — the recovery
-// path, where payloads stay in the store until a reader asks for them.
-func (c *BlobCache) AcquireRef(hash string, size int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[hash]
-	if !ok {
-		e = &blobEntry{hash: hash, size: size}
-		c.entries[hash] = e
-	}
-	e.refs++
-}
-
-// Release drops one reference; the last release forgets the entry and
-// frees any resident bytes (the store's copy is the store's to
-// reclaim).
-func (c *BlobCache) Release(hash string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[hash]
-	if !ok {
-		return
-	}
-	e.refs--
-	if e.refs > 0 {
-		return
-	}
-	if e.data != nil {
-		c.hotBytes -= e.size
-		c.hotCount--
-	}
-	c.lruUnlink(e)
-	delete(c.entries, hash)
-}
-
-// Get returns a referenced payload: from the hot tier when resident (a
-// hit), otherwise read back from the store, verified against
-// its hash, and made resident (a miss). The returned bytes are shared —
-// read-only.
+// Get returns a payload: from the hot tier when resident (a hit),
+// otherwise read back from the store, verified against its hash, and
+// made resident (a miss). The returned bytes are shared — read-only.
 func (c *BlobCache) Get(hash string) ([]byte, error) {
 	c.mu.Lock()
-	e, ok := c.entries[hash]
-	if ok && e.data != nil {
+	if e, ok := c.entries[hash]; ok {
 		c.hits++
 		c.lruFront(e)
-		data := e.data
 		c.mu.Unlock()
-		return data, nil
-	}
-	if !ok {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("sim: blob %s is not referenced", hash)
+		return e.data, nil
 	}
 	c.misses++
-	c.diskReads++
 	c.mu.Unlock()
 	// Read outside the lock: a cold read is store + checksum work and must
 	// not serialize the whole tier. Concurrent misses on one hash may read
-	// twice; both verify, the later insert wins harmlessly.
+	// twice; both verify, and the first insert wins harmlessly.
 	data, err := c.store.LoadBlob(hash)
 	if err != nil {
 		return nil, err
@@ -200,42 +140,27 @@ func (c *BlobCache) Get(hash string) ([]byte, error) {
 		return nil, fmt.Errorf("sim: blob %s failed content verification", hash)
 	}
 	c.mu.Lock()
-	if e, ok := c.entries[hash]; ok {
-		e.size = int64(len(data))
-		c.resident(e, data)
+	if _, ok := c.entries[hash]; !ok {
+		c.insertLocked(hash, data)
 	}
 	c.mu.Unlock()
 	return data, nil
 }
 
-// Contains reports whether the hash is resident in the hot tier without
-// touching recency or counters (used by tests and the 304 fast path
-// assertions).
-func (c *BlobCache) Contains(hash string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[hash]
-	return ok && e.data != nil
-}
-
 // BlobCacheStats is the hot tier's counter snapshot.
 type BlobCacheStats struct {
 	// Hits and Misses count Get calls served from resident bytes vs the
-	// store; DiskReads counts the store reads misses issued.
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	DiskReads int64 `json:"disk_reads"`
+	// store; every miss is one store read.
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 	// Evictions counts payloads pushed out of the hot tier by the byte
 	// budget.
 	Evictions int64 `json:"evictions"`
-	// DedupeBytes totals the payload bytes that were NOT stored again
-	// because an identical blob was already referenced.
+	// DedupeBytes totals the payload bytes Put found already resident.
 	DedupeBytes int64 `json:"dedupe_bytes"`
-	// HotBytes/HotCount gauge the resident payloads; RefCount gauges the
-	// distinct referenced hashes (resident or not).
+	// HotBytes/HotCount gauge the resident payloads.
 	HotBytes int64 `json:"hot_bytes"`
 	HotCount int   `json:"hot_count"`
-	RefCount int   `json:"ref_count"`
 }
 
 // Stats snapshots the cache counters.
@@ -245,11 +170,9 @@ func (c *BlobCache) Stats() BlobCacheStats {
 	return BlobCacheStats{
 		Hits:        c.hits,
 		Misses:      c.misses,
-		DiskReads:   c.diskReads,
 		Evictions:   c.evictions,
 		DedupeBytes: c.dedupeBytes,
 		HotBytes:    c.hotBytes,
-		HotCount:    c.hotCount,
-		RefCount:    len(c.entries),
+		HotCount:    len(c.entries),
 	}
 }

@@ -51,8 +51,9 @@ const keepCheckpoints = 2
 // Store implements sim.Store on a directory tree. Safe for concurrent
 // use; a single mutex serializes metadata writes (the payloads are
 // large, but job persistence is off the step hot path — checkpoint
-// cadence bounds how often it runs). Blob reads (LoadBlob) take the
-// mutex only long enough to consult the refcount table.
+// cadence bounds how often it runs). Blob reads (LoadBlob) take no
+// lock: a blob file appears whole by atomic rename and is removed only
+// once no index row names it.
 type Store struct {
 	root string
 
@@ -416,8 +417,9 @@ func (s *Store) unrefLocked(hash string) {
 	os.Remove(path)
 }
 
-// LoadBlob reads one content-addressed payload — the hot tier's miss
-// path. The caller (sim.BlobCache) verifies the bytes against the hash.
+// LoadBlob reads one content-addressed payload without taking the store
+// mutex — the hot tier's miss path. The caller (sim.BlobCache) verifies
+// the bytes against the hash.
 func (s *Store) LoadBlob(hash string) ([]byte, error) {
 	if err := cleanHash(hash); err != nil {
 		return nil, err

@@ -127,8 +127,6 @@ func (s *Scheduler) execute(j *Job) {
 		reoffered = true
 		if s.planSpeculative(j) {
 			s.trimSpeculativeCheckpoints()
-		} else {
-			j.artifacts.release()
 		}
 		s.spec.book(func(sp *speculator) { sp.preempted++; sp.wasted += wasted })
 	case stopped:

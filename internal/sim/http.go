@@ -639,7 +639,7 @@ func (s *Scheduler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "sim_artifact_cache_hits_total %d\n", bs.Hits)
 	fmt.Fprintf(w, "sim_artifact_cache_misses_total %d\n", bs.Misses)
 	fmt.Fprintf(w, "sim_artifact_cache_evictions_total %d\n", bs.Evictions)
-	fmt.Fprintf(w, "sim_artifact_disk_reads_total %d\n", bs.DiskReads)
+	fmt.Fprintf(w, "sim_artifact_disk_reads_total %d\n", bs.Misses)
 	fmt.Fprintf(w, "sim_artifact_bytes_served_total %d\n", s.bytesServed.Load())
 	fmt.Fprintf(w, "sim_artifact_not_modified_total %d\n", s.notModified.Load())
 	fmt.Fprintf(w, "sim_blob_dedupe_bytes_total %d\n", bs.DedupeBytes)

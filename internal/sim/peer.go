@@ -64,11 +64,12 @@ type PeerConfig struct {
 }
 
 // replica is one replicated job record held for a peer that owns the
-// job: its latest manifest, (once the owner checkpoints) the latest
-// restart checkpoint, and the artifact rows shipped so far. Data is
-// base64 in the JSON wire form. Artifacts is never populated by the
-// owner's POST — rows accumulate standby-side from the per-artifact
-// endpoint, in production order.
+// job: its latest manifest and the artifact rows shipped so far. On the
+// wire it also carries, once the owner checkpoints, the latest restart
+// checkpoint (Data, base64 in JSON), which the standby moves into its
+// store and does not keep in the record. Artifacts is never populated
+// by the owner's POST — rows accumulate standby-side from the
+// per-artifact endpoint, in production order.
 type replica struct {
 	Manifest  JobManifest    `json:"manifest"`
 	Step      int            `json:"step"`
@@ -440,6 +441,7 @@ func (p *Peer) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(rep.Data) > 0 {
 		p.s.noteStoreErr(p.s.store.SaveCheckpoint(id, rep.Step, rep.Data))
+		rep.Data = nil // the store holds the bytes; a takeover resumes from there
 	}
 	p.mu.Lock()
 	// Artifact rows accumulate via their own endpoint; a manifest or
@@ -451,15 +453,20 @@ func (p *Peer) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplicaArtifactPut stores one replicated artifact from the job's
-// owner: the payload goes into the local store's blob tier right away,
-// the index row into the in-memory replica record (production order,
-// replace-by-name) for a takeover to rehydrate from.
+// owner: a payload that matches its row's content hash and size goes
+// into the local store's blob tier right away, the index row into the
+// in-memory replica record (production order, replace-by-name) for a
+// takeover to rehydrate from.
 func (p *Peer) handleReplicaArtifactPut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var ra replicaArtifact
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReplicaBody))
 	if err := dec.Decode(&ra); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad replica artifact body: %w", err))
+		return
+	}
+	if HashBytes(ra.Data) != ra.Meta.Hash || ra.Meta.Size != len(ra.Data) {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("replica artifact %q: payload does not match its content hash and size", ra.Meta.Name))
 		return
 	}
 	if err := p.s.store.SaveArtifact(id, artifactOf(ra.Meta, ra.Data), ra.Meta.Hash); err != nil {

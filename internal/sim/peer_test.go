@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -69,5 +71,39 @@ func TestOneMissedPingIsNotADeath(t *testing.T) {
 	}
 	if _, ok := s.Get(id); !ok {
 		t.Fatal("the taken-over job is not in the local scheduler")
+	}
+}
+
+// TestReplicaCheckpointHeldOnce: a standby writes a replicated
+// checkpoint to its store and keeps the replica record without the
+// bytes — a takeover resumes through Store.LatestCheckpoint.
+func TestReplicaCheckpointHeldOnce(t *testing.T) {
+	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1})
+	defer s.Close()
+	self := "http://127.0.0.1:1" // never dialled: the only peer is itself
+	p, err := NewPeer(s, PeerConfig{Self: self, Peers: []string{self}, PingEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	id := "0123456789abcdef"
+	body, err := json.Marshal(replica{Manifest: JobManifest{ID: id}, Step: 3, Data: []byte("checkpoint")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	p.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/peer/replicas/"+id, bytes.NewReader(body)))
+	if rec.Code != http.StatusNoContent {
+		t.Fatalf("replica POST: %d %s", rec.Code, rec.Body)
+	}
+	p.mu.Lock()
+	rep, ok := p.replicas[id]
+	p.mu.Unlock()
+	if !ok || len(rep.Data) != 0 || rep.Step != 3 {
+		t.Fatalf("replica record %v: step %d, %d checkpoint bytes kept", ok, rep.Step, len(rep.Data))
+	}
+	ck, err := s.store.LatestCheckpoint(id)
+	if err != nil || ck == nil || string(ck.Data) != "checkpoint" || ck.Step != 3 {
+		t.Fatalf("stored checkpoint %+v, %v", ck, err)
 	}
 }

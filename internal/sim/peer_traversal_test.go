@@ -81,3 +81,78 @@ func TestReplicaIDsCannotLeaveTheDataRoot(t *testing.T) {
 		t.Fatalf("a refused replica reached the replica map: %s", rec.Body)
 	}
 }
+
+// TestReplicaArtifactMustMatchItsHash: a standby stores replicated
+// artifact bytes only when they are the bytes the row names. A payload
+// whose content hash or size disagrees with its row is refused with 400
+// before the store or the replica map is touched — otherwise a later
+// local artifact with the real bytes would dedupe onto the poisoned blob,
+// and a takeover would serve the row's wrong size.
+func TestReplicaArtifactMustMatchItsHash(t *testing.T) {
+	store, err := diskstore.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.NewScheduler(sim.Config{MaxConcurrent: 1, TotalWorkers: 1, Store: store})
+	defer s.Close()
+	self := "http://127.0.0.1:1" // never dialled: the only peer is itself
+	p, err := sim.NewPeer(s, sim.PeerConfig{Self: self, Peers: []string{self}, PingEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	h := p.Handler()
+	post := func(data string, size int, hash string) int {
+		body, err := json.Marshal(map[string]any{
+			"meta": sim.ArtifactMeta{Name: "a.pgm", Kind: "projection", Size: size, Hash: hash},
+			"data": []byte(data),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/peer/replicas/0123456789abcdef/artifacts", strings.NewReader(string(body))))
+		return rec.Code
+	}
+	replicas := func() int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/peer/ring", nil))
+		var ring struct{ Replicas int }
+		if err := json.Unmarshal(rec.Body.Bytes(), &ring); err != nil {
+			t.Fatal(err)
+		}
+		return ring.Replicas
+	}
+	good := sim.HashBytes([]byte("good"))
+	for _, tc := range []struct {
+		data string
+		size int
+		hash string
+	}{
+		{"evil", 99, good}, // neither hash nor size
+		{"evil", 4, good},  // the size alone is right
+		{"good", 99, good}, // the hash alone is right
+	} {
+		if code := post(tc.data, tc.size, tc.hash); code != http.StatusBadRequest {
+			t.Errorf("data %q, size %d: %d, want 400", tc.data, tc.size, code)
+		}
+	}
+	if data, err := store.LoadBlob(good); err == nil {
+		t.Fatalf("a refused payload reached the store: %q", data)
+	}
+	if st := store.Stats(); st.BlobCount != 0 {
+		t.Fatalf("store holds %d blobs after refusals", st.BlobCount)
+	}
+	if n := replicas(); n != 0 {
+		t.Fatalf("a refused artifact reached the replica map: %d replicas", n)
+	}
+	if code := post("good", 4, good); code != http.StatusNoContent {
+		t.Fatalf("matching replica artifact: %d, want 204", code)
+	}
+	if data, err := store.LoadBlob(good); err != nil || string(data) != "good" {
+		t.Fatalf("stored blob %q, %v", data, err)
+	}
+	if n := replicas(); n != 1 {
+		t.Fatalf("%d replicas after an accepted artifact, want 1", n)
+	}
+}

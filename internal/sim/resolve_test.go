@@ -2,6 +2,9 @@ package sim
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/problems"
@@ -105,6 +108,68 @@ func FuzzResolveRequest(f *testing.F) {
 		}
 		if r.key() != r2.key() {
 			t.Fatalf("job ID moved across a JSON round trip: %s -> %s\n%s\n%s", r.key(), r2.key(), body, raw)
+		}
+	})
+}
+
+// FuzzSweepManifest posts arbitrary bytes to POST /sweeps on a scheduler
+// with speculation off. The handler never panics or answers 5xx; a 202
+// triages every row once, in index order, each valid row under the ID
+// its merged request resolves to and each invalid one with an error and
+// no ID; and with speculation off nothing is accepted or scheduled.
+func FuzzSweepManifest(f *testing.F) {
+	for _, seed := range []string{
+		`{"name":"pair","defaults":{"problem":"sedov","rootn":8,"steps":2},"jobs":[{"maxlevel":0},{"maxlevel":1,"knobs":{"e0":2}}]}`,
+		`{"defaults":{"problem":"sedov"},"jobs":[{"knobs":{"eo":1}}]}`,
+		`{"jobs":[]}`,
+		`{"jobs":[` + strings.Repeat(`{},`, MaxSweepRows) + `{}]}`,
+	} {
+		f.Add(seed)
+	}
+	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1})
+	defer s.Close()
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweeps", strings.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("%d for %q: %s", rec.Code, body, rec.Body)
+		}
+		s.mu.Lock()
+		jobs := len(s.jobs)
+		s.mu.Unlock()
+		if jobs != 0 {
+			t.Fatalf("a sweep put %d jobs in the job table", jobs)
+		}
+		if rec.Code != http.StatusAccepted {
+			return
+		}
+		var m SweepManifest
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&m); err != nil {
+			t.Fatalf("202 for a body the handler's decoding refuses: %v", err)
+		}
+		var resp SweepResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("202 body does not decode: %v", err)
+		}
+		if resp.Rows != len(m.Jobs) || len(resp.Results) != len(m.Jobs) || resp.Accepted != 0 {
+			t.Fatalf("rows %d, results %d, accepted %d for %d jobs", resp.Rows, len(resp.Results), resp.Accepted, len(m.Jobs))
+		}
+		for i, row := range resp.Results {
+			if row.Index != i {
+				t.Fatalf("result %d carries index %d", i, row.Index)
+			}
+			if row.Status == "invalid" {
+				if row.Error == "" || row.ID != "" {
+					t.Fatalf("invalid row %d: error %q, id %q", i, row.Error, row.ID)
+				}
+				continue
+			}
+			if id, err := s.CanonicalID(Merge(m.Defaults, m.Jobs[i])); err != nil || row.ID != id {
+				t.Fatalf("row %d (%s) has id %q, canonical %q (%v)", i, row.Status, row.ID, id, err)
+			}
 		}
 	})
 }

@@ -161,11 +161,10 @@ func (s *Scheduler) admitSpeculative(j *Job) bool {
 }
 
 // discardSpeculative forgets a candidate that will not run (again): its
-// blob references go, and so do its store records (a preempted one's
-// interrupted manifest and checkpoint must not outlive it) unless the
-// configuration is live on the demand path, which then owns them.
+// store records go (a preempted one's interrupted manifest and checkpoint
+// must not outlive it) unless the configuration is live on the demand
+// path, which then owns them.
 func (s *Scheduler) discardSpeculative(j *Job) {
-	j.artifacts.release()
 	if _, live := s.Get(j.ID); !live {
 		s.noteStoreErr(s.store.DeleteJob(j.ID))
 	}
