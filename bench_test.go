@@ -344,7 +344,7 @@ func BenchmarkRebuildCollapse(b *testing.B) {
 func BenchmarkSubgridGravity(b *testing.B) {
 	h := collapseHierarchy(b)
 	var solve physics.LevelOperator
-	for _, op := range h.Physics.Ops() {
+	for _, op := range h.Physics {
 		if lop, ok := op.(physics.LevelOperator); ok && op.Name() == "gravity.solve" {
 			solve = lop
 		}

@@ -25,7 +25,7 @@
 //	    -output projection,field=rho,axis=2,n=128,every=5 \
 //	    -output slice,field=temp,format=png -outdir products
 //
-// A `-output checkpoint,every=N` spec writes periodic restart files
+// A `-output snapshot,every=N` spec writes periodic restart files
 // (loadable with -restart) alongside the science products — the offline
 // flavor of the job service's durability checkpoints.
 //
@@ -117,7 +117,6 @@ func serve(args []string) {
 	specMax := fs.Float64("speculate-max-seconds", 0, "with -speculate: skip candidates the cost model predicts to run longer than this many seconds (0 = no bound)")
 	peerList := fs.String("peers", "", "comma-separated advertised base URLs of every cluster peer (empty = single node); requires -self")
 	self := fs.String("self", "", "this peer's advertised base URL, must appear in -peers")
-	vnodes := fs.Int("ring-vnodes", 0, "virtual nodes per peer on the ownership ring (0 = default); must match on every peer")
 	pingEvery := fs.Duration("peer-ping", time.Second, "peer health-check cadence")
 	fs.Parse(args)
 
@@ -176,7 +175,6 @@ func serve(args []string) {
 		peer, err = sim.NewPeer(sched, sim.PeerConfig{
 			Self:      *self,
 			Peers:     members,
-			Vnodes:    *vnodes,
 			PingEvery: *pingEvery,
 		})
 		if err != nil {

@@ -54,20 +54,21 @@
 //
 // # Registering a new physics operator
 //
-// The hierarchy advances each grid by running Hierarchy.Physics, an
-// ordered physics.Pipeline of operator-split components (gravity
-// half-kick, hydro, half-kick, N-body KDK, expansion drag, chemistry by
-// default, plus the level-wide Poisson solve as a per-level stage). An
+// The hierarchy advances each grid by running Hierarchy.Physics, a
+// physics.Pipeline — a plain []physics.Operator — of operator-split
+// components (gravity half-kick, hydro, half-kick, N-body KDK, expansion
+// drag, chemistry by default, plus the level-wide Poisson solve as a
+// per-level stage). An
 // operator sees only a physics.Grid view and the run's physics.Context,
 // so it runs unchanged on every grid of every level — the paper's
 // "off-the-shelf solver" architecture. To add physics (a tracer field,
 // a heating source, star formation), implement physics.Operator —
 // Name, Timing Component, ghost-zone depth NGhost, per-grid Apply, and
 // a Timestep constraint hook (return math.Inf(1) when unconstrained) —
-// and splice it in:
+// and splice it into the slice:
 //
-//	h.Physics.Append(myOp)                         // after chemistry
-//	h.Physics.InsertBefore("chemistry", myOp)      // or mid-pipeline
+//	h.Physics = append(h.Physics, myOp)                          // after chemistry
+//	h.Physics = slices.Insert(h.Physics, len(h.Physics)-1, myOp) // or before it
 //
 // Operators whose work couples a whole level implement
 // physics.LevelOperator; ApplyLevel runs once per level step before the

@@ -80,7 +80,7 @@ func (o *gravitySolveOp) ApplyLevel(level int, dt float64) {
 // pipeline returns the hierarchy's operator pipeline, installing the
 // default when none was set (e.g. a zero-literal Hierarchy in tests), and
 // rejects operators whose stencil exceeds the allocated ghost depth.
-func (h *Hierarchy) pipeline() *physics.Pipeline {
+func (h *Hierarchy) pipeline() physics.Pipeline {
 	if h.Physics == nil {
 		h.Physics = DefaultPipeline(h)
 	}
@@ -153,7 +153,7 @@ func (h *Hierarchy) EvolveLevel(level int, parentTime float64) {
 		if now+dt > parentTime {
 			dt = parentTime - now
 		}
-		for _, op := range h.pipeline().Ops() {
+		for _, op := range h.pipeline() {
 			if lop, ok := op.(physics.LevelOperator); ok {
 				t0 := time.Now()
 				lop.ApplyLevel(level, dt)
@@ -189,7 +189,7 @@ func (h *Hierarchy) EvolveLevel(level int, parentTime float64) {
 // are billed afterwards, in grid order.
 func (h *Hierarchy) stepLevelGrids(level int, dt float64) {
 	grids := h.Levels[level]
-	ops := h.pipeline().Ops()
+	ops := h.pipeline()
 	spent := make([]time.Duration, len(grids)*len(ops))
 	stats := make([]physics.OpStats, len(grids))
 	h.forGrids(len(grids), func(i, inner int) {

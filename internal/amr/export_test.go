@@ -296,9 +296,8 @@ func (o *referenceGravitySolveOp) ApplyLevel(level int, dt float64) {
 
 // ReferencePipeline is DefaultPipeline with the parent's two-pass gravity
 // solve as its level operator (gravity_test.go).
-func ReferencePipeline(h *Hierarchy) *physics.Pipeline {
-	ops := append([]physics.Operator{&referenceGravitySolveOp{gravitySolveOp{h: h}}}, physics.DefaultOperators()...)
-	return physics.NewPipeline(ops...)
+func ReferencePipeline(h *Hierarchy) physics.Pipeline {
+	return append(physics.Pipeline{&referenceGravitySolveOp{gravitySolveOp{h: h}}}, physics.DefaultOperators()...)
 }
 
 // referenceSolveGravityLevel is solveGravityLevel as it stood before the
@@ -416,9 +415,8 @@ func (o *serialGravitySolveOp) ApplyLevel(level int, dt float64) {
 
 // SerialPipeline is DefaultPipeline with the serial subgrid solve as its
 // level operator.
-func SerialPipeline(h *Hierarchy) *physics.Pipeline {
-	ops := append([]physics.Operator{&serialGravitySolveOp{gravitySolveOp{h: h}}}, physics.DefaultOperators()...)
-	return physics.NewPipeline(ops...)
+func SerialPipeline(h *Hierarchy) physics.Pipeline {
+	return append(physics.Pipeline{&serialGravitySolveOp{gravitySolveOp{h: h}}}, physics.DefaultOperators()...)
 }
 
 func serialSolveGravityLevel(h *Hierarchy, level int) {

@@ -99,10 +99,11 @@ type Hierarchy struct {
 	Stats  Stats     // performance & structure accounting
 	Timing Timing    // wall-clock component accounting (§5 table)
 	// Physics is the operator pipeline executed per grid per level-step.
-	// NewHierarchy installs DefaultPipeline; replace or extend it (see
-	// physics.Pipeline) to add custom operators. Operators requiring
-	// more than hydro.NGhost ghost zones are rejected at step time.
-	Physics *physics.Pipeline
+	// NewHierarchy installs DefaultPipeline; replace it or edit it as a
+	// slice (append, slices.Insert) to add custom operators. Operators
+	// requiring more than hydro.NGhost ghost zones are rejected at step
+	// time.
+	Physics physics.Pipeline
 	parity  int
 	plans   []siblingPlan // per-level sibling plans, see plan
 }
@@ -141,9 +142,8 @@ func NewHierarchy(cfg Config) (*Hierarchy, error) {
 // KDK, expansion drag, chemistry). Every operator guards itself against
 // configurations where it does not apply, so one pipeline serves all
 // problems.
-func DefaultPipeline(h *Hierarchy) *physics.Pipeline {
-	ops := append([]physics.Operator{&gravitySolveOp{h: h}}, physics.DefaultOperators()...)
-	return physics.NewPipeline(ops...)
+func DefaultPipeline(h *Hierarchy) physics.Pipeline {
+	return append(physics.Pipeline{&gravitySolveOp{h: h}}, physics.DefaultOperators()...)
 }
 
 // Root returns the root grid.

@@ -79,7 +79,7 @@ func TestCustomOperatorRunsInPipeline(t *testing.T) {
 	h := uniformTestHierarchy(t)
 	probe := &probeOp{}
 	lprobe := &levelProbeOp{}
-	h.Physics.Append(probe, lprobe)
+	h.Physics = append(h.Physics, probe, lprobe)
 
 	h.Step()
 	h.Step()
@@ -114,7 +114,7 @@ func TestCustomOperatorRunsInPipeline(t *testing.T) {
 func TestCustomTimestepConstraint(t *testing.T) {
 	h := uniformTestHierarchy(t)
 	probe := &probeOp{dtLimit: 1e-4}
-	h.Physics.Append(probe)
+	h.Physics = append(h.Physics, probe)
 	if dt := h.ComputeTimestep(0); dt != 1e-4 {
 		t.Fatalf("custom constraint ignored: dt=%v", dt)
 	}
@@ -123,7 +123,10 @@ func TestCustomTimestepConstraint(t *testing.T) {
 func TestPipelineDefaultOrder(t *testing.T) {
 	h := uniformTestHierarchy(t)
 	want := []string{"gravity.solve", "gravity.kick", "hydro", "gravity.kick", "nbody", "expansion", "chemistry"}
-	got := h.Physics.Names()
+	var got []string
+	for _, op := range h.Physics {
+		got = append(got, op.Name())
+	}
 	if len(got) != len(want) {
 		t.Fatalf("pipeline %v, want %v", got, want)
 	}
@@ -136,7 +139,7 @@ func TestPipelineDefaultOrder(t *testing.T) {
 
 func TestOversizedStencilRejected(t *testing.T) {
 	h := uniformTestHierarchy(t)
-	h.Physics.Append(&wideOp{})
+	h.Physics = append(h.Physics, &wideOp{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("stencil wider than the allocated ghosts must be rejected")

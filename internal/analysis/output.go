@@ -51,14 +51,6 @@ const (
 	// internal/snapshot format), so a consumer can restart or re-analyze
 	// offline without touching the service host's disk.
 	KindSnapshot OutputKind = "snapshot"
-	// KindCheckpoint is a restart checkpoint: the same self-describing
-	// payload as KindSnapshot under a checkpoint_* name. It exists as a
-	// distinct kind so checkpoint cadence rides the same OutputPlan
-	// machinery as every other product while consumers (the sim job
-	// store, an enzogo -output run writing restart files) can route it
-	// differently from science products. The sim service reserves it for
-	// its own durability machinery and rejects it in job requests.
-	KindCheckpoint OutputKind = "checkpoint"
 )
 
 // OutputFields lists the cell quantities slices and projections accept,
@@ -207,11 +199,11 @@ func (r OutputRequest) Normalize() (OutputRequest, error) {
 			return r, fmt.Errorf("analysis: clump min_sep %g not in (0,1]", r.MinSep)
 		}
 		r.Field, r.Axis, r.Coord, r.N, r.NSamp, r.Format = "", 0, 0, 0, 0, ""
-	case KindSnapshot, KindCheckpoint:
+	case KindSnapshot:
 		r.Field, r.Axis, r.Coord, r.N, r.NSamp, r.Format = "", 0, 0, 0, 0, ""
 		r.Threshold, r.MinSep = 0, 0
 	default:
-		return r, fmt.Errorf("analysis: output kind %q unknown (want slice|projection|pyramid|profile|clumps|snapshot|checkpoint)", r.Kind)
+		return r, fmt.Errorf("analysis: output kind %q unknown (want slice|projection|pyramid|profile|clumps|snapshot)", r.Kind)
 	}
 	if r.Every < 0 {
 		return r, fmt.Errorf("analysis: output cadence every=%d must be >= 0", r.Every)
@@ -323,8 +315,8 @@ type Artifact struct {
 	// ContentType is the payload MIME type.
 	ContentType string `json:"content_type"`
 	// RawSize is the uncompressed payload size of a compressed product
-	// (snapshot/checkpoint grid records before deflate); 0 for products
-	// whose Data is not compressed. len(Data) is always the on-wire size,
+	// (snapshot grid records before deflate); 0 for products whose Data
+	// is not compressed. len(Data) is always the on-wire size,
 	// so artifact indexes can report both sides of the compression.
 	RawSize int64 `json:"raw_size,omitempty"`
 	// Data is the encoded payload. Omitted from JSON metadata listings.
@@ -478,7 +470,7 @@ func (r OutputRequest) Evaluate(h *amr.Hierarchy, problem string, step, workers 
 			Step: step, Time: h.Time,
 			Threshold: r.Threshold, MinSep: r.MinSep, Clumps: clumps,
 		})
-	case KindSnapshot, KindCheckpoint:
+	case KindSnapshot:
 		data, raw, err := snapshot.EncodeSized(h, problem)
 		if err != nil {
 			return art, err

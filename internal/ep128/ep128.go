@@ -184,12 +184,6 @@ func (a Dd) Cmp(b Dd) int {
 // Less reports a < b.
 func (a Dd) Less(b Dd) bool { return a.Cmp(b) < 0 }
 
-// LessEq reports a <= b.
-func (a Dd) LessEq(b Dd) bool { return a.Cmp(b) <= 0 }
-
-// Eq reports exact equality of representation.
-func (a Dd) Eq(b Dd) bool { return a.Hi == b.Hi && a.Lo == b.Lo }
-
 // IsZero reports whether a represents exactly zero.
 func (a Dd) IsZero() bool { return a.Hi == 0 && a.Lo == 0 }
 
@@ -212,11 +206,6 @@ func (a Dd) Floor() Dd {
 	}
 	// Hi already integral; floor the low part.
 	return renorm(fh, math.Floor(a.Lo))
-}
-
-// MulPow2 returns a * 2^n exactly.
-func (a Dd) MulPow2(n int) Dd {
-	return Dd{Hi: math.Ldexp(a.Hi, n), Lo: math.Ldexp(a.Lo, n)}
 }
 
 // String formats with ~32 significant digits.

@@ -82,15 +82,6 @@ func (f *Field3) Fill(v float64) {
 // (memclr — measurably faster than an assignment loop on large fields).
 func (f *Field3) Zero() { clear(f.Data) }
 
-// CopyFrom copies the full contents (including ghosts) of src, which must
-// have identical shape.
-func (f *Field3) CopyFrom(src *Field3) {
-	if f.Nx != src.Nx || f.Ny != src.Ny || f.Nz != src.Nz || f.Ng != src.Ng {
-		panic("mesh: CopyFrom shape mismatch")
-	}
-	copy(f.Data, src.Data)
-}
-
 // Clone returns a deep copy.
 func (f *Field3) Clone() *Field3 {
 	g := NewField3(f.Nx, f.Ny, f.Nz, f.Ng)

@@ -140,8 +140,7 @@ func TestProlongRestrictIdentity(t *testing.T) {
 	child := NewField3(8, 8, 8, 1)
 	off := 2 // child covers parent active cells 1..4 in each dim
 	ProlongLinear(parent, child, off, off, off, r, 0)
-	check := NewField3(6, 6, 6, 2)
-	check.CopyFrom(parent)
+	check := parent.Clone()
 	Restrict(check, child, off, off, off, r)
 	for k := 1; k <= 4; k++ {
 		for j := 1; j <= 4; j++ {

@@ -399,20 +399,6 @@ func (p *Particles) KineticEnergy() float64 {
 	return e
 }
 
-// SelectInBox returns the indices of particles inside the extended-
-// precision box [lo, hi) per dimension.
-func (p *Particles) SelectInBox(lo, hi [3]ep128.Dd) []int {
-	var out []int
-	for i := 0; i < p.Len(); i++ {
-		if lo[0].LessEq(p.X[i]) && p.X[i].Less(hi[0]) &&
-			lo[1].LessEq(p.Y[i]) && p.Y[i].Less(hi[1]) &&
-			lo[2].LessEq(p.Z[i]) && p.Z[i].Less(hi[2]) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Validate checks container consistency.
 func (p *Particles) Validate() error {
 	n := p.Len()

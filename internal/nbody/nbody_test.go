@@ -134,19 +134,6 @@ func TestExpansionDrag(t *testing.T) {
 	}
 }
 
-func TestSelectInBox(t *testing.T) {
-	p := New(3)
-	for i, x := range []float64{0.1, 0.5, 0.9} {
-		p.Add(ep128.FromFloat64(x), ep128.FromFloat64(0.5), ep128.FromFloat64(0.5), 0, 0, 0, 1, int64(i))
-	}
-	lo := [3]ep128.Dd{ep128.FromFloat64(0.4), ep128.FromFloat64(0), ep128.FromFloat64(0)}
-	hi := [3]ep128.Dd{ep128.FromFloat64(0.6), ep128.One, ep128.One}
-	sel := p.SelectInBox(lo, hi)
-	if len(sel) != 1 || sel[0] != 1 {
-		t.Fatalf("SelectInBox = %v", sel)
-	}
-}
-
 func TestTwoBodyOrbitSymmetry(t *testing.T) {
 	// Two equal masses under PM gravity accelerate toward each other with
 	// equal magnitude (momentum conservation of the PM force to CIC

@@ -6,21 +6,21 @@
 // general-purpose engine when "off-the-shelf" solvers see only one
 // uniform patch at a time.
 //
-// The driver (internal/amr) executes a Pipeline of operators per grid per
-// level-step instead of hard-wiring solver calls. An Operator declares its
-// name, the Timing component it bills to, its ghost-zone (stencil) needs,
-// a per-grid Apply, and a timestep-constraint hook; operators whose work
-// is intrinsically level-wide (the Poisson solve, which couples every
-// grid of a level through boundary exchange) additionally implement
-// LevelOperator and are invoked once before the per-grid sweep.
+// The driver (internal/amr) executes a Pipeline — a plain []Operator —
+// per grid per level-step instead of hard-wiring solver calls. An
+// Operator declares its name, the Timing component it bills to, its
+// ghost-zone (stencil) needs, a per-grid Apply, and a timestep-constraint
+// hook; operators whose work is intrinsically level-wide (the Poisson
+// solve, which couples every grid of a level through boundary exchange)
+// additionally implement LevelOperator and are invoked once before the
+// per-grid sweep.
 //
 // New physics plugs in without touching the driver: implement Operator and
-// append it to the hierarchy's pipeline (see the package example in the
-// repository root doc.go).
+// append it to (or slices.Insert it into) the hierarchy's Physics slice
+// (see the package example in the repository root doc.go).
 package physics
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/chem"
@@ -154,60 +154,15 @@ type LevelOperator interface {
 	ApplyLevel(level int, dt float64)
 }
 
-// Pipeline is an ordered set of operators executed per grid per
-// level-step. The zero Pipeline is not usable; construct with NewPipeline.
-type Pipeline struct {
-	ops []Operator
-}
-
-// NewPipeline builds a pipeline executing the given operators in order.
-func NewPipeline(ops ...Operator) *Pipeline {
-	return &Pipeline{ops: ops}
-}
-
-// Ops returns the operators in execution order. The returned slice is the
-// pipeline's own; do not mutate it, use Append/InsertBefore.
-func (p *Pipeline) Ops() []Operator { return p.ops }
-
-// Names returns the operator names in execution order.
-func (p *Pipeline) Names() []string {
-	out := make([]string, len(p.ops))
-	for i, op := range p.ops {
-		out[i] = op.Name()
-	}
-	return out
-}
-
-// Lookup returns the first operator with the given name.
-func (p *Pipeline) Lookup(name string) (Operator, bool) {
-	for _, op := range p.ops {
-		if op.Name() == name {
-			return op, true
-		}
-	}
-	return nil, false
-}
-
-// Append adds an operator at the end of the pipeline.
-func (p *Pipeline) Append(ops ...Operator) { p.ops = append(p.ops, ops...) }
-
-// InsertBefore inserts op immediately before the first operator named
-// name, or returns an error when no such operator exists.
-func (p *Pipeline) InsertBefore(name string, op Operator) error {
-	for i, existing := range p.ops {
-		if existing.Name() == name {
-			p.ops = append(p.ops[:i], append([]Operator{op}, p.ops[i:]...)...)
-			return nil
-		}
-	}
-	return fmt.Errorf("physics: no operator %q in pipeline", name)
-}
+// Pipeline is the ordered list of operators executed per grid per
+// level-step. Edit it as a slice (append, slices.Insert).
+type Pipeline []Operator
 
 // MaxNGhost returns the widest ghost-zone requirement of the pipeline,
 // which the driver's grid allocation must satisfy.
-func (p *Pipeline) MaxNGhost() int {
+func (p Pipeline) MaxNGhost() int {
 	ng := 0
-	for _, op := range p.ops {
+	for _, op := range p {
 		if g := op.NGhost(); g > ng {
 			ng = g
 		}
@@ -217,9 +172,9 @@ func (p *Pipeline) MaxNGhost() int {
 
 // Timestep returns the most restrictive operator stability limit on the
 // grid (+Inf when no operator constrains it).
-func (p *Pipeline) Timestep(ctx *Context, g *Grid) float64 {
+func (p Pipeline) Timestep(ctx *Context, g *Grid) float64 {
 	dt := math.Inf(1)
-	for _, op := range p.ops {
+	for _, op := range p {
 		if d := op.Timestep(ctx, g); d < dt {
 			dt = d
 		}

@@ -3,6 +3,7 @@ package physics
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cosmology"
@@ -17,7 +18,10 @@ func ep(x float64) ep128.Dd { return ep128.FromFloat64(x) }
 func TestDefaultOperatorsOrder(t *testing.T) {
 	ops := DefaultOperators()
 	want := []string{"gravity.kick", "hydro", "gravity.kick", "nbody", "expansion", "chemistry"}
-	got := NewPipeline(ops...).Names()
+	got := make([]string, len(ops))
+	for i, op := range ops {
+		got[i] = op.Name()
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("operator order %v, want %v", got, want)
 	}
@@ -28,35 +32,38 @@ func TestDefaultOperatorsOrder(t *testing.T) {
 }
 
 func TestPipelineMaxNGhost(t *testing.T) {
-	p := NewPipeline(DefaultOperators()...)
+	p := Pipeline(DefaultOperators())
 	if p.MaxNGhost() != hydro.NGhost {
 		t.Fatalf("MaxNGhost %d, want %d (the PPM stencil)", p.MaxNGhost(), hydro.NGhost)
 	}
 }
 
-type nopOp struct{ name string }
+type nopOp struct {
+	name  string
+	ng    int
+	dtCap float64
+}
 
-func (o nopOp) Name() string                   { return o.name }
-func (nopOp) Component() Component             { return CompOther }
-func (nopOp) NGhost() int                      { return 0 }
-func (nopOp) Apply(*Context, *Grid, float64)   {}
-func (nopOp) Timestep(*Context, *Grid) float64 { return math.Inf(1) }
+func (o nopOp) Name() string                     { return o.name }
+func (nopOp) Component() Component               { return CompOther }
+func (o nopOp) NGhost() int                      { return o.ng }
+func (nopOp) Apply(*Context, *Grid, float64)     {}
+func (o nopOp) Timestep(*Context, *Grid) float64 { return o.dtCap }
 
+// TestPipelineEditing edits a pipeline as a plain slice and checks that
+// the two driver hooks see the spliced operators.
 func TestPipelineEditing(t *testing.T) {
-	p := NewPipeline(DefaultOperators()...)
-	if err := p.InsertBefore("chemistry", nopOp{name: "custom"}); err != nil {
-		t.Fatal(err)
+	p := Pipeline(DefaultOperators())
+	p = slices.Insert(p, len(p)-1, Operator(nopOp{name: "custom", ng: 1, dtCap: 0.25}))
+	p = append(p, nopOp{name: "tail", ng: hydro.NGhost + 1, dtCap: math.Inf(1)})
+	if p[len(p)-3].Name() != "custom" || p[len(p)-2].Name() != "chemistry" || p[len(p)-1].Name() != "tail" {
+		t.Fatalf("spliced order wrong: %v", p)
 	}
-	names := p.Names()
-	if names[len(names)-2] != "custom" {
-		t.Fatalf("InsertBefore misplaced: %v", names)
+	if p.MaxNGhost() != hydro.NGhost+1 {
+		t.Fatalf("MaxNGhost %d, want %d", p.MaxNGhost(), hydro.NGhost+1)
 	}
-	p.Append(nopOp{name: "tail"})
-	if _, ok := p.Lookup("tail"); !ok {
-		t.Fatal("appended operator not found")
-	}
-	if err := p.InsertBefore("nosuch", nopOp{name: "x"}); err == nil {
-		t.Fatal("InsertBefore on a missing name must error")
+	if dt := p[len(p)-3:].Timestep(&Context{}, nil); dt != 0.25 {
+		t.Fatalf("Timestep %v, want the custom cap 0.25", dt)
 	}
 }
 

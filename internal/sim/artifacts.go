@@ -329,14 +329,6 @@ func validateOutputs(reqs []analysis.OutputRequest) ([]analysis.OutputRequest, e
 	}
 	out := make([]analysis.OutputRequest, len(reqs))
 	for i, r := range reqs {
-		if r.Kind == analysis.KindCheckpoint {
-			// Reserved for the scheduler's own durability machinery:
-			// checkpoint cadence is service configuration
-			// (-checkpoint-every), not a per-job product. Use "snapshot"
-			// to get restartable state as a data product.
-			return nil, fmt.Errorf("sim: output request %d: kind %q is reserved (want a restartable state product? use %q)",
-				i, analysis.KindCheckpoint, analysis.KindSnapshot)
-		}
 		n, err := r.Normalize()
 		if err != nil {
 			return nil, fmt.Errorf("sim: output request %d: %w", i, err)

@@ -188,6 +188,7 @@ func TestSubmitRejectsBadOutputs(t *testing.T) {
 
 	for _, body := range []string{
 		`{"problem":"sedov","outputs":[{"kind":"hologram"}]}`,
+		`{"problem":"sedov","outputs":[{"kind":"checkpoint","every":2}]}`,
 		`{"problem":"sedov","outputs":[{"kind":"slice","field":"entropy"}]}`,
 		`{"problem":"sedov","outputs":[{"kind":"slice","n":4096}]}`,
 	} {

@@ -16,8 +16,8 @@
 //	<root>/blobs/<hh>/<hash>              content-addressed artifact payloads,
 //	                                      one per distinct sha256 across ALL jobs
 //	<root>/jobs/<id>/checkpoints/step_NNNNNNNN.ckpt
-//	                                      snapshot-format restart points; the
-//	                                      latest two are retained
+//	                                      the snapshot-format restart point;
+//	                                      only the highest step is retained
 //
 // Artifact payloads are content-addressed: identical products emitted
 // by any number of jobs occupy one blob file, refcounted by the index
@@ -41,12 +41,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/sim"
 )
-
-// keepCheckpoints is how many most-recent checkpoints each job retains.
-// Two, not one: the newest is the resume point, the previous one is the
-// fallback that can never be mid-write when the process dies (rename is
-// atomic, but a belt goes well with suspenders that cheap).
-const keepCheckpoints = 2
 
 // Store implements sim.Store on a directory tree. Safe for concurrent
 // use; a single mutex serializes metadata writes (the payloads are
@@ -484,8 +478,10 @@ func ckptStep(name string) int {
 	return step
 }
 
-// SaveCheckpoint writes the restart point atomically and prunes all but
-// the latest keepCheckpoints.
+// SaveCheckpoint writes the restart point atomically and prunes every
+// checkpoint of the job but the highest step — the only one
+// LatestCheckpoint reads. The atomic write means a kill mid-write never
+// tears the newest file, so no older one is kept as a fallback.
 func (s *Store) SaveCheckpoint(id string, step int, data []byte) error {
 	if err := cleanID(id); err != nil {
 		return err
@@ -514,15 +510,15 @@ func (s *Store) SaveCheckpoint(id string, step int, data []byte) error {
 	if err != nil {
 		return nil // the checkpoint itself landed; pruning is best-effort
 	}
-	var names []string
+	latest := -1
 	for _, e := range entries {
-		if ckptStep(e.Name()) >= 0 {
-			names = append(names, e.Name())
-		}
+		latest = max(latest, ckptStep(e.Name()))
 	}
-	slices.Sort(names)
-	for _, name := range names[:max(0, len(names)-keepCheckpoints)] {
-		path := filepath.Join(dir, name)
+	for _, e := range entries {
+		if step := ckptStep(e.Name()); step < 0 || step == latest {
+			continue
+		}
+		path := filepath.Join(dir, e.Name())
 		if fi, err := os.Stat(path); err == nil {
 			s.ckptBytes -= fi.Size()
 			s.ckptCount--

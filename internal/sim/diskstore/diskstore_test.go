@@ -66,16 +66,16 @@ func TestCheckpointLatestAndPruning(t *testing.T) {
 	if ck == nil || ck.Step != 14 || string(ck.Data) != "fourteen" {
 		t.Fatalf("latest checkpoint %+v", ck)
 	}
-	// Only the latest keepCheckpoints survive.
+	// Only the highest step survives, on disk and in the gauges.
 	entries, err := os.ReadDir(filepath.Join(s.Root(), "jobs", "j", "checkpoints"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != keepCheckpoints {
-		t.Fatalf("retained %d checkpoints, want %d", len(entries), keepCheckpoints)
+	if len(entries) != 1 || entries[0].Name() != ckptName(14) {
+		t.Fatalf("retained %v, want only %s", entries, ckptName(14))
 	}
-	if st := s.Stats(); st.CheckpointCount != keepCheckpoints {
-		t.Fatalf("stats count %d, want %d", st.CheckpointCount, keepCheckpoints)
+	if st := s.Stats(); st.CheckpointCount != 1 || st.CheckpointBytes != int64(len("fourteen")) {
+		t.Fatalf("stats %+v, want one checkpoint of %d bytes", st, len("fourteen"))
 	}
 	if err := s.DeleteCheckpoints("j"); err != nil {
 		t.Fatal(err)

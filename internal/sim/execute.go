@@ -202,14 +202,14 @@ func (s *Scheduler) evolve(ctx context.Context, j *Job) (res *Result, err error)
 	if err != nil {
 		return nil, err
 	}
-	// The checkpoint cadence rides the same OutputPlan machinery as the
-	// data products, in a plan of its own: its artifacts route to the
-	// store's checkpoint files, not the artifact index, and it has no
-	// Finish guarantee (a completed job deletes its checkpoints instead).
+	// The checkpoint cadence is a snapshot request in a plan of its own:
+	// its artifacts route to the store's checkpoint files, not the
+	// artifact index, and it has no Finish guarantee (a completed job
+	// deletes its checkpoints instead).
 	var ckptPlan *analysis.OutputPlan
 	if s.cfg.CheckpointEvery > 0 || s.cfg.CheckpointTime > 0 {
 		ckptPlan, err = analysis.NewOutputPlan([]analysis.OutputRequest{{
-			Kind:      analysis.KindCheckpoint,
+			Kind:      analysis.KindSnapshot,
 			Every:     s.cfg.CheckpointEvery,
 			EveryTime: s.cfg.CheckpointTime,
 		}})
@@ -343,9 +343,9 @@ func (s *Scheduler) buildOrResume(j *Job) (*core.Simulation, int, error) {
 	return sm, 0, nil
 }
 
-// checkpoint persists one restart point and updates the job's
-// provenance counters and manifest (the WAL records the checkpoint, so
-// a kill immediately after still resumes from it).
+// checkpoint persists one restart point (every start of the job resumes
+// from the store's newest checkpoint), then records its provenance: the
+// job's counters, the manifest, and the replica push carrying both.
 func (s *Scheduler) checkpoint(j *Job, step int, data []byte) error {
 	if err := s.store.SaveCheckpoint(j.ID, step, data); err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -80,21 +81,51 @@ type SubmitResponse struct {
 	Disposition string `json:"disposition"`
 }
 
-// maxRequestBody bounds a POST /jobs payload; requests are rejected
-// before anything oversized is buffered into memory.
+// maxRequestBody bounds a POST /jobs or /sweeps payload; requests are
+// rejected before anything oversized is buffered into memory.
 const maxRequestBody = 1 << 20
+
+// readBody reads r's body through a limit-byte bound. On failure it
+// answers the request (see badBody) and returns false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		badBody(w, err, what)
+		return nil, false
+	}
+	return body, true
+}
+
+// decodeBody decodes the JSON value at the head of r's body, read
+// through a limit-byte bound, into v, rejecting unknown fields when
+// strict. On failure it answers the request (see badBody) and returns
+// false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, strict bool, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	if err := dec.Decode(v); err != nil {
+		badBody(w, err, what)
+		return false
+	}
+	return true
+}
+
+// badBody answers a request whose bounded body could not be read or
+// decoded: 413 when it exceeded its bound, 400 otherwise.
+func badBody(w http.ResponseWriter, err error, what string) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", what, err))
+}
 
 func (s *Scheduler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, maxRequestBody, "request body", true, &req) {
 		return
 	}
 	j, disp, err := s.SubmitWithDisposition(req)
@@ -493,15 +524,7 @@ type SweepManifest struct {
 // with estimates when speculation is off).
 func (s *Scheduler) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var m SweepManifest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&m); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad sweep body: %w", err))
+	if !decodeBody(w, r, maxRequestBody, "sweep body", true, &m) {
 		return
 	}
 	rows := make([]Request, len(m.Jobs))

@@ -386,3 +386,57 @@ func TestHTTPCancel(t *testing.T) {
 		t.Fatalf("state %v after HTTP cancel", st)
 	}
 }
+
+// TestOversizedBodiesAnswer413: a submission or sweep one byte over the
+// 1 MiB bound is refused as too large, not as malformed.
+func TestOversizedBodiesAnswer413(t *testing.T) {
+	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	body := bytes.Repeat([]byte(" "), maxRequestBody+1)
+	for _, path := range []string{"/jobs", "/sweeps"} {
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d bytes: %s, want 413", path, len(body), resp.Status)
+		}
+	}
+}
+
+// TestReadBodyLimit pins the body readers every bounded handler (peer
+// replicas and model state included) goes through: at the limit the
+// body reads whole, one byte over is 413, and a malformed body that
+// fits is 400.
+func TestReadBodyLimit(t *testing.T) {
+	const limit = 16
+	for _, c := range []struct {
+		body string
+		code int
+	}{
+		{`{"a":"0123456"}`, http.StatusOK},  // 15 bytes
+		{`{"a":"01234567"}`, http.StatusOK}, // exactly the limit
+		{`{"a":"012345678"}`, http.StatusRequestEntityTooLarge},
+		{`{"a":`, http.StatusBadRequest},
+	} {
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(c.body))
+		var v map[string]string
+		if decodeBody(w, r, limit, "test body", false, &v) {
+			w.WriteHeader(http.StatusOK)
+		}
+		if w.Code != c.code {
+			t.Errorf("body %q (%d bytes): %d, want %d", c.body, len(c.body), w.Code, c.code)
+		}
+	}
+	for n, code := range map[int]int{limit: http.StatusOK, limit + 1: http.StatusRequestEntityTooLarge} {
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/", strings.NewReader(strings.Repeat("x", n)))
+		if body, ok := readBody(w, r, limit, "test body"); ok != (code == http.StatusOK) || (ok && len(body) != n) || (!ok && w.Code != code) {
+			t.Errorf("readBody of %d bytes: %d bytes, ok=%v, code %d; want code %d", n, len(body), ok, w.Code, code)
+		}
+	}
+}

@@ -74,11 +74,6 @@ type Job struct {
 	// a Job (and its single execution).
 	ID  string
 	Req Request
-	// Workers is the effective par budget the job runs with.
-	Workers int
-	// StepBudget and MaxTime are the resolved run bounds.
-	StepBudget int
-	MaxTime    float64
 
 	sched     *Scheduler
 	res       resolved
@@ -325,8 +320,8 @@ func (j *Job) Status() Status {
 		Problem:     j.Req.Problem,
 		State:       j.state.String(),
 		SubmittedAt: j.submitted,
-		Workers:     j.Workers,
-		StepBudget:  j.StepBudget,
+		Workers:     j.res.opts.Workers,
+		StepBudget:  j.res.steps,
 		Progress:    j.prog,
 		Submissions: j.submissions,
 		CacheHits:   j.cacheHits,
@@ -365,18 +360,15 @@ func (j *Job) Status() Status {
 // fills in the QoS metadata before the job becomes visible.
 func (s *Scheduler) newJob(id string, req Request, r resolved) *Job {
 	return &Job{
-		ID:         id,
-		Req:        req,
-		Workers:    r.opts.Workers,
-		StepBudget: r.steps,
-		MaxTime:    r.maxTime,
-		sched:      s,
-		res:        r,
-		doneCh:     make(chan struct{}),
-		artifacts:  newArtifactStore(s.cfg.ArtifactBytes, s.cfg.ArtifactCount, s.blobs),
-		tenant:     tenantOf(req),
-		submitted:  s.now(),
-		ckptStep:   -1,
+		ID:        id,
+		Req:       req,
+		sched:     s,
+		res:       r,
+		doneCh:    make(chan struct{}),
+		artifacts: newArtifactStore(s.cfg.ArtifactBytes, s.cfg.ArtifactCount, s.blobs),
+		tenant:    tenantOf(req),
+		submitted: s.now(),
+		ckptStep:  -1,
 	}
 }
 
@@ -388,7 +380,7 @@ func (j *Job) manifestOf(state string) JobManifest {
 	m := JobManifest{
 		ID:             j.ID,
 		Request:        j.Req,
-		Workers:        j.Workers,
+		Workers:        j.res.opts.Workers,
 		State:          state,
 		Steps:          j.stepsDone,
 		Time:           j.prog.Time,

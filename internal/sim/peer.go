@@ -22,7 +22,6 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -54,9 +53,6 @@ type PeerConfig struct {
 	// Peers is the static membership: every peer's advertised base URL,
 	// identical (as a set) on every member.
 	Peers []string
-	// Vnodes is the virtual-node count per peer (<= 0 = DefaultVnodes).
-	// Must be identical on every member.
-	Vnodes int
 	// PingEvery is the health-check cadence (<= 0 = 1s). A peer that
 	// fails three pings in a row is treated as dead until a ping succeeds
 	// again.
@@ -129,7 +125,7 @@ func NewPeer(s *Scheduler, cfg PeerConfig) (*Peer, error) {
 	if !self {
 		return nil, fmt.Errorf("sim: peer self %q not in peer list %v", cfg.Self, cfg.Peers)
 	}
-	ring, err := NewRing(cfg.Peers, cfg.Vnodes)
+	ring, err := NewRing(cfg.Peers, DefaultVnodes)
 	if err != nil {
 		return nil, err
 	}
@@ -253,14 +249,8 @@ func replicaRoute(h http.HandlerFunc) http.HandlerFunc {
 // server would produce.
 func (p *Peer) routeSubmit(base http.Handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeError(w, http.StatusRequestEntityTooLarge, err)
-				return
-			}
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		body, ok := readBody(w, r, maxRequestBody, "request body")
+		if !ok {
 			return
 		}
 		r.Body = io.NopCloser(bytes.NewReader(body))
@@ -396,9 +386,8 @@ func (p *Peer) replicateModel(state []byte) {
 // local model. The merge is a union keyed by job ID, so repeated or
 // crossing broadcasts converge instead of flapping.
 func (p *Peer) handleModelPut(w http.ResponseWriter, r *http.Request) {
-	state, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxReplicaBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad model body: %w", err))
+	state, ok := readBody(w, r, maxReplicaBody, "model body")
+	if !ok {
 		return
 	}
 	if err := p.s.MergeCostModel(state); err != nil {
@@ -430,9 +419,7 @@ func (p *Peer) do(req *http.Request) {
 func (p *Peer) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var rep replica
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReplicaBody))
-	if err := dec.Decode(&rep); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad replica body: %w", err))
+	if !decodeBody(w, r, maxReplicaBody, "replica body", false, &rep) {
 		return
 	}
 	if rep.Manifest.ID != id {
@@ -460,9 +447,7 @@ func (p *Peer) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 func (p *Peer) handleReplicaArtifactPut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var ra replicaArtifact
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReplicaBody))
-	if err := dec.Decode(&ra); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad replica artifact body: %w", err))
+	if !decodeBody(w, r, maxReplicaBody, "replica artifact body", false, &ra) {
 		return
 	}
 	if HashBytes(ra.Data) != ra.Meta.Hash || ra.Meta.Size != len(ra.Data) {
@@ -491,9 +476,7 @@ func (p *Peer) handleReplicaArtifactPut(w http.ResponseWriter, r *http.Request) 
 func (p *Peer) handleReplicaArtifactDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var names []string
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReplicaBody))
-	if err := dec.Decode(&names); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad artifact drop body: %w", err))
+	if !decodeBody(w, r, maxReplicaBody, "artifact drop body", false, &names) {
 		return
 	}
 	p.mu.Lock()

@@ -15,8 +15,8 @@ import (
 	"sort"
 )
 
-// DefaultVnodes is the virtual-node count per peer when RingVnodes is
-// unset: enough to keep the largest/smallest arc ratio within a few
+// DefaultVnodes is the virtual-node count per peer of every cluster
+// peer's ring (NewPeer passes it): enough to keep the largest/smallest arc ratio within a few
 // percent for small clusters without making ring construction notable.
 const DefaultVnodes = 64
 

@@ -54,8 +54,8 @@ type Store interface {
 	// the hot tier's miss path.
 	LoadBlob(hash string) ([]byte, error)
 	// SaveCheckpoint persists checkpoint bytes for the job at the given
-	// root step. Implementations retain at least the latest checkpoint;
-	// older ones may be pruned.
+	// root step. Implementations retain one checkpoint per job, the
+	// highest step, whatever order the writes arrive in.
 	SaveCheckpoint(id string, step int, data []byte) error
 	// LatestCheckpoint returns the most recent checkpoint of a job, or
 	// nil when none exists.

@@ -79,7 +79,7 @@ func TestRoundTrip(t *testing.T) {
 		for gi := range h.Levels[l] {
 			a, b := h.Levels[l][gi], h2.Levels[l][gi]
 			for d := 0; d < 3; d++ {
-				if !a.Edge[d].Eq(b.Edge[d]) {
+				if a.Edge[d] != b.Edge[d] {
 					t.Fatal("EPA edge not exactly restored")
 				}
 			}
