@@ -25,7 +25,9 @@ type ArtifactMeta struct {
 	Hash        string  `json:"content_hash,omitempty"`
 }
 
-func metaOf(a analysis.Artifact) ArtifactMeta {
+// MetaOf builds the index row of artifact a, whose payload's content
+// hash is hash.
+func MetaOf(a analysis.Artifact, hash string) ArtifactMeta {
 	return ArtifactMeta{
 		Name:        a.Name,
 		Kind:        string(a.Kind),
@@ -35,6 +37,7 @@ func metaOf(a analysis.Artifact) ArtifactMeta {
 		ContentType: a.ContentType,
 		Size:        len(a.Data),
 		RawSize:     a.RawSize,
+		Hash:        hash,
 	}
 }
 
@@ -119,10 +122,8 @@ func (s *ArtifactStore) Put(a analysis.Artifact) (evicted []string, hash string,
 		s.idx = nil // the refusal shows up in Index().Dropped
 		return nil, "", false
 	}
-	m := metaOf(a)
-	m.Hash = s.blobs.Put(a.Data)
-	evicted = s.insertLocked(m)
-	return evicted, m.Hash, true
+	hash = s.blobs.Put(a.Data)
+	return s.insertLocked(MetaOf(a, hash)), hash, true
 }
 
 // putRecovered re-registers a persisted artifact by metadata alone: the

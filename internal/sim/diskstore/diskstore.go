@@ -22,13 +22,18 @@
 // Artifact payloads are content-addressed: identical products emitted
 // by any number of jobs occupy one blob file, refcounted by the index
 // rows that name their hash; the last dereference deletes the blob.
-// Size gauges (checkpoint/artifact/blob bytes) are scanned once at open
-// and maintained incrementally afterwards; blobs no index references
-// (a crash between blob write and index write) are swept at open.
+//
+// The store keeps its bookkeeping in a sim.Index, loaded once at open
+// from the manifests, results, artifact indexes and checkpoint names on
+// disk, and writes every change through to the files; gauges, Recover
+// and the checkpoint lookups are answered from the index. One process
+// owns a data directory at a time. Crash residue is swept at open:
+// orphaned temp files, checkpoints below a job's highest step, and
+// blobs no index row references (a kill between a blob write and its
+// index write).
 package diskstore
 
 import (
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,96 +42,100 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/sim"
 )
 
 // Store implements sim.Store on a directory tree. Safe for concurrent
-// use; a single mutex serializes metadata writes (the payloads are
-// large, but job persistence is off the step hot path — checkpoint
-// cadence bounds how often it runs). Blob reads (LoadBlob) take no
-// lock: a blob file appears whole by atomic rename and is removed only
-// once no index row names it.
+// use; a single mutex serializes the index and the payload writes whose
+// order it decides (job persistence is off the step hot path —
+// checkpoint cadence bounds how often it runs). Blob reads take no lock
+// and checkpoint reads hold it for the index lookup only: a payload
+// file appears whole by atomic rename and is removed only once the
+// index no longer names it.
 type Store struct {
 	root string
 
-	mu        sync.Mutex
-	ckptBytes int64
-	ckptCount int
-	artBytes  int64 // logical bytes: sum of index-row sizes, before dedupe
-	artCount  int
-	blobBytes int64 // physical bytes: each distinct payload once
-	blobCount int
-	dedupe    int64          // bytes not rewritten because the blob existed
-	refs      map[string]int // content hash -> referencing index rows
+	mu  sync.Mutex
+	idx *sim.Index
 }
 
-// New opens (creating if needed) a disk store rooted at dir, scans its
-// current sizes, rebuilds the blob refcount table from the per-job
-// indexes, and sweeps crash residue (orphaned temp files, unreferenced
-// blobs).
+// New opens (creating if needed) a disk store rooted at dir, loads its
+// index from the job directories and sweeps crash residue.
 func New(dir string) (*Store, error) {
-	s := &Store{root: dir, refs: make(map[string]int)}
-	if err := os.MkdirAll(s.jobsDir(), 0o755); err != nil {
-		return nil, fmt.Errorf("diskstore: %w", err)
-	}
-	if err := os.MkdirAll(s.blobsDir(), 0o755); err != nil {
-		return nil, fmt.Errorf("diskstore: %w", err)
+	s := &Store{root: dir, idx: sim.NewIndex()}
+	for _, d := range []string{s.jobsDir(), s.blobsDir()} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			return nil, fmt.Errorf("diskstore: %w", err)
+		}
 	}
 	sweepTemps(s.root) // a kill mid-SaveCostModel leaves its temp at the root
-	ids, err := s.jobIDs()
+	entries, err := os.ReadDir(s.jobsDir())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("diskstore: %w", err)
 	}
-	for _, id := range ids {
-		sweepTemps(s.jobDir(id))
-		sweepTemps(s.ckptDir(id))
-		sweepTemps(s.artDir(id))
-		s.ckptBytes += dirBytes(s.ckptDir(id), &s.ckptCount)
-		rows, err := s.loadArtIndex(id)
-		if err != nil {
-			continue // an unreadable index degrades to "no artifacts", never blocks startup
-		}
-		for _, row := range rows {
-			s.artBytes += int64(row.Size)
-			s.artCount++
-			s.refs[row.Hash]++
+	for _, e := range entries {
+		if e.IsDir() && cleanID(e.Name()) == nil {
+			s.load(e.Name())
 		}
 	}
 	s.sweepBlobs()
 	return s, nil
 }
 
-// sweepBlobs walks the blob tier, counting referenced blobs into the
-// gauges and deleting unreferenced ones (a kill between the blob write
-// and the index write orphans the blob; the index write ordering
-// guarantees the reverse — a referenced-but-missing blob — cannot
-// happen).
-func (s *Store) sweepBlobs() {
-	shards, err := os.ReadDir(s.blobsDir())
-	if err != nil {
-		return
+// load indexes one job directory: its manifest (held when present but
+// unreadable), result, artifact rows and highest-step checkpoint. An
+// unreadable result degrades to none, never blocks startup.
+func (s *Store) load(id string) {
+	for _, d := range []string{s.jobDir(id), s.ckptDir(id), s.artDir(id)} {
+		sweepTemps(d)
 	}
-	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
+	var m *sim.JobManifest
+	data, err := os.ReadFile(filepath.Join(s.jobDir(id), "manifest.json"))
+	held := err != nil && !errors.Is(err, os.ErrNotExist)
+	if err == nil {
+		if m = new(sim.JobManifest); json.Unmarshal(data, m) != nil || m.ID != id {
+			m, held = nil, true
 		}
-		dir := filepath.Join(s.blobsDir(), shard.Name())
-		sweepTemps(dir)
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			continue
+	}
+	var res *sim.Result
+	if data, err := os.ReadFile(filepath.Join(s.jobDir(id), "result.json")); err == nil {
+		if res = new(sim.Result); json.Unmarshal(data, res) != nil {
+			res = nil
 		}
-		for _, e := range entries {
-			fi, err := e.Info()
-			if err != nil || !fi.Mode().IsRegular() {
-				continue
+	}
+	s.idx.Restore(id, m, held, res, s.loadArtIndex(id))
+
+	// The index keeps the highest step; a lower one is what a kill
+	// between a save's write and its prune leaves behind.
+	ckpts, _ := os.ReadDir(s.ckptDir(id))
+	for _, e := range ckpts {
+		fi, err := e.Info()
+		if step := ckptStep(e.Name()); step >= 0 && err == nil && fi.Mode().IsRegular() {
+			stale, ok := s.idx.SaveCheckpoint(id, step, fi.Size(), fi.ModTime())
+			if !ok {
+				stale = step
 			}
-			if s.refs[e.Name()] > 0 {
-				s.blobBytes += fi.Size()
-				s.blobCount++
-			} else {
+			if stale >= 0 {
+				os.Remove(s.ckptPath(id, stale))
+			}
+		}
+	}
+}
+
+// sweepBlobs deletes every file in the blob tier no index row names: a
+// kill between the blob write and the index write orphans the blob (the
+// index write ordering guarantees the reverse — a referenced-but-missing
+// blob — cannot happen), and a kill mid-write orphans its temp file.
+func (s *Store) sweepBlobs() {
+	shards, _ := os.ReadDir(s.blobsDir())
+	for _, shard := range shards {
+		dir := filepath.Join(s.blobsDir(), shard.Name())
+		entries, _ := os.ReadDir(dir)
+		for _, e := range entries {
+			if e.Type().IsRegular() && s.idx.NeedsBlob(e.Name()) {
 				os.Remove(filepath.Join(dir, e.Name()))
 			}
 		}
@@ -151,27 +160,6 @@ func (s *Store) blobPath(hash string) string {
 // tmpPrefix marks in-flight writeAtomic files; they are never payloads.
 const tmpPrefix = ".tmp-"
 
-// dirBytes sums the regular payload files under dir (0 when absent),
-// counting them into *n. Orphaned writeAtomic temp files — a kill
-// between CreateTemp and Rename leaves one — are excluded.
-func dirBytes(dir string, n *int) int64 {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	var total int64
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), tmpPrefix) {
-			continue
-		}
-		if fi, err := e.Info(); err == nil && fi.Mode().IsRegular() {
-			total += fi.Size()
-			*n++
-		}
-	}
-	return total
-}
-
 // sweepTemps deletes orphaned writeAtomic temp files under dir — the
 // crash-residue cleanup New runs per job directory (each crash would
 // otherwise add another orphan for the life of the job).
@@ -185,21 +173,6 @@ func sweepTemps(dir string) {
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
-}
-
-// jobIDs lists the job directories under the root.
-func (s *Store) jobIDs() ([]string, error) {
-	entries, err := os.ReadDir(s.jobsDir())
-	if err != nil {
-		return nil, fmt.Errorf("diskstore: %w", err)
-	}
-	var ids []string
-	for _, e := range entries {
-		if e.IsDir() {
-			ids = append(ids, e.Name())
-		}
-	}
-	return ids, nil
 }
 
 // writeAtomic writes data to path via a temp file + rename, creating
@@ -257,13 +230,19 @@ func (s *Store) Persistent() bool { return true }
 // SaveManifest rewrites the job's manifest.json atomically — the WAL of
 // state transitions (the latest write wins; a kill leaves the previous
 // record intact).
-func (s *Store) SaveManifest(m sim.JobManifest) error { return s.saveJSON(m.ID, "manifest", m) }
+func (s *Store) SaveManifest(m sim.JobManifest) error {
+	return s.saveJSON(m.ID, "manifest", m, func() { s.idx.SaveManifest(m) })
+}
 
 // SaveResult persists a done job's result.json.
-func (s *Store) SaveResult(id string, res *sim.Result) error { return s.saveJSON(id, "result", res) }
+func (s *Store) SaveResult(id string, res *sim.Result) error {
+	return s.saveJSON(id, "result", res, func() { s.idx.SaveResult(id, res) })
+}
 
-// saveJSON writes v, indented, as the job's <name>.json, atomically.
-func (s *Store) saveJSON(id, name string, v any) error {
+// saveJSON writes v, indented, as the job's <name>.json, atomically,
+// then records it in the index. The write takes no lock: per-job calls
+// are sequential, and different jobs' files do not interact.
+func (s *Store) saveJSON(id, name string, v any, record func()) error {
 	if err := cleanID(id); err != nil {
 		return err
 	}
@@ -274,36 +253,26 @@ func (s *Store) saveJSON(id, name string, v any) error {
 	if err != nil {
 		return fmt.Errorf("diskstore: %s %s: %w", name, id, err)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	record()
 	return nil
 }
 
-// loadArtIndex reads a job's artifact index (empty when absent): one row
-// per retained artifact, its payload in the blob tier under Hash. Rows
-// the store would not have written — a hand-edited or corrupt index —
-// are dropped, so no name or hash read from disk reaches a path.
-func (s *Store) loadArtIndex(id string) ([]sim.ArtifactMeta, error) {
+// loadArtIndex reads a job's artifact index: one row per retained
+// artifact, its payload in the blob tier under Hash. An absent or
+// unreadable index is empty, and rows the store would not have written
+// — a hand-edited or corrupt index — are dropped, so no name or hash
+// read from disk reaches a path.
+func (s *Store) loadArtIndex(id string) []sim.ArtifactMeta {
+	var rows []sim.ArtifactMeta
 	data, err := os.ReadFile(filepath.Join(s.artDir(id), indexFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
+	if err != nil || json.Unmarshal(data, &rows) != nil {
+		return nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	var idx []sim.ArtifactMeta
-	if err := json.Unmarshal(data, &idx); err != nil {
-		return nil, err
-	}
-	return slices.DeleteFunc(idx, func(row sim.ArtifactMeta) bool {
+	return slices.DeleteFunc(rows, func(row sim.ArtifactMeta) bool {
 		return cleanName(row.Name) != nil || cleanHash(row.Hash) != nil || row.Size < 0
-	}), nil
-}
-
-func (s *Store) saveArtIndex(id string, idx []sim.ArtifactMeta) error {
-	data, err := json.Marshal(idx)
-	if err != nil {
-		return err
-	}
-	return writeAtomic(filepath.Join(s.artDir(id), indexFile), append(data, '\n'))
+	})
 }
 
 // cleanID rejects job ids that could escape the jobs directory. The
@@ -351,64 +320,35 @@ func (s *Store) SaveArtifact(id string, a analysis.Artifact, hash string) error 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	idx, err := s.loadArtIndex(id)
-	if err != nil {
-		return fmt.Errorf("diskstore: artifact index %s: %w", id, err)
-	}
-	if s.refs[hash] == 0 {
+	if s.idx.NeedsBlob(hash) {
 		if err := writeAtomic(s.blobPath(hash), a.Data); err != nil {
 			return fmt.Errorf("diskstore: blob %s: %w", hash, err)
 		}
-		s.blobBytes += int64(len(a.Data))
-		s.blobCount++
-	} else {
-		s.dedupe += int64(len(a.Data))
 	}
-	row := sim.ArtifactMeta{
-		Name: a.Name, Kind: string(a.Kind), Field: a.Field,
-		Step: a.Step, Time: a.Time, ContentType: a.ContentType,
-		Size: len(a.Data), RawSize: a.RawSize, Hash: hash,
+	return s.commitRows(id, s.idx.SaveArtifact(id, sim.MetaOf(a, hash)))
+}
+
+// commitRows writes the job's index.json from the index, then removes
+// the blobs whose last row went: a kill in between orphans blobs (swept
+// at open), never leaves rows pointing at deleted payloads. s.mu must be
+// held.
+func (s *Store) commitRows(id string, freed []string) error {
+	data, err := json.Marshal(s.idx.Rows(id))
+	if err == nil {
+		err = writeAtomic(filepath.Join(s.artDir(id), indexFile), append(data, '\n'))
 	}
-	s.refs[hash]++
-	replaced := false
-	var oldHash string
-	for i := range idx {
-		if idx[i].Name == a.Name {
-			s.artBytes += int64(row.Size - idx[i].Size)
-			oldHash = idx[i].Hash
-			idx[i] = row
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		idx = append(idx, row)
-		s.artCount++
-		s.artBytes += int64(row.Size)
-	}
-	if err := s.saveArtIndex(id, idx); err != nil {
+	if err != nil {
 		return fmt.Errorf("diskstore: artifact index %s: %w", id, err)
 	}
-	if replaced {
-		s.unrefLocked(oldHash)
-	}
+	s.removeBlobs(freed)
 	return nil
 }
 
-// unrefLocked drops one reference to a blob, deleting the file when the
-// last one goes; s.mu must be held.
-func (s *Store) unrefLocked(hash string) {
-	s.refs[hash]--
-	if s.refs[hash] > 0 {
-		return
+// removeBlobs deletes the blob files the index freed.
+func (s *Store) removeBlobs(freed []string) {
+	for _, h := range freed {
+		os.Remove(s.blobPath(h))
 	}
-	delete(s.refs, hash)
-	path := s.blobPath(hash)
-	if fi, err := os.Stat(path); err == nil {
-		s.blobBytes -= fi.Size()
-		s.blobCount--
-	}
-	os.Remove(path)
 }
 
 // LoadBlob reads one content-addressed payload without taking the store
@@ -429,37 +369,13 @@ func (s *Store) LoadBlob(hash string) ([]byte, error) {
 // in-memory store's oldest-first eviction — and reclaims blobs no
 // remaining row references.
 func (s *Store) DeleteArtifacts(id string, names []string) error {
-	if err := cleanID(id); err != nil || len(names) == 0 {
+	if err := cleanID(id); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	idx, err := s.loadArtIndex(id)
-	if err != nil {
-		return fmt.Errorf("diskstore: artifact index %s: %w", id, err)
-	}
-	doomed := make(map[string]bool, len(names))
-	for _, n := range names {
-		doomed[n] = true
-	}
-	kept := idx[:0]
-	var unref []string
-	for _, row := range idx {
-		if !doomed[row.Name] {
-			kept = append(kept, row)
-			continue
-		}
-		s.artBytes -= int64(row.Size)
-		s.artCount--
-		unref = append(unref, row.Hash)
-	}
-	if err := s.saveArtIndex(id, kept); err != nil {
-		return fmt.Errorf("diskstore: artifact index %s: %w", id, err)
-	}
-	// Index first, blobs second: a kill in between leaves orphaned blobs
-	// (swept at open), never rows pointing at deleted payloads.
-	for _, h := range unref {
-		s.unrefLocked(h)
+	if freed, changed := s.idx.DeleteArtifacts(id, names); changed {
+		return s.commitRows(id, freed)
 	}
 	return nil
 }
@@ -469,18 +385,23 @@ func (s *Store) DeleteArtifacts(id string, names []string) error {
 func ckptName(step int) string { return fmt.Sprintf("step_%08d.ckpt", step) }
 
 // ckptStep parses a checkpoint file name back to its step (-1 when the
-// name is not a checkpoint).
+// name is not one ckptName renders).
 func ckptStep(name string) int {
 	var step int
-	if _, err := fmt.Sscanf(name, "step_%d.ckpt", &step); err != nil {
+	if _, err := fmt.Sscanf(name, "step_%d.ckpt", &step); err != nil || ckptName(step) != name {
 		return -1
 	}
 	return step
 }
 
-// SaveCheckpoint writes the restart point atomically and prunes every
-// checkpoint of the job but the highest step — the only one
-// LatestCheckpoint reads. The atomic write means a kill mid-write never
+// ckptPath is the checkpoint file of a job at a root step.
+func (s *Store) ckptPath(id string, step int) string {
+	return filepath.Join(s.ckptDir(id), ckptName(step))
+}
+
+// SaveCheckpoint writes the restart point atomically, then removes the
+// one it replaces. A checkpoint below the step the job already holds is
+// not written at all. The atomic write means a kill mid-write never
 // tears the newest file, so no older one is kept as a fallback.
 func (s *Store) SaveCheckpoint(id string, step int, data []byte) error {
 	if err := cleanID(id); err != nil {
@@ -488,77 +409,34 @@ func (s *Store) SaveCheckpoint(id string, step int, data []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dir := s.ckptDir(id)
-	path := filepath.Join(dir, ckptName(step))
-	// Rewriting the same step (a drain landing on a cadence boundary)
-	// replaces the file: account for the old size instead of
-	// double-counting.
-	var oldSize int64 = -1
-	if fi, err := os.Stat(path); err == nil {
-		oldSize = fi.Size()
+	if !s.idx.Supersedes(id, step) {
+		return nil
 	}
-	if err := writeAtomic(path, data); err != nil {
+	if err := writeAtomic(s.ckptPath(id, step), data); err != nil {
 		return fmt.Errorf("diskstore: checkpoint %s step %d: %w", id, step, err)
 	}
-	if oldSize >= 0 {
-		s.ckptBytes += int64(len(data)) - oldSize
-	} else {
-		s.ckptBytes += int64(len(data))
-		s.ckptCount++
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil // the checkpoint itself landed; pruning is best-effort
-	}
-	latest := -1
-	for _, e := range entries {
-		latest = max(latest, ckptStep(e.Name()))
-	}
-	for _, e := range entries {
-		if step := ckptStep(e.Name()); step < 0 || step == latest {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		if fi, err := os.Stat(path); err == nil {
-			s.ckptBytes -= fi.Size()
-			s.ckptCount--
-		}
-		os.Remove(path)
+	if old, _ := s.idx.SaveCheckpoint(id, step, int64(len(data)), time.Now()); old >= 0 && old != step {
+		os.Remove(s.ckptPath(id, old))
 	}
 	return nil
 }
 
-// LatestCheckpoint loads the most recent checkpoint, nil when the job
-// has none.
+// LatestCheckpoint loads the job's checkpoint, nil when it has none.
 func (s *Store) LatestCheckpoint(id string) (*sim.Checkpoint, error) {
 	if err := cleanID(id); err != nil {
 		return nil, err
 	}
-	entries, err := os.ReadDir(s.ckptDir(id))
-	if errors.Is(err, os.ErrNotExist) {
+	s.mu.Lock()
+	ck := s.idx.Checkpoint(id)
+	s.mu.Unlock()
+	if ck == nil {
 		return nil, nil
 	}
-	if err != nil {
-		return nil, fmt.Errorf("diskstore: checkpoints %s: %w", id, err)
-	}
-	best, bestStep := "", -1
-	for _, e := range entries {
-		if step := ckptStep(e.Name()); step > bestStep {
-			best, bestStep = e.Name(), step
-		}
-	}
-	if bestStep < 0 {
-		return nil, nil
-	}
-	path := filepath.Join(s.ckptDir(id), best)
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(s.ckptPath(id, ck.Step))
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: checkpoint %s: %w", id, err)
 	}
-	ck := &sim.Checkpoint{Step: bestStep, Data: data}
-	if fi, err := os.Stat(path); err == nil {
-		ck.At = fi.ModTime()
-	}
+	ck.Data = data
 	return ck, nil
 }
 
@@ -570,12 +448,10 @@ func (s *Store) DeleteCheckpoints(id string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var n int
-	s.ckptBytes -= dirBytes(s.ckptDir(id), &n)
-	s.ckptCount -= n
 	if err := os.RemoveAll(s.ckptDir(id)); err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
+	s.idx.DeleteCheckpoint(id)
 	return nil
 }
 
@@ -587,67 +463,35 @@ func (s *Store) DeleteJob(id string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var n int
-	s.ckptBytes -= dirBytes(s.ckptDir(id), &n)
-	s.ckptCount -= n
-	if rows, err := s.loadArtIndex(id); err == nil {
-		for _, row := range rows {
-			s.artBytes -= int64(row.Size)
-			s.artCount--
-			s.unrefLocked(row.Hash)
-		}
-	}
+	return s.deleteJobLocked(id)
+}
+
+// deleteJobLocked removes the job's directory first and the blobs only
+// its rows named second: a kill in between orphans blobs (swept at
+// open), never leaves a recoverable job whose rows name deleted
+// payloads.
+func (s *Store) deleteJobLocked(id string) error {
 	if err := os.RemoveAll(s.jobDir(id)); err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
+	s.removeBlobs(s.idx.DeleteJob(id))
 	return nil
 }
 
-// Recover loads every persisted job: its manifest, the terminal result
-// of done jobs, and the retained artifact metadata in production order
-// — rows only, no payload reads; the bytes stay in the blob tier until
-// a reader asks. A job directory without a manifest (a standby's
-// replicated bytes after a restart, a kill between MkdirAll and the
-// first manifest write) is deleted — nothing can reach it again; one
-// whose manifest is unreadable is skipped and kept. Neither takes the
-// service down: a failed delete is reported beside the recovered jobs.
+// Recover lists every job whose manifest the index holds, with its
+// result and artifact rows, and reads no file. A job without a manifest
+// (a standby's replicated bytes, a kill before the first manifest
+// write) is deleted; one whose manifest was unreadable at open is kept
+// and not listed. A failed delete is reported beside the recovered jobs.
 func (s *Store) Recover() ([]sim.RecoveredJob, error) {
-	ids, err := s.jobIDs()
-	if err != nil {
-		return nil, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	jobs, orphans := s.idx.Recover()
+	var err error
+	for _, id := range orphans {
+		err = errors.Join(err, s.deleteJobLocked(id))
 	}
-	var out []sim.RecoveredJob
-	var sweepErr error
-	for _, id := range ids {
-		data, err := os.ReadFile(filepath.Join(s.jobDir(id), "manifest.json"))
-		if errors.Is(err, os.ErrNotExist) {
-			sweepErr = errors.Join(sweepErr, s.DeleteJob(id))
-			continue
-		}
-		if err != nil {
-			continue
-		}
-		var m sim.JobManifest
-		if err := json.Unmarshal(data, &m); err != nil || m.ID != id {
-			continue
-		}
-		rec := sim.RecoveredJob{Manifest: m}
-		if res, err := os.ReadFile(filepath.Join(s.jobDir(id), "result.json")); err == nil {
-			var r sim.Result
-			if json.Unmarshal(res, &r) == nil {
-				rec.Result = &r
-			}
-		}
-		rec.Artifacts, _ = s.loadArtIndex(id) // unreadable: no artifacts
-		out = append(out, rec)
-	}
-	// Oldest submissions first, so the scheduler's eviction order (and
-	// GET /jobs listing order) survives the restart; ties in id order, as
-	// the in-memory store orders them.
-	slices.SortFunc(out, func(a, b sim.RecoveredJob) int {
-		return cmp.Or(a.Manifest.SubmittedAt.Compare(b.Manifest.SubmittedAt), cmp.Compare(a.Manifest.ID, b.Manifest.ID))
-	})
-	return out, sweepErr
+	return jobs, err
 }
 
 // costModelFile holds the scheduler's serialized cost-model state at
@@ -676,27 +520,16 @@ func (s *Store) LoadCostModel() ([]byte, error) {
 	return data, nil
 }
 
-// Stats reports the maintained size gauges.
+// Stats reports the index's size gauges.
 func (s *Store) Stats() sim.StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return sim.StoreStats{
-		CheckpointBytes: s.ckptBytes,
-		CheckpointCount: s.ckptCount,
-		ArtifactBytes:   s.artBytes,
-		ArtifactCount:   s.artCount,
-		BlobBytes:       s.blobBytes,
-		BlobCount:       s.blobCount,
-		DedupeBytes:     s.dedupe,
-	}
+	return s.idx.Stats()
 }
 
 // Close is a no-op: every write is already durable by the time the
 // call that made it returned.
 func (s *Store) Close() error { return nil }
-
-// Root returns the data directory the store was opened on.
-func (s *Store) Root() string { return s.root }
 
 // interface check
 var _ sim.Store = (*Store)(nil)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -53,7 +54,8 @@ func TestManifestWALAtomicAndLatestWins(t *testing.T) {
 }
 
 func TestCheckpointLatestAndPruning(t *testing.T) {
-	s := open(t, t.TempDir())
+	dir := t.TempDir()
+	s := open(t, dir)
 	for step, payload := range map[int]string{4: "four", 9: "nine", 14: "fourteen"} {
 		if err := s.SaveCheckpoint("j", step, []byte(payload)); err != nil {
 			t.Fatal(err)
@@ -67,7 +69,7 @@ func TestCheckpointLatestAndPruning(t *testing.T) {
 		t.Fatalf("latest checkpoint %+v", ck)
 	}
 	// Only the highest step survives, on disk and in the gauges.
-	entries, err := os.ReadDir(filepath.Join(s.Root(), "jobs", "j", "checkpoints"))
+	entries, err := os.ReadDir(filepath.Join(dir, "jobs", "j", "checkpoints"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,5 +422,90 @@ func TestRecoverOrdersBySubmitTime(t *testing.T) {
 		if rec.Manifest.ID != want[i] {
 			t.Fatalf("recover order %d = %s, want %s", i, rec.Manifest.ID, want[i])
 		}
+	}
+}
+
+func TestStaleCheckpointNotWritten(t *testing.T) {
+	// A checkpoint below the step the job holds costs nothing: a
+	// directory squatting on step 9's path fails any write there.
+	dir := t.TempDir()
+	s := open(t, dir)
+	if err := s.SaveCheckpoint("j", 14, []byte("fourteen")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "jobs", "j", "checkpoints", ckptName(9)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveCheckpoint("j", 9, []byte("nine")); err != nil {
+		t.Fatalf("stale checkpoint: %v", err)
+	}
+	if ck, err := s.LatestCheckpoint("j"); err != nil || ck == nil || ck.Step != 14 || string(ck.Data) != "fourteen" {
+		t.Fatalf("latest checkpoint %+v, %v; want step 14", ck, err)
+	}
+}
+
+func TestReopenIsAFixedPoint(t *testing.T) {
+	// Opening and recovering a store, then opening it again, must give
+	// the same gauges and the same recovered jobs: the index New loads
+	// is the one the store kept.
+	dir := t.TempDir()
+	s := open(t, dir)
+	at := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
+	save := func(id, name, payload string) {
+		t.Helper()
+		data := []byte(payload)
+		if err := s.SaveArtifact(id, analysis.Artifact{Name: name, Kind: "slice", Step: 2, Data: data}, sim.HashBytes(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, id := range []string{"a", "b", "held"} {
+		if err := s.SaveManifest(sim.JobManifest{ID: id, State: "done", SubmittedAt: at.Add(time.Duration(i) * time.Minute)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SaveResult(id, &sim.Result{Hash: id, Steps: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save("a", "00_x.pgm", "shared")
+	save("b", "00_x.pgm", "shared")  // cross-job dedupe
+	save("a", "00_x.pgm", "renamed") // a row replaced by name with a new hash
+	save("b", "01_y.pgm", "evicted")
+	if err := s.DeleteArtifacts("b", []string{"01_y.pgm"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []int{4, 9, 2} {
+		if err := s.SaveCheckpoint("a", step, make([]byte, 10*step)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save("orphan", "00_x.pgm", "shared") // manifest-less: Recover deletes it
+	save("orphan", "01_z.pgm", "orphan only")
+	if err := s.SaveCheckpoint("orphan", 3, []byte("replica")); err != nil {
+		t.Fatal(err)
+	}
+	save("held", "00_h.pgm", "held only")
+	if err := os.WriteFile(filepath.Join(dir, "jobs", "held", "manifest.json"), []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s1 := open(t, dir)
+	recs1, err := s1.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st1 := s1.Stats()
+	if len(recs1) != 2 || recs1[0].Manifest.ID != "a" || recs1[1].Manifest.ID != "b" {
+		t.Fatalf("recovered %+v, want jobs a and b", recs1)
+	}
+	s2 := open(t, dir)
+	if st2 := s2.Stats(); st2 != st1 {
+		t.Fatalf("reopened gauges %+v, want %+v", st2, st1)
+	}
+	recs2, err := s2.Recover()
+	if err != nil || !reflect.DeepEqual(recs2, recs1) {
+		t.Fatalf("reopened Recover = %+v, %v; want %+v", recs2, err, recs1)
+	}
+	if data, err := s2.LoadBlob(sim.HashBytes([]byte("held only"))); err != nil || string(data) != "held only" {
+		t.Fatalf("held job's blob: %q, %v", data, err)
 	}
 }

@@ -3,6 +3,7 @@ package diskstore
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -10,12 +11,14 @@ import (
 const fuzzJobID = "0123456789abcdef"
 
 // FuzzDiskstoreRecover writes arbitrary bytes as one job's manifest.json,
-// artifacts/index.json and result.json, then opens the store, recovers it
-// and deletes every recovered job. Nothing read from disk may panic the
-// store or reach a path outside its root: a sentinel file beside the
-// root must survive. The committed corpus holds a valid record, an index
-// row with a one-character content hash (blobPath slices hash[:2]) and
-// one whose hash names ../sentinel.
+// artifacts/index.json and result.json, then opens the store, recovers it,
+// opens it again and deletes every recovered job. Reopening must be a
+// fixed point: the second store reports the first one's gauges and
+// Recover output. Nothing read from disk may panic the store or reach a
+// path outside its root: a sentinel file beside the root must survive.
+// The committed corpus holds a valid record, an index row with a
+// one-character content hash (blobPath slices hash[:2]) and one whose
+// hash names ../sentinel.
 func FuzzDiskstoreRecover(f *testing.F) {
 	f.Fuzz(func(t *testing.T, manifest, index, result []byte) {
 		parent := t.TempDir()
@@ -39,10 +42,20 @@ func FuzzDiskstoreRecover(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Errors are allowed; only a panic or an escape fails.
+		// Errors are allowed; only a panic, an escape or a store that
+		// reopens differently fails.
 		recs, _ := s.Recover()
-		for _, rec := range recs {
-			s.DeleteJob(rec.Manifest.ID)
+		st := s.Stats()
+		s2, err := New(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs2, _ := s2.Recover()
+		if got := s2.Stats(); got != st || !reflect.DeepEqual(recs2, recs) {
+			t.Fatalf("reopened store differs: %+v %+v, want %+v %+v", got, recs2, st, recs)
+		}
+		for _, rec := range recs2 {
+			s2.DeleteJob(rec.Manifest.ID)
 		}
 		if _, err := os.Stat(sentinel); err != nil {
 			t.Fatalf("sentinel beside the data root: %v", err)

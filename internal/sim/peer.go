@@ -323,9 +323,7 @@ func (p *Peer) replicate(rep replica) {
 // owner's as production proceeds — a takeover resumes mid-run, so the
 // pre-resume artifacts must already be standby-side.
 func (p *Peer) replicateArtifact(id string, a analysis.Artifact, hash string) {
-	m := metaOf(a)
-	m.Hash = hash
-	p.sendJSON(http.MethodPost, id, "/artifacts", replicaArtifact{Meta: m, Data: a.Data})
+	p.sendJSON(http.MethodPost, id, "/artifacts", replicaArtifact{Meta: MetaOf(a, hash), Data: a.Data})
 }
 
 // sendJSON runs one replication call against the job's standby (nil body

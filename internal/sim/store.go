@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -16,15 +14,17 @@ import (
 // results, derived-output artifacts, restart checkpoints and the
 // cost-model state. There is one contract — storetest runs the
 // identical suite against every implementation — and the scheduler
-// never asks which one it has; they differ only in how long the
-// contents last:
+// never asks which one it has. Both implementations are an Index, which
+// decides every rule of the contract, plus a place where the bytes
+// live; they differ only in how long the contents last:
 //
-//   - NewMemStore (the default) holds them in maps for the life of the
-//     value, so a checkpoint resumes within the process and a second
+//   - NewMemStore (the default) holds the bytes in maps for the life of
+//     the value, so a checkpoint resumes within the process and a second
 //     scheduler started on the same value recovers like a restart.
 //   - diskstore.New keeps one directory per job under a data root
-//     (atomic rename writes, manifest.json as the WAL), so the same
-//     recovery works across a process restart.
+//     (atomic rename writes, manifest.json as the WAL) and loads its
+//     Index from it once at open, so the same recovery works across a
+//     process restart.
 //
 // Implementations must be safe for concurrent use; per-job methods are
 // only ever called sequentially for a given ID by the owning slot, but
@@ -185,61 +185,31 @@ type StoreStats struct {
 // (a service defect) instead of 400 (a bad request).
 var ErrStore = errors.New("sim: store error")
 
-// memStore is the in-memory Store: the disk store's contract — manifests,
-// results, a per-job artifact index over refcounted content-addressed
-// blobs, the latest checkpoint per job, the cost-model bytes — in maps
-// under one mutex. Contents live as long as the value: Close keeps them,
-// so a second scheduler started on the same store recovers what a
-// restarted process would from disk. Payload slices are retained as
-// given (shared with the blob cache, not copied); callers must not
-// mutate them.
+// memStore is the in-memory Store: an Index plus the payload bytes it
+// names — blobs by content hash, the latest checkpoint per job — and the
+// cost-model bytes, under one mutex. Contents live as long as the value:
+// Close keeps them, so a second scheduler started on the same store
+// recovers what a restarted process would from disk. Payload slices are
+// retained as given (shared with the blob cache, not copied); callers
+// must not mutate them.
 type memStore struct {
-	mu     sync.Mutex
-	jobs   map[string]*memJob
-	blobs  map[string]*memBlob
-	model  []byte
-	dedupe int64
-}
-
-// memJob is everything held for one job ID. manifest stays nil for IDs
-// that only ever received artifacts or checkpoints (a standby peer's
-// replicas); Recover deletes those.
-type memJob struct {
-	manifest *JobManifest
-	result   *Result
-	arts     []ArtifactMeta
-	ckpt     *Checkpoint
-}
-
-// memBlob is one content-addressed payload and the index rows naming it.
-type memBlob struct {
-	data []byte
-	refs int
+	mu    sync.Mutex
+	idx   *Index
+	blobs map[string][]byte
+	ckpts map[string][]byte
+	model []byte
 }
 
 // NewMemStore returns an empty in-memory Store — the scheduler's
 // default when Config.Store is nil.
 func NewMemStore() Store {
-	return &memStore{jobs: map[string]*memJob{}, blobs: map[string]*memBlob{}}
+	return &memStore{idx: NewIndex(), blobs: map[string][]byte{}, ckpts: map[string][]byte{}}
 }
 
-// jobLocked returns the record for id, creating it on first write.
-func (s *memStore) jobLocked(id string) *memJob {
-	j := s.jobs[id]
-	if j == nil {
-		j = &memJob{}
-		s.jobs[id] = j
-	}
-	return j
-}
-
-// unrefLocked drops one reference to a blob, forgetting it with the
-// last one.
-func (s *memStore) unrefLocked(hash string) {
-	if b := s.blobs[hash]; b != nil {
-		if b.refs--; b.refs <= 0 {
-			delete(s.blobs, hash)
-		}
+// dropLocked forgets the payloads of blobs whose last row went.
+func (s *memStore) dropLocked(freed []string) {
+	for _, h := range freed {
+		delete(s.blobs, h)
 	}
 }
 
@@ -248,75 +218,49 @@ func (s *memStore) Persistent() bool { return false }
 func (s *memStore) SaveManifest(m JobManifest) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.jobLocked(m.ID).manifest = &m
+	s.idx.SaveManifest(m)
 	return nil
 }
 
 func (s *memStore) SaveResult(id string, res *Result) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.jobLocked(id).result = res
+	s.idx.SaveResult(id, res)
 	return nil
 }
 
-// SaveArtifact appends the job's index row (or replaces it by name, in
-// place) and references the payload under its content hash.
 func (s *memStore) SaveArtifact(id string, a analysis.Artifact, hash string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b := s.blobs[hash]; b != nil {
-		b.refs++
-		s.dedupe += int64(len(a.Data))
-	} else {
-		s.blobs[hash] = &memBlob{data: a.Data, refs: 1}
+	if s.idx.NeedsBlob(hash) {
+		s.blobs[hash] = a.Data
 	}
-	row := metaOf(a)
-	row.Hash = hash
-	j := s.jobLocked(id)
-	for i := range j.arts {
-		if j.arts[i].Name == a.Name {
-			s.unrefLocked(j.arts[i].Hash)
-			j.arts[i] = row
-			return nil
-		}
-	}
-	j.arts = append(j.arts, row)
+	s.dropLocked(s.idx.SaveArtifact(id, MetaOf(a, hash)))
 	return nil
 }
 
 func (s *memStore) DeleteArtifacts(id string, names []string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j := s.jobs[id]
-	if j == nil {
-		return nil
-	}
-	j.arts = slices.DeleteFunc(j.arts, func(row ArtifactMeta) bool {
-		doomed := slices.Contains(names, row.Name)
-		if doomed {
-			s.unrefLocked(row.Hash)
-		}
-		return doomed
-	})
+	freed, _ := s.idx.DeleteArtifacts(id, names)
+	s.dropLocked(freed)
 	return nil
 }
 
 func (s *memStore) LoadBlob(hash string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b := s.blobs[hash]; b != nil {
-		return b.data, nil
+	if data, ok := s.blobs[hash]; ok {
+		return data, nil
 	}
 	return nil, fmt.Errorf("sim: memory store holds no blob %s", hash)
 }
 
-// SaveCheckpoint keeps the highest-step checkpoint, whatever order the
-// writes arrive in.
 func (s *memStore) SaveCheckpoint(id string, step int, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j := s.jobLocked(id); j.ckpt == nil || step >= j.ckpt.Step {
-		j.ckpt = &Checkpoint{Step: step, Data: data, At: time.Now()}
+	if _, ok := s.idx.SaveCheckpoint(id, step, int64(len(data)), time.Now()); ok {
+		s.ckpts[id] = data
 	}
 	return nil
 }
@@ -324,18 +268,18 @@ func (s *memStore) SaveCheckpoint(id string, step int, data []byte) error {
 func (s *memStore) LatestCheckpoint(id string) (*Checkpoint, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j := s.jobs[id]; j != nil {
-		return j.ckpt, nil
+	ck := s.idx.Checkpoint(id)
+	if ck != nil {
+		ck.Data = s.ckpts[id]
 	}
-	return nil, nil
+	return ck, nil
 }
 
 func (s *memStore) DeleteCheckpoints(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j := s.jobs[id]; j != nil {
-		j.ckpt = nil
-	}
+	s.idx.DeleteCheckpoint(id)
+	delete(s.ckpts, id)
 	return nil
 }
 
@@ -346,35 +290,20 @@ func (s *memStore) DeleteJob(id string) error {
 	return nil
 }
 
-// deleteJobLocked forgets a job's record and releases its blob
-// references.
+// deleteJobLocked forgets a job and the payloads only it named.
 func (s *memStore) deleteJobLocked(id string) {
-	if j := s.jobs[id]; j != nil {
-		for _, row := range j.arts {
-			s.unrefLocked(row.Hash)
-		}
-		delete(s.jobs, id)
-	}
+	s.dropLocked(s.idx.DeleteJob(id))
+	delete(s.ckpts, id)
 }
 
-// Recover lists every job with a manifest, oldest submission first (ID
-// order between equal submit times, as the disk store orders them), with
-// its result and artifact rows — metadata only.
 func (s *memStore) Recover() ([]RecoveredJob, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []RecoveredJob
-	for id, j := range s.jobs {
-		if j.manifest == nil {
-			s.deleteJobLocked(id) // unreachable, see Store.Recover
-			continue
-		}
-		out = append(out, RecoveredJob{Manifest: *j.manifest, Result: j.result, Artifacts: slices.Clone(j.arts)})
+	jobs, orphans := s.idx.Recover()
+	for _, id := range orphans {
+		s.deleteJobLocked(id)
 	}
-	slices.SortFunc(out, func(a, b RecoveredJob) int {
-		return cmp.Or(a.Manifest.SubmittedAt.Compare(b.Manifest.SubmittedAt), cmp.Compare(a.Manifest.ID, b.Manifest.ID))
-	})
-	return out, nil
+	return jobs, nil
 }
 
 func (s *memStore) SaveCostModel(state []byte) error {
@@ -393,21 +322,7 @@ func (s *memStore) LoadCostModel() ([]byte, error) {
 func (s *memStore) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := StoreStats{DedupeBytes: s.dedupe, BlobCount: len(s.blobs)}
-	for _, j := range s.jobs {
-		if j.ckpt != nil {
-			st.CheckpointCount++
-			st.CheckpointBytes += int64(len(j.ckpt.Data))
-		}
-		st.ArtifactCount += len(j.arts)
-		for _, row := range j.arts {
-			st.ArtifactBytes += int64(row.Size)
-		}
-	}
-	for _, b := range s.blobs {
-		st.BlobBytes += int64(len(b.data))
-	}
-	return st
+	return s.idx.Stats()
 }
 
 // Close keeps the contents: they are the next scheduler's to recover.
