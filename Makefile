@@ -104,6 +104,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzCostEstimate$$' -fuzztime 15s ./internal/sim/costmodel
 	$(GO) test -run xxx -fuzz '^FuzzResolveRequest$$' -fuzztime 15s ./internal/sim
 	$(GO) test -run xxx -fuzz '^FuzzSweepManifest$$' -fuzztime 15s ./internal/sim
+	$(GO) test -run xxx -fuzz '^FuzzReplicaRoutes$$' -fuzztime 15s ./internal/sim
 	$(GO) test -run xxx -fuzz '^FuzzDiskstoreRecover$$' -fuzztime 15s ./internal/sim/diskstore
 
 clean:

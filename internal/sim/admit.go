@@ -113,8 +113,8 @@ func (s *Scheduler) SubmitWithDisposition(req Request) (*Job, Disposition, error
 		return nil, "", err
 	}
 	s.reap(doomed)
-	if h := s.repl.Load(); h != nil && h.scheduled != nil {
-		h.scheduled(j.manifestOf(Queued.String()))
+	if p := s.peer.Load(); p != nil {
+		p.replicate(j.manifestOf(Queued.String()), -1, nil)
 	}
 	// Feed the speculation planner (outside every scheduler lock); the
 	// push above already preempted the running speculations.
@@ -353,22 +353,35 @@ func (s *Scheduler) restore(j *Job, resume admission) error {
 	return s.admit(j, resume, func(st *Stats) { st.Recovered++; st.Resumed++ })
 }
 
-// readmit re-admits a replicated job record whose owning peer died: the
-// standby manifest is persisted as interrupted (this store now owns the
-// WAL record) and the job is queued like a startup-recovered one, under
-// the depth bound, to resume from the replicated checkpoint. arts are
-// the replicated artifact rows (payloads already in this store's blob
-// tier), so the resumed job's artifact set equals an uninterrupted run's.
-func (s *Scheduler) readmit(m JobManifest, arts []ArtifactMeta) error {
-	m.State = ManifestInterrupted
-	if err := s.store.SaveManifest(m); err != nil {
+// readmit re-admits a replicated job whose owning peer died, from its
+// manifest and the artifact rows this store holds for it: the job is
+// queued like a startup-recovered one, under the depth bound, to resume
+// from the replicated checkpoint. Only an admitted job's manifest is
+// written, as interrupted — a refused takeover leaves nothing a restart
+// could bring back and no live record overwritten — and the checkpoint
+// and rows stay for a retry.
+func (s *Scheduler) readmit(m JobManifest) error {
+	rows, err := s.store.Artifacts(m.ID)
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrStore, err)
 	}
-	j, err := s.recoverJob(RecoveredJob{Manifest: m, Artifacts: arts})
+	m.State = ManifestInterrupted
+	j, err := s.recoverJob(RecoveredJob{Manifest: m, Artifacts: rows})
 	if err != nil {
 		return err
 	}
-	return s.restore(j, admitBounded)
+	if err := s.restore(j, admitBounded); err != nil {
+		return err
+	}
+	// Under j.mu, so a slot that has already started the job (and
+	// persists its own transitions) is never overwritten by this record.
+	// A speculation is not in the job table; it keeps no record here.
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state == Queued && !j.speculative {
+		s.noteStoreErr(s.store.SaveManifest(m))
+	}
+	return nil
 }
 
 // removeLocked forgets a job in memory; s.mu must be held. The caller

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -81,9 +82,10 @@ func TestOneAdmissionSite(t *testing.T) {
 // cases on both stores: startup recovery past a full queue, then — the
 // queue still full — every refusal (a fresh submission, a takeover, a
 // takeover of an ID already present), each of which must leave the job
-// table and the counters exactly as they were; then the same fresh
-// submission and takeover admitted once there is room, and a takeover
-// recorded at more workers than this scheduler has.
+// table, the counters and the store's records exactly as they were;
+// then the same fresh submission and takeover admitted once there is
+// room, and a takeover recorded at more workers than this scheduler
+// has.
 func TestAdmissionPaths(t *testing.T) {
 	forEachStore(t, testAdmissionPaths)
 }
@@ -132,6 +134,21 @@ func testAdmissionPaths(t *testing.T, reopen func() sim.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The duplicate takeover carries a later submit time than the record
+	// it collides with, so an overwrite of that record would show.
+	dup := interrupted("rec1", small(1), 9)
+	stored := func() map[string]sim.JobManifest {
+		recs, err := store.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		byID := map[string]sim.JobManifest{}
+		for _, rec := range recs {
+			byID[rec.Manifest.ID] = rec.Manifest
+		}
+		return byID
+	}
+	rec1 := stored()["rec1"]
 	before := s.Stats()
 	for _, tc := range []struct {
 		name   string
@@ -141,8 +158,8 @@ func testAdmissionPaths(t *testing.T, reopen func() sim.Store) {
 		wantNo error
 	}{
 		{"fresh, queue full", func() error { _, err := s.Submit(fresh); return err }, freshID, sim.ErrQueueFull, nil},
-		{"takeover, queue full", func() error { return s.Readmit(takeover, nil) }, "take1", sim.ErrQueueFull, nil},
-		{"takeover of a present ID", func() error { return s.Readmit(interrupted("rec1", small(1), 1), nil) }, "", sim.ErrDuplicate, sim.ErrClosed},
+		{"takeover, queue full", func() error { return s.Readmit(takeover) }, "take1", sim.ErrQueueFull, nil},
+		{"takeover of a present ID", func() error { return s.Readmit(dup) }, "", sim.ErrDuplicate, sim.ErrClosed},
 	} {
 		err := tc.admit()
 		if !errors.Is(err, tc.want) || (tc.wantNo != nil && errors.Is(err, tc.wantNo)) {
@@ -158,6 +175,15 @@ func testAdmissionPaths(t *testing.T, reopen func() sim.Store) {
 			t.Errorf("%s: %d jobs retained, want the 3 recovered", tc.name, n)
 		}
 	}
+	// Nor did a refusal write the store: a restart would otherwise bring
+	// the refused takeover back, or the overwritten record's job.
+	after := stored()
+	if m, ok := after["take1"]; ok {
+		t.Errorf("the refused takeover left a record a restart recovers: %+v", m)
+	}
+	if !reflect.DeepEqual(after["rec1"], rec1) {
+		t.Errorf("the refused duplicate takeover rewrote the live job's record:\n%+v\nwas\n%+v", after["rec1"], rec1)
+	}
 
 	// Room in the queue: the same two admissions go through.
 	s.Cancel("rec1")
@@ -170,7 +196,7 @@ func testAdmissionPaths(t *testing.T, reopen func() sim.Store) {
 		t.Errorf("Submitted = %d after one admitted submission, want 1", got)
 	}
 	s.Cancel(j.ID)
-	if err := s.Readmit(takeover, nil); err != nil {
+	if err := s.Readmit(takeover); err != nil {
 		t.Fatalf("takeover with room: %v", err)
 	}
 	if st := s.Stats(); st.Recovered != 4 || st.Resumed != 4 {
@@ -188,7 +214,7 @@ func testAdmissionPaths(t *testing.T, reopen func() sim.Store) {
 	// at 8.
 	big := interrupted("take8", small(6), 5)
 	big.Workers, big.Request.Workers = 8, 8
-	if err := s.Readmit(big, nil); err != nil {
+	if err := s.Readmit(big); err != nil {
 		t.Fatalf("takeover recorded at 8 workers: %v", err)
 	}
 	bj, _ := s.Get("take8")
@@ -211,7 +237,7 @@ func testAdmissionPaths(t *testing.T, reopen func() sim.Store) {
 	}
 
 	s.Close()
-	if err := s.Readmit(interrupted("take2", small(5), 4), nil); !errors.Is(err, sim.ErrClosed) {
+	if err := s.Readmit(interrupted("take2", small(5), 4)); !errors.Is(err, sim.ErrClosed) {
 		t.Errorf("takeover after Close: %v, want ErrClosed", err)
 	}
 }

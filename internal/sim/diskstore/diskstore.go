@@ -365,6 +365,16 @@ func (s *Store) LoadBlob(hash string) ([]byte, error) {
 	return data, nil
 }
 
+// Artifacts returns a copy of the job's index rows in production order.
+func (s *Store) Artifacts(id string) ([]sim.ArtifactMeta, error) {
+	if err := cleanID(id); err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.idx.Rows(id)), nil
+}
+
 // DeleteArtifacts removes the named index rows — mirroring the
 // in-memory store's oldest-first eviction — and reclaims blobs no
 // remaining row references.

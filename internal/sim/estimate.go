@@ -30,8 +30,7 @@ func costQuery(r resolved) costmodel.Query {
 
 // trainModel feeds one completed job's metrics into the cost model.
 // When the observation is new, the model state is persisted (so
-// estimates survive restarts) and handed to the peer model hook for
-// replication.
+// estimates survive restarts) and broadcast to the peers.
 func (s *Scheduler) trainModel(j *Job, res *Result) {
 	if res == nil || res.Metrics.WallSeconds <= 0 {
 		return
@@ -54,8 +53,8 @@ func (s *Scheduler) trainModel(j *Job, res *Result) {
 	s.repriceSpeculative()
 	state := s.model.Encode()
 	s.noteStoreErr(s.store.SaveCostModel(state))
-	if h := s.repl.Load(); h != nil && h.model != nil {
-		h.model(state)
+	if p := s.peer.Load(); p != nil {
+		p.replicateModel(state)
 	}
 }
 

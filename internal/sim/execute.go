@@ -156,8 +156,8 @@ func (s *Scheduler) settle(j *Job, state State, bump func(*Stats)) {
 		return
 	}
 	s.count(bump)
-	if h := s.repl.Load(); h != nil && h.terminal != nil {
-		h.terminal(j.ID)
+	if p := s.peer.Load(); p != nil {
+		p.dropReplica(j.ID)
 	}
 }
 
@@ -240,15 +240,13 @@ func (s *Scheduler) evolve(ctx context.Context, j *Job) (res *Result, err error)
 			// artifact refused by the byte budget must not linger
 			// unreachable on disk.
 			s.noteStoreErr(s.store.SaveArtifact(j.ID, a, hash))
-			if h := s.repl.Load(); h != nil && h.artifact != nil {
-				h.artifact(j.ID, a, hash)
+			if p := s.peer.Load(); p != nil {
+				p.replicateArtifact(j.ID, a, hash)
 			}
 		}
 		s.noteStoreErr(s.store.DeleteArtifacts(j.ID, evicted))
-		if len(evicted) > 0 {
-			if h := s.repl.Load(); h != nil && h.artifactDrop != nil {
-				h.artifactDrop(j.ID, evicted)
-			}
+		if p := s.peer.Load(); p != nil && len(evicted) > 0 {
+			p.dropArtifacts(j.ID, evicted)
 		}
 		return nil
 	}
@@ -359,8 +357,8 @@ func (s *Scheduler) checkpoint(j *Job, step int, data []byte) error {
 	s.stats.Checkpoints++
 	s.mu.Unlock()
 	s.persist(j, Running.String())
-	if h := s.repl.Load(); h != nil && h.checkpoint != nil && !j.speculative {
-		h.checkpoint(j.manifestOf(Running.String()), step, data)
+	if p := s.peer.Load(); p != nil && !j.speculative {
+		p.replicate(j.manifestOf(Running.String()), step, data)
 	}
 	return nil
 }

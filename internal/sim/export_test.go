@@ -4,7 +4,13 @@ package sim
 // the only ones that can import diskstore and so run on forEachStore.
 
 // Readmit is readmit.
-func (s *Scheduler) Readmit(m JobManifest, arts []ArtifactMeta) error { return s.readmit(m, arts) }
+func (s *Scheduler) Readmit(m JobManifest) error { return s.readmit(m) }
 
 // ErrDuplicate is errDuplicate.
 var ErrDuplicate = errDuplicate
+
+// PingPeers is pingPeers: one round of the health loop.
+func (p *Peer) PingPeers() { p.pingPeers() }
+
+// Owner is owner.
+func (p *Peer) Owner(id string) string { return p.owner(id) }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -211,12 +212,7 @@ func (s *Scheduler) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, st)
 	}
-	sort.Slice(out, func(i, k int) bool {
-		if !out[i].SubmittedAt.Equal(out[k].SubmittedAt) {
-			return out[i].SubmittedAt.Before(out[k].SubmittedAt)
-		}
-		return out[i].ID < out[k].ID
-	})
+	slices.SortFunc(out, func(a, b Status) int { return submitOrder(a.SubmittedAt, a.ID, b.SubmittedAt, b.ID) })
 	total := len(out)
 	if offset > len(out) {
 		offset = len(out)

@@ -203,9 +203,16 @@ func (x *Index) Recover() (jobs []RecoveredJob, orphans []string) {
 		}
 	}
 	slices.SortFunc(jobs, func(a, b RecoveredJob) int {
-		return cmp.Or(a.Manifest.SubmittedAt.Compare(b.Manifest.SubmittedAt), cmp.Compare(a.Manifest.ID, b.Manifest.ID))
+		return submitOrder(a.Manifest.SubmittedAt, a.Manifest.ID, b.Manifest.SubmittedAt, b.Manifest.ID)
 	})
 	return jobs, orphans
+}
+
+// submitOrder compares two jobs by submit time, equal times by ID: the
+// order Recover lists jobs in, a takeover re-admits them in, and GET
+// /jobs pages through.
+func submitOrder(aAt time.Time, aID string, bAt time.Time, bID string) int {
+	return cmp.Or(aAt.Compare(bAt), cmp.Compare(aID, bID))
 }
 
 // Stats reports the size gauges of what the index holds.

@@ -119,7 +119,7 @@ type Job struct {
 	// speculative marks a job the planner offered to the queue's lowest
 	// class (immutable once offered, like specSource, the planner that
 	// guessed it): it stays out of the job table until it completes,
-	// bills the speculative ledger, and fires no replication hooks.
+	// bills the speculative ledger, and replicates no manifest or checkpoint.
 	// parked holds it back from dispatch until new cost-model history
 	// lifts its gate (the queue's to write, like est, while it is
 	// queued); runCtx is its current run's context, made by the queue at

@@ -11,12 +11,14 @@ package sim
 // Fault tolerance rides the checkpoint machinery of the underlying
 // scheduler: an owner replicates each job's manifest, restart
 // checkpoints and retained artifacts to the job's ring successor
-// (exactly the peer that becomes owner if this one dies). The
-// successor's ping loop detects the death and re-admits the replicated
-// jobs into its own scheduler, which resumes them from the replicated
-// checkpoint with the pre-resume artifacts already rehydrated — to the
-// same final hash and artifact bytes the original owner would have
-// produced, because every kernel is bitwise worker-count-invariant.
+// (exactly the peer that becomes owner if this one dies). The successor
+// writes the checkpoint and artifact bytes to its own store and keeps
+// only the manifest in memory. Its ping loop detects the death and
+// re-admits the replicated jobs into its own scheduler, which reads the
+// artifact rows back from its store and resumes from the replicated
+// checkpoint — to the same final hash and artifact bytes the original
+// owner would have produced, because every kernel is bitwise
+// worker-count-invariant.
 
 import (
 	"bytes"
@@ -59,18 +61,14 @@ type PeerConfig struct {
 	PingEvery time.Duration
 }
 
-// replica is one replicated job record held for a peer that owns the
-// job: its latest manifest and the artifact rows shipped so far. On the
-// wire it also carries, once the owner checkpoints, the latest restart
-// checkpoint (Data, base64 in JSON), which the standby moves into its
-// store and does not keep in the record. Artifacts is never populated
-// by the owner's POST — rows accumulate standby-side from the
-// per-artifact endpoint, in production order.
+// replica is the wire form of one replicated job record: the job's
+// latest manifest and, once the owner checkpoints, the restart
+// checkpoint at Step (Data, base64 in JSON). The standby writes the
+// checkpoint to its store and keeps only the manifest.
 type replica struct {
-	Manifest  JobManifest    `json:"manifest"`
-	Step      int            `json:"step"`
-	Data      []byte         `json:"data,omitempty"`
-	Artifacts []ArtifactMeta `json:"artifacts,omitempty"`
+	Manifest JobManifest `json:"manifest"`
+	Step     int         `json:"step"`
+	Data     []byte      `json:"data,omitempty"`
 }
 
 // replicaArtifact is the wire form of one replicated derived-output
@@ -91,10 +89,12 @@ type Peer struct {
 	client  *http.Client
 	proxies map[string]*httputil.ReverseProxy
 
-	mu       sync.Mutex
-	dead     map[string]bool
-	misses   map[string]int // consecutive failed pings per peer
-	replicas map[string]replica
+	mu     sync.Mutex
+	dead   map[string]bool
+	misses map[string]int // consecutive failed pings per peer
+	// replicas holds the manifest of each job replicated here: the jobs
+	// this peer may take over (see handleReplicaPut).
+	replicas map[string]JobManifest
 
 	forwards    atomic.Int64 // submissions forwarded to their owner
 	proxied     atomic.Int64 // reads proxied to their owner
@@ -116,13 +116,7 @@ func NewPeer(s *Scheduler, cfg PeerConfig) (*Peer, error) {
 	if cfg.PingEvery <= 0 {
 		cfg.PingEvery = time.Second
 	}
-	self := false
-	for _, peer := range cfg.Peers {
-		if peer == cfg.Self {
-			self = true
-		}
-	}
-	if !self {
+	if !slices.Contains(cfg.Peers, cfg.Self) {
 		return nil, fmt.Errorf("sim: peer self %q not in peer list %v", cfg.Self, cfg.Peers)
 	}
 	ring, err := NewRing(cfg.Peers, DefaultVnodes)
@@ -137,7 +131,7 @@ func NewPeer(s *Scheduler, cfg PeerConfig) (*Peer, error) {
 		proxies:  make(map[string]*httputil.ReverseProxy),
 		dead:     make(map[string]bool),
 		misses:   make(map[string]int),
-		replicas: make(map[string]replica),
+		replicas: make(map[string]JobManifest),
 		stop:     make(chan struct{}),
 	}
 	for _, peer := range cfg.Peers {
@@ -161,32 +155,19 @@ func NewPeer(s *Scheduler, cfg PeerConfig) (*Peer, error) {
 		}
 		p.proxies[peer] = rp
 	}
-	s.setReplHooks(&replHooks{
-		scheduled:  func(m JobManifest) { p.replicate(replica{Manifest: m, Step: -1}) },
-		checkpoint: func(m JobManifest, step int, data []byte) { p.replicate(replica{Manifest: m, Step: step, Data: data}) },
-		artifact:   p.replicateArtifact,
-		artifactDrop: func(id string, names []string) {
-			p.sendJSON(http.MethodDelete, id, "/artifacts", names)
-		},
-		// A terminal job's standby can drop the replicated record.
-		terminal: func(id string) { p.sendJSON(http.MethodDelete, id, "", nil) },
-		model:    p.replicateModel,
-	})
+	s.peer.Store(p)
 	p.wg.Add(1)
 	go p.pingLoop()
 	return p, nil
 }
 
-// Close stops the health loop and detaches the replication hooks. It
-// does not close the underlying scheduler.
+// Close stops the health loop and detaches the peer from the scheduler,
+// which replicates nothing after it. It does not close the scheduler.
 func (p *Peer) Close() {
 	p.once.Do(func() { close(p.stop) })
 	p.wg.Wait()
-	p.s.setReplHooks(nil)
+	p.s.peer.Store(nil)
 }
-
-// Scheduler returns the wrapped scheduler.
-func (p *Peer) Scheduler() *Scheduler { return p.s }
 
 // owner returns the peer that should answer for a job ID under the
 // current liveness view: the ring owner, skipping peers marked dead.
@@ -261,28 +242,11 @@ func (p *Peer) routeSubmit(base http.Handler) http.HandlerFunc {
 		if dec.Decode(&req) == nil {
 			id, _ = p.s.CanonicalID(req)
 		}
-		if r.Header.Get(ForwardedHeader) != "" {
-			// Single-hop guard: never re-forward. A forwarded submission
-			// we do not own means the sender's liveness view disagreed
-			// with ours; running it here is still correct (any peer can
-			// run any job to the same bits), just unaccounted placement.
-			if id != "" && p.owner(id) != p.cfg.Self {
-				p.misdirected.Add(1)
-			}
-			base.ServeHTTP(w, r)
-			return
-		}
 		if id == "" { // unresolvable request: local handler owns the error
 			base.ServeHTTP(w, r)
 			return
 		}
-		owner := p.owner(id)
-		if owner == p.cfg.Self || owner == "" {
-			base.ServeHTTP(w, r)
-			return
-		}
-		p.forwards.Add(1)
-		p.proxies[owner].ServeHTTP(w, r)
+		p.route(w, r, base, id, &p.forwards)
 	}
 }
 
@@ -296,26 +260,38 @@ func (p *Peer) routeJob(base http.Handler) http.HandlerFunc {
 			base.ServeHTTP(w, r)
 			return
 		}
-		if r.Header.Get(ForwardedHeader) != "" {
-			if p.owner(id) != p.cfg.Self {
-				p.misdirected.Add(1)
-			}
-			base.ServeHTTP(w, r)
-			return
+		p.route(w, r, base, id, &p.proxied)
+	}
+}
+
+// route serves r locally when this peer owns id (or nobody live does:
+// a 404 here is authoritative), otherwise proxies it one hop to the
+// owner, counting the hop. A forwarded request is always served locally
+// — the single-hop guard: never re-forward. One for an ID we do not own
+// means the sender's liveness view disagreed with ours; serving it here
+// is still correct (any peer can run any job to the same bits), and it
+// is counted as misdirected.
+func (p *Peer) route(w http.ResponseWriter, r *http.Request, base http.Handler, id string, hops *atomic.Int64) {
+	owner := p.owner(id)
+	switch {
+	case r.Header.Get(ForwardedHeader) != "":
+		if owner != p.cfg.Self {
+			p.misdirected.Add(1)
 		}
-		owner := p.owner(id)
-		if owner == p.cfg.Self || owner == "" {
-			base.ServeHTTP(w, r) // ours (or nobody's): a 404 here is authoritative
-			return
-		}
-		p.proxied.Add(1)
+		base.ServeHTTP(w, r)
+	case owner == p.cfg.Self || owner == "":
+		base.ServeHTTP(w, r)
+	default:
+		hops.Add(1)
 		p.proxies[owner].ServeHTTP(w, r)
 	}
 }
 
-// replicate ships a job's replicated record to its ring successor.
-func (p *Peer) replicate(rep replica) {
-	p.sendJSON(http.MethodPost, rep.Manifest.ID, "", rep)
+// replicate ships a job's manifest — and, at a checkpoint, the
+// checkpoint taken after root step (data nil and step -1 otherwise) — to
+// its ring successor.
+func (p *Peer) replicate(m JobManifest, step int, data []byte) {
+	p.sendJSON(http.MethodPost, m.ID, "", replica{Manifest: m, Step: step, Data: data})
 }
 
 // replicateArtifact ships one retained artifact (index row plus payload)
@@ -324,6 +300,17 @@ func (p *Peer) replicate(rep replica) {
 // pre-resume artifacts must already be standby-side.
 func (p *Peer) replicateArtifact(id string, a analysis.Artifact, hash string) {
 	p.sendJSON(http.MethodPost, id, "/artifacts", replicaArtifact{Meta: MetaOf(a, hash), Data: a.Data})
+}
+
+// dropArtifacts mirrors the owner's eviction of the named artifacts on
+// the job's standby.
+func (p *Peer) dropArtifacts(id string, names []string) {
+	p.sendJSON(http.MethodDelete, id, "/artifacts", names)
+}
+
+// dropReplica tells a terminal job's standby to forget its replica.
+func (p *Peer) dropReplica(id string) {
+	p.sendJSON(http.MethodDelete, id, "", nil)
 }
 
 // sendJSON runs one replication call against the job's standby (nil body
@@ -335,24 +322,15 @@ func (p *Peer) sendJSON(method, id, suffix string, body any) {
 	if target == "" {
 		return
 	}
-	var rd io.Reader
+	var buf []byte
 	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
+		var err error
+		if buf, err = json.Marshal(body); err != nil {
 			p.replErrors.Add(1)
 			return
 		}
-		rd = bytes.NewReader(buf)
 	}
-	req, err := http.NewRequest(method, target+"/peer/replicas/"+id+suffix, rd)
-	if err != nil {
-		p.replErrors.Add(1)
-		return
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	p.do(req)
+	p.do(method, target+"/peer/replicas/"+id+suffix, buf)
 }
 
 // replicateModel broadcasts the local cost model's serialized state to
@@ -369,13 +347,7 @@ func (p *Peer) replicateModel(state []byte) {
 	}
 	p.mu.Unlock()
 	for _, target := range targets {
-		req, err := http.NewRequest(http.MethodPost, target+"/peer/model", bytes.NewReader(state))
-		if err != nil {
-			p.replErrors.Add(1)
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		p.do(req)
+		p.do(http.MethodPost, target+"/peer/model", state)
 		p.modelSyncs.Add(1)
 	}
 }
@@ -395,8 +367,17 @@ func (p *Peer) handleModelPut(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// do runs one peer-to-peer request, counting failures.
-func (p *Peer) do(req *http.Request) {
+// do runs one peer-to-peer request with a JSON body (nil sends none),
+// counting failures.
+func (p *Peer) do(method, target string, body []byte) {
+	req, err := http.NewRequest(method, target, bytes.NewReader(body))
+	if err != nil {
+		p.replErrors.Add(1)
+		return
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := p.client.Do(req)
 	if err != nil {
 		p.replErrors.Add(1)
@@ -413,7 +394,8 @@ func (p *Peer) do(req *http.Request) {
 // Checkpoint bytes go into the local store immediately (so a takeover
 // resumes even if it races later replications); the manifest stays in
 // peer memory — writing it to the store would make this peer's next
-// restart recover a job it does not own.
+// restart recover a job it does not own. The body is decoded
+// non-strictly: a key this version does not know is ignored.
 func (p *Peer) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var rep replica
@@ -426,22 +408,17 @@ func (p *Peer) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(rep.Data) > 0 {
 		p.s.noteStoreErr(p.s.store.SaveCheckpoint(id, rep.Step, rep.Data))
-		rep.Data = nil // the store holds the bytes; a takeover resumes from there
 	}
 	p.mu.Lock()
-	// Artifact rows accumulate via their own endpoint; a manifest or
-	// checkpoint update must not wipe them.
-	rep.Artifacts = p.replicas[id].Artifacts
-	p.replicas[id] = rep
+	p.replicas[id] = rep.Manifest
 	p.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
 }
 
 // handleReplicaArtifactPut stores one replicated artifact from the job's
-// owner: a payload that matches its row's content hash and size goes
-// into the local store's blob tier right away, the index row into the
-// in-memory replica record (production order, replace-by-name) for a
-// takeover to rehydrate from.
+// owner in the local store — payload and index row, production order,
+// replace by name — when the payload matches its row's content hash and
+// size. A takeover reads the rows back from the store.
 func (p *Peer) handleReplicaArtifactPut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var ra replicaArtifact
@@ -456,33 +433,18 @@ func (p *Peer) handleReplicaArtifactPut(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("replica artifact: %w", err))
 		return
 	}
-	p.mu.Lock()
-	rep := p.replicas[id]
-	if i := slices.IndexFunc(rep.Artifacts, func(m ArtifactMeta) bool { return m.Name == ra.Meta.Name }); i >= 0 {
-		rep.Artifacts[i] = ra.Meta
-	} else {
-		rep.Artifacts = append(rep.Artifacts, ra.Meta)
-	}
-	p.replicas[id] = rep
-	p.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
 }
 
 // handleReplicaArtifactDelete mirrors the owner's artifact eviction on
-// the standby: the named rows leave the replica record and, unless the
-// job has become local, the store.
+// the standby: the named rows leave the store, unless the job has
+// become local.
 func (p *Peer) handleReplicaArtifactDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var names []string
 	if !decodeBody(w, r, maxReplicaBody, "artifact drop body", false, &names) {
 		return
 	}
-	p.mu.Lock()
-	if rep, ok := p.replicas[id]; ok {
-		rep.Artifacts = slices.DeleteFunc(rep.Artifacts, func(m ArtifactMeta) bool { return slices.Contains(names, m.Name) })
-		p.replicas[id] = rep
-	}
-	p.mu.Unlock()
 	if _, local := p.s.Get(id); !local {
 		p.s.noteStoreErr(p.s.store.DeleteArtifacts(id, names))
 	}
@@ -504,23 +466,28 @@ func (p *Peer) handleReplicaDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// view reports the peers the health loop considers dead, sorted, and
+// how many replicated jobs this peer may take over.
+func (p *Peer) view() (dead []string, replicas int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for peer, d := range p.dead {
+		if d {
+			dead = append(dead, peer)
+		}
+	}
+	sort.Strings(dead)
+	return dead, len(p.replicas)
+}
+
 // handleRing reports this peer's membership view: the static ring and
 // which peers its health loop currently considers dead.
 func (p *Peer) handleRing(w http.ResponseWriter, r *http.Request) {
-	p.mu.Lock()
-	var deadPeers []string
-	for peer, d := range p.dead {
-		if d {
-			deadPeers = append(deadPeers, peer)
-		}
-	}
-	replicas := len(p.replicas)
-	p.mu.Unlock()
-	sort.Strings(deadPeers)
+	dead, replicas := p.view()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"self":     p.cfg.Self,
 		"peers":    p.ring.Peers(),
-		"dead":     deadPeers,
+		"dead":     dead,
 		"replicas": replicas,
 	})
 }
@@ -529,17 +496,9 @@ func (p *Peer) handleRing(w http.ResponseWriter, r *http.Request) {
 // appended.
 func (p *Peer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.s.handleMetrics(w, r)
-	p.mu.Lock()
-	deadN := 0
-	for _, d := range p.dead {
-		if d {
-			deadN++
-		}
-	}
-	replicas := len(p.replicas)
-	p.mu.Unlock()
+	dead, replicas := p.view()
 	fmt.Fprintf(w, "sim_peers %d\n", len(p.cfg.Peers))
-	fmt.Fprintf(w, "sim_peers_alive %d\n", len(p.cfg.Peers)-deadN)
+	fmt.Fprintf(w, "sim_peers_alive %d\n", len(p.cfg.Peers)-len(dead))
 	fmt.Fprintf(w, "sim_peer_replicas %d\n", replicas)
 	fmt.Fprintf(w, "sim_peer_forwards_total %d\n", p.forwards.Load())
 	fmt.Fprintf(w, "sim_peer_proxied_reads_total %d\n", p.proxied.Load())
@@ -607,36 +566,28 @@ func (p *Peer) ping(peer string) bool {
 }
 
 // takeover claims every replicated job whose live owner is now this
-// peer, re-admitting each into the local scheduler (which resumes from
-// the replicated checkpoint). A claim that fails (queue full, duplicate
-// race) returns the replica for the next liveness transition to retry.
+// peer, oldest submission first, re-admitting each into the local
+// scheduler (which resumes from the replicated checkpoint). A claim
+// that fails (queue full, duplicate race) returns the manifest for the
+// next liveness transition to retry.
 func (p *Peer) takeover() {
 	p.mu.Lock()
-	var claim []replica
-	for id, rep := range p.replicas {
-		if rep.Manifest.ID == "" {
-			continue // artifact rows arrived before any manifest; nothing to admit
-		}
+	var claim []JobManifest
+	for id, m := range p.replicas {
 		if p.ring.OwnerExcluding(id, p.dead) == p.cfg.Self {
-			claim = append(claim, rep)
+			claim = append(claim, m)
 			delete(p.replicas, id)
 		}
 	}
 	p.mu.Unlock()
-	sort.Slice(claim, func(i, k int) bool {
-		a, b := claim[i].Manifest, claim[k].Manifest
-		if !a.SubmittedAt.Equal(b.SubmittedAt) {
-			return a.SubmittedAt.Before(b.SubmittedAt)
-		}
-		return a.ID < b.ID
-	})
-	for _, rep := range claim {
-		if _, ok := p.s.Get(rep.Manifest.ID); ok {
+	slices.SortFunc(claim, func(a, b JobManifest) int { return submitOrder(a.SubmittedAt, a.ID, b.SubmittedAt, b.ID) })
+	for _, m := range claim {
+		if _, ok := p.s.Get(m.ID); ok {
 			continue // already local (e.g. the owner forwarded it here earlier)
 		}
-		if err := p.s.readmit(rep.Manifest, rep.Artifacts); err != nil {
+		if err := p.s.readmit(m); err != nil {
 			p.mu.Lock()
-			p.replicas[rep.Manifest.ID] = rep
+			p.replicas[m.ID] = m
 			p.mu.Unlock()
 			continue
 		}

@@ -41,7 +41,7 @@ func TestOneMissedPingIsNotADeath(t *testing.T) {
 	}
 	req := Request{Problem: "sedov", RootN: 8, MaxLevel: Int(0), Steps: 2}
 	p.mu.Lock()
-	p.replicas[id] = replica{Manifest: JobManifest{ID: id, Request: req, Workers: 1, State: Running.String(), SubmittedAt: time.Now()}, Step: -1}
+	p.replicas[id] = JobManifest{ID: id, Request: req, Workers: 1, State: Running.String(), SubmittedAt: time.Now()}
 	p.mu.Unlock()
 
 	for i, step := range []struct {
@@ -75,8 +75,8 @@ func TestOneMissedPingIsNotADeath(t *testing.T) {
 }
 
 // TestReplicaCheckpointHeldOnce: a standby writes a replicated
-// checkpoint to its store and keeps the replica record without the
-// bytes — a takeover resumes through Store.LatestCheckpoint.
+// checkpoint to its store and keeps only the manifest in memory — a
+// takeover resumes through Store.LatestCheckpoint.
 func TestReplicaCheckpointHeldOnce(t *testing.T) {
 	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1})
 	defer s.Close()
@@ -97,10 +97,10 @@ func TestReplicaCheckpointHeldOnce(t *testing.T) {
 		t.Fatalf("replica POST: %d %s", rec.Code, rec.Body)
 	}
 	p.mu.Lock()
-	rep, ok := p.replicas[id]
+	m, ok := p.replicas[id]
 	p.mu.Unlock()
-	if !ok || len(rep.Data) != 0 || rep.Step != 3 {
-		t.Fatalf("replica record %v: step %d, %d checkpoint bytes kept", ok, rep.Step, len(rep.Data))
+	if !ok || m.ID != id {
+		t.Fatalf("replica manifest %v: %+v", ok, m)
 	}
 	ck, err := s.store.LatestCheckpoint(id)
 	if err != nil || ck == nil || string(ck.Data) != "checkpoint" || ck.Step != 3 {

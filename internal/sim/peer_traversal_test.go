@@ -85,9 +85,11 @@ func TestReplicaIDsCannotLeaveTheDataRoot(t *testing.T) {
 // TestReplicaArtifactMustMatchItsHash: a standby stores replicated
 // artifact bytes only when they are the bytes the row names. A payload
 // whose content hash or size disagrees with its row is refused with 400
-// before the store or the replica map is touched — otherwise a later
-// local artifact with the real bytes would dedupe onto the poisoned blob,
-// and a takeover would serve the row's wrong size.
+// before the store is touched — otherwise a later local artifact with
+// the real bytes would dedupe onto the poisoned blob, and a takeover
+// would serve the row's wrong size. An accepted row goes to the store
+// alone: with no manifest there is nothing to take over, so the replica
+// map stays empty.
 func TestReplicaArtifactMustMatchItsHash(t *testing.T) {
 	store, err := diskstore.New(t.TempDir())
 	if err != nil {
@@ -140,11 +142,8 @@ func TestReplicaArtifactMustMatchItsHash(t *testing.T) {
 	if data, err := store.LoadBlob(good); err == nil {
 		t.Fatalf("a refused payload reached the store: %q", data)
 	}
-	if st := store.Stats(); st.BlobCount != 0 {
-		t.Fatalf("store holds %d blobs after refusals", st.BlobCount)
-	}
-	if n := replicas(); n != 0 {
-		t.Fatalf("a refused artifact reached the replica map: %d replicas", n)
+	if st := store.Stats(); st.BlobCount != 0 || st.ArtifactCount != 0 {
+		t.Fatalf("store holds %d blobs, %d rows after refusals", st.BlobCount, st.ArtifactCount)
 	}
 	if code := post("good", 4, good); code != http.StatusNoContent {
 		t.Fatalf("matching replica artifact: %d, want 204", code)
@@ -152,7 +151,93 @@ func TestReplicaArtifactMustMatchItsHash(t *testing.T) {
 	if data, err := store.LoadBlob(good); err != nil || string(data) != "good" {
 		t.Fatalf("stored blob %q, %v", data, err)
 	}
-	if n := replicas(); n != 1 {
-		t.Fatalf("%d replicas after an accepted artifact, want 1", n)
+	if st := store.Stats(); st.ArtifactCount != 1 {
+		t.Fatalf("store holds %d rows after an accepted artifact, want 1", st.ArtifactCount)
+	}
+	if n := replicas(); n != 0 {
+		t.Fatalf("%d replicas after an artifact without a manifest, want 0", n)
+	}
+}
+
+// TestReplicaTakeoverReadsRowsFromStore: a standby keeps a replicated
+// job's artifact rows in its store alone. Sent a manifest, rows a, b and
+// c, a replaced b and a dropped a, then losing its neighbour to three
+// missed pings, it takes the job over with exactly the rows [b', c] its
+// store holds, on both stores.
+func TestReplicaTakeoverReadsRowsFromStore(t *testing.T) {
+	forEachStore(t, testReplicaTakeoverReadsRowsFromStore)
+}
+
+func testReplicaTakeoverReadsRowsFromStore(t *testing.T, reopen func() sim.Store) {
+	store := reopen()
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer dead.Close()
+	s := sim.NewScheduler(sim.Config{MaxConcurrent: 1, TotalWorkers: 1, Store: store})
+	defer s.Close()
+	self := "http://127.0.0.1:1" // never dialled: a peer does not ping itself
+	p, err := sim.NewPeer(s, sim.PeerConfig{Self: self, Peers: []string{self, dead.URL}, PingEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	h := p.Handler()
+	id := ""
+	for i := 0; id == "" || p.Owner(id) != dead.URL; i++ {
+		id = fmt.Sprintf("%016x", i)
+	}
+	send := func(method, suffix string, body any) {
+		t.Helper()
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, "/peer/replicas/"+id+suffix, strings.NewReader(string(buf))))
+		if rec.Code != http.StatusNoContent {
+			t.Fatalf("%s %s: %d %s", method, suffix, rec.Code, rec.Body)
+		}
+	}
+	put := func(name, data string) {
+		meta := sim.ArtifactMeta{Name: name, Kind: "projection", Size: len(data), Hash: sim.HashBytes([]byte(data))}
+		send("POST", "/artifacts", map[string]any{"meta": meta, "data": []byte(data)})
+	}
+	req := sim.Request{Problem: "sedov", RootN: 8, MaxLevel: sim.Int(0), Steps: 2}
+	send("POST", "", map[string]any{"step": -1, "manifest": sim.JobManifest{
+		ID: id, Request: req, Workers: 1, State: sim.Running.String(), SubmittedAt: time.Now()}})
+	put("a.pgm", "first a")
+	put("b.pgm", "first b")
+	put("c.pgm", "only c")
+	put("b.pgm", "second b")
+	send("DELETE", "/artifacts", []string{"a.pgm"})
+
+	for range 3 {
+		if _, ok := s.Get(id); ok {
+			t.Fatal("taken over before the third missed ping")
+		}
+		p.PingPeers()
+	}
+	j, ok := s.Get(id)
+	if !ok {
+		t.Fatal("the replicated job was not taken over")
+	}
+	want := []string{"b.pgm", sim.HashBytes([]byte("second b")), "c.pgm", sim.HashBytes([]byte("only c"))}
+	var got, stored []string
+	for _, row := range j.Artifacts().Index().Artifacts {
+		got = append(got, row.Name, row.Hash)
+	}
+	rows, err := store.Artifacts(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		stored = append(stored, row.Name, row.Hash)
+	}
+	if !slices.Equal(got, want) || !slices.Equal(stored, want) {
+		t.Fatalf("taken-over rows %v, store rows %v, want %v", got, stored, want)
+	}
+	if _, data, err := j.Artifacts().Open("b.pgm"); err != nil || string(data) != "second b" {
+		t.Fatalf("b.pgm reads %q, %v", data, err)
 	}
 }

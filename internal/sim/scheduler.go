@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/sim/costmodel"
 )
 
@@ -187,11 +186,12 @@ type Scheduler struct {
 	// estimate, exported on /metrics.
 	est estimateErrors
 
-	// repl holds the distributed-peer observation hooks, if any. An
-	// atomic pointer because a Peer attaches after NewScheduler has
-	// already started the slot goroutines; nil (the single-node case)
-	// costs one atomic load on the paths that would fire a hook.
-	repl atomic.Pointer[replHooks]
+	// peer is the attached distributed layer, if any, which the
+	// replication call sites mirror job state through. An atomic pointer
+	// because a Peer attaches after NewScheduler has already started the
+	// slot goroutines; nil (the single-node case) costs one atomic load
+	// on each of those paths.
+	peer atomic.Pointer[Peer]
 
 	mu       sync.Mutex
 	closed   bool
@@ -202,36 +202,6 @@ type Scheduler struct {
 	start    time.Time
 	storeErr error
 }
-
-// replHooks are the scheduler's distributed-replication observation
-// points: a Peer registers them to mirror job state to the job's standby
-// peer. All hooks run on scheduler goroutines (submit callers and slot
-// workers) and must not call back into the scheduler.
-type replHooks struct {
-	// scheduled fires after a fresh job's queued manifest is persisted
-	// and the job registered.
-	scheduled func(m JobManifest)
-	// checkpoint fires after a restart checkpoint (and the manifest
-	// recording it) is persisted.
-	checkpoint func(m JobManifest, step int, data []byte)
-	// artifact fires after a derived-output artifact is retained and
-	// persisted; a takeover peer needs the pre-checkpoint artifacts too,
-	// or the resumed job's artifact set would start at the resume step.
-	artifact func(id string, a analysis.Artifact, hash string)
-	// artifactDrop fires after retained artifacts are evicted, so the
-	// standby's replicated set tracks the owner's.
-	artifactDrop func(id string, names []string)
-	// terminal fires after a job reaches a persisted terminal state
-	// (done, failed, cancelled — not shutdown-interrupted).
-	terminal func(id string)
-	// model fires after the owner's cost model absorbs a new
-	// observation, with the full serialized state; the peer broadcasts
-	// it so every member estimates (and admits) from shared history.
-	model func(state []byte)
-}
-
-// setReplHooks attaches (or, with nil, detaches) the peer hooks.
-func (s *Scheduler) setReplHooks(h *replHooks) { s.repl.Store(h) }
 
 // NewScheduler starts a scheduler with cfg's slots running. It first
 // recovers the store's jobs: completed results and artifacts rehydrate

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -46,6 +47,10 @@ type Store interface {
 	// hash in a shared blob tier and the hash recorded in the per-job
 	// index.
 	SaveArtifact(id string, a analysis.Artifact, hash string) error
+	// Artifacts returns a job's artifact rows in production order (a
+	// copy; empty with a nil error for an ID the store does not hold) —
+	// how a takeover reads the rows a standby was sent.
+	Artifacts(id string) ([]ArtifactMeta, error)
 	// DeleteArtifacts forgets named artifacts of a job — the mirror of
 	// ArtifactStore's oldest-first eviction. Blob payloads are reclaimed
 	// when their last referencing index row goes.
@@ -237,6 +242,12 @@ func (s *memStore) SaveArtifact(id string, a analysis.Artifact, hash string) err
 	}
 	s.dropLocked(s.idx.SaveArtifact(id, MetaOf(a, hash)))
 	return nil
+}
+
+func (s *memStore) Artifacts(id string) ([]ArtifactMeta, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.idx.Rows(id)), nil
 }
 
 func (s *memStore) DeleteArtifacts(id string, names []string) error {

@@ -206,6 +206,8 @@ func testArtifacts(t *testing.T, open func(t *testing.T) sim.Store) {
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Fatalf("artifact order %v, want %v", names, want)
 	}
+	// Artifacts lists the same rows, production order, without Recover.
+	wantRows(t, s, "job-art", "proj_step0001.pgm", hash, "proj_step0002.pgm", hash, "slice_step0002.pgm", otherHash)
 
 	// Deleting one of the two references must keep the shared blob;
 	// deleting the last reference reclaims it.
@@ -215,6 +217,7 @@ func testArtifacts(t *testing.T, open func(t *testing.T) sim.Store) {
 	if _, err := s.LoadBlob(hash); err != nil {
 		t.Fatal("blob reclaimed while still referenced")
 	}
+	wantRows(t, s, "job-art", "proj_step0002.pgm", hash, "slice_step0002.pgm", otherHash)
 	if err := s.DeleteArtifacts("job-art", []string{"proj_step0002.pgm"}); err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +226,36 @@ func testArtifacts(t *testing.T, open func(t *testing.T) sim.Store) {
 	}
 	if st := s.Stats(); st.ArtifactCount != 1 || st.BlobCount != 1 {
 		t.Fatalf("stats after deletes: %+v", st)
+	}
+
+	// Saving a name again replaces its row where it stands.
+	third := []byte("produced after the deletes")
+	for _, a := range []analysis.Artifact{artifact("proj_step0003.pgm", third), artifact("slice_step0002.pgm", payload)} {
+		if err := s.SaveArtifact("job-art", a, sim.HashBytes(a.Data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantRows(t, s, "job-art", "slice_step0002.pgm", hash, "proj_step0003.pgm", sim.HashBytes(third))
+	// The rows are the caller's copy.
+	rows, _ := s.Artifacts("job-art")
+	rows[0].Name = "scribbled.pgm"
+	wantRows(t, s, "job-art", "slice_step0002.pgm", hash, "proj_step0003.pgm", sim.HashBytes(third))
+	wantRows(t, s, "job-unknown")
+}
+
+// wantRows checks Store.Artifacts(id) against name, hash pairs in order.
+func wantRows(t *testing.T, s sim.Store, id string, nameHash ...string) {
+	t.Helper()
+	rows, err := s.Artifacts(id)
+	if err != nil {
+		t.Fatalf("Artifacts(%s): %v", id, err)
+	}
+	var got []string
+	for _, row := range rows {
+		got = append(got, row.Name, row.Hash)
+	}
+	if !slices.Equal(got, nameHash) {
+		t.Fatalf("Artifacts(%s) = %v, want %v", id, got, nameHash)
 	}
 }
 
@@ -299,9 +332,9 @@ func testDeleteJob(t *testing.T, open func(t *testing.T) sim.Store) {
 
 // testManifestlessSwept: a record that only ever received artifact and
 // checkpoint bytes (what a standby peer holds for another peer's job)
-// does not survive Recover — its checkpoint and index rows go and its
-// blob references are released, while a payload a manifest-bearing job
-// shares stays readable.
+// is readable until Recover, and does not survive it — its checkpoint
+// and index rows go and its blob references are released, while a
+// payload a manifest-bearing job shares stays readable.
 func testManifestlessSwept(t *testing.T, open func(t *testing.T) sim.Store) {
 	s := open(t)
 	defer s.Close()
@@ -320,6 +353,11 @@ func testManifestlessSwept(t *testing.T, open func(t *testing.T) sim.Store) {
 	if err := s.SaveCheckpoint("orphan", 7, []byte("replicated checkpoint")); err != nil {
 		t.Fatal(err)
 	}
+	// What a takeover reads before any Recover.
+	wantRows(t, s, "orphan", "proj_step0001.pgm", sim.HashBytes(shared), "slice_step0001.pgm", sim.HashBytes(own))
+	if ck, err := s.LatestCheckpoint("orphan"); err != nil || ck == nil || ck.Step != 7 {
+		t.Fatalf("standby checkpoint before Recover: %+v, %v", ck, err)
+	}
 	recovered, err := s.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -330,6 +368,7 @@ func testManifestlessSwept(t *testing.T, open func(t *testing.T) sim.Store) {
 	if ck, err := s.LatestCheckpoint("orphan"); err != nil || ck != nil {
 		t.Fatalf("manifest-less checkpoint survived Recover: %v, %v", ck, err)
 	}
+	wantRows(t, s, "orphan")
 	if _, err := s.LoadBlob(sim.HashBytes(own)); err == nil {
 		t.Fatal("manifest-less record's own blob survived Recover")
 	}
