@@ -260,8 +260,9 @@ func (s *Scheduler) recover() {
 	recs, err := s.store.Recover()
 	s.noteStoreErr(err)
 	for _, rec := range recs {
-		j, err := s.recoverJob(rec)
+		j, evicted, err := s.recoverJob(rec)
 		if err == nil {
+			s.noteStoreErr(s.store.DeleteArtifacts(rec.Manifest.ID, evicted))
 			err = s.restore(j, admitUnbounded)
 		}
 		s.noteStoreErr(err)
@@ -270,8 +271,9 @@ func (s *Scheduler) recover() {
 
 // recoverJob rebuilds a *Job from its persisted record: terminal records
 // come back terminal (done ones with result and artifacts — the warm
-// cache), anything else Queued. It admits nothing; see restore.
-func (s *Scheduler) recoverJob(rec RecoveredJob) (*Job, error) {
+// cache), anything else Queued. It admits and writes nothing (see
+// restore); the caller deletes the returned evicted rows from the store.
+func (s *Scheduler) recoverJob(rec RecoveredJob) (j *Job, evicted []string, err error) {
 	m := rec.Manifest
 	// Resume at this process's slot share: the worker count is not identity,
 	// and a bigger host's pin must neither orphan nor oversubscribe this one.
@@ -279,12 +281,12 @@ func (s *Scheduler) recoverJob(rec RecoveredJob) (*Job, error) {
 	req.Workers = 0
 	r, err := resolve(req, s.cfg.slotWorkers(), s.cfg.TotalWorkers)
 	if err != nil {
-		return nil, fmt.Errorf("sim: recover %s: %w", m.ID, err)
+		return nil, nil, fmt.Errorf("sim: recover %s: %w", m.ID, err)
 	}
 	if m.State == Done.String() && rec.Result == nil {
-		return nil, fmt.Errorf("sim: recover %s: done without a result", m.ID)
+		return nil, nil, fmt.Errorf("sim: recover %s: done without a result", m.ID)
 	}
-	j := s.newJob(m.ID, m.Request, r) // the store's key is the identity; trust it
+	j = s.newJob(m.ID, m.Request, r) // the store's key is the identity; trust it
 	j.submitted, j.started, j.finished = m.SubmittedAt, m.StartedAt, m.FinishedAt
 	j.recovered, j.speculative = true, m.Speculative
 	j.ckpts, j.ckptStep, j.ckptAt = m.Checkpoints, m.CheckpointStep, m.CheckpointAt
@@ -295,10 +297,9 @@ func (s *Scheduler) recoverJob(rec RecoveredJob) (*Job, error) {
 	j.est = &est
 	// Rehydrate artifact metadata (already persisted: no store
 	// write-back, and the payload bytes stay in the blob tier until a
-	// reader asks), but mirror any evictions — this process may run with
+	// reader asks), but collect any evictions — this process may run with
 	// smaller artifact budgets than the one that wrote them, and rows
 	// the in-memory store refuses must not linger unreachable on disk.
-	var evicted []string
 	for _, m := range rec.Artifacts {
 		ev, stored := j.artifacts.putRecovered(m)
 		evicted = append(evicted, ev...)
@@ -306,7 +307,6 @@ func (s *Scheduler) recoverJob(rec RecoveredJob) (*Job, error) {
 			evicted = append(evicted, m.Name) // refused outright: reclaim its payload too
 		}
 	}
-	s.noteStoreErr(s.store.DeleteArtifacts(m.ID, evicted))
 	switch m.State {
 	case Done.String():
 		j.state = Done
@@ -329,7 +329,7 @@ func (s *Scheduler) recoverJob(rec RecoveredJob) (*Job, error) {
 		j.artifacts.close()
 		close(j.doneCh)
 	}
-	return j, nil
+	return j, evicted, nil
 }
 
 // restore admits a job recoverJob rebuilt. A done record backfills the
@@ -356,31 +356,32 @@ func (s *Scheduler) restore(j *Job, resume admission) error {
 // readmit re-admits a replicated job whose owning peer died, from its
 // manifest and the artifact rows this store holds for it: the job is
 // queued like a startup-recovered one, under the depth bound, to resume
-// from the replicated checkpoint. Only an admitted job's manifest is
-// written, as interrupted — a refused takeover leaves nothing a restart
-// could bring back and no live record overwritten — and the checkpoint
-// and rows stay for a retry.
+// from the replicated checkpoint. Only an admitted job writes the store
+// (its manifest, as interrupted; its rows over this peer's budgets go),
+// so a refused takeover changes nothing a restart or a retry would see.
 func (s *Scheduler) readmit(m JobManifest) error {
 	rows, err := s.store.Artifacts(m.ID)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrStore, err)
 	}
 	m.State = ManifestInterrupted
-	j, err := s.recoverJob(RecoveredJob{Manifest: m, Artifacts: rows})
+	j, evicted, err := s.recoverJob(RecoveredJob{Manifest: m, Artifacts: rows})
+	if err == nil {
+		err = s.restore(j, admitBounded)
+	}
 	if err != nil {
 		return err
 	}
-	if err := s.restore(j, admitBounded); err != nil {
-		return err
-	}
 	// Under j.mu, so a slot that has already started the job (and
-	// persists its own transitions) is never overwritten by this record.
-	// A speculation is not in the job table; it keeps no record here.
+	// persists its own transitions and rows) is never overwritten; a
+	// speculation keeps no record here. noteStoreErr takes s.mu, which
+	// comes before j.mu, so the error is noted after unlocking.
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.state == Queued && !j.speculative {
-		s.noteStoreErr(s.store.SaveManifest(m))
+		err = errors.Join(s.store.DeleteArtifacts(m.ID, evicted), s.store.SaveManifest(m))
 	}
+	j.mu.Unlock()
+	s.noteStoreErr(err)
 	return nil
 }
 

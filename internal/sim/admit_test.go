@@ -2,16 +2,19 @@ package sim_test
 
 import (
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/problems"
 	"repro/internal/sim"
@@ -109,7 +112,9 @@ func testAdmissionPaths(t *testing.T, reopen func() sim.Store) {
 			t.Fatalf("fabricate record %d: %v", i, err)
 		}
 	}
-	s := sim.NewScheduler(sim.Config{MaxConcurrent: 1, TotalWorkers: 1, QueueDepth: 1, Store: store})
+	// One retained artifact per job: fewer than the owner that replicated
+	// the rows below kept.
+	s := sim.NewScheduler(sim.Config{MaxConcurrent: 1, TotalWorkers: 1, QueueDepth: 1, ArtifactCount: 1, Store: store})
 	defer s.Close()
 
 	// Recovered-resumable, queue full: all three are in, bound or not.
@@ -149,6 +154,27 @@ func testAdmissionPaths(t *testing.T, reopen func() sim.Store) {
 		return byID
 	}
 	rec1 := stored()["rec1"]
+	// Two rows each, over the budget of one: for the takeover, as its
+	// standby holds them, and under the live rec1's ID.
+	saveRows := func(id string) {
+		for _, name := range []string{"a.pgm", "b.pgm"} {
+			if err := store.SaveArtifact(id, analysis.Artifact{Name: name, Data: []byte(name)}, sim.HashBytes([]byte(name))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rows := func(id string) (names []string) {
+		metas, err := store.Artifacts(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range metas {
+			names = append(names, m.Name)
+		}
+		return names
+	}
+	saveRows("take1")
+	saveRows("rec1")
 	before := s.Stats()
 	for _, tc := range []struct {
 		name   string
@@ -176,7 +202,14 @@ func testAdmissionPaths(t *testing.T, reopen func() sim.Store) {
 		}
 	}
 	// Nor did a refusal write the store: a restart would otherwise bring
-	// the refused takeover back, or the overwritten record's job.
+	// the refused takeover back, or the overwritten record's job, and a
+	// retry would find rows missing. (Checked before stored(): Recover
+	// sweeps take1's rows, which have no manifest.)
+	for _, id := range []string{"take1", "rec1"} {
+		if got := rows(id); !slices.Equal(got, []string{"a.pgm", "b.pgm"}) {
+			t.Errorf("a refused takeover pruned %s's rows to %v", id, got)
+		}
+	}
 	after := stored()
 	if m, ok := after["take1"]; ok {
 		t.Errorf("the refused takeover left a record a restart recovers: %+v", m)
@@ -196,8 +229,12 @@ func testAdmissionPaths(t *testing.T, reopen func() sim.Store) {
 		t.Errorf("Submitted = %d after one admitted submission, want 1", got)
 	}
 	s.Cancel(j.ID)
+	saveRows("take1") // the standby's rows again, after the sweep
 	if err := s.Readmit(takeover); err != nil {
 		t.Fatalf("takeover with room: %v", err)
+	}
+	if got := rows("take1"); !slices.Equal(got, []string{"b.pgm"}) {
+		t.Errorf("the admitted takeover left rows %v in the store, want [b.pgm] (its budget of one)", got)
 	}
 	if st := s.Stats(); st.Recovered != 4 || st.Resumed != 4 {
 		t.Errorf("after the takeover: recovered %d resumed %d, want 4/4", st.Recovered, st.Resumed)
@@ -315,4 +352,90 @@ func TestCacheHitSkipsTheCostModel(t *testing.T) {
 	if allocs >= 20 {
 		t.Errorf("a cache hit allocates %.0f times, not below the 20 it cost with the estimate first", allocs)
 	}
+}
+
+// manifestHookStore runs hook before every SaveManifest and fails the
+// write with the error hook returns.
+type manifestHookStore struct {
+	sim.Store
+	hook func(m sim.JobManifest) error
+}
+
+func (s manifestHookStore) SaveManifest(m sim.JobManifest) error {
+	if err := s.hook(m); err != nil {
+		return err
+	}
+	return s.Store.SaveManifest(m)
+}
+
+// TestTakeoverStoreErrorDoesNotBlockSubmit: a takeover whose manifest
+// write fails while a client resubmits the same job — likely right after
+// an owner dies, as clients retry against the new one — must not
+// deadlock the scheduler. The write runs under the job's lock, the
+// resubmission holds the scheduler's lock and waits for the job's, so
+// the failure must be noted only after the job's lock is released.
+func TestTakeoverStoreErrorDoesNotBlockSubmit(t *testing.T) {
+	forEachStore(t, testTakeoverStoreErrorDoesNotBlockSubmit)
+}
+
+func testTakeoverStoreErrorDoesNotBlockSubmit(t *testing.T, reopen func() sim.Store) {
+	req := sim.Request{Problem: "sedov", RootN: 8, MaxLevel: sim.Int(0), Steps: 2}
+	errSave := errors.New("injected SaveManifest failure")
+	var (
+		s        *sim.Scheduler
+		once     sync.Once
+		resubmit = make(chan error, 1)
+	)
+	store := manifestHookStore{Store: reopen(), hook: func(m sim.JobManifest) error {
+		if m.State != sim.ManifestInterrupted {
+			return nil
+		}
+		var err error
+		once.Do(func() {
+			go func() {
+				_, disp, err := s.SubmitWithDisposition(req)
+				if err == nil && disp != sim.Coalesced {
+					err = fmt.Errorf("resubmission disposition %q, want %q", disp, sim.Coalesced)
+				}
+				resubmit <- err
+			}()
+			time.Sleep(200 * time.Millisecond) // let the resubmission reach the job's lock
+			err = errSave
+		})
+		return err
+	}}
+	s = sim.NewScheduler(sim.Config{MaxConcurrent: 1, TotalWorkers: 1, Store: store})
+	// A long job pins the one slot, so the taken-over job stays queued
+	// and readmit writes its manifest.
+	blocker, err := s.Submit(sim.Request{Problem: "sedov", RootN: 32, MaxLevel: sim.Int(1), Steps: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.CanonicalID(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	takeover := make(chan error, 1)
+	go func() {
+		takeover <- s.Readmit(sim.JobManifest{ID: id, Request: req, Workers: 1,
+			State: sim.ManifestInterrupted, SubmittedAt: time.Now()})
+	}()
+	timeout := time.After(30 * time.Second)
+	for _, done := range []chan error{takeover, resubmit} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			// No Close: it would wait on the same locks.
+			t.Fatal("the takeover and the resubmission deadlocked")
+		}
+	}
+	if _, _, err := s.RecoverState(); !errors.Is(err, errSave) {
+		t.Errorf("store error %v, want the injected SaveManifest failure", err)
+	}
+	s.Cancel(id)
+	s.Cancel(blocker.ID)
+	s.Close()
 }

@@ -280,7 +280,7 @@ func (s *Store) loadArtIndex(id string) []sim.ArtifactMeta {
 // ids arrive over the wire, and any future caller.
 func cleanID(id string) error {
 	if id == "" || strings.ContainsAny(id, "/\\") || strings.HasPrefix(id, ".") {
-		return fmt.Errorf("diskstore: unsafe job id %q", id)
+		return fmt.Errorf("diskstore: unsafe job id %q: %w", id, os.ErrInvalid)
 	}
 	return nil
 }
@@ -290,7 +290,7 @@ func cleanID(id string) error {
 // this is defense against a future producer that does.
 func cleanName(name string) error {
 	if name == indexFile || cleanID(name) != nil {
-		return fmt.Errorf("diskstore: unsafe artifact name %q", name)
+		return fmt.Errorf("diskstore: unsafe artifact name %q: %w", name, os.ErrInvalid)
 	}
 	return nil
 }
@@ -299,11 +299,11 @@ func cleanName(name string) error {
 // hex — defense against a hash ever reaching filepath.Join.
 func cleanHash(hash string) error {
 	if len(hash) != 64 {
-		return fmt.Errorf("diskstore: bad content hash %q", hash)
+		return fmt.Errorf("diskstore: bad content hash %q: %w", hash, os.ErrInvalid)
 	}
 	for _, c := range hash {
 		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return fmt.Errorf("diskstore: bad content hash %q", hash)
+			return fmt.Errorf("diskstore: bad content hash %q: %w", hash, os.ErrInvalid)
 		}
 	}
 	return nil

@@ -24,11 +24,13 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
+	"os"
 	"slices"
 	"sort"
 	"sync"
@@ -430,7 +432,11 @@ func (p *Peer) handleReplicaArtifactPut(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	if err := p.s.store.SaveArtifact(id, artifactOf(ra.Meta, ra.Data), ra.Meta.Hash); err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("replica artifact: %w", err))
+		code := http.StatusInternalServerError
+		if errors.Is(err, os.ErrInvalid) { // a name the store cannot hold: the sender's error
+			code = http.StatusBadRequest
+		}
+		writeError(w, code, fmt.Errorf("replica artifact: %w", err))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

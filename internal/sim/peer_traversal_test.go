@@ -241,3 +241,44 @@ func testReplicaTakeoverReadsRowsFromStore(t *testing.T, reopen func() sim.Store
 		t.Fatalf("b.pgm reads %q, %v", data, err)
 	}
 }
+
+// TestReplicaArtifactNameTheStoreRefuses: a hash-correct replicated
+// artifact whose name the disk store cannot hold is the sender's error —
+// 400, like a hash mismatch — and leaves the store untouched and
+// healthy.
+func TestReplicaArtifactNameTheStoreRefuses(t *testing.T) {
+	store, err := diskstore.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.NewScheduler(sim.Config{MaxConcurrent: 1, TotalWorkers: 1, Store: store})
+	defer s.Close()
+	self := "http://127.0.0.1:1" // never dialled: the only peer is itself
+	p, err := sim.NewPeer(s, sim.PeerConfig{Self: self, Peers: []string{self}, PingEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	h := p.Handler()
+	good := []byte("good")
+	for _, name := range []string{"../x.pgm", "a/b.pgm", ".hidden.pgm", "index.json", ""} {
+		body, err := json.Marshal(map[string]any{
+			"meta": sim.ArtifactMeta{Name: name, Kind: "projection", Size: len(good), Hash: sim.HashBytes(good)},
+			"data": good,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/peer/replicas/0123456789abcdef/artifacts", strings.NewReader(string(body))))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("artifact named %q: %d %s, want 400", name, rec.Code, rec.Body)
+		}
+	}
+	if st := store.Stats(); st.BlobCount != 0 || st.ArtifactCount != 0 {
+		t.Errorf("store holds %d blobs, %d rows after refusals", st.BlobCount, st.ArtifactCount)
+	}
+	if _, _, err := s.RecoverState(); err != nil {
+		t.Errorf("a sender's bad name marked the store degraded: %v", err)
+	}
+}

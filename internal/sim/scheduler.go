@@ -186,11 +186,9 @@ type Scheduler struct {
 	// estimate, exported on /metrics.
 	est estimateErrors
 
-	// peer is the attached distributed layer, if any, which the
-	// replication call sites mirror job state through. An atomic pointer
-	// because a Peer attaches after NewScheduler has already started the
-	// slot goroutines; nil (the single-node case) costs one atomic load
-	// on each of those paths.
+	// peer is the attached Peer, if any, that job state is replicated
+	// through. Atomic because a Peer attaches after the slots start; nil
+	// (the single-node case) costs one atomic load per replication site.
 	peer atomic.Pointer[Peer]
 
 	mu       sync.Mutex

@@ -44,8 +44,8 @@ type Store interface {
 	// SaveArtifact persists one derived-output artifact in production
 	// order; saving a name again replaces its payload. hash is the
 	// payload's content hash (HashBytes): the bytes are kept once per
-	// hash in a shared blob tier and the hash recorded in the per-job
-	// index.
+	// hash in a shared blob tier, the hash in the per-job index. An ID,
+	// name or hash the store cannot hold is refused with os.ErrInvalid.
 	SaveArtifact(id string, a analysis.Artifact, hash string) error
 	// Artifacts returns a job's artifact rows in production order (a
 	// copy; empty with a nil error for an ID the store does not hold) —
