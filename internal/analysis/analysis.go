@@ -283,7 +283,9 @@ func minImage(d float64) float64 {
 // the quantity from the finest covering grid (the sample lattice with a
 // one-point line of sight). Rows are sampled in parallel on `workers` par
 // goroutines (0 = NumCPU, 1 = serial); each row is written by exactly one
-// worker, so the image is bitwise identical at any worker count.
+// worker, so the image is bitwise identical at any worker count. value
+// must depend only on (g, i, j, k): a pixel whose cell repeats its
+// neighbour's is copied, not evaluated.
 func Slice(h *amr.Hierarchy, axis int, coord float64, lo0, hi0, lo1, hi1 float64, n, workers int,
 	value func(g *amr.Grid, i, j, k int) float64) [][]float64 {
 	return sampleLattice(h, axis, lo0, hi0, lo1, hi1, n, []float64{coord}, workers,

@@ -100,7 +100,9 @@ func SurfaceDensity(h *amr.Hierarchy, axis int, lo0, hi0, lo1, hi1 float64, n, n
 // line of sight (resolved together by the sample lattice). Pixel rows are
 // distributed over `workers` par goroutines (0 = NumCPU, 1 = serial); every
 // pixel accumulates its own line of sight serially in sample order, so the
-// projection is bitwise identical at any worker count.
+// projection is bitwise identical at any worker count. value must depend
+// only on (g, i, j, k): it is called once per distinct cell of a line of
+// sight, and a pixel whose cells repeat its neighbour's is copied.
 func ProjectField(h *amr.Hierarchy, axis int, lo0, hi0, lo1, hi1 float64, n, nsamp, workers int,
 	value func(g *amr.Grid, i, j, k int) float64) [][]float64 {
 	dlos := 1.0 / float64(nsamp)
@@ -110,9 +112,16 @@ func ProjectField(h *amr.Hierarchy, axis int, lo0, hi0, lo1, hi1 float64, n, nsa
 	}
 	return sampleLattice(h, axis, lo0, hi0, lo1, hi1, n, los, workers,
 		func(l *lattice, a, b int, owner []int32) float64 {
-			var sum float64
+			// One product per run of samples in the same grid and cell,
+			// added once per sample.
+			los := &l.tab[2]
+			var sum, v float64
+			cur := [2]int32{-1, -1} // grid and cell index of v
 			for s, g := range owner {
-				sum += value(l.cell(g, a, b, s)) * dlos
+				if c := [2]int32{g, los.idx[int(g)*los.n+s]}; c != cur {
+					cur, v = c, value(l.cell(g, a, b, s))*dlos
+				}
+				sum += v
 			}
 			return sum
 		})

@@ -19,6 +19,14 @@ package analysis
 // owner[s] = g for each listed grid containing it, later grids overwriting
 // earlier ones: a first child and its subtree come after all its siblings'
 // subtrees, so they win, and inside the subtree the argument recurses.
+//
+// A pixel is a pure function of its owner array and the owners' cell
+// indices, so equal inputs are not recomputed. A pixel copies its left
+// neighbour when its in-plane coordinate meets every candidate grid of the
+// row as the neighbour's does (same containment bit and, where contained,
+// same cell); a row copies the previous row of its par.For chunk under the
+// same test over every grid. Every pixel stays bitwise what the per-sample
+// locator produced, at any worker count.
 
 import (
 	"math"
@@ -50,6 +58,8 @@ type lattice struct {
 // samples inside a grid are one run. owner[s] indexes the finest grid
 // covering sample s; it is scratch, valid only during the call. Rows are
 // claimed by `workers` par goroutines, each written by exactly one of them.
+// pixel must depend only on owner and the owners' cells (lattice.cell):
+// equal neighbours are copied, not evaluated.
 func sampleLattice(h *amr.Hierarchy, axis int, lo0, hi0, lo1, hi1 float64, n int, los []float64, workers int,
 	pixel func(l *lattice, a, b int, owner []int32) float64) [][]float64 {
 	out := make([][]float64, n)
@@ -64,21 +74,33 @@ func sampleLattice(h *amr.Hierarchy, axis int, lo0, hi0, lo1, hi1 float64, n int
 	}
 	l := newLattice(h, axis, c0, c1, los)
 	nsamp := len(los)
-	in0, in1, run := l.tab[0].in, l.tab[1].in, l.tab[2].run
+	tab0, tab1, run := &l.tab[0], &l.tab[1], l.tab[2].run
 	par.For(workers, n, 0, func(_, blo, bhi int) {
-		scratch := make([]int32, nsamp+len(l.grids))
-		owner, row := scratch[:nsamp], scratch[nsamp:]
+		ng := len(l.grids)
+		scratch := make([]int32, nsamp+2*ng)
+		owner, row, all := scratch[:nsamp], scratch[nsamp:nsamp+ng], scratch[nsamp+ng:]
+		for g := range all {
+			all[g] = int32(g)
+		}
 		for b := blo; b < bhi; b++ {
+			if b > blo && tab1.repeats(b, all) {
+				copy(out[b], out[b-1])
+				continue
+			}
 			// The grids this row can touch, still in paint order.
 			cand := row[:0]
 			for g := range l.grids {
-				if in1[g*n+b] {
+				if tab1.in[g*n+b] {
 					cand = append(cand, int32(g))
 				}
 			}
 			for a := 0; a < n; a++ {
+				if a > 0 && tab0.repeats(a, cand) {
+					out[b][a] = out[b][a-1]
+					continue
+				}
 				for _, g := range cand {
-					if !in0[int(g)*n+a] {
+					if !tab0.in[int(g)*n+a] {
 						continue
 					}
 					seg := owner[run[g][0]:run[g][1]]
@@ -157,6 +179,19 @@ func (t *axisTable) fill(g, p int, grid *amr.Grid, d int, xs []float64) {
 			t.run[g][1] = int32(c) + 1
 		}
 	}
+}
+
+// repeats reports whether coordinate c meets each grid of gs as
+// coordinate c-1 does: the same containment bit and, where contained, the
+// same cell index.
+func (t *axisTable) repeats(c int, gs []int32) bool {
+	for _, g := range gs {
+		i := int(g)*t.n + c
+		if t.in[i] != t.in[i-1] || t.in[i] && t.idx[i] != t.idx[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // cell returns grid g (an owner index) and, ordered by box axis, the

@@ -172,7 +172,10 @@ func TestLatticeMatchesPerSampleOracle(t *testing.T) {
 		{-1.5, 2.5, -0.75, 1.25},     // wider than the box
 		{0.4375, 0.5625, 0.45, 0.55}, // zoomed on the refined center
 	}
-	shapes := [][2]int{{37, 23}, {16, 1}, {21, 64}} // n ≠ nsamp, nsamp = 1, odd n
+	// n ≠ nsamp, nsamp = 1, odd n, then two oversampled shapes whose equal
+	// neighbours (along a line of sight, across a row, across rows) reuse
+	// work; the 128³-sample one, the oracle's costliest, on the box only.
+	shapes := [][2]int{{37, 23}, {16, 1}, {21, 64}, {64, 48}, {128, 128}}
 	workers := []int{1, 2, 3, 7}
 	for name, h := range oracleHierarchies(t) {
 		// A slice plane exactly on grid edges (low and high), and at 0 and 1.
@@ -192,6 +195,9 @@ func TestLatticeMatchesPerSampleOracle(t *testing.T) {
 			}
 			for wi, w := range windows {
 				for si, sh := range shapes {
+					if wi > 0 && si == len(shapes)-1 {
+						break
+					}
 					what := fmt.Sprintf("%s ProjectField axis %d window %v n %d nsamp %d", name, axis, w, sh[0], sh[1])
 					want := oracleProjectField(h, axis, w[0], w[1], w[2], w[3], sh[0], sh[1], rho)
 					// Every worker count on the box window, one (rotating) elsewhere.
@@ -205,6 +211,43 @@ func TestLatticeMatchesPerSampleOracle(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestProjectionEvaluatesEachCellOnce counts value calls on a bare 16³
+// root at 1 worker. A 128-px map with 128 samples per line of sight reads
+// each of the 4096 cells exactly once (the per-sample walk read each 512
+// times); a 128-px slice reads each of the 256 cells of its plane once.
+func TestProjectionEvaluatesEachCellOnce(t *testing.T) {
+	h, err := amr.NewHierarchy(amr.DefaultConfig(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := map[[3]int]int{}
+	value := func(g *amr.Grid, i, j, k int) float64 {
+		reads[[3]int{i, j, k}]++
+		return g.State.Rho.At(i, j, k)
+	}
+	for _, c := range []struct {
+		what  string
+		run   func()
+		cells int
+	}{
+		{"ProjectField", func() { analysis.ProjectField(h, 2, 0, 1, 0, 1, 128, 128, 1, value) }, 4096},
+		{"Slice", func() { analysis.Slice(h, 2, 0.5, 0, 1, 0, 1, 128, 1, value) }, 256},
+	} {
+		clear(reads)
+		c.run()
+		calls := 0
+		for cell, r := range reads {
+			calls += r
+			if r != 1 {
+				t.Errorf("%s read cell %v %d times", c.what, cell, r)
+			}
+		}
+		if len(reads) != c.cells || calls != c.cells {
+			t.Errorf("%s: %d value calls over %d cells, want %d each", c.what, calls, len(reads), c.cells)
 		}
 	}
 }

@@ -354,7 +354,8 @@ type ClumpsPayload struct {
 
 // FieldExtractor returns the cell-quantity sampler for a named output
 // field on this hierarchy (temperature and X-ray emissivity need the
-// run's units and species).
+// run's units and species). Each sampler depends only on (g, i, j, k), as
+// Slice and ProjectField require.
 func FieldExtractor(h *amr.Hierarchy, name string) (func(g *amr.Grid, i, j, k int) float64, error) {
 	gamma := h.Cfg.Hydro.Gamma
 	switch name {

@@ -24,7 +24,10 @@ type JobMetrics struct {
 	// AnalysisSeconds is the wall-clock spent evaluating derived-output
 	// requests (slices, projections, profiles, ...) at root-step
 	// boundaries — in-flight data products, billed separately from the
-	// physics above. ArtifactCount/ArtifactBytes describe what the job's
+	// physics above. It also includes what the sim scheduler does with
+	// each product inside that window: the store write (SaveArtifact,
+	// fsyncs included on a durable store) and the replica POST to the
+	// job's standby. ArtifactCount/ArtifactBytes describe what the job's
 	// artifact store retained. Zero for jobs with no output requests;
 	// filled by the sim scheduler, not CollectJobMetrics.
 	AnalysisSeconds float64 `json:"analysis_seconds,omitempty"`

@@ -113,7 +113,7 @@ func (s *Scheduler) SubmitWithDisposition(req Request) (*Job, Disposition, error
 		return nil, "", err
 	}
 	s.reap(doomed)
-	if p := s.peer.Load(); p != nil {
+	if p := s.replicaPeer(j); p != nil {
 		p.replicate(j.manifestOf(Queued.String()), -1, nil)
 	}
 	// Feed the speculation planner (outside every scheduler lock); the

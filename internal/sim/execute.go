@@ -156,7 +156,7 @@ func (s *Scheduler) settle(j *Job, state State, bump func(*Stats)) {
 		return
 	}
 	s.count(bump)
-	if p := s.peer.Load(); p != nil {
+	if p := s.replicaPeer(j); p != nil {
 		p.dropReplica(j.ID)
 	}
 }
@@ -240,12 +240,12 @@ func (s *Scheduler) evolve(ctx context.Context, j *Job) (res *Result, err error)
 			// artifact refused by the byte budget must not linger
 			// unreachable on disk.
 			s.noteStoreErr(s.store.SaveArtifact(j.ID, a, hash))
-			if p := s.peer.Load(); p != nil {
+			if p := s.replicaPeer(j); p != nil {
 				p.replicateArtifact(j.ID, a, hash)
 			}
 		}
 		s.noteStoreErr(s.store.DeleteArtifacts(j.ID, evicted))
-		if p := s.peer.Load(); p != nil && len(evicted) > 0 {
+		if p := s.replicaPeer(j); p != nil && len(evicted) > 0 {
 			p.dropArtifacts(j.ID, evicted)
 		}
 		return nil
@@ -357,7 +357,7 @@ func (s *Scheduler) checkpoint(j *Job, step int, data []byte) error {
 	s.stats.Checkpoints++
 	s.mu.Unlock()
 	s.persist(j, Running.String())
-	if p := s.peer.Load(); p != nil && !j.speculative {
+	if p := s.replicaPeer(j); p != nil {
 		p.replicate(j.manifestOf(Running.String()), step, data)
 	}
 	return nil

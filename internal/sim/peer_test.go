@@ -2,14 +2,19 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/analysis"
 )
 
 // TestOneMissedPingIsNotADeath scripts a neighbour's /healthz: a single
@@ -106,6 +111,65 @@ func TestReplicaCheckpointHeldOnce(t *testing.T) {
 	ck, err := s.store.LatestCheckpoint(id)
 	if err != nil || ck == nil || string(ck.Data) != "checkpoint" || ck.Step != 3 {
 		t.Fatalf("stored checkpoint %+v, %v", ck, err)
+	}
+}
+
+// TestSpeculationIsNotReplicated: a speculative job keeps its manifest,
+// checkpoints and artifacts local (it has no submitter, and settle never
+// tells the standby to drop it), so a one-row sweep emitting a projection
+// every step, with a checkpoint every step, sends the standby no
+// /peer/replicas request at all. A demand job on the same peer does.
+func TestSpeculationIsNotReplicated(t *testing.T) {
+	var mu sync.Mutex
+	var sent []string
+	standby := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		sent = append(sent, r.Method+" "+r.URL.Path)
+		mu.Unlock()
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer standby.Close()
+	replicaCalls := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		var out []string
+		for _, r := range sent {
+			if strings.Contains(r, "/peer/replicas") {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+
+	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1, Speculate: true, SpeculateSlots: 1, CheckpointEvery: 1})
+	defer s.Close()
+	self := "http://127.0.0.1:1" // never dialled: a peer does not ping itself
+	p, err := NewPeer(s, PeerConfig{Self: self, Peers: []string{self, standby.URL}, PingEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	row := Request{Problem: "sedov", RootN: 8, MaxLevel: Int(0), Steps: 3,
+		Outputs: []analysis.OutputRequest{{Kind: analysis.KindProjection, N: 8, Every: 1}}}
+	if _, err := s.PrewarmSweep("one", []Request{row}); err != nil {
+		t.Fatal(err)
+	}
+	waitSpec(t, s, "1 completion", func(st SpeculationStats) bool { return st.Completed == 1 })
+	if got := replicaCalls(); len(got) != 0 {
+		t.Fatalf("a speculative job sent its standby %d replica requests: %q", len(got), got)
+	}
+
+	row.Knobs = map[string]float64{"e0": 7} // a distinct demand job
+	j, err := s.Submit(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := replicaCalls(); !slices.Contains(got, "POST /peer/replicas/"+j.ID+"/artifacts") {
+		t.Fatalf("the demand job replicated no artifact: %q", got)
 	}
 }
 

@@ -255,6 +255,16 @@ func NewScheduler(cfg Config) *Scheduler {
 // now is the scheduler's injected time source (Config.Clock).
 func (s *Scheduler) now() time.Time { return s.cfg.Clock() }
 
+// replicaPeer returns the Peer that j's state is replicated through: nil
+// when none is attached, and nil for a speculative job, which has no
+// submitter and whose manifest, checkpoints and artifacts stay local.
+func (s *Scheduler) replicaPeer(j *Job) *Peer {
+	if j.speculative {
+		return nil
+	}
+	return s.peer.Load()
+}
+
 // Config returns the scheduler's effective (default-filled) configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
 
