@@ -385,6 +385,28 @@ func BenchmarkSnapshotCollapse(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckpointEncode measures one cadence checkpoint of a served
+// job: snapshot.Encode of bench/'s serve_cold sedov job (16³, maxlevel 1,
+// a blast energy inside its range) after 5 root steps, at workers 1.
+// Baselined in BENCH.json.
+func BenchmarkCheckpointEncode(b *testing.B) {
+	sim, err := core.New("sedov", func(o *problems.Opts) { o.RootN, o.MaxLevel, o.Extra["e0"] = 16, 1, 10 })
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim.RunSteps(5)
+	h := sim.H
+	h.Cfg.Workers = 1
+	b.Run("workers1", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := snapshot.Encode(h, "sedov"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // --- Figure 1: the 2-D SAMR example (root + two subgrids + one
 // sub-subgrid) realized by the hierarchy machinery on an analytic
 // refinement pattern. ---

@@ -107,7 +107,7 @@ func serve(args []string) {
 	artifactCount := fs.Int("artifact-count", sim.DefaultArtifactCount, "per-job derived-output artifact count budget")
 	hotBytes := fs.Int64("hot-bytes", sim.DefaultHotTierBytes, "in-memory hot-tier budget for artifact payload reads (LRU over the store's blobs)")
 	dataDir := fs.String("data", "", "durable job store directory (empty = in-memory only: nothing survives a restart)")
-	ckptEvery := fs.Int("checkpoint-every", 5, "with -data: checkpoint running jobs every N root steps (0 = no step cadence)")
+	ckptEvery := fs.Int("checkpoint-every", 5, "with -data: checkpoint running jobs every N root steps, none at a job's last step (0 = no step cadence)")
 	ckptTime := fs.Float64("checkpoint-time", 0, "with -data: checkpoint running jobs every T code time (0 = no time cadence)")
 	maxJobSeconds := fs.Float64("max-job-seconds", 0, "reject submissions the cost model predicts to run longer than this many seconds (0 = no admission bound)")
 	tenantWeights := fs.String("tenant-weights", "", "comma-separated tenant=weight fair-share shares, e.g. sci=3,ops=1 (unlisted tenants weigh 1)")

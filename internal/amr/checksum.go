@@ -26,7 +26,7 @@ import (
 // digest does not depend on Cfg.Workers.
 func (h *Hierarchy) Checksum() uint64 {
 	d := fnv64(14695981039346656037)
-	word := d.word
+	words := d.words
 	d.put(math.Float64bits(h.Time))
 	d.put(uint64(len(h.Levels)))
 	for _, lv := range h.Levels {
@@ -38,7 +38,7 @@ func (h *Hierarchy) Checksum() uint64 {
 			for _, v := range [...]float64{g.Edge[0].Hi, g.Edge[0].Lo, g.Edge[1].Hi, g.Edge[1].Lo, g.Edge[2].Hi, g.Edge[2].Lo, g.Time} {
 				d.put(math.Float64bits(v))
 			}
-			g.Record(word)
+			g.Record(words)
 		}
 	}
 	return uint64(d)
@@ -48,17 +48,19 @@ func (h *Hierarchy) Checksum() uint64 {
 type fnv64 uint64
 
 // put hashes w's little-endian bytes.
-func (d *fnv64) put(w uint64) {
+func (d *fnv64) put(w uint64) { d.words([]uint64{w}) }
+
+// words hashes each word's little-endian bytes, as a Grid.Record visitor.
+func (d *fnv64) words(ws []uint64) {
 	s := *d
-	for range 8 {
-		s = (s ^ fnv64(w&0xff)) * 1099511628211
-		w >>= 8
+	for _, w := range ws {
+		for range 8 {
+			s = (s ^ fnv64(w&0xff)) * 1099511628211
+			w >>= 8
+		}
 	}
 	*d = s
 }
-
-// word hashes *w, as a Grid.Record visitor.
-func (d *fnv64) word(w *uint64) { d.put(*w) }
 
 // ChecksumHex renders Checksum as the fixed-width hex string committed in
 // golden files and returned by the sim job API.
@@ -66,34 +68,42 @@ func (h *Hierarchy) ChecksumHex() string {
 	return fmt.Sprintf("%016x", h.Checksum())
 }
 
-// Record passes word a pointer to each 64-bit word of the grid's state, in
+// Record passes words each run of 64-bit words of the grid's state, in
 // the one order both Checksum and a snapshot record use: every field slab,
-// ghost zones included, in hydro.State.Fields order; the particle count;
-// then one row per particle — X, Y, Z as (Hi, Lo) pairs, Vx, Vy, Vz, Mass,
-// ID. A word is its value's bits (float64 bits, int64 two's complement).
-// word may store through the pointer, which is how a reader restores a
-// grid: Record grows the particle set to the count word stores before it
-// visits the rows, so a grid allocated with an empty set is filled in one
-// pass. A column added to hydro.State or nbody.Particles joins the state
-// here, and so reaches the checksum and the checkpoint together.
-func (g *Grid) Record(word func(*uint64)) {
+// ghost zones included, in hydro.State.Fields order, as one run viewing
+// the slab in place; the particle count as a run of one; then one run per
+// particle row — X, Y, Z as (Hi, Lo) pairs, Vx, Vy, Vz, Mass, ID — copied
+// into a row buffer and written back to the particle after words
+// returns. A word is its value's bits (float64 bits, int64 two's
+// complement). words may store into a run, which is how a reader restores
+// a grid: Record grows the particle set to the count words stores before
+// it visits the rows, so a grid allocated with an empty set is filled in
+// one pass. words must not keep a run past its return. A column added to
+// hydro.State or nbody.Particles joins the state here, and so reaches the
+// checksum and the checkpoint together.
+func (g *Grid) Record(words func([]uint64)) {
 	for _, f := range g.State.Fields() {
-		for i := range f.Data {
-			word(bits(&f.Data[i]))
-		}
+		words(unsafe.Slice(bits(unsafe.SliceData(f.Data)), len(f.Data)))
 	}
 	p := g.Parts
-	n := uint64(p.Len())
-	word(&n)
-	for uint64(p.Len()) < n {
+	buf := new([12]uint64) // the count, then one row's 11 words
+	buf[0] = uint64(p.Len())
+	words(buf[:1])
+	for uint64(p.Len()) < buf[0] {
 		p.Add(ep128.Dd{}, ep128.Dd{}, ep128.Dd{}, 0, 0, 0, 0, 0)
 	}
 	for i := range p.Len() {
-		for _, v := range [...]*float64{&p.X[i].Hi, &p.X[i].Lo, &p.Y[i].Hi, &p.Y[i].Lo, &p.Z[i].Hi, &p.Z[i].Lo,
-			&p.Vx[i], &p.Vy[i], &p.Vz[i], &p.Mass[i]} {
-			word(bits(v))
+		cols := [...]*uint64{bits(&p.X[i].Hi), bits(&p.X[i].Lo), bits(&p.Y[i].Hi), bits(&p.Y[i].Lo),
+			bits(&p.Z[i].Hi), bits(&p.Z[i].Lo), bits(&p.Vx[i]), bits(&p.Vy[i]), bits(&p.Vz[i]), bits(&p.Mass[i]),
+			(*uint64)(unsafe.Pointer(&p.ID[i]))}
+		row := buf[:len(cols)]
+		for k, c := range cols {
+			row[k] = *c
 		}
-		word((*uint64)(unsafe.Pointer(&p.ID[i])))
+		words(row)
+		for k, c := range cols {
+			*c = row[k]
+		}
 	}
 }
 

@@ -253,7 +253,9 @@ func (s *Scheduler) evolve(ctx context.Context, j *Job) (res *Result, err error)
 	// Each root step is published, then its products and its checkpoint
 	// are evaluated; an error from either stops the physics at this
 	// boundary instead of burning the remaining step budget on a job
-	// already doomed to fail.
+	// already doomed to fail. The job's last step writes no checkpoint:
+	// the result supersedes it at once, and a kill before then resumes
+	// from the previous one to the same bits.
 	taken, err := sm.Run(ctx, core.RunOpts{
 		MaxSteps:  j.res.steps - startStep,
 		MaxTime:   j.res.maxTime,
@@ -263,7 +265,7 @@ func (s *Scheduler) evolve(ctx context.Context, j *Job) (res *Result, err error)
 			t0 := time.Now()
 			err := plan.Step(sm.H, j.res.problem, info.Step, j.res.opts.Workers, emit)
 			analysisWall += time.Since(t0)
-			if err != nil || ckptPlan == nil {
+			if err != nil || ckptPlan == nil || info.Step == j.res.steps-1 {
 				return err
 			}
 			return ckptPlan.Step(sm.H, j.res.problem, info.Step, j.res.opts.Workers,
@@ -316,7 +318,9 @@ func (s *Scheduler) evolve(ctx context.Context, j *Job) (res *Result, err error)
 // speculation left for the demand run of the same configuration — else
 // from the problem registry. Returns the global index of the first step
 // still to take. A checkpoint that fails to decode falls back to a
-// fresh build — a lost resume costs recomputation, never the job.
+// fresh build — a lost resume costs recomputation, never the job — and
+// is dropped, since the store would otherwise refuse every cadence
+// checkpoint of the rebuilt run below its step.
 func (s *Scheduler) buildOrResume(j *Job) (*core.Simulation, int, error) {
 	ck, err := s.store.LatestCheckpoint(j.ID)
 	s.noteStoreErr(err)
@@ -333,6 +337,7 @@ func (s *Scheduler) buildOrResume(j *Job) (*core.Simulation, int, error) {
 			return core.Resume(h, problem), ck.Step + 1, nil
 		}
 		s.noteStoreErr(fmt.Errorf("sim: job %s checkpoint unreadable, rebuilding: %w", j.ID, err))
+		s.noteStoreErr(s.store.DeleteCheckpoints(j.ID))
 	}
 	sm, err := core.New(j.res.problem, func(o *problems.Opts) { *o = j.res.opts })
 	if err != nil {

@@ -1,5 +1,7 @@
 package sim
 
+import "testing"
+
 // The takeover admission path, opened to the external sim_test suites —
 // the only ones that can import diskstore and so run on forEachStore.
 
@@ -14,3 +16,8 @@ func (p *Peer) PingPeers() { p.pingPeers() }
 
 // Owner is owner.
 func (p *Peer) Owner(id string) string { return p.owner(id) }
+
+// DirectHash is directHash.
+func DirectHash(t *testing.T, req Request, slotWorkers int) string {
+	return directHash(t, req, slotWorkers)
+}

@@ -46,7 +46,8 @@ type Config struct {
 	// checkpoint; Drain checkpoints running jobs before exit.
 	Store Store
 	// CheckpointEvery writes a restart checkpoint after every N-th root
-	// step of a running job (0 = no step cadence).
+	// step of a running job (0 = no step cadence). Neither cadence writes
+	// one at the job's last root step: its result supersedes it.
 	CheckpointEvery int
 	// CheckpointTime writes a restart checkpoint whenever a job's code
 	// time crosses a multiple of this interval (0 = no time cadence).

@@ -13,11 +13,14 @@
 // deflated on its own at BestSpeed. A raw record is the words of
 // amr.Grid.Record, little-endian — the stream Checksum hashes after the
 // grid's geometry: the field slabs, ghost zones included, the particle
-// count, then the particle rows. Records are deflated in parallel but
-// concatenated in order, so the bytes do not depend on the worker count;
-// edges and positions are exact, so a restart reproduces the run bit for
-// bit, and needs no caller-supplied config (the restart-with-more-levels
-// workflow mutates the loaded Cfg after Read).
+// count, then the particle rows. Record hands over runs of words — a
+// field slab in place, the count, a particle row — which the encoder
+// writes and the decoder fills in one tight loop per run. Records are
+// deflated in parallel but concatenated in order, so the bytes do not
+// depend on the worker count; edges and positions are exact, so a
+// restart reproduces the run bit for bit, and needs no caller-supplied
+// config (the restart-with-more-levels workflow mutates the loaded Cfg
+// after Read).
 //
 // Integrity: streams arrive from replica PUTs and the command line, so
 // before inflating a byte Read checks the config, every grid against its
@@ -71,7 +74,7 @@ var rowWords = func() int {
 	g := amr.NewGrid(0, [3]int{}, 1, 1, 1, 4, 2, 0)
 	g.Parts.Add(ep128.Dd{}, ep128.Dd{}, ep128.Dd{}, 0, 0, 0, 0, 0)
 	n := 0
-	g.Record(func(*uint64) { n++ })
+	g.Record(func(ws []uint64) { n += len(ws) })
 	return n - len(g.State.Fields())*len(g.State.Rho.Data) - 1
 }()
 
@@ -179,7 +182,12 @@ func Read(r io.Reader) (*amr.Hierarchy, string, error) {
 		}
 		g, raw := grids[i], c.raw
 		g.Time, g.Edge, g.Parts = gh.Time, gh.Edge, nbody.New(gh.Particles)
-		g.Record(func(w *uint64) { *w, raw = binary.LittleEndian.Uint64(raw), raw[8:] })
+		g.Record(func(ws []uint64) {
+			for i := range ws {
+				ws[i] = binary.LittleEndian.Uint64(raw[8*i:])
+			}
+			raw = raw[8*len(ws):]
+		})
 	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, "", err
@@ -332,7 +340,13 @@ func forRecords(workers, n int, fn func(c *coder, i int)) {
 // then the raw record deflated.
 func (c *coder) deflate(g *amr.Grid, size int) []byte {
 	c.raw = slices.Grow(c.raw[:0], size)
-	g.Record(func(w *uint64) { c.raw = binary.LittleEndian.AppendUint64(c.raw, *w) })
+	g.Record(func(ws []uint64) {
+		n := len(c.raw)
+		c.raw = slices.Grow(c.raw, 8*len(ws))[:n+8*len(ws)]
+		for i, w := range ws {
+			binary.LittleEndian.PutUint64(c.raw[n+8*i:], w)
+		}
+	})
 	c.out.Reset()
 	c.out.Write(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(c.raw, castagnoli)))
 	c.zw.Reset(&c.out)
