@@ -238,7 +238,7 @@ func TestSetBoundariesOverlappingSiblingsWorkerInvariant(t *testing.T) {
 	for i := 0; i < fills; i++ {
 		fillAllLevels(serial, amr.SetBoundaries)
 	}
-	for _, w := range []int{2, 4, 8} {
+	for _, w := range []int{2, 3, 4, 8} {
 		cfg.Workers = w
 		h := buildStatic(t, cfg)
 		for i := 0; i < fills; i++ {

@@ -256,8 +256,10 @@ func (h *Hierarchy) ComputeTimestep(level int) float64 {
 }
 
 // setBoundaries fills the ghost zones of every grid on a level: periodic
-// for the root, parent interpolation then sibling exchange for subgrids
-// (paper §3.2.1, the two-step procedure).
+// for the root, parent interpolation and sibling exchange for subgrids
+// (paper §3.2.1's two-step procedure, in which sibling data wins; here
+// the parent fills only the ghosts no sibling covers, so the two steps
+// need no order between them).
 func (h *Hierarchy) setBoundaries(level int) {
 	if level >= len(h.Levels) {
 		return
@@ -270,23 +272,16 @@ func (h *Hierarchy) setBoundaries(level int) {
 	}
 	if level == 0 {
 		for _, gf := range fields {
-			for _, f := range gf {
-				f.ApplyPeriodicBC()
-			}
+			mesh.ApplyPeriodicBCs(gf, h.Cfg.Workers)
 		}
 		return
 	}
 	// Parent pass, grid-parallel: a grid writes only its own ghosts and
 	// reads only the coarser level, so any worker count gives the same bits.
-	// Only the plan's residual boxes are prolonged: the sibling pass below
+	// Only the plan's residual boxes are prolonged: the sibling pass
 	// overwrites every other ghost, reading only active cells, so what a
 	// parent value there would have been never matters.
-	plan := h.plan(level)
-	par.For(h.Cfg.Workers, len(grids), 1, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fillGhostsFromParent(grids[i], fields[i], plan.resid[i], h.Cfg.Refine)
-		}
-	})
+	//
 	// Sibling pass: overwrite ghost values where a same-level grid has
 	// the higher-resolution answer. Periodic images are included (a grid
 	// spanning the box is its own periodic sibling), so fine data wins
@@ -296,13 +291,34 @@ func (h *Hierarchy) setBoundaries(level int) {
 	// into their neighbours, so same-level grids overlap in ACTIVE cells;
 	// CopyOverlap then writes active cells that other grids read, and the
 	// result depends on the order of the copies. A grid-parallel pass is a
-	// data race with a different answer every run.
-	for _, l := range plan.links {
-		gf, sf := fields[l.g], fields[l.s]
-		for fi := range gf {
-			mesh.CopyOverlap(gf[fi], sf[fi], l.d[0], l.d[1], l.d[2], hydro.NGhost)
+	// data race with a different answer every run. Dependency waves do not
+	// rescue it: nearly every link of a fill conflicts with another.
+	//
+	// The two passes still run side by side, because they touch disjoint
+	// memory. The parent pass writes only residual-box cells — ghosts that
+	// no link covers — and reads only the coarser level. The sibling pass
+	// writes only link-covered cells (a grid's ghost-extended box
+	// intersected with its sibling's active box) and reads only active
+	// cells of this level. So the whole sibling pass is task 0 of the
+	// grid-parallel loop, claimed first, and the other workers drain the
+	// parent fills beside it; each pass keeps its own order, and the bits
+	// are those of running one after the other.
+	plan := h.plan(level)
+	par.For(h.Cfg.Workers, len(grids)+1, 1, func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			if t == 0 {
+				for _, l := range plan.links {
+					gf, sf := fields[l.g], fields[l.s]
+					for fi := range gf {
+						mesh.CopyOverlap(gf[fi], sf[fi], l.d[0], l.d[1], l.d[2], hydro.NGhost)
+					}
+				}
+				continue
+			}
+			i := t - 1
+			fillGhostsFromParent(grids[i], fields[i], plan.resid[i], h.Cfg.Refine)
 		}
-	}
+	})
 }
 
 // levelBoxCells returns the number of cells spanning the periodic box at

@@ -76,11 +76,19 @@ func FreshResidualBoxes(h *Hierarchy, level int) [][]clustering.Box {
 
 // ResidualCoverError checks the cached residual boxes cell by cell: every
 // cell of a grid's extended box lies in exactly one residual box if no
-// link covers it and it is a ghost, and in none otherwise.
+// link covers it and it is a ghost, and in none otherwise. What a link
+// covers is observed through mesh.CopyOverlap itself (linkCoverError).
+// Together these are the license for running the parent pass, which
+// writes only residual boxes, beside the sibling pass.
 func ResidualCoverError(h *Hierarchy, level int) error {
 	links := ReferenceSiblingLinks(h, level)
 	grids := h.Levels[level]
 	resid := h.plan(level).resid
+	for _, l := range links {
+		if err := linkCoverError(grids, l); err != nil {
+			return err
+		}
+	}
 	for gi, g := range grids {
 		ext, cuts := ghostExtent(g), coveredBoxes(grids, gi, links)
 		for k := ext.Lo[2]; k < ext.Hi[2]; k++ {
@@ -99,6 +107,46 @@ func ResidualCoverError(h *Hierarchy, level int) error {
 					if (written && n != 0) || (!written && n != 1) {
 						return fmt.Errorf("grid %d (%v) cell (%d,%d,%d): covered %v, in %d residual boxes", gi, g, i, j, k, written, n)
 					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// linkCoverError runs one link's CopyOverlap on marker fields: the source
+// carries each active cell's flat index and -1 in its ghosts, the
+// destination NaN. The copy must write exactly the link's covered box
+// within the destination's extended box, each cell from the source's
+// active cell at the link's offset.
+func linkCoverError(grids []*Grid, l [5]int) error {
+	g, s := grids[l[0]], grids[l[1]]
+	src := mesh.NewField3(s.Nx, s.Ny, s.Nz, hydro.NGhost)
+	for n := range src.Data {
+		src.Data[n] = -1
+	}
+	for k := 0; k < s.Nz; k++ {
+		for j := 0; j < s.Ny; j++ {
+			for i := 0; i < s.Nx; i++ {
+				src.Set(i, j, k, float64(src.Idx(i, j, k)))
+			}
+		}
+	}
+	dst := mesh.NewField3(g.Nx, g.Ny, g.Nz, hydro.NGhost)
+	for n := range dst.Data {
+		dst.Data[n] = math.NaN()
+	}
+	mesh.CopyOverlap(dst, src, l[2], l[3], l[4], hydro.NGhost)
+	ext, cut := ghostExtent(g), coveredBoxes(grids, l[0], [][5]int{l})[1]
+	for k := ext.Lo[2]; k < ext.Hi[2]; k++ {
+		for j := ext.Lo[1]; j < ext.Hi[1]; j++ {
+			for i := ext.Lo[0]; i < ext.Hi[0]; i++ {
+				v, covered := dst.At(i, j, k), cut.Contains(i, j, k)
+				if math.IsNaN(v) == covered {
+					return fmt.Errorf("link %v: cell (%d,%d,%d) of grid %v written %v, in the link's box %v", l, i, j, k, g, !covered, covered)
+				}
+				if covered && v != float64(src.Idx(i-l[2], j-l[3], k-l[4])) {
+					return fmt.Errorf("link %v: cell (%d,%d,%d) of grid %v read source marker %v, not its active cell at the link's offset", l, i, j, k, g, v)
 				}
 			}
 		}

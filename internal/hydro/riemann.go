@@ -3,11 +3,12 @@ package hydro
 import "math"
 
 // Riemann solvers. Interface states are primitive: (rho, u, v, w, p) with
-// passive scalars (eint and species mass fractions). Fluxes are returned
+// passive scalars (eint and species mass fractions). Fluxes are written
 // for the conserved set (rho, rho*u, rho*v, rho*w, E) plus the passives as
 // rho*q advected with the mass flux.
 
-// iface bundles the reconstructed primitive states at one interface.
+// iface bundles the reconstructed primitive states at one interface (the
+// FD solver's per-interface Rusanov flux).
 type iface struct {
 	rhoL, uL, vL, wL, pL float64
 	rhoR, uR, vR, wR, pR float64
@@ -22,66 +23,90 @@ type ifaceFlux struct {
 	upwind float64
 }
 
-// hllc solves the Riemann problem with the HLLC approximate solver
+// hllcPencil solves the Riemann problem with the HLLC approximate solver
 // (Toro 1994), which restores the contact wave missing from HLL and is the
-// standard pairing for PPM-class schemes. Only the side whose flux the
-// returned region is built on has its energy and Euler flux evaluated.
-func hllc(s iface, gamma float64) ifaceFlux {
-	cL := math.Sqrt(gamma * s.pL / s.rhoL)
-	cR := math.Sqrt(gamma * s.pR / s.rhoR)
-	sL := min(s.uL-cL, s.uR-cR)
-	sR := max(s.uL+cL, s.uR+cR)
+// standard pairing for PPM-class schemes, at every interface lo..hi of the
+// pencil. It reads the floored states straight from the state rows and
+// writes the flux rows, uStar and the passive fluxes in place, with no
+// per-interface struct. Only the side whose flux the interface's region is
+// built on has its energy and Euler flux evaluated, and the passives take
+// that side's state (left in the left fan and star region, right
+// otherwise).
+func hllcPencil(pc *pencil, lo, hi int, par Params) {
+	gamma := par.Gamma
+	floorP := (gamma - 1) * par.FloorRho * par.FloorEint
+	// Hoist the state rows out of the per-interface loop: pc.stL[v][f]
+	// costs two dependent loads per access in this innermost loop.
+	stL0, stL1, stL2, stL3, stL4 := pc.stL[0], pc.stL[1], pc.stL[2], pc.stL[3], pc.stL[4]
+	stR0, stR1, stR2, stR3, stR4 := pc.stR[0], pc.stR[1], pc.stR[2], pc.stR[3], pc.stR[4]
+	fMass, fMomU, fMomV, fMomW := pc.fMass, pc.fMomU, pc.fMomV, pc.fMomW
+	fE, uStar := pc.fE, pc.uStar
+	for f := lo; f <= hi; f++ {
+		rhoL, uL, vL, wL, pL := max(stL0[f], par.FloorRho), stL1[f], stL2[f], stL3[f], max(stL4[f], floorP)
+		rhoR, uR, vR, wR, pR := max(stR0[f], par.FloorRho), stR1[f], stR2[f], stR3[f], max(stR4[f], floorP)
+		cL := math.Sqrt(gamma * pL / rhoL)
+		cR := math.Sqrt(gamma * pR / rhoR)
+		sL := min(uL-cL, uR-cR)
+		sR := max(uL+cL, uR+cR)
 
-	if sL >= 0 {
-		fL, _ := sideFlux(s.rhoL, s.uL, s.vL, s.wL, s.pL, gamma)
-		fL.uStar = s.uL
-		fL.upwind = 1
-		return fL
-	}
-	if sR <= 0 {
-		fR, _ := sideFlux(s.rhoR, s.uR, s.vR, s.wR, s.pR, gamma)
-		fR.uStar = s.uR
-		fR.upwind = -1
-		return fR
-	}
-
-	num := s.pR - s.pL + s.rhoL*s.uL*(sL-s.uL) - s.rhoR*s.uR*(sR-s.uR)
-	den := s.rhoL*(sL-s.uL) - s.rhoR*(sR-s.uR)
-	var sStar float64
-	if den != 0 {
-		sStar = num / den
-	}
-
-	if sStar >= 0 {
-		// Left star region.
-		fL, eL := sideFlux(s.rhoL, s.uL, s.vL, s.wL, s.pL, gamma)
-		rhoS := s.rhoL * (sL - s.uL) / (sL - sStar)
-		f := ifaceFlux{
-			mass: fL.mass + sL*(rhoS-s.rhoL),
-			momU: fL.momU + sL*(rhoS*sStar-s.rhoL*s.uL),
-			momV: fL.momV + sL*(rhoS*s.vL-s.rhoL*s.vL),
-			momW: fL.momW + sL*(rhoS*s.wL-s.rhoL*s.wL),
+		// The region: a supersonic fan, or a star region beside the
+		// contact moving at sStar; right picks the side it is built on.
+		right, star, sStar := false, false, 0.0
+		switch {
+		case sL >= 0:
+		case sR <= 0:
+			right = true
+		default:
+			star = true
+			num := pR - pL + rhoL*uL*(sL-uL) - rhoR*uR*(sR-uR)
+			den := rhoL*(sL-uL) - rhoR*(sR-uR)
+			if den != 0 {
+				sStar = num / den
+			}
+			right = !(sStar >= 0)
 		}
-		eS := rhoS * (eL/s.rhoL + (sStar-s.uL)*(sStar+s.pL/(s.rhoL*(sL-s.uL))))
-		f.energy = fL.energy + sL*(eS-eL)
-		f.uStar = sStar
-		f.upwind = 1
-		return f
+		// That side's primitives and wave speed (sK only in a star region).
+		rho, u, v, w, p, sK := rhoL, uL, vL, wL, pL, sL
+		if right {
+			rho, u, v, w, p, sK = rhoR, uR, vR, wR, pR, sR
+		}
+		fl, e := sideFlux(rho, u, v, w, p, gamma)
+		mass, momU, momV, momW, energy := fl.mass, fl.momU, fl.momV, fl.momW, fl.energy
+		us := u
+		if star {
+			rhoS := rho * (sK - u) / (sK - sStar)
+			mass += sK * (rhoS - rho)
+			momU += sK * (rhoS*sStar - rho*u)
+			momV += sK * (rhoS*v - rho*v)
+			momW += sK * (rhoS*w - rho*w)
+			eS := rhoS * (e/rho + (sStar-u)*(sStar+p/(rho*(sK-u))))
+			energy += sK * (eS - e)
+			us = sStar
+		}
+		fMass[f] = mass
+		fMomU[f] = momU
+		fMomV[f] = momV
+		fMomW[f] = momW
+		fE[f] = energy
+		uStar[f] = us
+		pc.upwindPassives(f, mass, rho, right)
 	}
-	// Right star region.
-	fR, eR := sideFlux(s.rhoR, s.uR, s.vR, s.wR, s.pR, gamma)
-	rhoS := s.rhoR * (sR - s.uR) / (sR - sStar)
-	f := ifaceFlux{
-		mass: fR.mass + sR*(rhoS-s.rhoR),
-		momU: fR.momU + sR*(rhoS*sStar-s.rhoR*s.uR),
-		momV: fR.momV + sR*(rhoS*s.vR-s.rhoR*s.vR),
-		momW: fR.momW + sR*(rhoS*s.wR-s.rhoR*s.wR),
+}
+
+// upwindPassives writes interface f's internal-energy and species fluxes:
+// passive scalars ride the mass flux, upwinded at the contact — the left
+// state unless right is set. Species are advected as mass fractions
+// q = rho_s/rho, with rho the upwind side's floored density, so only that
+// side's quotient is formed. Both solvers share this rule.
+func (pc *pencil) upwindPassives(f int, mass, rho float64, right bool) {
+	st := pc.stL
+	if right {
+		st = pc.stR
 	}
-	eS := rhoS * (eR/s.rhoR + (sStar-s.uR)*(sStar+s.pR/(s.rhoR*(sR-s.uR))))
-	f.energy = fR.energy + sR*(eS-eR)
-	f.uStar = sStar
-	f.upwind = -1
-	return f
+	pc.fEint[f] = mass * st[5][f]
+	for sp, fs := range pc.fSpecies {
+		fs[f] = mass * (st[6+sp][f] / rho)
+	}
 }
 
 // rusanov is the local Lax-Friedrichs flux: maximally dissipative but

@@ -130,27 +130,31 @@ func gatherPencil(s *State, dir, c1, c2 int, pc *pencil, par Params) {
 	}
 }
 
-// computeFluxes reconstructs interface states for every variable and runs
-// the Riemann solver at each active interface, ng..ng+n.
+// computeFluxes reconstructs interface states for every variable and
+// solves the Riemann problem at each active interface, ng..ng+n: the PPM
+// solver through hllcPencil, one call per pencil; the FD solver through
+// the per-interface Rusanov flux. Both upwind the passives by the same
+// rule (upwindPassives).
 func computeFluxes(pc *pencil, par Params, solver Solver, dtdx float64) {
-	if solver == SolverFD {
-		for vi, q := range [6][]float64{pc.rho, pc.u, pc.v, pc.w, pc.p, pc.eint} {
-			pc.reconPLM(q, vi)
-		}
-		for sp, q := range pc.species {
-			pc.reconPLM(q, 6+sp)
-		}
-	} else {
-		reconPPM(pc, par.Gamma, dtdx)
-	}
 	lo, hi := pc.ng, pc.ng+pc.n
+	if solver != SolverFD {
+		reconPPM(pc, par.Gamma, dtdx)
+		hllcPencil(pc, lo, hi, par)
+		return
+	}
+	for vi, q := range [6][]float64{pc.rho, pc.u, pc.v, pc.w, pc.p, pc.eint} {
+		pc.reconPLM(q, vi)
+	}
+	for sp, q := range pc.species {
+		pc.reconPLM(q, 6+sp)
+	}
 	floorP := (par.Gamma - 1) * par.FloorRho * par.FloorEint
 	// Hoist the state rows out of the per-interface loop: pc.stL[v][f]
 	// costs two dependent loads per access in this innermost loop.
-	stL0, stL1, stL2, stL3, stL4, stL5 := pc.stL[0], pc.stL[1], pc.stL[2], pc.stL[3], pc.stL[4], pc.stL[5]
-	stR0, stR1, stR2, stR3, stR4, stR5 := pc.stR[0], pc.stR[1], pc.stR[2], pc.stR[3], pc.stR[4], pc.stR[5]
+	stL0, stL1, stL2, stL3, stL4 := pc.stL[0], pc.stL[1], pc.stL[2], pc.stL[3], pc.stL[4]
+	stR0, stR1, stR2, stR3, stR4 := pc.stR[0], pc.stR[1], pc.stR[2], pc.stR[3], pc.stR[4]
 	fMass, fMomU, fMomV, fMomW := pc.fMass, pc.fMomU, pc.fMomV, pc.fMomW
-	fE, fEint, uStar := pc.fE, pc.fEint, pc.uStar
+	fE, uStar := pc.fE, pc.uStar
 	for f := lo; f <= hi; f++ {
 		st := iface{
 			rhoL: max(stL0[f], par.FloorRho),
@@ -160,34 +164,18 @@ func computeFluxes(pc *pencil, par Params, solver Solver, dtdx float64) {
 			uR:   stR1[f], vR: stR2[f], wR: stR3[f],
 			pR: max(stR4[f], floorP),
 		}
-		var fl ifaceFlux
-		if solver == SolverPPM {
-			fl = hllc(st, par.Gamma)
-		} else {
-			fl = rusanov(st, par.Gamma)
-		}
+		fl := rusanov(st, par.Gamma)
 		fMass[f] = fl.mass
 		fMomU[f] = fl.momU
 		fMomV[f] = fl.momV
 		fMomW[f] = fl.momW
 		fE[f] = fl.energy
 		uStar[f] = fl.uStar
-		// Passive scalars ride the mass flux, upwinded at the contact.
-		eintUp := stL5[f]
-		if fl.upwind < 0 {
-			eintUp = stR5[f]
+		rho, right := st.rhoL, fl.upwind < 0
+		if right {
+			rho = st.rhoR
 		}
-		fEint[f] = fl.mass * eintUp
-		for sp := range pc.fSpecies {
-			// Species are advected as mass fractions q = rho_s/rho.
-			qL := pc.stL[6+sp][f] / max(stL0[f], par.FloorRho)
-			qR := pc.stR[6+sp][f] / max(stR0[f], par.FloorRho)
-			q := qL
-			if fl.upwind < 0 {
-				q = qR
-			}
-			pc.fSpecies[sp][f] = fl.mass * q
-		}
+		pc.upwindPassives(f, fl.mass, rho, right)
 	}
 }
 

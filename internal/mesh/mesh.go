@@ -8,7 +8,12 @@
 // paper describes (§3.1).
 package mesh
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/par"
+)
 
 // Field3 is a 3-D scalar field on a uniform grid with ghost zones.
 // The active region is Nx×Ny×Nz cells; Ng ghost cells pad every face.
@@ -165,6 +170,27 @@ func (f *Field3) ApplyPeriodicBC() {
 			}
 		}
 	}
+}
+
+// ApplyPeriodicBCs fills the periodic ghosts of every field (the root
+// grid's boundary condition), one field per task over workers (par
+// conventions). Each field's fill reads and writes only that field, so
+// any worker count gives the serial loop's bits. One worker fills inline
+// and the tasks share a copy of the list, so a serial fill allocates
+// nothing: neither par.For's body nor the caller's list escapes.
+func ApplyPeriodicBCs(fields []*Field3, workers int) {
+	if par.Workers(workers) == 1 {
+		for _, f := range fields {
+			f.ApplyPeriodicBC()
+		}
+		return
+	}
+	fs := slices.Clone(fields)
+	par.For(workers, len(fs), 1, func(_, lo, hi int) {
+		for _, f := range fs[lo:hi] {
+			f.ApplyPeriodicBC()
+		}
+	})
 }
 
 // applyPeriodicFast fills periodic ghosts with strided row/plane copies.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/chem"
 	"repro/internal/hydro"
+	"repro/internal/mesh"
 	"repro/internal/nbody"
 	"repro/internal/par"
 	"repro/internal/units"
@@ -50,17 +51,14 @@ func (*HydroOp) NGhost() int { return hydro.NGhost }
 // grids); an explicitly set Hydro.Workers is still capped by that budget
 // so concurrent grids cannot oversubscribe the machine.
 func (*HydroOp) Apply(ctx *Context, g *Grid, dt float64) {
-	var bc func(*hydro.State)
-	if g.Root {
-		bc = func(s *hydro.State) {
-			for _, f := range s.Fields() {
-				f.ApplyPeriodicBC()
-			}
-		}
-	}
 	hp := ctx.Hydro
 	if budget := par.Workers(ctx.Workers); hp.Workers == 0 || par.Workers(hp.Workers) > budget {
 		hp.Workers = budget
+	}
+	var bc func(*hydro.State)
+	if g.Root {
+		workers := hp.Workers
+		bc = func(s *hydro.State) { mesh.ApplyPeriodicBCs(s.Fields(), workers) }
 	}
 	hydro.Step3D(g.State, g.Dx, dt, hp, ctx.Solver, g.Parity, bc, g.Reg, g.Taps)
 	g.Stats.CellUpdates += int64(g.NumCells())
