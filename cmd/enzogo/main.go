@@ -112,7 +112,7 @@ func serve(args []string) {
 	maxJobSeconds := fs.Float64("max-job-seconds", 0, "reject submissions the cost model predicts to run longer than this many seconds (0 = no admission bound)")
 	tenantWeights := fs.String("tenant-weights", "", "comma-separated tenant=weight fair-share shares, e.g. sci=3,ops=1 (unlisted tenants weigh 1)")
 	speculate := fs.Bool("speculate", false, "pre-warm the result cache on idle slots: run announced sweep rows (POST /sweeps) and lineage-inferred neighbours speculatively, preempting them when real work arrives")
-	specSlots := fs.Int("speculate-slots", 1, "with -speculate: max jobs running speculatively at once")
+	specSlots := fs.Int("speculate-slots", 1, "with -speculate: max jobs running speculatively at once (below 1 runs one; ignored without -speculate)")
 	specBudget := fs.Float64("speculate-budget-seconds", 0, "with -speculate: per-tenant wall-second budget for speculative runs (0 = unlimited)")
 	specMax := fs.Float64("speculate-max-seconds", 0, "with -speculate: skip candidates the cost model predicts to run longer than this many seconds (0 = no bound)")
 	peerList := fs.String("peers", "", "comma-separated advertised base URLs of every cluster peer (empty = single node); requires -self")
@@ -130,10 +130,11 @@ func serve(args []string) {
 		HotBytes:      *hotBytes,
 		MaxJobSeconds: *maxJobSeconds,
 
-		Speculate:              *speculate,
-		SpeculateSlots:         *specSlots,
 		SpeculateBudgetSeconds: *specBudget,
 		SpeculateMaxSeconds:    *specMax,
+	}
+	if *speculate {
+		cfg.SpeculateSlots = max(*specSlots, 1)
 	}
 	if *tenantWeights != "" {
 		weights := map[string]float64{}
@@ -208,7 +209,7 @@ func serve(args []string) {
 		*addr, *slots, sched.SlotWorkers(), *cache)
 	if *speculate {
 		log.Printf("enzogo serve: speculative warming on (%d slots, budget %gs, max %gs)",
-			*specSlots, *specBudget, *specMax)
+			cfg.SpeculateSlots, *specBudget, *specMax)
 	}
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)

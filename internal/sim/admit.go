@@ -76,9 +76,6 @@ func (s *Scheduler) SubmitWithDisposition(req Request) (*Job, Disposition, error
 	}
 	if j != nil || err != nil {
 		s.mu.Unlock()
-		if disp == CacheHit && j.speculative {
-			s.spec.book(func(sp *speculator) { sp.hits++ }) // a pre-warmed result answered a real submission
-		}
 		return j, disp, err
 	}
 
@@ -146,6 +143,7 @@ func (s *Scheduler) answerLocked(id string, deadline time.Time) (*Job, Dispositi
 	case state == Done:
 		s.stats.Submitted++
 		s.stats.CacheHits++
+		s.runs[answeredHit][j.class]++ // counts a pre-warmed result answering a real submission
 		return j, CacheHit, nil
 	case !state.terminal():
 		s.stats.Submitted++
@@ -288,7 +286,10 @@ func (s *Scheduler) recoverJob(rec RecoveredJob) (j *Job, evicted []string, err 
 	}
 	j = s.newJob(m.ID, m.Request, r) // the store's key is the identity; trust it
 	j.submitted, j.started, j.finished = m.SubmittedAt, m.StartedAt, m.FinishedAt
-	j.recovered, j.speculative = true, m.Speculative
+	j.recovered = true
+	if m.Speculative {
+		j.class = classSweep // the planner is not persisted: it runs ungated, like a sweep row
+	}
 	j.ckpts, j.ckptStep, j.ckptAt = m.Checkpoints, m.CheckpointStep, m.CheckpointAt
 	// A recovered deadline hint is stale by definition (it was relative
 	// to the original submission), so resumed jobs re-queue without one;
@@ -321,7 +322,7 @@ func (s *Scheduler) recoverJob(rec RecoveredJob) (j *Job, evicted []string, err 
 		j.err = fmt.Errorf("sim: job %s %s (recovered record): %s", m.ID, m.State, m.Error)
 	default: // queued, running, interrupted: run it (again)
 		j.finished = time.Time{}
-		if !j.speculative { // a speculation has had no submitter yet
+		if !j.class.speculative() { // a speculation has had no submitter yet
 			j.submissions = 1
 		}
 	}
@@ -344,7 +345,7 @@ func (s *Scheduler) restore(j *Job, resume admission) error {
 			s.trainModel(j, j.result)
 		}
 		return s.admit(j, admitRetained, func(st *Stats) { st.Recovered++ })
-	case j.speculative:
+	case j.class.speculative():
 		if !s.planSpeculative(j) {
 			s.discardSpeculative(j)
 		}
@@ -373,11 +374,11 @@ func (s *Scheduler) readmit(m JobManifest) error {
 		return err
 	}
 	// Under j.mu, so a slot that has already started the job (and
-	// persists its own transitions and rows) is never overwritten; a
-	// speculation keeps no record here. noteStoreErr takes s.mu, which
-	// comes before j.mu, so the error is noted after unlocking.
+	// persists its own transitions and rows) is never overwritten.
+	// noteStoreErr takes s.mu, which comes before j.mu, so the error is
+	// noted after unlocking.
 	j.mu.Lock()
-	if j.state == Queued && !j.speculative {
+	if j.state == Queued {
 		err = errors.Join(s.store.DeleteArtifacts(m.ID, evicted), s.store.SaveManifest(m))
 	}
 	j.mu.Unlock()

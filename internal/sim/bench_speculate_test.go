@@ -38,11 +38,15 @@ func BenchmarkSpeculativeSweep(b *testing.B) {
 	}
 	for _, speculate := range []bool{false, true} {
 		b.Run(fmt.Sprintf("speculate=%t", speculate), func(b *testing.B) {
+			slots := 0 // speculation off
+			if speculate {
+				slots = 1
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1, CacheSize: 4 * sweepRows,
-					Speculate: speculate, SpeculateSlots: 1})
+					SpeculateSlots: slots})
 				reqs := mkRows()
 				b.StartTimer()
 

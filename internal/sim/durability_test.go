@@ -448,7 +448,7 @@ func TestDroppedSpeculationLeavesNoRecords(t *testing.T) {
 	forEachStore(t, func(t *testing.T, reopen func() sim.Store) {
 		store := reopen()
 		s := sim.NewScheduler(sim.Config{MaxConcurrent: 1, TotalWorkers: 1, Store: store,
-			Speculate: true, SpeculateBudgetSeconds: 1e-4})
+			SpeculateSlots: 1, SpeculateBudgetSeconds: 1e-4})
 		defer s.Close()
 		target := sim.Request{Problem: "sedov", RootN: 16, MaxLevel: sim.Int(1), Steps: 20, Workers: 1,
 			Knobs: map[string]float64{"e0": 13}}

@@ -19,13 +19,13 @@ import (
 
 // execute runs one popped job — demand or speculative — on the calling
 // slot goroutine; it is the only caller of evolve and the only place a
-// run's outcome is classified.
+// run's outcome is classified and counted.
 func (s *Scheduler) execute(j *Job) {
 	// A speculation runs under the context the queue made at pop (a
 	// demand push cancels it); a demand job gets its own, for Cancel.
 	ctx, cancel := j.runCtx, context.CancelFunc(nil)
 	reoffered := false
-	if j.speculative {
+	if j.class.speculative() {
 		if !s.admitSpeculative(j) {
 			return
 		}
@@ -54,32 +54,24 @@ func (s *Scheduler) execute(j *Job) {
 	j.resumedFrom = "" // names what THIS run resumed from; a re-run of a preempted speculation starts over
 	j.mu.Unlock()
 	s.persist(j, Running.String())
-
-	if j.speculative {
-		s.spec.book(func(sp *speculator) { sp.started++ })
-	} else {
-		s.mu.Lock()
-		s.stats.Executed++
-		s.mu.Unlock()
-	}
+	s.tally(j.class, ranStarted, 0)
 
 	t0 := s.now()
 	res, err := s.evolve(ctx, j)
 	elapsed := s.now().Sub(t0).Seconds()
 	stopped := ctx.Err() != nil
-	// The spend ledger records observed wall seconds per tenant: demand
-	// seconds are what -tenant-weights should be derived from,
-	// speculative ones enforce the speculation budget.
-	s.spend.charge(j.tenant, j.speculative, elapsed)
+	s.charge(j, elapsed)
 	j.mu.Lock()
 	done, resumed, warm := j.stepsDone, j.resumedFrom != "", j.ckpts > 0
 	j.mu.Unlock()
-	wasted := 0.0 // speculative seconds that left neither a result nor a checkpoint
-	if !warm {
-		wasted = elapsed
+	if resumed {
+		s.tally(j.class, ranResumed, 0)
 	}
-	if j.speculative && resumed {
-		s.spec.book(func(sp *speculator) { sp.resumed++ })
+	// The outcome to count and the seconds it wasted: a failure wastes
+	// the whole run, a stop what no checkpoint resumes.
+	end, wasted := ranFailed, elapsed
+	if stopped && warm {
+		wasted = 0
 	}
 	switch {
 	case err == nil:
@@ -93,12 +85,10 @@ func (s *Scheduler) execute(j *Job) {
 		// A speculation becomes visible only now, adopted into the result
 		// cache — unless the same configuration went live through the
 		// demand path meanwhile; that execution is then authoritative.
-		if j.finish(Done, res, nil) && (!j.speculative || s.admit(j, admitRetained, func(*Stats) {}) == nil) {
-			s.settle(j, Done, func(st *Stats) { st.Succeeded++ })
+		if j.finish(Done, res, nil) && (!j.class.speculative() || s.admit(j, admitRetained, func(*Stats) {}) == nil) {
+			s.settle(j, Done)
 		}
-		if j.speculative {
-			s.spec.book(func(sp *speculator) { sp.completed++ })
-		}
+		end, wasted = ranDone, 0
 	case stopped && s.baseCtx.Err() != nil && !j.wasUserCancelled():
 		// The service is stopping, not the submitter cancelling: the
 		// in-process job ends, but the persisted record stays
@@ -109,13 +99,9 @@ func (s *Scheduler) execute(j *Job) {
 		// resurrected.
 		if j.finish(Cancelled, nil, fmt.Errorf("sim: job %s interrupted by shutdown after %d steps", j.ID, done)) {
 			s.persist(j, ManifestInterrupted)
-			if j.speculative {
-				s.spec.book(func(sp *speculator) { sp.wasted += wasted })
-			} else {
-				s.count(func(st *Stats) { st.Cancelled++ })
-			}
 		}
-	case stopped && j.speculative:
+		end = ranInterrupted
+	case stopped && j.class.speculative():
 		// A higher class arrived. The checkpoint evolve wrote at the
 		// root-step boundary resumes this candidate — or a demand run of
 		// the same configuration — warm; the job itself goes back to the
@@ -128,34 +114,31 @@ func (s *Scheduler) execute(j *Job) {
 		if s.planSpeculative(j) {
 			s.trimSpeculativeCheckpoints()
 		}
-		s.spec.book(func(sp *speculator) { sp.preempted++; sp.wasted += wasted })
+		end = ranCancelled
 	case stopped:
 		if j.finish(Cancelled, nil, fmt.Errorf("sim: job %s cancelled after %d steps", j.ID, done)) {
-			s.settle(j, Cancelled, func(st *Stats) { st.Cancelled++ })
+			s.settle(j, Cancelled)
 		}
-	case j.speculative:
+		end = ranCancelled
+	case j.class.speculative():
 		// Never retried: the configuration fails the same way each time.
 		j.finish(Failed, nil, err)
 		s.discardSpeculative(j)
-		s.spec.book(func(sp *speculator) { sp.failed++; sp.wasted += elapsed; sp.dead[j.ID] = true })
+		s.spec.markDead(j.ID)
 	default:
 		if j.finish(Failed, nil, err) {
-			s.settle(j, Failed, func(st *Stats) { st.Failed++ })
+			s.settle(j, Failed)
 		}
 	}
+	s.tally(j.class, end, wasted)
 }
 
 // settle records a finished job's terminal outcome: the manifest turns
 // terminal, its checkpoints go (nothing can resume from them now), and
-// — demand jobs only; an adopted speculation was never counted or
-// replicated — the outcome counter is bumped and the peers are told.
-func (s *Scheduler) settle(j *Job, state State, bump func(*Stats)) {
+// the standby holding its replica, if any, is told.
+func (s *Scheduler) settle(j *Job, state State) {
 	s.persist(j, state.String())
 	s.noteStoreErr(s.store.DeleteCheckpoints(j.ID))
-	if j.speculative {
-		return
-	}
-	s.count(bump)
 	if p := s.replicaPeer(j); p != nil {
 		p.dropReplica(j.ID)
 	}
@@ -164,13 +147,11 @@ func (s *Scheduler) settle(j *Job, state State, bump func(*Stats)) {
 // persist writes a job-state transition to the store. Persistence
 // failures after submit time are recorded (first one wins) rather than
 // failing the job: a degraded store should cost durability, not answers.
+// A job replaced in the table (say, a speculation whose configuration
+// went live on the demand path) writes nothing: the live job owns the ID.
 func (s *Scheduler) persist(j *Job, state string) {
-	if j.speculative {
-		// The same configuration may have gone live on the demand path
-		// while this speculation ran; that job's WAL record owns the ID.
-		if cur, live := s.Get(j.ID); live && cur != j {
-			return
-		}
+	if cur, live := s.Get(j.ID); live && cur != j {
+		return
 	}
 	s.noteStoreErr(s.store.SaveManifest(j.manifestOf(state)))
 }
@@ -281,7 +262,7 @@ func (s *Scheduler) evolve(ctx context.Context, j *Job) (res *Result, err error)
 		s.mu.Lock()
 		draining := s.draining
 		s.mu.Unlock()
-		if ctx.Err() != nil && taken > 0 && !j.wasUserCancelled() && (j.speculative || draining) {
+		if ctx.Err() != nil && taken > 0 && !j.wasUserCancelled() && (j.class.speculative() || draining) {
 			data, ckErr := snapshot.Encode(sm.H, j.res.problem)
 			if ckErr == nil {
 				ckErr = s.checkpoint(j, steps-1, data)

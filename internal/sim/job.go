@@ -116,19 +116,35 @@ type Job struct {
 	// shutdown racing the cancellation cannot misclassify the job as
 	// interrupted (and resurrect it on the next start).
 	userCancelled bool
-	// speculative marks a job the planner offered to the queue's lowest
-	// class (immutable once offered, like specSource, the planner that
-	// guessed it): it stays out of the job table until it completes,
-	// bills the speculative ledger, and replicates no manifest or checkpoint.
-	// parked holds it back from dispatch until new cost-model history
-	// lifts its gate (the queue's to write, like est, while it is
-	// queued); runCtx is its current run's context, made by the queue at
-	// pop and cancelled by the next demand push.
-	speculative bool
-	specSource  string
-	parked      bool
-	runCtx      context.Context
+	// class is what the job runs for, immutable once the job is visible
+	// or offered. A speculation stays out of the job table until it
+	// completes; parked holds it back from dispatch until new cost-model
+	// history lifts its gate (the queue's to write, like est, while it
+	// is queued), and runCtx is its current run's context, made by the
+	// queue at pop and cancelled by the next demand push.
+	class  jobClass
+	parked bool
+	runCtx context.Context
 }
+
+// jobClass is what a job runs for: a submitter's demand, or a planner's
+// guess from an announced sweep or from submission lineage. Counters and
+// the spend ledger are indexed by it; every other way a speculation
+// differs is decided at one place (docs/ARCHITECTURE.md lists them).
+type jobClass uint8
+
+const (
+	classDemand  jobClass = iota // a submission, dispatched by fair share
+	classSweep                   // a speculation on an announced sweep row
+	classLineage                 // a speculation on a lineage-inferred neighbour
+	numClasses
+)
+
+// speculative reports whether the class is one of the planner's guesses.
+func (c jobClass) speculative() bool { return c != classDemand }
+
+// specSum totals a per-class column over the speculative classes.
+func specSum[T int64 | float64](col [numClasses]T) T { return col[classSweep] + col[classLineage] }
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.doneCh }
@@ -329,7 +345,7 @@ func (j *Job) Status() Status {
 	st.Tenant = j.tenant
 	st.DeadlineSeconds = j.Req.DeadlineSeconds
 	st.Estimate = j.est
-	st.Speculative = j.speculative
+	st.Speculative = j.class.speculative()
 	st.Artifacts, st.ArtifactBytes = j.artifacts.Count()
 	if j.ckpts > 0 {
 		st.Checkpoints = j.ckpts
@@ -391,7 +407,7 @@ func (j *Job) manifestOf(state string) JobManifest {
 		SubmittedAt:    j.submitted,
 		StartedAt:      j.started,
 		FinishedAt:     j.finished,
-		Speculative:    j.speculative,
+		Speculative:    j.class.speculative(),
 	}
 	if j.err != nil {
 		m.Error = j.err.Error()

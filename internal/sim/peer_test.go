@@ -141,7 +141,7 @@ func TestSpeculationIsNotReplicated(t *testing.T) {
 		return out
 	}
 
-	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1, Speculate: true, SpeculateSlots: 1, CheckpointEvery: 1})
+	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1, SpeculateSlots: 1, CheckpointEvery: 1})
 	defer s.Close()
 	self := "http://127.0.0.1:1" // never dialled: a peer does not ping itself
 	p, err := NewPeer(s, PeerConfig{Self: self, Peers: []string{self, standby.URL}, PingEvery: time.Hour})

@@ -66,15 +66,12 @@ type Config struct {
 	// injected seam the deterministic queue-fairness and deadline tests
 	// drive with a fake clock.
 	Clock func() time.Time
-	// Speculate enables speculative execution: when the QoS queue is
-	// empty and slots sit idle, the scheduler pre-warms the result cache
-	// with candidates from announced sweeps (POST /sweeps) and submission
-	// lineage, preempting them at the next root-step boundary the moment
-	// demand work arrives. See speculate.go.
-	Speculate bool
-	// SpeculateSlots bounds concurrent speculative executions (default 1
-	// when Speculate is set). Speculation only uses idle capacity: a
-	// speculative run also requires a free scheduler slot.
+	// SpeculateSlots bounds how many speculations run at once; 0 turns
+	// speculative execution off. While no demand work is queued, idle
+	// slots pre-warm the result cache with candidates from announced
+	// sweeps (POST /sweeps) and submission lineage, preempted at the next
+	// root-step boundary the moment demand work arrives; a speculative
+	// run also needs a free scheduler slot. See speculate.go.
 	SpeculateSlots int
 	// SpeculateBudgetSeconds caps each tenant's accumulated speculative
 	// wall seconds for the process lifetime (0 = no cap).
@@ -113,9 +110,7 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
-	if c.Speculate && c.SpeculateSlots <= 0 {
-		c.SpeculateSlots = 1
-	}
+	c.SpeculateSlots = max(c.SpeculateSlots, 0)
 	return c
 }
 
@@ -172,10 +167,8 @@ type Scheduler struct {
 	model *costmodel.Model
 
 	// spec is the speculative-execution planner's state (idle unless
-	// Config.Speculate); spend is the per-tenant historical
-	// wall-second ledger, demand and speculative classes separate.
-	spec  *speculator
-	spend *spendLedger
+	// Config.SpeculateSlots > 0).
+	spec *speculator
 
 	// Artifact-serving counters (hot read path: updated atomically, not
 	// under s.mu).
@@ -200,7 +193,27 @@ type Scheduler struct {
 	stats    Stats
 	start    time.Time
 	storeErr error
+	// runs counts each class's outcomes (Stats reports the demand
+	// column), wasted its seconds that left neither a result nor a
+	// checkpoint; spend is the per-tenant historical ledger.
+	runs   [numOutcomes][numClasses]int64
+	wasted [numClasses]float64
+	spend  map[string]tenantSpend
 }
+
+// outcome is a counted event in a job's life, tallied per class.
+type outcome uint8
+
+const (
+	ranStarted     outcome = iota // an execution began
+	ranResumed                    // an execution continued from a checkpoint
+	ranDone                       // an execution ran to a result
+	ranFailed                     // an execution errored
+	ranCancelled                  // cancelled by its submitter, or preempted by demand work
+	ranInterrupted                // cut short by the service stopping
+	answeredHit                   // a submission was answered from the class's result
+	numOutcomes
+)
 
 // NewScheduler starts a scheduler with cfg's slots running. It first
 // recovers the store's jobs: completed results and artifacts rehydrate
@@ -219,14 +232,12 @@ func NewScheduler(cfg Config) *Scheduler {
 		stop:    cancel,
 		fq:      newFairQueue(cfg.QueueDepth, cfg.TenantWeights, cfg.Clock),
 		model:   costmodel.New(),
-		spend:   newSpendLedger(),
+		spend:   map[string]tenantSpend{},
 		jobs:    make(map[string]*Job),
 		spec:    &speculator{dead: map[string]bool{}},
 		start:   cfg.Clock(),
 	}
-	if cfg.Speculate {
-		s.fq.specCtx, s.fq.specSlots = ctx, cfg.SpeculateSlots // before the first pop
-	}
+	s.fq.specCtx, s.fq.specSlots = ctx, cfg.SpeculateSlots // before the first pop
 	// Rehydrate the cost model before recovery: recovered Done jobs then
 	// only backfill observations the persisted state is missing.
 	state, err := s.store.LoadCostModel()
@@ -260,7 +271,7 @@ func (s *Scheduler) now() time.Time { return s.cfg.Clock() }
 // when none is attached, and nil for a speculative job, which has no
 // submitter and whose manifest, checkpoints and artifacts stay local.
 func (s *Scheduler) replicaPeer(j *Job) *Peer {
-	if j.speculative {
+	if j.class.speculative() {
 		return nil
 	}
 	return s.peer.Load()
@@ -353,7 +364,8 @@ func (s *Scheduler) Cancel(id string) bool {
 		// tenant gauges; if a slot already popped it, the terminal check
 		// in execute skips it anyway.
 		s.fq.remove(id)
-		s.settle(j, Cancelled, func(st *Stats) { st.Cancelled++ })
+		s.settle(j, Cancelled)
+		s.tally(j.class, ranCancelled, 0)
 		return true
 	default:
 		cancel := j.cancel
@@ -371,6 +383,9 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
+	d := func(o outcome) int64 { return s.runs[o][classDemand] }
+	st.Executed, st.Succeeded, st.Failed = d(ranStarted), d(ranDone), d(ranFailed)
+	st.Cancelled = d(ranCancelled) + d(ranInterrupted)
 	for _, j := range s.jobs {
 		switch j.State() {
 		case Queued:
@@ -401,11 +416,13 @@ func (s *Scheduler) noteStoreErr(err error) {
 	s.mu.Unlock()
 }
 
-// count updates the terminal-outcome counters and re-applies the cache
-// bound (a completing job can push the retained-terminal count over it).
-func (s *Scheduler) count(f func(*Stats)) {
+// tally counts one outcome of a job class, adds the seconds it wasted,
+// and re-applies the cache bound (a job that just turned terminal can
+// push the retained-terminal count over it).
+func (s *Scheduler) tally(c jobClass, o outcome, wasted float64) {
 	s.mu.Lock()
-	f(&s.stats)
+	s.runs[o][c]++
+	s.wasted[c] += wasted
 	doomed := s.evictLocked()
 	s.mu.Unlock()
 	s.reap(doomed)

@@ -5,16 +5,13 @@ package sim
 // predicts is coming (dataflow diagram: docs/ARCHITECTURE.md):
 // explicit sweep manifests announced up front (PrewarmSweep / POST
 // /sweeps) and neighbouring knob values inferred from submission
-// lineage. Each candidate is an ordinary *Job marked speculative and
-// offered to the fair queue's strictly-lowest class (qos.go), so the
-// slot goroutines are the only executors and execute/evolve/checkpoint
-// the only run path: a preempted speculation checkpoints at its
-// root-step boundary like any drained job and re-enters the backlog,
-// and a completed one is adopted into the canonical-hash result cache,
-// where the real submission that follows is a plain "cache" hit. This
+// lineage. Each candidate is an ordinary *Job of a speculative class
+// (jobClass) offered to the fair queue's strictly-lowest class
+// (qos.go), so the slots run it on the one run path, and the real
+// submission that follows its adoption is a plain "cache" hit. This
 // file holds what is specific to guessing: dedupe, the estimate that
 // ranks the backlog, the confidence / budget / max-seconds gates, the
-// separate per-tenant spend ledger, and the counters.
+// never-retry set, and the per-tenant spend ledger.
 
 import (
 	"fmt"
@@ -26,9 +23,9 @@ import (
 )
 
 const (
-	// specPendingCap bounds the speculative backlog; beyond it the
-	// oldest candidate is evicted (sweeps announce intent, they must not
-	// grow server memory without bound).
+	// specPendingCap bounds the speculative backlog and the never-retry
+	// set; beyond it the oldest entry is evicted (sweeps announce intent,
+	// they must not grow server memory without bound).
 	specPendingCap = 2048
 	// specCheckpointCap bounds the preemption checkpoints the backlog
 	// retains in the store (each is a full hierarchy snapshot); beyond
@@ -43,14 +40,6 @@ const (
 	DefaultSpeculateMinConfidence = 0.25
 )
 
-// Candidate provenance, reported nowhere but useful for the
-// confidence gate: explicit sweep rows may run without model history,
-// lineage guesses may not.
-const (
-	specSourceSweep   = "sweep"
-	specSourceLineage = "lineage"
-)
-
 // lineageEntry is one recently scheduled demand submission the lineage
 // planner may extrapolate a neighbour from.
 type lineageEntry struct {
@@ -58,46 +47,38 @@ type lineageEntry struct {
 	res resolved
 }
 
-// speculator is the planner's state: the lineage window, the
-// configurations that failed speculatively, and the counters.
+// speculator is the planner's state: the lineage window and the
+// configurations that failed speculatively (the never-retry set, its
+// IDs in failure order beside it).
 //
 // Lock order: sp.mu serializes planning (estimate a candidate, apply
 // the verdict to the queue) against the cost model learning, so a
 // verdict is never older than the backlog's last re-pricing; it may
 // take the queue's lock (sp.mu → q.mu), never s.mu or j.mu.
 type speculator struct {
-	mu     sync.Mutex
-	dead   map[string]bool
-	recent []lineageEntry
-
-	started   int64
-	completed int64
-	preempted int64
-	resumed   int64
-	failed    int64
-	hits      int64 // demand submissions answered from a speculative result
-	wasted    float64
+	mu        sync.Mutex
+	dead      map[string]bool
+	deadOrder []string
+	recent    []lineageEntry
 }
 
 // offerSpeculative plans one speculative run of a resolved request,
-// reporting whether it entered the backlog (not when speculation is
-// off, the scheduler closed, or the configuration already live, cached,
-// planned, running or speculatively failed).
-func (s *Scheduler) offerSpeculative(req Request, r resolved, source string) bool {
-	if !s.cfg.Speculate {
-		return false
-	}
+// reporting whether it entered the backlog (not when the scheduler
+// closed, or the configuration is already live, cached, planned,
+// running or speculatively failed). Its callers check that speculation
+// is on: the job it builds is wasted otherwise.
+func (s *Scheduler) offerSpeculative(req Request, r resolved, class jobClass) bool {
 	j := s.newJob(r.key(), req, r)
-	j.speculative, j.specSource = true, source
+	j.class = class
 	return s.planSpeculative(j)
 }
 
 // appraise estimates a speculative job's cost and decides whether it
-// must wait for the model: a lineage guess runs only on an estimate
-// with history and confidence behind it.
+// must wait for the model: a lineage guess, unlike a sweep row, runs
+// only on an estimate with history and confidence behind it.
 func (s *Scheduler) appraise(j *Job) specPlan {
 	est := s.model.Estimate(costQuery(j.res))
-	return specPlan{est: est, parked: j.specSource == specSourceLineage &&
+	return specPlan{est: est, parked: j.class == classLineage &&
 		(est.Samples == 0 || est.Confidence < DefaultSpeculateMinConfidence)}
 }
 
@@ -129,7 +110,7 @@ func (s *Scheduler) planSpeculative(j *Job) bool {
 // the model now knows, and a lineage guess it has become confident
 // about is released.
 func (s *Scheduler) repriceSpeculative() {
-	if !s.cfg.Speculate {
+	if s.cfg.SpeculateSlots == 0 {
 		return
 	}
 	s.spec.mu.Lock()
@@ -148,11 +129,13 @@ func (s *Scheduler) repriceSpeculative() {
 // live, whose estimate exceeds -speculate-max-seconds, or whose tenant
 // has spent its speculative budget is discarded for good.
 func (s *Scheduler) admitSpeculative(j *Job) bool {
-	_, live := s.Get(j.ID)
+	s.mu.Lock()
+	_, live := s.jobs[j.ID]
+	spent := specSum(s.spend[j.tenant].seconds)
+	s.mu.Unlock()
 	maxSec, budget := s.cfg.SpeculateMaxSeconds, s.cfg.SpeculateBudgetSeconds
 	tooLong := maxSec > 0 && j.est.Samples > 0 && j.est.Seconds > maxSec
-	spent := budget > 0 && s.spend.speculativeSeconds(j.tenant) >= budget
-	if live || tooLong || spent {
+	if live || tooLong || (budget > 0 && spent >= budget) {
 		s.fq.retire(j.ID)
 		s.discardSpeculative(j)
 		return false
@@ -170,12 +153,21 @@ func (s *Scheduler) discardSpeculative(j *Job) {
 	}
 }
 
-// book updates the planner's counters (and the never-retry set) under
-// its lock.
-func (sp *speculator) book(f func(*speculator)) {
+// markDead adds a speculatively failed configuration to the never-retry
+// set. Beyond specPendingCap the oldest entry is forgotten: the set must
+// not grow without bound, and a forgotten entry costs one more failed run.
+func (sp *speculator) markDead(id string) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	f(sp)
+	if sp.dead[id] {
+		return
+	}
+	if len(sp.deadOrder) >= specPendingCap {
+		delete(sp.dead, sp.deadOrder[0])
+		sp.deadOrder = sp.deadOrder[1:]
+	}
+	sp.dead[id] = true
+	sp.deadOrder = append(sp.deadOrder, id)
 }
 
 // trimSpeculativeCheckpoints enforces specCheckpointCap on any store:
@@ -209,7 +201,7 @@ func (s *Scheduler) trimSpeculativeCheckpoints() {
 // the checkpoint it may have left.
 func (s *Scheduler) onDemandScheduled(req Request, r resolved) {
 	sp := s.spec
-	if !s.cfg.Speculate {
+	if s.cfg.SpeculateSlots == 0 {
 		return
 	}
 	var neighbour *Request
@@ -229,7 +221,7 @@ func (s *Scheduler) onDemandScheduled(req Request, r resolved) {
 	if err != nil {
 		return // the extrapolated knob value resolves to nothing runnable
 	}
-	s.offerSpeculative(*neighbour, nr, specSourceLineage)
+	s.offerSpeculative(*neighbour, nr, classLineage)
 }
 
 // knobNeighbour extrapolates the next row of an implied sweep: when cur
@@ -310,78 +302,47 @@ type SpeculationStats struct {
 // SpeculationStats reports the scheduler's speculative-execution
 // counters.
 func (s *Scheduler) SpeculationStats() SpeculationStats {
-	sp := s.spec
 	backlog, running := s.fq.speculative()
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return SpeculationStats{
-		Enabled:       s.cfg.Speculate,
+		Enabled:       s.cfg.SpeculateSlots > 0,
 		Slots:         s.cfg.SpeculateSlots,
 		BudgetSeconds: s.cfg.SpeculateBudgetSeconds,
 		Pending:       len(backlog),
 		Inflight:      running,
-		Started:       sp.started,
-		Completed:     sp.completed,
-		Preempted:     sp.preempted,
-		Resumed:       sp.resumed,
-		Failed:        sp.failed,
-		Hits:          sp.hits,
-		WastedSeconds: sp.wasted,
+		Started:       specSum(s.runs[ranStarted]),
+		Completed:     specSum(s.runs[ranDone]),
+		Preempted:     specSum(s.runs[ranCancelled]),
+		Resumed:       specSum(s.runs[ranResumed]),
+		Failed:        specSum(s.runs[ranFailed]),
+		Hits:          specSum(s.runs[answeredHit]),
+		WastedSeconds: specSum(s.wasted),
 	}
 }
 
-// spendLedger accumulates observed wall seconds per tenant, demand and
-// speculative classes separately. Demand seconds say how -tenant-weights
-// should be derived (see GET /tenants); speculative seconds enforce
+// tenantSpend is one tenant's spend ledger row: observed wall seconds
+// and executions per job class. Demand seconds say how -tenant-weights
+// should be derived (GET /tenants); speculative ones enforce
 // -speculate-budget-seconds and never touch the fair-share vclock.
-type spendLedger struct {
-	mu   sync.Mutex
-	rows map[string]*tenantSpendRow
-}
-
-type tenantSpendRow struct {
-	demandSeconds float64
-	specSeconds   float64
-	demandJobs    int64
-	specJobs      int64
-}
-
-// newSpendLedger builds an empty ledger.
-func newSpendLedger() *spendLedger {
-	return &spendLedger{rows: map[string]*tenantSpendRow{}}
+type tenantSpend struct {
+	seconds [numClasses]float64
+	jobs    [numClasses]int64
 }
 
 // charge bills one completed (or cut-short) execution's wall seconds to
-// a tenant. Zero-second executions still count a job — the fake-clock
-// suite must see its runs in the ledger.
-func (l *spendLedger) charge(tenant string, speculative bool, seconds float64) {
+// its tenant's class column. Zero-second executions still count a job —
+// the fake-clock suite must see its runs in the ledger.
+func (s *Scheduler) charge(j *Job, seconds float64) {
 	if seconds < 0 || math.IsNaN(seconds) || math.IsInf(seconds, 0) {
 		seconds = 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	row := l.rows[tenant]
-	if row == nil {
-		row = &tenantSpendRow{}
-		l.rows[tenant] = row
-	}
-	if speculative {
-		row.specSeconds += seconds
-		row.specJobs++
-	} else {
-		row.demandSeconds += seconds
-		row.demandJobs++
-	}
-}
-
-// speculativeSeconds reports a tenant's accumulated speculative spend.
-func (l *spendLedger) speculativeSeconds(tenant string) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if row := l.rows[tenant]; row != nil {
-		return row.specSeconds
-	}
-	return 0
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	row := s.spend[j.tenant]
+	row.seconds[j.class] += seconds
+	row.jobs[j.class]++
+	s.spend[j.tenant] = row
 }
 
 // TenantSpend is one tenant's historical spend row (GET /tenants): the
@@ -402,13 +363,10 @@ type TenantSpend struct {
 // TenantSpends reports every tenant's historical spend, sorted by
 // tenant name.
 func (s *Scheduler) TenantSpends() []TenantSpend {
-	queued := map[string]int{}
-	if _, per := s.QueueStats(); per != nil {
-		queued = per
-	}
-	s.spend.mu.Lock()
-	out := make([]TenantSpend, 0, len(s.spend.rows))
-	for name, row := range s.spend.rows {
+	_, queued := s.QueueStats()
+	s.mu.Lock()
+	out := make([]TenantSpend, 0, len(s.spend))
+	for name, row := range s.spend {
 		w := s.cfg.TenantWeights[name]
 		if !(w > 0) {
 			w = 1
@@ -416,14 +374,14 @@ func (s *Scheduler) TenantSpends() []TenantSpend {
 		out = append(out, TenantSpend{
 			Tenant:             name,
 			Weight:             w,
-			DemandSeconds:      row.demandSeconds,
-			SpeculativeSeconds: row.specSeconds,
-			DemandJobs:         row.demandJobs,
-			SpeculativeJobs:    row.specJobs,
+			DemandSeconds:      row.seconds[classDemand],
+			SpeculativeSeconds: specSum(row.seconds),
+			DemandJobs:         row.jobs[classDemand],
+			SpeculativeJobs:    specSum(row.jobs),
 			Queued:             queued[name],
 		})
 	}
-	s.spend.mu.Unlock()
+	s.mu.Unlock()
 	sort.Slice(out, func(i, k int) bool { return out[i].Tenant < out[k].Tenant })
 	return out
 }
@@ -474,7 +432,7 @@ func (s *Scheduler) PrewarmSweep(name string, rows []Request) (SweepResponse, er
 	if closed {
 		return SweepResponse{}, ErrClosed
 	}
-	resp := SweepResponse{Name: name, Rows: len(rows), Speculate: s.cfg.Speculate}
+	resp := SweepResponse{Name: name, Rows: len(rows), Speculate: s.cfg.SpeculateSlots > 0}
 	for i, req := range rows {
 		row := SweepRowStatus{Index: i}
 		r, err := resolve(req, s.cfg.slotWorkers(), s.cfg.TotalWorkers)
@@ -496,7 +454,7 @@ func (s *Scheduler) PrewarmSweep(name string, rows []Request) (SweepResponse, er
 			default:
 				row.Status = "skipped" // a failed/cancelled record: not worth guessing at
 			}
-		} else if s.offerSpeculative(req, r, specSourceSweep) {
+		} else if resp.Speculate && s.offerSpeculative(req, r, classSweep) {
 			row.Status = "accepted"
 			resp.Accepted++
 		} else {

@@ -9,6 +9,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -148,7 +149,7 @@ func waitSpec(t *testing.T, s *Scheduler, what string, cond func(SpeculationStat
 // speculatively computed, the fair-share vclock never moves, and the
 // tenant's seconds land in the speculative ledger.
 func TestSpeculativeSweepWarmsCache(t *testing.T) {
-	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1, Speculate: true, SpeculateSlots: 1})
+	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1, SpeculateSlots: 1})
 	defer s.Close()
 
 	rows := make([]Request, 3)
@@ -212,7 +213,7 @@ func TestSpeculativeSweepWarmsCache(t *testing.T) {
 // alternating tenants.
 func TestSpeculationDoesNotPerturbDemandDispatch(t *testing.T) {
 	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 2, QueueDepth: 16,
-		Speculate: true, SpeculateSlots: 1})
+		SpeculateSlots: 1})
 	defer s.Close()
 
 	// A sweep backlog of work the planner wants to run the moment it
@@ -305,7 +306,7 @@ func TestSpeculativePreemptResumeChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1, Speculate: true, SpeculateSlots: 1})
+	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1, SpeculateSlots: 1})
 	defer s.Close()
 	if _, err := s.PrewarmSweep("one", []Request{target}); err != nil {
 		t.Fatal(err)
@@ -356,7 +357,7 @@ func TestSpeculativePreemptResumeChecksum(t *testing.T) {
 // than scheduler slots, at most MaxConcurrent speculations are ever in
 // flight — speculation consumes idle capacity, it never adds any.
 func TestSpeculationUsesIdleCapacityOnly(t *testing.T) {
-	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1, Speculate: true, SpeculateSlots: 2})
+	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1, SpeculateSlots: 2})
 	defer s.Close()
 
 	rows := make([]Request, 3)
@@ -390,7 +391,7 @@ func TestSpeculativeBudgetCap(t *testing.T) {
 	// Any real run blows a 0.5ms budget, so exactly one speculation
 	// starts and the second candidate is discarded at claim time.
 	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1,
-		Speculate: true, SpeculateSlots: 1, SpeculateBudgetSeconds: 0.0005})
+		SpeculateSlots: 1, SpeculateBudgetSeconds: 0.0005})
 	defer s.Close()
 
 	rows := []Request{
@@ -415,7 +416,7 @@ func TestSpeculativeBudgetCap(t *testing.T) {
 // are refused; lineage candidates without cost-model history stay
 // parked behind the confidence gate while sweep rows run without it.
 func TestSpeculatorPlannerDedupe(t *testing.T) {
-	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 2, Speculate: true, SpeculateSlots: 2})
+	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 2, SpeculateSlots: 2})
 	defer s.Close()
 
 	mustResolve := func(req Request) resolved {
@@ -443,7 +444,7 @@ func TestSpeculatorPlannerDedupe(t *testing.T) {
 	if _, err := j.Wait(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	if s.offerSpeculative(cached, mustResolve(cached), specSourceSweep) {
+	if s.offerSpeculative(cached, mustResolve(cached), classSweep) {
 		t.Fatal("planner accepted an already-cached configuration")
 	}
 
@@ -460,17 +461,17 @@ func TestSpeculatorPlannerDedupe(t *testing.T) {
 	// A fresh sweep row is accepted exactly once.
 	fresh := Request{Problem: "sedov", RootN: 8, MaxLevel: Int(0), Steps: 3}
 	fr := mustResolve(fresh)
-	if !s.offerSpeculative(fresh, fr, specSourceSweep) {
+	if !s.offerSpeculative(fresh, fr, classSweep) {
 		t.Fatal("planner refused a fresh sweep row")
 	}
-	if s.offerSpeculative(fresh, fr, specSourceSweep) {
+	if s.offerSpeculative(fresh, fr, classSweep) {
 		t.Fatal("planner accepted a duplicate pending candidate")
 	}
 
 	// A lineage candidate with no model history stays parked behind the
 	// confidence gate: a claim must pick the sweep row, never the guess.
 	guess := Request{Problem: "khi", RootN: 8, MaxLevel: Int(0), Steps: 2}
-	if !s.offerSpeculative(guess, mustResolve(guess), specSourceLineage) {
+	if !s.offerSpeculative(guess, mustResolve(guess), classLineage) {
 		t.Fatal("planner refused a lineage candidate")
 	}
 	claimed := claim()
@@ -479,7 +480,7 @@ func TestSpeculatorPlannerDedupe(t *testing.T) {
 	}
 	defer s.fq.retire(claimed.ID)
 	// The claimed configuration is now in flight: re-adding it is a dup.
-	if s.offerSpeculative(fresh, fr, specSourceSweep) {
+	if s.offerSpeculative(fresh, fr, classSweep) {
 		t.Fatal("planner accepted a candidate already in flight")
 	}
 	// The gated lineage candidate is still pending, and with no history
@@ -494,10 +495,8 @@ func TestSpeculatorPlannerDedupe(t *testing.T) {
 	// A configuration that failed speculatively is never retried.
 	deadReq := Request{Problem: "sedov", RootN: 8, MaxLevel: Int(0), Steps: 4}
 	dr := mustResolve(deadReq)
-	s.spec.mu.Lock()
-	s.spec.dead[dr.key()] = true
-	s.spec.mu.Unlock()
-	if s.offerSpeculative(deadReq, dr, specSourceSweep) {
+	s.spec.markDead(dr.key())
+	if s.offerSpeculative(deadReq, dr, classSweep) {
 		t.Fatal("planner accepted a speculatively-failed configuration")
 	}
 }
@@ -557,7 +556,7 @@ func TestKnobNeighbour(t *testing.T) {
 // reports the spend ledger, and /healthz and /metrics carry the
 // speculation series.
 func TestSweepAndTenantsEndpoints(t *testing.T) {
-	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 2, Speculate: true, SpeculateSlots: 1})
+	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 2, SpeculateSlots: 1})
 	defer s.Close()
 	srv := newTestServer(t, s)
 
@@ -651,5 +650,23 @@ func TestSweepAndTenantsEndpoints(t *testing.T) {
 		if code := postSweepStatus(t, srv.URL, bad); code != 400 {
 			t.Fatalf("%s sweep: status %d, want 400", name, code)
 		}
+	}
+}
+
+// TestNeverRetrySetIsBounded: the never-retry set holds at most
+// specPendingCap configurations; past it the oldest failure is
+// forgotten (it costs one more failed run), the newest are kept.
+func TestNeverRetrySetIsBounded(t *testing.T) {
+	var sp speculator
+	sp.dead = map[string]bool{}
+	for i := range specPendingCap + 1 {
+		sp.markDead(fmt.Sprintf("cfg%d", i))
+	}
+	sp.markDead("cfg1") // a repeat neither grows the set nor refreshes the entry
+	if len(sp.dead) != specPendingCap || len(sp.deadOrder) != specPendingCap {
+		t.Fatalf("never-retry set holds %d (%d ordered), cap %d", len(sp.dead), len(sp.deadOrder), specPendingCap)
+	}
+	if sp.dead["cfg0"] || !sp.dead["cfg1"] || !sp.dead[fmt.Sprintf("cfg%d", specPendingCap)] {
+		t.Fatal("the cap evicted something other than the oldest failure")
 	}
 }

@@ -122,9 +122,8 @@ type JobManifest struct {
 	// did ("checkpoint step 12").
 	ResumedFrom string `json:"resumed_from,omitempty"`
 	// Speculative marks a run the speculation planner started ahead of
-	// any submission. Recovery must never resurrect a non-terminal
-	// speculative record as demand work — it is re-offered to the
-	// planner instead (or deleted when speculation is off).
+	// any submission; recovery re-offers it to the planner, never as
+	// demand work (see restore).
 	Speculative bool      `json:"speculative,omitempty"`
 	SubmittedAt time.Time `json:"submitted_at,omitzero"`
 	StartedAt   time.Time `json:"started_at,omitzero"`

@@ -40,7 +40,7 @@ func scrapeSurface(t *testing.T, url string, into map[string]bool) {
 // exists then), once after an announced sweep row was pre-warmed and
 // hit — and requires every pinned name to still be served.
 func TestSurfaceNames(t *testing.T) {
-	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1, Speculate: true, SpeculateSlots: 1})
+	s := NewScheduler(Config{MaxConcurrent: 1, TotalWorkers: 1, SpeculateSlots: 1})
 	defer s.Close()
 	srv := newTestServer(t, s)
 	live := map[string]bool{}
